@@ -7,10 +7,8 @@ benchmark protocol and binary persistence for sets (VEMB) and indexes (VIDX).
 
 from .base import SearchResult, VectorIndex, make_result
 from .bench import (
-    ALL_FAMILIES,
     BenchReport,
     ProtocolConfig,
-    build_index,
     read_report,
     run_benchmark,
     run_protocol,
@@ -37,11 +35,12 @@ from .evaluation import (
     predict_label,
     recall_at_n,
 )
+from .families import ALL_FAMILIES, build_index
 from .flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 from .hnsw import HnswIndex, HnswParams
-from .ivf import IvfIndex, ivf_build, ivf_search
+from .ivf import IvfIndex, ivf_build
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit
-from .lsh import LshIndex, lsh_build, lsh_search
+from .lsh import LshIndex, lsh_build
 from .persist import dump_index, load_index, load_index_bytes, save_index
 from .pq import (
     PqCodebook,
@@ -54,7 +53,7 @@ from .pq import (
     pq_encode_batch,
     pq_train,
 )
-from .rpforest import RpForestIndex, rp_build, rp_search
+from .rpforest import RpForestIndex, rp_build
 from .sq import SqParams, sq_decode, sq_decode_batch, sq_encode, sq_encode_batch, sq_train
 
 __version__ = "0.1.0"
@@ -94,7 +93,6 @@ __all__ = [
     "gen_synthetic",
     "ground_truth",
     "ivf_build",
-    "ivf_search",
     "kmeans_fit",
     "label_metrics",
     "load_csv",
@@ -103,7 +101,6 @@ __all__ = [
     "load_vemb",
     "load_vemb_bytes",
     "lsh_build",
-    "lsh_search",
     "make_result",
     "normalize",
     "pq_adc_search",
@@ -117,7 +114,6 @@ __all__ = [
     "read_report",
     "recall_at_n",
     "rp_build",
-    "rp_search",
     "run_benchmark",
     "run_protocol",
     "save_index",

@@ -58,6 +58,7 @@ class VectorIndex(abc.ABC):
     """
 
     family: str
+    metric: Metric = Metric.L2  # the metric searches rank by and recall is scored in
 
     @property
     def label(self) -> str:

@@ -1,11 +1,12 @@
 """The evaluation protocol: seeded query sampling, timing, metrics, reports.
 
 A protocol run samples distinct query ids from the indexed set itself,
-searches each with the query excluded (families without native exclusion
-search k+1 and drop the query id), and scores the retrieved lists both
-against the class labels (precision/recall/F1/accuracy via majority-vote
-prediction, plus precision@k) and against an exact-oracle neighbor set
-(recall@n). Query timing uses a monotonic clock around the pure search call,
+searches each with the query excluded (k+1 neighbors, the query id dropped),
+and scores the retrieved lists both against the class labels
+(precision/recall/F1/accuracy via majority-vote prediction, plus precision@k)
+and against an exact-oracle neighbor set (recall@n) in the index's own
+metric. A query that retrieves nothing scores 0 on both and is a wrong
+prediction. Query timing uses a monotonic clock around the pure search call,
 after a discarded 10-query warm-up pass; everything except the timing fields
 is deterministic in the seed.
 """
@@ -25,31 +26,11 @@ from .base import SearchResult, VectorIndex
 from .data import EmbeddingSet
 from .distances import Metric
 from .evaluation import label_metrics, precision_at_k, recall_at_n
-from .flat import FlatIPIndex, FlatL2Index, _FlatIndex, ground_truth
-from .hnsw import HnswIndex, HnswParams
-from .ivf import ivf_build
-from .lsh import lsh_build
+from .families import build_index, family
+from .flat import ground_truth
 from .persist import dump_index
-from .pq import PqIndex
-from .rpforest import rp_build
 
 WARMUP_QUERIES = 10
-
-# Report rows for `bench --family all`, one per benchmarked configuration.
-ALL_FAMILIES = (
-    "flat-l2",
-    "flat-ip",
-    "hnsw",
-    "pq",
-    "ivf-sq",
-    "ivf-pq",
-    "lsh",
-    "rpforest-angular",
-    "rpforest-l2",
-    "rpforest-manhattan",
-)
-
-KNOWN_FAMILIES = ALL_FAMILIES + ("ivf-flat", "rpforest")
 
 
 @dataclass
@@ -58,7 +39,6 @@ class ProtocolConfig:
     k: int = 6  # neighbors retrieved per query, the query itself excluded
     recall_n: int = 5  # oracle depth for recall@n
     seed: int = 0
-    metric: Metric = Metric.L2
     params: dict[str, dict] = field(default_factory=dict)  # per-family overrides
 
     def __post_init__(self) -> None:
@@ -104,13 +84,7 @@ def sample_query_rows(n: int, n_queries: int, seed: int) -> np.ndarray:
 def search_excluding(
     index: VectorIndex, query: np.ndarray, k: int, exclude: int
 ) -> SearchResult:
-    """Top-k with the query id excluded.
-
-    Flat families exclude natively; every other family searches k+1 and drops
-    the query id if present.
-    """
-    if isinstance(index, _FlatIndex):
-        return index.search(query, k, exclude=exclude)
+    """Top-k with the query id excluded: search k+1, drop the query id if present."""
     res = index.search(query, k + 1)
     kept = [(nid, score) for nid, score in res.neighbors if nid != exclude]
     return SearchResult(kept[:k])
@@ -123,14 +97,14 @@ def run_protocol(
     indexing_time_ms: float = 0.0,
     truth: dict[int, list[int]] | None = None,
 ) -> BenchReport:
-    """Benchmark one built index over the set it was built from."""
+    """Benchmark one built index over the set it was built from, in its metric."""
     n = len(emb_set)
     if config.n_queries > n:
         raise ValueError(f"n_queries={config.n_queries} exceeds the set size {n}")
     rows = sample_query_rows(n, config.n_queries, config.seed)
     query_ids = emb_set.ids[rows]
     if truth is None:
-        truth = ground_truth(emb_set, query_ids, config.recall_n, config.metric)
+        truth = ground_truth(emb_set, query_ids, config.recall_n, index.metric)
 
     for row in rows[:WARMUP_QUERIES]:  # warm-up pass, discarded
         search_excluding(index, emb_set.vectors[row], config.k, int(emb_set.ids[row]))
@@ -149,7 +123,7 @@ def run_protocol(
         assert qid not in ids, "query id leaked into its own result list"
         labels = [emb_set.label_of(i) for i in ids]
         outcomes.append((emb_set.label_of(qid), labels))
-        p_at_k.append(precision_at_k(emb_set.label_of(qid), labels))
+        p_at_k.append(precision_at_k(emb_set.label_of(qid), labels) if labels else 0.0)
         r_at_n.append(recall_at_n(ids, truth[qid]))
 
     metrics = label_metrics(outcomes)
@@ -159,7 +133,7 @@ def run_protocol(
         "k": config.k,
         "recall_n": config.recall_n,
         "seed": config.seed,
-        "metric": config.metric.value,
+        "metric": index.metric.value,
         "index": index.config(),
     }
     return BenchReport(
@@ -182,48 +156,6 @@ def run_protocol(
     )
 
 
-# --------------------------------------------------------------------- build
-
-def family_metric(family: str, default: Metric = Metric.L2) -> Metric:
-    """Effective query metric for a benchmark family."""
-    if family == "flat-ip":
-        return Metric.INNER_PRODUCT
-    if family == "rpforest":
-        return Metric.ANGULAR
-    if family.startswith("rpforest-"):
-        return Metric(family.removeprefix("rpforest-"))
-    return default
-
-
-def build_index(
-    emb_set: EmbeddingSet, family: str, seed: int = 0, **overrides
-) -> VectorIndex:
-    """Construct any benchmark family over a set; overrides are family knobs."""
-    if family == "flat-l2":
-        return FlatL2Index.build(emb_set)
-    if family == "flat-ip":
-        return FlatIPIndex.build(emb_set)
-    if family == "pq":
-        return PqIndex.build(emb_set, seed=seed, **overrides)
-    if family in ("ivf-flat", "ivf-pq", "ivf-sq"):
-        return ivf_build(emb_set, encoding=family.removeprefix("ivf-"), seed=seed, **overrides)
-    if family == "lsh":
-        return lsh_build(emb_set, seed=seed, **overrides)
-    if family == "hnsw":
-        params = HnswParams(
-            M=overrides.pop("M", 32),
-            ef_construction=overrides.pop("ef_construction", 40),
-            ef_search=overrides.pop("ef_search", 64),
-        )
-        if overrides:
-            raise ValueError(f"unknown hnsw options: {sorted(overrides)}")
-        return HnswIndex.build(emb_set, params, seed=seed)
-    if family == "rpforest" or family.startswith("rpforest-"):
-        metric = overrides.pop("metric", family_metric(family, Metric.ANGULAR))
-        return rp_build(emb_set, metric=Metric(metric), seed=seed, **overrides)
-    raise ValueError(f"unknown index family {family!r}")
-
-
 def run_benchmark(
     emb_set: EmbeddingSet,
     families: Sequence[str],
@@ -233,42 +165,23 @@ def run_benchmark(
     """Build and benchmark each family; ground truth is cached per metric."""
     reports = []
     truth_cache: dict[tuple[Metric, bool], dict[int, list[int]]] = {}
-    normalized: EmbeddingSet | None = None
-    for family in families:
-        if family not in KNOWN_FAMILIES:
-            raise ValueError(f"unknown index family {family!r}")
+    for name in families:
+        unit = family(name).unit
         if progress:
-            progress(f"benchmarking {family}")
-        overrides = dict(config.params.get(family, {}))
-        metric = family_metric(family, config.metric)
-        if family.startswith("rpforest") and "metric" in overrides:
-            metric = Metric(overrides["metric"])
-        if family == "flat-ip":
-            if normalized is None:
-                normalized = emb_set.normalized()
-            data = normalized
-        else:
-            data = emb_set
+            progress(f"benchmarking {name}")
+        data = emb_set.normalized() if unit else emb_set
         start = time.perf_counter_ns()
-        index = build_index(data, family, seed=config.seed, **overrides)
+        index = build_index(data, name, seed=config.seed, **config.params.get(name, {}))
         indexing_ms = (time.perf_counter_ns() - start) / 1e6
 
-        key = (metric, family == "flat-ip")
+        key = (index.metric, unit)
         if key not in truth_cache:
             rows = sample_query_rows(len(data), config.n_queries, config.seed)
             truth_cache[key] = ground_truth(
-                data, data.ids[rows], config.recall_n, metric
+                data, data.ids[rows], config.recall_n, index.metric
             )
-        run_cfg = ProtocolConfig(
-            n_queries=config.n_queries,
-            k=config.k,
-            recall_n=config.recall_n,
-            seed=config.seed,
-            metric=metric,
-            params=config.params,
-        )
         reports.append(
-            run_protocol(index, data, run_cfg, indexing_ms, truth=truth_cache[key])
+            run_protocol(index, data, config, indexing_ms, truth=truth_cache[key])
         )
     return reports
 

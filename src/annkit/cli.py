@@ -20,17 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import (
-    ALL_FAMILIES,
-    KNOWN_FAMILIES,
-    ProtocolConfig,
-    build_index,
-    run_benchmark,
-    search_excluding,
-    write_report,
-)
+from .bench import ProtocolConfig, run_benchmark, search_excluding, write_report
 from .data import EmbeddingSet, gen_synthetic, load_csv, load_vemb, save_vemb
 from .distances import Metric
+from .families import ALL_FAMILIES, FAMILIES, build_index, family
 from .flat import ground_truth
 from .persist import load_index, save_index
 
@@ -58,42 +51,18 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
     g.add_argument("--ef-search", type=int, help="HNSW query beam width")
     g.add_argument("--lsh-bits", type=int, help="LSH hyperplane count")
     g.add_argument(
-        "--no-rerank", action="store_true", help="LSH: rank by Hamming distance only"
+        "--no-rerank",
+        dest="rerank",
+        action="store_const",
+        const=False,
+        help="LSH: rank by Hamming distance only",
     )
 
 
-def _knobs(args: argparse.Namespace, family: str) -> dict:
+def _knobs(args: argparse.Namespace, name: str) -> dict:
     """The knob flags that apply to one family, only where explicitly set."""
-    out: dict = {}
-
-    def put(key: str, value):
-        if value is not None:
-            out[key] = value
-
-    if family == "pq":
-        put("m", args.m)
-        put("nbits", args.nbits)
-    elif family.startswith("ivf-"):
-        put("nlist", args.nlist)
-        put("nprobe", args.nprobe)
-        if family == "ivf-pq":
-            put("m", args.m)
-            put("nbits", args.nbits)
-    elif family == "lsh":
-        put("nbits", args.lsh_bits)
-        if args.no_rerank:
-            out["rerank"] = False
-    elif family == "hnsw":
-        put("M", args.hnsw_m)
-        put("ef_construction", args.ef_construction)
-        put("ef_search", args.ef_search)
-    elif family.startswith("rpforest"):
-        put("n_trees", args.trees)
-        put("leaf_size", args.leaf_size)
-        put("search_k", args.search_k)
-        if family == "rpforest":
-            put("metric", args.metric)
-    return out
+    knobs = {kw: getattr(args, dest) for kw, dest in family(name).knobs.items()}
+    return {kw: value for kw, value in knobs.items() if value is not None}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an index over an embedding file")
     p.add_argument("--data", required=True, help="VEMB or CSV input")
-    p.add_argument("--family", required=True, choices=sorted(KNOWN_FAMILIES))
+    p.add_argument("--family", required=True, choices=sorted(FAMILIES))
     p.add_argument("--metric", choices=_METRIC_CHOICES, help="rpforest metric")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="VIDX output path")
@@ -147,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--recall-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=_METRIC_CHOICES, help="baseline metric")
+    p.add_argument("--metric", choices=_METRIC_CHOICES, help="rpforest metric")
     p.add_argument("--out", help="report output path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_knob_flags(p)
@@ -229,7 +198,6 @@ def _cmd_bench(args) -> int:
         k=args.k,
         recall_n=args.recall_n,
         seed=args.seed,
-        metric=Metric(args.metric) if args.metric else Metric.L2,
         params={fam: _knobs(args, fam) for fam in families},
     )
     reports = run_benchmark(
@@ -239,7 +207,8 @@ def _cmd_bench(args) -> int:
         write_report(reports, args.out, fmt=args.format)
         print(f"wrote {args.out}: {len(reports)} report rows")
     else:
-        header = f"{'family':<20} {'recall@5':>9} {'f1':>7} {'p@k':>7} {'us/query':>10} {'qps':>10}"
+        recall = f"recall@{args.recall_n}"
+        header = f"{'family':<20} {recall:>9} {'f1':>7} {'p@k':>7} {'us/query':>10} {'qps':>10}"
         print(header)
         for r in reports:
             print(

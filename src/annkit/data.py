@@ -5,8 +5,9 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,7 +51,6 @@ class EmbeddingSet:
         self._labels = labels
         self._vectors = vectors
         self._row_by_id = {int(i): row for row, i in enumerate(ids)}
-        self._vectors64: np.ndarray | None = None
 
     @classmethod
     def from_records(cls, records: Iterable[EmbeddingRecord]) -> "EmbeddingSet":
@@ -74,12 +74,10 @@ class EmbeddingSet:
     def vectors(self) -> np.ndarray:
         return self._vectors
 
-    @property
+    @cached_property
     def vectors64(self) -> np.ndarray:
-        """Cached float64 view used by the scoring path."""
-        if self._vectors64 is None:
-            self._vectors64 = self._vectors.astype(np.float64)
-        return self._vectors64
+        """Cached float64 copy, read by index builds and the exact oracle."""
+        return self._vectors.astype(np.float64)
 
     @property
     def dim(self) -> int:
@@ -210,15 +208,4 @@ def load_csv(path: str | Path) -> EmbeddingSet:
         np.array(ids, dtype=np.uint64),
         np.array(labels, dtype=np.uint32),
         np.array(rows, dtype=np.float32),
-    )
-
-
-def records_from_arrays(
-    ids: Sequence[int], labels: Sequence[int], vectors: np.ndarray
-) -> EmbeddingSet:
-    """Convenience constructor mirroring EmbeddingSet's array layout."""
-    return EmbeddingSet(
-        np.asarray(ids, dtype=np.uint64),
-        np.asarray(labels, dtype=np.uint32),
-        np.asarray(vectors, dtype=np.float32),
     )

@@ -31,23 +31,23 @@ class Metric(str, Enum):
         return self is Metric.INNER_PRODUCT
 
 
-def _as_f64_matrix(vectors: np.ndarray) -> np.ndarray:
-    out = np.asarray(vectors, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError("expected a 2-d array of vectors")
-    return out
-
-
 def batch_scores(metric: Metric, query: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Score `query` against every row of `vectors` in float64.
 
-    Returns a float64 array; callers narrow to float32 only at the reporting
-    boundary so that accumulation error cannot perturb rankings.
+    float32 rows are scored without a float64 copy: each arithmetic step
+    against the float64 query promotes them exactly, so the result is
+    bit-identical to scoring `vectors.astype(np.float64)`. Returns a float64
+    array; callers narrow to float32 only at the reporting boundary so that
+    accumulation error cannot perturb rankings.
 
     Raises ValueError on dimension mismatch, and for Angular when the query or
     any candidate row has zero norm (cosine undefined).
     """
-    v = _as_f64_matrix(vectors)
+    v = np.asarray(vectors)
+    if v.dtype != np.float32:
+        v = v.astype(np.float64, copy=False)
+    if v.ndim != 2:
+        raise ValueError("expected a 2-d array of vectors")
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != v.shape[1]:
         raise ValueError(f"dimension mismatch: query has {q.shape[0]}, vectors have {v.shape[1]}")
@@ -63,6 +63,7 @@ def batch_scores(metric: Metric, query: np.ndarray, vectors: np.ndarray) -> np.n
         qn = np.sqrt(np.sum(q * q))
         if qn == 0.0:
             raise ValueError("angular distance undefined for zero query vector")
+        v = v.astype(np.float64, copy=False)  # v * v must square in float64
         vn = np.sqrt(np.sum(v * v, axis=1))
         if np.any(vn == 0.0):
             raise ValueError("angular distance undefined for zero vectors")

@@ -6,6 +6,9 @@ its class label equals the query's. Each query gets one predicted label
 closest to the query), and per-class one-vs-rest confusion counts are pooled
 for micro metrics or averaged unweighted for macro metrics. For single-label
 multiclass prediction, micro precision = micro recall = accuracy, exactly.
+An empty retrieval predicts no label: it is a wrong answer and a miss for the
+query's class, but a false positive for none, so it lowers accuracy and recall
+and leaves micro precision at or above them.
 """
 
 from __future__ import annotations
@@ -76,13 +79,12 @@ def label_metrics(outcomes: Sequence[tuple[int, Sequence[int]]]) -> LabelMetrics
     """
     if not outcomes:
         raise ValueError("cannot compute metrics from zero outcomes")
-    pairs = []
-    for query_label, retrieved in outcomes:
-        if len(retrieved) == 0:
-            raise ValueError("every outcome needs at least one retrieved label")
-        pairs.append((query_label, predict_label(retrieved)))
+    pairs = [
+        (query_label, predict_label(retrieved) if len(retrieved) else None)
+        for query_label, retrieved in outcomes
+    ]
 
-    classes = sorted({t for t, _ in pairs} | {p for _, p in pairs})
+    classes = sorted({t for t, _ in pairs} | {p for _, p in pairs if p is not None})
     per_class = {c: ConfusionCounts() for c in classes}
     for truth, pred in pairs:
         for c in classes:

@@ -53,12 +53,9 @@ def ground_truth(
 class _FlatIndex(VectorIndex):
     """Common storage for the exhaustive families: ids plus raw vectors."""
 
-    metric: Metric
-
     def __init__(self, ids: np.ndarray, vectors: np.ndarray):
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._vectors = np.asarray(vectors, dtype=np.float32)
-        self._vectors64 = self._vectors.astype(np.float64)
 
     @classmethod
     def build(cls, emb_set: EmbeddingSet) -> "_FlatIndex":
@@ -81,15 +78,11 @@ class _FlatIndex(VectorIndex):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def search(self, query: np.ndarray, k: int, exclude: int | None = None) -> SearchResult:
+    def search(self, query: np.ndarray, k: int) -> SearchResult:
         if k < 1:
             raise ValueError("k must be >= 1")
-        ids = self._ids
-        scores = batch_scores(self.metric, query, self._vectors64)
-        if exclude is not None:
-            keep = ids != np.uint64(exclude)
-            ids, scores = ids[keep], scores[keep]
-        return make_result(self.metric, ids, scores, k)
+        scores = batch_scores(self.metric, query, self._vectors)
+        return make_result(self.metric, self._ids, scores, k)
 
     def memory_bytes(self) -> int:
         return self._ids.nbytes + self._vectors.nbytes
@@ -117,7 +110,6 @@ class FlatL2Index(_FlatIndex):
     """Exhaustive Euclidean scan; exact by construction."""
 
     family = "flat-l2"
-    metric = Metric.L2
 
 
 class FlatIPIndex(_FlatIndex):

@@ -62,7 +62,6 @@ class HnswIndex(VectorIndex):
         self._rng = np.random.default_rng(seed)
         self._capacity = 0
         self._vec32 = np.empty((0, dim), dtype=np.float32)
-        self._vec64 = np.empty((0, dim), dtype=np.float64)
         self._ids: list[int] = []
         self._levels: list[int] = []
         self._links: list[list[list[int]]] = []  # row -> level -> neighbor rows
@@ -87,11 +86,9 @@ class HnswIndex(VectorIndex):
         if needed <= self._capacity:
             return
         new_cap = max(needed, max(16, self._capacity * 2))
-        for attr, dtype in (("_vec32", np.float32), ("_vec64", np.float64)):
-            old = getattr(self, attr)
-            grown = np.empty((new_cap, self._dim), dtype=dtype)
-            grown[: len(old)] = old
-            setattr(self, attr, grown)
+        grown = np.empty((new_cap, self._dim), dtype=np.float32)
+        grown[: len(self._vec32)] = self._vec32
+        self._vec32 = grown
         self._capacity = new_cap
 
     def _draw_level(self) -> int:
@@ -99,9 +96,14 @@ class HnswIndex(VectorIndex):
         return int(math.floor(-math.log(u) * self.params.mL))
 
     def _dists(self, q64: np.ndarray, rows: list[int]) -> np.ndarray:
-        """Squared L2 from the query to the given rows (float64)."""
-        diff = self._vec64[rows] - q64
-        return np.sum(diff * diff, axis=1)
+        """Squared L2 from the query to the given rows (float64).
+
+        `q64` must be float64: the float32 rows then promote exactly, while a
+        float32 query would make the difference round in float32.
+        """
+        diff = self._vec32[rows] - q64
+        diff *= diff  # in place, and the method sum below, to spare per-call overhead
+        return diff.sum(axis=1)
 
     def _search_layer(
         self,
@@ -163,7 +165,9 @@ class HnswIndex(VectorIndex):
         for d_base, row in sorted(cand):
             if len(chosen) == cap:
                 return chosen
-            if chosen and bool(np.any(self._dists(self._vec64[row], chosen) < d_base)):
+            if chosen and bool(
+                np.any(self._dists(self._vec32[row].astype(np.float64), chosen) < d_base)
+            ):
                 if fill:
                     rejected.append(row)
             else:
@@ -199,7 +203,6 @@ class HnswIndex(VectorIndex):
         row = len(self._ids)
         self._grow(row + 1)
         self._vec32[row] = vector
-        self._vec64[row] = vector.astype(np.float64)
         self._ids.append(record_id)
         self._levels.append(level)
         self._links.append([[] for _ in range(level + 1)])
@@ -209,7 +212,7 @@ class HnswIndex(VectorIndex):
             self._entry = row
             return
 
-        q64 = self._vec64[row]
+        q64 = vector.astype(np.float64)
         top = self._levels[self._entry]
         entries = [self._entry]
         for layer in range(top, level, -1):
@@ -232,10 +235,11 @@ class HnswIndex(VectorIndex):
                 links = self._links[nb][layer]
                 links.append(row)
                 if len(links) > cap:
-                    nd = self._dists(self._vec64[nb], links)
+                    nb64 = self._vec32[nb].astype(np.float64)
+                    nd = self._dists(nb64, links)
                     pairs = sorted(zip(nd.tolist(), links))
                     if upper:
-                        pairs = self._extended(pairs, self._vec64[nb], layer, exclude=nb)
+                        pairs = self._extended(pairs, nb64, layer, exclude=nb)
                     self._links[nb][layer] = self._select_diverse(pairs, cap, fill=upper)
             entries = [r for _, r in found]
 
@@ -369,7 +373,6 @@ class HnswIndex(VectorIndex):
         index = cls(dim, params)
         index._grow(count)
         index._vec32[:count] = vectors
-        index._vec64[:count] = vectors.astype(np.float64)
         index._ids = [int(i) for i in ids]
         index._levels = [int(l) for l in levels]
         index._row_by_id = {int(i): row for row, i in enumerate(ids)}

@@ -62,7 +62,6 @@ class IvfIndex(VectorIndex):
         self.nprobe = nprobe
         self.codebook = codebook
         self.sq_params = sq_params
-        self._coarse64 = coarse.vectors.astype(np.float64)
 
     @property
     def family(self) -> str:  # type: ignore[override]
@@ -81,7 +80,7 @@ class IvfIndex(VectorIndex):
 
     def probe_order(self, query: np.ndarray) -> np.ndarray:
         """Coarse lists ranked nearest-first, index tie-break."""
-        scores = batch_scores(Metric.L2, query, self._coarse64)
+        scores = batch_scores(Metric.L2, query, self.coarse.vectors)
         return np.lexsort((np.arange(self.nlist), scores))
 
     def probe_candidate_ids(self, query: np.ndarray, nprobe: int) -> np.ndarray:
@@ -233,8 +232,3 @@ def ivf_build(
         list_ids.append(emb_set.ids[rows].copy())
         list_payloads.append(np.ascontiguousarray(encoded[rows]))
     return IvfIndex(coarse, encoding, list_ids, list_payloads, nprobe, codebook, sq_params)
-
-
-def ivf_search(index: IvfIndex, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
-    """Functional form of :meth:`IvfIndex.search`."""
-    return index.search(query, k, nprobe=nprobe)

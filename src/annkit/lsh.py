@@ -36,7 +36,6 @@ class LshIndex(VectorIndex):
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._codes = np.asarray(codes, dtype=np.uint8)  # (n, ceil(nbits/8)) packed
         self._vectors = np.asarray(vectors, dtype=np.float32)
-        self._vectors64 = self._vectors.astype(np.float64)
         self.rerank = rerank
 
     @property
@@ -82,7 +81,7 @@ class LshIndex(VectorIndex):
         if not rerank:
             return make_result(Metric.L2, self._ids, hamming.astype(np.float64), k)
         pool = np.lexsort((self._ids, hamming))[: RERANK_POOL_FACTOR * k]
-        scores = batch_scores(Metric.L2, query, self._vectors64[pool])
+        scores = batch_scores(Metric.L2, query, self._vectors[pool])
         return make_result(Metric.L2, self._ids[pool], scores, k)
 
     def memory_bytes(self) -> int:
@@ -147,10 +146,3 @@ def lsh_build(
     )
     index._codes = index.encode_batch(emb_set.vectors64)
     return index
-
-
-def lsh_search(
-    index: LshIndex, query: np.ndarray, k: int, rerank: bool | None = None
-) -> SearchResult:
-    """Functional form of :meth:`LshIndex.search`."""
-    return index.search(query, k, rerank=rerank)

@@ -10,39 +10,18 @@ from __future__ import annotations
 from pathlib import Path
 
 from .base import VectorIndex
-from .flat import FlatIPIndex, FlatL2Index
-from .hnsw import HnswIndex
-from .ivf import IvfIndex
-from .lsh import LshIndex
-from .pq import PqIndex
-from .rpforest import RpForestIndex
+from .families import BY_TAG, family
 from .wire import Reader, Writer
 
 VIDX_MAGIC = b"VIDX"
 VIDX_VERSION = 1
 
-FAMILY_TAGS: dict[str, int] = {
-    "flat-l2": 0,
-    "flat-ip": 1,
-    "pq": 2,
-    "ivf-flat": 3,
-    "ivf-pq": 4,
-    "ivf-sq": 5,
-    "lsh": 6,
-    "hnsw": 7,
-    "rpforest": 8,
-}
-
 
 def dump_index(index: VectorIndex) -> bytes:
-    try:
-        tag = FAMILY_TAGS[index.family]
-    except KeyError:
-        raise ValueError(f"unknown index family {index.family!r}") from None
     w = Writer()
     w.raw(VIDX_MAGIC)
     w.u8(VIDX_VERSION)
-    w.u8(tag)
+    w.u8(family(index.family).tag)
     index.write_payload(w)  # type: ignore[attr-defined]
     return w.getvalue()
 
@@ -55,26 +34,9 @@ def load_index_bytes(data: bytes) -> VectorIndex:
     if version != VIDX_VERSION:
         raise ValueError(f"unsupported VIDX version {version}")
     tag = r.u8()
-    if tag == 0:
-        index: VectorIndex = FlatL2Index.read_payload(r)
-    elif tag == 1:
-        index = FlatIPIndex.read_payload(r)
-    elif tag == 2:
-        index = PqIndex.read_payload(r)
-    elif tag == 3:
-        index = IvfIndex.read_payload(r, "flat")
-    elif tag == 4:
-        index = IvfIndex.read_payload(r, "pq")
-    elif tag == 5:
-        index = IvfIndex.read_payload(r, "sq")
-    elif tag == 6:
-        index = LshIndex.read_payload(r)
-    elif tag == 7:
-        index = HnswIndex.read_payload(r)
-    elif tag == 8:
-        index = RpForestIndex.read_payload(r)
-    else:
+    if tag not in BY_TAG:
         raise ValueError(f"unknown family tag {tag}")
+    index = BY_TAG[tag].read(r)
     r.expect_exhausted()
     return index
 

@@ -103,7 +103,6 @@ class RpForestIndex(VectorIndex):
         self.trees = trees
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._vectors = np.asarray(vectors, dtype=np.float32)
-        self._vectors64 = self._vectors.astype(np.float64)
         self.search_k = search_k  # None -> n_trees * k at query time
 
     @property
@@ -175,7 +174,7 @@ class RpForestIndex(VectorIndex):
         rows = self.candidate_rows(query, search_k)
         if len(rows) == 0:
             return SearchResult([])
-        scores = batch_scores(self.metric, query, self._vectors64[rows])
+        scores = batch_scores(self.metric, query, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
     def memory_bytes(self) -> int:
@@ -274,10 +273,3 @@ def rp_build(
     return RpForestIndex(
         metric, leaf_size, trees, emb_set.ids.copy(), emb_set.vectors.copy(), search_k
     )
-
-
-def rp_search(
-    forest: RpForestIndex, query: np.ndarray, k: int, search_k: int | None = None
-) -> SearchResult:
-    """Functional form of :meth:`RpForestIndex.search`."""
-    return forest.search(query, k, search_k=search_k)

@@ -7,12 +7,9 @@ import numpy as np
 import pytest
 
 from annkit.bench import (
-    ALL_FAMILIES,
-    KNOWN_FAMILIES,
     BenchReport,
     ProtocolConfig,
     build_index,
-    family_metric,
     read_report,
     run_benchmark,
     run_protocol,
@@ -20,7 +17,9 @@ from annkit.bench import (
     search_excluding,
     write_report,
 )
+from annkit.data import gen_synthetic
 from annkit.distances import Metric
+from annkit.families import ALL_FAMILIES, FAMILIES
 from annkit.flat import FlatL2Index, ground_truth
 
 
@@ -109,17 +108,26 @@ def test_config_echo_includes_index_knobs(small_set):
 
 
 def test_build_index_families(small_set):
-    for family in KNOWN_FAMILIES:
+    for family in FAMILIES:
         index = build_index(small_set, family, seed=0)
         assert index.dim == small_set.dim
-    assert set(ALL_FAMILIES) < set(KNOWN_FAMILIES)
+    assert set(ALL_FAMILIES) < set(FAMILIES)
 
 
 def test_build_index_rejects_unknown(small_set):
     with pytest.raises(ValueError):
         build_index(small_set, "kd-tree")
-    with pytest.raises(ValueError):
-        build_index(small_set, "hnsw", bogus_knob=3)
+    foreign = [
+        ("hnsw", "bogus_knob"),
+        ("ivf-flat", "m"),  # ivf-pq takes m; ivf-flat once ignored it silently
+        ("flat-l2", "nlist"),
+        ("pq", "nprobe"),
+        ("lsh", "M"),
+        ("rpforest-l2", "metric"),  # the row fixes its metric
+    ]
+    for family, knob in foreign:
+        with pytest.raises(ValueError):
+            build_index(small_set, family, **{knob: 3})
 
 
 def test_build_index_routes_hnsw_knobs(small_set):
@@ -128,13 +136,34 @@ def test_build_index_routes_hnsw_knobs(small_set):
     assert index.config()["ef_construction"] == 24
 
 
-def test_family_metric_mapping():
-    assert family_metric("flat-l2") is Metric.L2
-    assert family_metric("flat-ip") is Metric.INNER_PRODUCT
-    assert family_metric("rpforest-angular") is Metric.ANGULAR
-    assert family_metric("rpforest-manhattan") is Metric.MANHATTAN
-    assert family_metric("rpforest") is Metric.ANGULAR  # matches the build default
-    assert family_metric("hnsw") is Metric.L2
+def test_family_metric_mapping(small_set):
+    def metric(family, **knobs):
+        return build_index(small_set, family, seed=0, **knobs).metric
+
+    assert metric("flat-l2") is Metric.L2
+    assert metric("flat-ip") is Metric.INNER_PRODUCT
+    assert metric("rpforest-angular") is Metric.ANGULAR
+    assert metric("rpforest-manhattan") is Metric.MANHATTAN
+    assert metric("rpforest") is Metric.ANGULAR  # the build default
+    assert metric("rpforest", metric="l2") is Metric.L2
+    assert metric("hnsw", M=4, ef_construction=8) is Metric.L2
+    for family in ("lsh", "ivf-sq", "pq"):
+        assert metric(family) is Metric.L2
+
+
+def test_run_benchmark_scores_empty_results():
+    """A singleton inverted list leaves some queries with no neighbor at all."""
+    s = gen_synthetic(4, 50, 8, 0.3, seed=1)
+    cfg = protocol(n_queries=200)
+    (report,) = run_benchmark(s, ["ivf-flat"], cfg)
+    index = build_index(s, "ivf-flat", seed=0)
+    rows = sample_query_rows(len(s), cfg.n_queries, cfg.seed)
+    empty = [r for r in rows if not search_excluding(index, s.vectors[r], cfg.k, int(s.ids[r]))]
+    assert empty, "the repro no longer produces an empty result"
+    assert 0.0 < report.precision_at_k < 1.0
+    assert report.accuracy <= 1.0 - len(empty) / len(rows)
+    assert report.recall == report.accuracy  # an empty result is a miss
+    assert report.precision >= report.accuracy  # and a false positive for no class
 
 
 def test_run_benchmark_orders_and_labels(small_set):

@@ -93,6 +93,10 @@ def test_bench_prints_table_without_out(data_path, capsys):
     out = capsys.readouterr().out
     assert "flat-l2" in out
     assert "recall@5" in out
+    assert main(["bench", "--data", str(data_path), "--family", "flat-l2",
+                 "--queries", "25", "--recall-n", "10"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert "recall@10" in header and "recall@5" not in header
 
 
 def test_bench_knobs_reach_index(tmp_path, data_path):
@@ -101,6 +105,24 @@ def test_bench_knobs_reach_index(tmp_path, data_path):
                  "--trees", "4", "--queries", "20", "--out", str(out_path)]) == 0
     rows = json.loads(out_path.read_text())
     assert rows[0]["config"]["index"]["n_trees"] == 4
+
+
+def test_bench_metric_flag_only_reaches_rpforest(tmp_path, data_path):
+    """`--metric` sets the rpforest knob; other families keep their own metric."""
+    rows = {}
+    for extra in ([], ["--metric", "manhattan"]):
+        out_path = tmp_path / "report.json"
+        assert main(["bench", "--data", str(data_path), "--family",
+                     "hnsw,lsh,pq,ivf-sq,rpforest", "--nbits", "4", "--queries", "40",
+                     "--out", str(out_path), *extra]) == 0
+        rows[bool(extra)] = json.loads(out_path.read_text())
+    for plain, flagged in zip(rows[False], rows[True]):
+        if plain["family"].startswith("rpforest"):
+            assert flagged["config"]["metric"] == "manhattan"
+            assert flagged["family"] == "rpforest-manhattan"
+            continue
+        assert plain["config"]["metric"] == flagged["config"]["metric"] == "l2"
+        assert flagged["recall_at_5"] == plain["recall_at_5"]
 
 
 def test_build_respects_knobs(tmp_path, data_path):

@@ -28,6 +28,17 @@ def naive_score(metric: Metric, a, b) -> float:
 
 
 @pytest.mark.parametrize("metric", list(Metric))
+def test_batch_scores_float32_rows_equal_float64_copy(metric, rng):
+    """Indexes score their float32 rows directly; no float64 copy is needed."""
+    query = rng.standard_normal(24)
+    vectors = (rng.standard_normal((200, 24)) * 3).astype(np.float32)
+    got = batch_scores(metric, query, vectors)
+    want = batch_scores(metric, query, vectors.astype(np.float64))
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("metric", list(Metric))
 def test_batch_scores_match_naive(metric, rng):
     query = rng.standard_normal(10).astype(np.float32)
     vectors = rng.standard_normal((40, 10)).astype(np.float32)

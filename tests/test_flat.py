@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from annkit.bench import search_excluding
+from annkit.data import EmbeddingSet
 from annkit.distances import Metric, batch_scores
 from annkit.flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 
@@ -95,13 +97,30 @@ def test_flat_ip_index_matches_exact_search(small_set, rng):
         assert index.search(q, 7).neighbors == expect.neighbors
 
 
-def test_flat_index_native_exclusion(small_set):
+def test_flat_index_exclusion(small_set):
+    """Flat exclusion is search k+1 and drop: it equals the exact oracle's.
+
+    Checked on every row of a set with exact duplicate vectors, where the
+    query's twin ties it at the best score, and for k beyond the set size.
+    """
     index = FlatL2Index.build(small_set)
     qid = int(small_set.ids[42])
-    res = index.search(small_set.vectors[42], 5, exclude=qid)
+    res = search_excluding(index, small_set.vectors[42], 5, qid)
     assert qid not in res.ids
     # the stored point itself comes back first when not excluded
     assert index.search(small_set.vectors[42], 1).ids == [qid]
+
+    vectors = np.concatenate([small_set.vectors[:40], small_set.vectors[:20]])
+    ids = np.arange(100, 160, dtype=np.uint64)[::-1].copy()
+    dup = EmbeddingSet(ids, np.zeros(60, dtype=np.uint32), vectors)
+    for index, metric in ((FlatL2Index.build(dup), Metric.L2),
+                          (FlatIPIndex.build(dup), Metric.INNER_PRODUCT)):
+        for row in range(len(dup)):
+            qid = int(dup.ids[row])
+            for k in (1, 3, 60):
+                got = search_excluding(index, dup.vectors[row], k, qid)
+                want = exact_search(dup, dup.vectors[row], k, metric, exclude=qid)
+                assert got.neighbors == want.neighbors
 
 
 def test_flat_index_reports_memory_and_config(small_set):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from annkit.flat import FlatL2Index, exact_search
-from annkit.ivf import IvfIndex, default_nlist, default_nprobe, ivf_build, ivf_search
+from annkit.ivf import IvfIndex, default_nlist, default_nprobe, ivf_build
 from annkit.pq import pq_adc_search, pq_encode_batch, pq_train
 from annkit.sq import sq_decode_batch, sq_encode_batch, sq_train
 
@@ -96,14 +96,6 @@ def test_search_result_never_contains_duplicates(small_set, ivf_flat, rng):
     ids = ivf_flat.search(q, 50).ids
     assert len(ids) == len(set(ids))
 
-
-def test_functional_form_matches_method(small_set, ivf_flat, rng):
-    q = rng.standard_normal(small_set.dim)
-    assert ivf_search(ivf_flat, q, 4).neighbors == ivf_flat.search(q, 4).neighbors
-    assert (
-        ivf_search(ivf_flat, q, 4, nprobe=2).neighbors
-        == ivf_flat.search(q, 4, nprobe=2).neighbors
-    )
 
 
 def test_defaults_scale_with_set_size():

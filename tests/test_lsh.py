@@ -5,7 +5,7 @@ import pytest
 
 from annkit.data import EmbeddingSet
 from annkit.flat import FlatL2Index
-from annkit.lsh import DEFAULT_NBITS, RERANK_POOL_FACTOR, LshIndex, lsh_build, lsh_search
+from annkit.lsh import DEFAULT_NBITS, RERANK_POOL_FACTOR, LshIndex, lsh_build
 
 
 def unpack(code: np.ndarray, nbits: int) -> np.ndarray:
@@ -120,8 +120,3 @@ def test_default_nbits_and_config(small_set):
 def test_build_validation(small_set):
     with pytest.raises(ValueError):
         lsh_build(small_set, nbits=0)
-
-
-def test_functional_form_matches_method(index, rng):
-    q = rng.standard_normal(index.dim)
-    assert lsh_search(index, q, 6).neighbors == index.search(q, 6).neighbors

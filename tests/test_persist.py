@@ -1,15 +1,19 @@
 """VIDX container: byte-stable round trips for every index family."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from annkit.data import gen_synthetic
 from annkit.distances import Metric
+from annkit.families import FAMILIES
 from annkit.flat import FlatIPIndex, FlatL2Index
 from annkit.hnsw import HnswIndex, HnswParams
 from annkit.ivf import ivf_build
 from annkit.lsh import lsh_build
 from annkit.persist import (
-    FAMILY_TAGS,
     VIDX_MAGIC,
     VIDX_VERSION,
     dump_index,
@@ -65,7 +69,8 @@ def test_file_round_trip(tmp_path, small_set):
 
 def test_family_tags_are_frozen():
     """Tag bytes are wire format; renumbering would silently break old files."""
-    assert FAMILY_TAGS == {
+    tags = {name: row.tag for name, row in FAMILIES.items() if row.tag is not None}
+    assert tags == {
         "flat-l2": 0,
         "flat-ip": 1,
         "pq": 2,
@@ -77,6 +82,29 @@ def test_family_tags_are_frozen():
         "rpforest": 8,
     }
     assert VIDX_VERSION == 1
+
+
+def test_loaded_memory_bytes_tells_the_truth():
+    """A freshly loaded index retains no more than 1.10 x its memory_bytes().
+
+    Retained bytes are what tracemalloc sees load_index_bytes keep. hnsw and
+    rpforest are left out: their Python link lists and tree nodes cost far
+    more than the structural bytes memory_bytes() counts.
+    """
+    s = gen_synthetic(8, 250, 32, 0.05, seed=4)
+    builders = dict(BUILDERS, pq=lambda s: PqIndex.build(s, m=4, nbits=8, seed=0))
+    for family in ("flat-l2", "flat-ip", "lsh", "ivf-flat", "ivf-sq", "pq"):
+        blob = dump_index(builders[family](s))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = load_index_bytes(blob)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.10 * index.memory_bytes(), (family, held, index.memory_bytes())
 
 
 def test_rejects_bad_magic(small_set):

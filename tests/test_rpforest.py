@@ -6,7 +6,7 @@ import pytest
 from annkit.data import EmbeddingSet
 from annkit.distances import Metric
 from annkit.flat import exact_search
-from annkit.rpforest import RpForestIndex, rp_build, rp_search
+from annkit.rpforest import RpForestIndex, rp_build
 
 
 def test_single_giant_leaf_is_exact(small_set, rng):
@@ -115,14 +115,6 @@ def test_build_validation(small_set):
     with pytest.raises(ValueError):
         rp_build(small_set, leaf_size=0)
 
-
-def test_functional_form_matches_method(small_set, rng):
-    forest = rp_build(small_set, seed=6)
-    q = rng.standard_normal(small_set.dim)
-    assert (
-        rp_search(forest, q, 6, search_k=50).neighbors
-        == forest.search(q, 6, search_k=50).neighbors
-    )
 
 
 def test_deterministic_given_seed(small_set, rng):
