@@ -53,7 +53,7 @@ class BenchReport:
     precision: float
     recall: float
     f1: float
-    recall_at_5: float
+    recall_at_n: float
     index_size_mb: float
     indexing_time_ms: float
     avg_query_time_us: float
@@ -69,7 +69,7 @@ class BenchReport:
 
     def to_dict(self) -> dict:
         # Field order is the CSV column order; the leading columns mirror the
-        # classic results-table layout (memory, P/R/F1, recall@5, index size,
+        # classic results-table layout (memory, P/R/F1, recall@n, index size,
         # indexing time, query time), the rest are extras.
         return asdict(self)
 
@@ -142,7 +142,7 @@ def run_protocol(
         precision=metrics.precision,
         recall=metrics.recall,
         f1=metrics.f1,
-        recall_at_5=float(np.mean(r_at_n)),
+        recall_at_n=float(np.mean(r_at_n)),
         index_size_mb=len(dump_index(index)) / 2**20,
         indexing_time_ms=indexing_time_ms,
         avg_query_time_us=avg_us,

@@ -212,7 +212,7 @@ def _cmd_bench(args) -> int:
         print(header)
         for r in reports:
             print(
-                f"{r.family:<20} {r.recall_at_5:>9.4f} {r.f1:>7.4f} "
+                f"{r.family:<20} {r.recall_at_n:>9.4f} {r.f1:>7.4f} "
                 f"{r.precision_at_k:>7.4f} {r.avg_query_time_us:>10.1f} {r.qps:>10.1f}"
             )
     return 0

@@ -60,7 +60,6 @@ class HnswIndex(VectorIndex):
         self.params = params or HnswParams()
         self._dim = dim
         self._rng = np.random.default_rng(seed)
-        self._capacity = 0
         self._vec32 = np.empty((0, dim), dtype=np.float32)
         self._ids: list[int] = []
         self._levels: list[int] = []
@@ -80,16 +79,16 @@ class HnswIndex(VectorIndex):
         index = cls(emb_set.dim, params, seed)
         for row in np.argsort(emb_set.ids, kind="stable"):
             index.insert(int(emb_set.ids[row]), emb_set.vectors[row])
+        index._vec32 = index._vec32[: len(emb_set)].copy()  # drop the doubling slack
         return index
 
     def _grow(self, needed: int) -> None:
-        if needed <= self._capacity:
+        capacity = len(self._vec32)
+        if needed <= capacity:
             return
-        new_cap = max(needed, max(16, self._capacity * 2))
-        grown = np.empty((new_cap, self._dim), dtype=np.float32)
-        grown[: len(self._vec32)] = self._vec32
+        grown = np.empty((max(needed, 16, 2 * capacity), self._dim), dtype=np.float32)
+        grown[:capacity] = self._vec32
         self._vec32 = grown
-        self._capacity = new_cap
 
     def _draw_level(self) -> int:
         u = 1.0 - self._rng.random()  # uniform in (0, 1]
@@ -159,19 +158,29 @@ class HnswIndex(VectorIndex):
         With `fill`, remaining slots are topped up with the nearest rejected
         candidates so the degree budget is never wasted — the diverse core
         preserves long-range bridges while the fill keeps the graph dense.
+
+        `nearest[i]` holds candidate i's squared distance to the closest row
+        chosen so far, updated once per chosen row, so only chosen rows cost
+        a pass over the candidates. The result equals scoring each candidate
+        against the chosen set: each difference is the exact negation of that
+        form's, and every row sums in the same order.
         """
+        cand = sorted(cand)
+        vecs = self._vec32[[row for _, row in cand]].astype(np.float64)
+        nearest = np.full(len(cand), np.inf)
         chosen: list[int] = []
         rejected: list[int] = []
-        for d_base, row in sorted(cand):
+        for i, (d_base, row) in enumerate(cand):
             if len(chosen) == cap:
                 return chosen
-            if chosen and bool(
-                np.any(self._dists(self._vec32[row].astype(np.float64), chosen) < d_base)
-            ):
+            if nearest[i] < d_base:
                 if fill:
                     rejected.append(row)
-            else:
-                chosen.append(row)
+                continue
+            chosen.append(row)
+            later = vecs[i + 1 :] - vecs[i]
+            later *= later
+            np.minimum(nearest[i + 1 :], later.sum(axis=1), out=nearest[i + 1 :])
         chosen.extend(rejected[: cap - len(chosen)])
         return chosen
 
@@ -198,6 +207,8 @@ class HnswIndex(VectorIndex):
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)
         if vector.shape[0] != self._dim:
             raise ValueError(f"vector has dim {vector.shape[0]}, index expects {self._dim}")
+        if not np.isfinite(vector).all():
+            raise ValueError("vector must be finite (no NaN or inf)")
 
         level = self._draw_level()
         row = len(self._ids)
@@ -271,6 +282,8 @@ class HnswIndex(VectorIndex):
         q64 = np.asarray(query, dtype=np.float64).reshape(-1)
         if q64.shape[0] != self._dim:
             raise ValueError(f"query has dim {q64.shape[0]}, index expects {self._dim}")
+        if not np.isfinite(q64).all():
+            raise ValueError("query must be finite (no NaN or inf)")
         entries = [self._entry]
         for layer in range(self._levels[self._entry], 0, -1):
             best = self._search_layer(q64, entries, 1, layer)
@@ -326,13 +339,13 @@ class HnswIndex(VectorIndex):
                     assert self._levels[nb] >= level, "edge to node absent from level"
 
     def memory_bytes(self) -> int:
+        """Vector buffer as held (spare capacity included), ids, edges, levels."""
         n = len(self._ids)
-        vector_bytes = n * self._dim * 4
         id_bytes = n * 8
         edge_bytes = sum(
             4 * len(links) for node in self._links for links in node
         )
-        return vector_bytes + id_bytes + edge_bytes + 4 * n  # + per-node level
+        return self._vec32.nbytes + id_bytes + edge_bytes + 4 * n  # + per-node level
 
     def config(self) -> dict:
         return {
@@ -371,8 +384,7 @@ class HnswIndex(VectorIndex):
         levels = r.u32_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
         index = cls(dim, params)
-        index._grow(count)
-        index._vec32[:count] = vectors
+        index._vec32 = vectors.copy()  # owned: a reshaped view would keep two array objects
         index._ids = [int(i) for i in ids]
         index._levels = [int(l) for l in levels]
         index._row_by_id = {int(i): row for row, i in enumerate(ids)}

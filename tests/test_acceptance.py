@@ -102,7 +102,7 @@ def mean_recall(index_search, rows, dstar, truth, n):
 def test_flat_families_reach_perfect_recall(dstar):
     cfg = ProtocolConfig(n_queries=N_QUERIES, seed=0)
     reports = run_benchmark(dstar, ["flat-l2", "flat-ip"], cfg)
-    values = {r.family: r.recall_at_5 for r in reports}
+    values = {r.family: r.recall_at_n for r in reports}
     note(f"flat recall@5: {values}")
     assert values["flat-l2"] == 1.0
     assert values["flat-ip"] == 1.0

@@ -51,7 +51,7 @@ def test_search_excluding_never_returns_query(flat, small_set):
 
 def test_flat_protocol_recall_is_one(flat, small_set):
     report = run_protocol(flat, small_set, protocol())
-    assert report.recall_at_5 == 1.0
+    assert report.recall_at_n == 1.0
     assert report.family == "flat-l2"
     assert 0.0 <= report.f1 <= 1.0
     assert report.precision_at_k == pytest.approx(1.0, abs=0.05)
@@ -65,7 +65,7 @@ def test_protocol_accepts_precomputed_truth(flat, small_set):
     truth = ground_truth(small_set, small_set.ids[rows], cfg.recall_n)
     a = run_protocol(flat, small_set, cfg, truth=truth)
     b = run_protocol(flat, small_set, cfg)
-    assert a.recall_at_5 == b.recall_at_5
+    assert a.recall_at_n == b.recall_at_n
     assert a.precision == b.precision
 
 
@@ -169,7 +169,7 @@ def test_run_benchmark_scores_empty_results():
 def test_run_benchmark_orders_and_labels(small_set):
     reports = run_benchmark(small_set, ["flat-l2", "lsh"], protocol())
     assert [r.family for r in reports] == ["flat-l2", "lsh"]
-    assert reports[0].recall_at_5 == 1.0
+    assert reports[0].recall_at_n == 1.0
     assert reports[0].indexing_time_ms >= 0
     assert reports[1].index_size_mb > 0
 
@@ -188,7 +188,7 @@ def test_report_field_order_matches_dataclass():
         "precision",
         "recall",
         "f1",
-        "recall_at_5",
+        "recall_at_n",
         "index_size_mb",
         "indexing_time_ms",
         "avg_query_time_us",
@@ -220,7 +220,7 @@ def test_write_report_csv_header(tmp_path, flat, small_set):
     write_report([report], path, fmt="csv")
     lines = path.read_text().splitlines()
     assert lines[0] == (
-        "family,memory_estimate_mb,precision,recall,f1,recall_at_5,"
+        "family,memory_estimate_mb,precision,recall,f1,recall_at_n,"
         "index_size_mb,indexing_time_ms,avg_query_time_us,qps,accuracy,"
         "precision_at_k,macro_precision,macro_recall,macro_f1,config"
     )

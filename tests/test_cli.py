@@ -74,7 +74,7 @@ def test_bench_json_report(tmp_path, data_path):
     rows = json.loads(out_path.read_text())
     assert len(rows) == 1
     assert rows[0]["family"] == "flat-l2"
-    assert rows[0]["recall_at_5"] == 1.0
+    assert rows[0]["recall_at_n"] == 1.0
 
 
 def test_bench_csv_report(tmp_path, data_path):
@@ -122,7 +122,7 @@ def test_bench_metric_flag_only_reaches_rpforest(tmp_path, data_path):
             assert flagged["family"] == "rpforest-manhattan"
             continue
         assert plain["config"]["metric"] == flagged["config"]["metric"] == "l2"
-        assert flagged["recall_at_5"] == plain["recall_at_5"]
+        assert flagged["recall_at_n"] == plain["recall_at_n"]
 
 
 def test_build_respects_knobs(tmp_path, data_path):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from annkit import gen_synthetic
 from annkit.flat import exact_search, ground_truth
 from annkit.hnsw import HnswIndex, HnswParams
-from annkit.persist import dump_index
+from annkit.persist import dump_index, load_index_bytes
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +166,134 @@ def test_memory_and_config(built):
     cfg = built.config()
     assert cfg["M"] == 8
     assert cfg["ef_construction"] == 32
+
+
+# ------------------------------------------------- link selection reference
+
+
+def select_diverse_reference(self, cand, cap, fill=False):
+    """The per-candidate form of `_select_diverse`: every candidate is scored
+    against the whole chosen set. Kept as the oracle the running-minimum
+    form must match exactly."""
+    chosen: list[int] = []
+    rejected: list[int] = []
+    for d_base, row in sorted(cand):
+        if len(chosen) == cap:
+            return chosen
+        if chosen and bool(
+            np.any(self._dists(self._vec32[row].astype(np.float64), chosen) < d_base)
+        ):
+            if fill:
+                rejected.append(row)
+        else:
+            chosen.append(row)
+    chosen.extend(rejected[: cap - len(chosen)])
+    return chosen
+
+
+# Small grid values make duplicate vectors and exact distance ties common;
+# the float32 draws cover the general case.
+_coords = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]),
+    st.floats(-4.0, 4.0, width=32),
+)
+
+
+@st.composite
+def _selection_cases(draw):
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 5))
+    vectors = draw(hnp.arrays(np.float32, (n, dim), elements=_coords))
+    base = draw(hnp.arrays(np.float32, dim, elements=_coords))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=n, unique=True))
+    cap = draw(st.integers(1, n + 3))
+    fill = draw(st.booleans())
+    return vectors, base, rows, cap, fill
+
+
+def _select_both(vectors, base, rows, cap, fill):
+    index = HnswIndex(vectors.shape[1])
+    index._vec32 = np.asarray(vectors, dtype=np.float32)
+    d = index._dists(np.asarray(base, dtype=np.float64), rows)
+    cand = list(zip(d.tolist(), rows))
+    return index._select_diverse(cand, cap, fill), select_diverse_reference(
+        index, cand, cap, fill
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_selection_cases())
+def test_select_diverse_matches_reference(case):
+    got, want = _select_both(*case)
+    assert got == want
+
+
+def test_select_diverse_tie_and_duplicate_examples():
+    base = np.zeros(2, np.float32)
+    # Row 1 is exactly as far from the chosen row 0 as from the base: a tie keeps it.
+    tie = np.array([[1.0, 0.0], [0.5, 1.0]], np.float32)
+    assert _select_both(tie, base, [0, 1], 2, False) == ([0, 1], [0, 1])
+    # A duplicate of a chosen row is rejected, and refilled only under `fill`.
+    dup = np.array([[1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]], np.float32)
+    assert _select_both(dup, base, [0, 1, 2], 3, False) == ([0, 2], [0, 2])
+    assert _select_both(dup, base, [0, 1, 2], 3, True) == ([0, 2, 1], [0, 2, 1])
+    assert _select_both(dup, base, [0, 1, 2], 1, True) == ([0], [0])
+
+
+def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
+    params = HnswParams(M=8, ef_construction=24)
+    fast = dump_index(HnswIndex.build(small_set, params, seed=0))
+    monkeypatch.setattr(HnswIndex, "_select_diverse", select_diverse_reference)
+    assert dump_index(HnswIndex.build(small_set, params, seed=0)) == fast
+
+
+# ---------------------------------------------------------- hostile input
+
+
+@pytest.fixture(scope="module")
+def noisy_graph():
+    data = gen_synthetic(4, 50, 8, 0.3, seed=1)
+    return data, HnswIndex.build(data, HnswParams(M=8, ef_construction=24), seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_search_rejects_non_finite_query(noisy_graph, bad):
+    data, graph = noisy_graph
+    q = data.vectors[0].astype(np.float64)
+    q[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        graph.search(q, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_insert_rejects_non_finite_vector(bad):
+    data = gen_synthetic(4, 50, 8, 0.3, seed=1)
+    params = HnswParams(M=8, ef_construction=24)
+    graph = HnswIndex.build(data, params, seed=0)
+    clean = HnswIndex.build(data, params, seed=0)
+    before = dump_index(graph)
+    v = np.ones(8, dtype=np.float32)
+    v[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        graph.insert(10_000, v)
+    assert len(graph) == len(data)
+    assert dump_index(graph) == before
+    # The rejected call drew no level, so the next insert matches a clean graph.
+    graph.insert(10_000, np.ones(8, dtype=np.float32))
+    clean.insert(10_000, np.ones(8, dtype=np.float32))
+    assert dump_index(graph) == dump_index(clean)
+
+
+# ------------------------------------------------------------ memory report
+
+
+@pytest.mark.parametrize("per_class", [300, 5])
+def test_memory_bytes_counts_the_buffer_held(per_class):
+    data = gen_synthetic(2, per_class, 16, 0.05, seed=2)
+    built = HnswIndex.build(data, HnswParams(M=8, ef_construction=24), seed=0)
+    loaded = load_index_bytes(dump_index(built))
+    assert built._vec32.shape[0] == loaded._vec32.shape[0] == len(data)
+    assert built.memory_bytes() == loaded.memory_bytes()
+    for graph in (built, loaded):
+        graph.insert(10_000, np.zeros(16, dtype=np.float32))
+        assert graph.memory_bytes() >= graph._vec32.nbytes
