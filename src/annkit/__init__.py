@@ -47,14 +47,12 @@ from .pq import (
     PqIndex,
     adc_table,
     default_m,
-    pq_adc_search,
     pq_decode,
-    pq_encode,
     pq_encode_batch,
     pq_train,
 )
 from .rpforest import RpForestIndex, rp_build
-from .sq import SqParams, sq_decode, sq_decode_batch, sq_encode, sq_encode_batch, sq_train
+from .sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
 
 __version__ = "0.1.0"
 
@@ -103,9 +101,7 @@ __all__ = [
     "lsh_build",
     "make_result",
     "normalize",
-    "pq_adc_search",
     "pq_decode",
-    "pq_encode",
     "pq_encode_batch",
     "pq_train",
     "precision_at_k",
@@ -119,9 +115,7 @@ __all__ = [
     "save_index",
     "save_vemb",
     "search_excluding",
-    "sq_decode",
     "sq_decode_batch",
-    "sq_encode",
     "sq_encode_batch",
     "sq_train",
     "write_report",

@@ -74,7 +74,21 @@ class VectorIndex(abc.ABC):
 
     @abc.abstractmethod
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        """Return the k best neighbors of `query` under the family's metric."""
+        """Return the k best neighbors of `query`; first checked by `_query`."""
+
+    def _query(self, query: np.ndarray, k: int) -> np.ndarray:
+        """Return the query as a flat float64 vector after checking it and k.
+
+        ValueError unless k is an int >= 1 and the query has `dim` finite components.
+        """
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        q = np.asarray(query, dtype=np.float64).reshape(-1)
+        if q.shape[0] != self.dim:
+            raise ValueError(f"query has dim {q.shape[0]}, index expects {self.dim}")
+        if not np.isfinite(q).all():
+            raise ValueError("query must be finite (no NaN or inf)")
+        return q
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:

@@ -79,9 +79,8 @@ class _FlatIndex(VectorIndex):
         return len(self._ids)
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        scores = batch_scores(self.metric, query, self._vectors)
+        q = self._query(query, k)
+        scores = batch_scores(self.metric, q, self._vectors)
         return make_result(self.metric, self._ids, scores, k)
 
     def memory_bytes(self) -> int:

@@ -271,19 +271,12 @@ class HnswIndex(VectorIndex):
         An explicit ef_search below k is an error; when omitted, the default
         pool is widened to max(configured ef_search, k) so large-k sweeps work.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        q64 = self._query(query, k)
         if len(self._ids) == 0:
             raise ValueError("cannot search an empty graph")
         if ef_search is not None and ef_search < k:
             raise ValueError(f"ef_search={ef_search} must be >= k={k}")
         ef = max(self.params.ef_search, k) if ef_search is None else ef_search
-
-        q64 = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q64.shape[0] != self._dim:
-            raise ValueError(f"query has dim {q64.shape[0]}, index expects {self._dim}")
-        if not np.isfinite(q64).all():
-            raise ValueError("query must be finite (no NaN or inf)")
         entries = [self._entry]
         for layer in range(self._levels[self._entry], 0, -1):
             best = self._search_layer(q64, entries, 1, layer)
@@ -383,6 +376,8 @@ class HnswIndex(VectorIndex):
         ids = r.u64_array(count)
         levels = r.u32_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
+        if not np.isfinite(vectors).all():
+            raise ValueError("stored vectors must be finite (no NaN or inf)")
         index = cls(dim, params)
         index._vec32 = vectors.copy()  # owned: a reshaped view would keep two array objects
         index._ids = [int(i) for i in ids]

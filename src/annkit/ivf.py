@@ -15,7 +15,7 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, make_result
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores
+from .distances import Metric, batch_scores, rank_order
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit
 from .pq import (
     PqCodebook,
@@ -55,6 +55,8 @@ class IvfIndex(VectorIndex):
     ):
         if encoding not in ENCODINGS:
             raise ValueError(f"unknown encoding {encoding!r}")
+        if not 1 <= nprobe <= coarse.k:
+            raise ValueError(f"nprobe must be in 1..{coarse.k}")
         self.coarse = coarse
         self.encoding = encoding
         self.list_ids = list_ids
@@ -81,7 +83,7 @@ class IvfIndex(VectorIndex):
     def probe_order(self, query: np.ndarray) -> np.ndarray:
         """Coarse lists ranked nearest-first, index tie-break."""
         scores = batch_scores(Metric.L2, query, self.coarse.vectors)
-        return np.lexsort((np.arange(self.nlist), scores))
+        return rank_order(Metric.L2, np.arange(self.nlist), scores)
 
     def probe_candidate_ids(self, query: np.ndarray, nprobe: int) -> np.ndarray:
         """Ids reachable at a probe depth; the subset-monotonicity surface."""
@@ -101,12 +103,11 @@ class IvfIndex(VectorIndex):
         return batch_scores(Metric.L2, query, sq_decode_batch(self.sq_params, payload))
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        q = self._query(query, k)
         nprobe = self.nprobe if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
-        order = self.probe_order(query)[:nprobe]
+        order = self.probe_order(q)[:nprobe]
         id_parts, payload_parts = [], []
         for i in order:
             if len(self.list_ids[i]):
@@ -116,7 +117,7 @@ class IvfIndex(VectorIndex):
             return SearchResult([])
         ids = np.concatenate(id_parts)
         payload = np.concatenate(payload_parts)
-        return make_result(Metric.L2, ids, self._score_payload(payload, query), k)
+        return make_result(Metric.L2, ids, self._score_payload(payload, q), k)
 
     def memory_bytes(self) -> int:
         total = self.coarse.vectors.nbytes

@@ -12,7 +12,7 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, make_result
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores
+from .distances import Metric, batch_scores, rank_order
 from .wire import Reader, Writer
 
 DEFAULT_NBITS = 128
@@ -57,11 +57,8 @@ class LshIndex(VectorIndex):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def encode(self, v: np.ndarray) -> np.ndarray:
-        """Packed sign code of one vector: bit i set iff dot(h_i, v) >= 0."""
-        return self.encode_batch(np.asarray(v, dtype=np.float64)[np.newaxis, :])[0]
-
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
+        """Packed sign codes, one row per vector: bit i set iff dot(h_i, v) >= 0."""
         arr = np.asarray(vectors, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[1] != self.dim:
             raise ValueError("vectors must be 2-d with the index dimension")
@@ -74,14 +71,13 @@ class LshIndex(VectorIndex):
         return _POPCOUNT[xor].sum(axis=1).astype(np.int64)
 
     def search(self, query: np.ndarray, k: int, rerank: bool | None = None) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        q = self._query(query, k)
         rerank = self.rerank if rerank is None else rerank
-        hamming = self.hamming_to(self.encode(query))
+        hamming = self.hamming_to(self.encode_batch(q[np.newaxis, :])[0])
         if not rerank:
             return make_result(Metric.L2, self._ids, hamming.astype(np.float64), k)
-        pool = np.lexsort((self._ids, hamming))[: RERANK_POOL_FACTOR * k]
-        scores = batch_scores(Metric.L2, query, self._vectors[pool])
+        pool = rank_order(Metric.L2, self._ids, hamming)[: RERANK_POOL_FACTOR * k]
+        scores = batch_scores(Metric.L2, q, self._vectors[pool])
         return make_result(Metric.L2, self._ids[pool], scores, k)
 
     def memory_bytes(self) -> int:

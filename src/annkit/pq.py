@@ -9,7 +9,6 @@ so one table build amortizes over the whole candidate list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -83,18 +82,8 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     return PqCodebook(nbits=nbits, books=books)
 
 
-def pq_encode(cb: PqCodebook, v: np.ndarray) -> np.ndarray:
-    """Nearest sub-centroid per subspace (ties to the lowest index); m bytes."""
-    parts = cb.split(v)
-    code = np.empty(cb.m, dtype=np.uint8)
-    for j in range(cb.m):
-        assign, _ = assign_to_centroids(parts[j][np.newaxis, :], cb.books[j].vectors)
-        code[j] = assign[0]
-    return code
-
-
 def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
-    """Encode many vectors at once; returns an (n, m) uint8 matrix."""
+    """(n, m) uint8 codes: nearest sub-centroid per subspace, ties to the lowest index."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != cb.dim:
         raise ValueError("vectors must be 2-d with the codebook dimension")
@@ -134,23 +123,6 @@ def adc_scores(cb: PqCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarr
     for j in range(cb.m):
         total += table[j, codes[:, j]]
     return np.sqrt(total)
-
-
-def pq_adc_search(
-    cb: PqCodebook,
-    codes: Iterable[tuple[int, np.ndarray]] | Sequence[tuple[int, np.ndarray]],
-    query: np.ndarray,
-    k: int,
-) -> SearchResult:
-    """Rank (id, code) pairs by asymmetric distance; ascending-id tie-break."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    pairs = list(codes)
-    if not pairs:
-        return SearchResult([])
-    ids = np.array([i for i, _ in pairs], dtype=np.uint64)
-    matrix = np.stack([np.asarray(c, dtype=np.uint8) for _, c in pairs])
-    return make_result(Metric.L2, ids, adc_scores(cb, matrix, query), k)
 
 
 class PqIndex(VectorIndex):
@@ -193,13 +165,9 @@ class PqIndex(VectorIndex):
         return len(self._ids)
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if len(self._ids) == 0:
-            return SearchResult([])
-        return make_result(
-            Metric.L2, self._ids, adc_scores(self.codebook, self._codes, query), k
-        )
+        """Rank every stored code by asymmetric distance; ascending-id tie-break."""
+        q = self._query(query, k)
+        return make_result(Metric.L2, self._ids, adc_scores(self.codebook, self._codes, q), k)
 
     def memory_bytes(self) -> int:
         book_bytes = sum(b.vectors.nbytes for b in self.codebook.books)

@@ -124,12 +124,6 @@ class RpForestIndex(VectorIndex):
     def __len__(self) -> int:
         return len(self._ids)
 
-    def leaf_rows(self, tree: Leaf | Split) -> list[np.ndarray]:
-        """All leaves of one tree, left-to-right."""
-        if isinstance(tree, Leaf):
-            return [tree.rows]
-        return self.leaf_rows(tree.left) + self.leaf_rows(tree.right)
-
     def candidate_rows(self, query: np.ndarray, search_k: int) -> np.ndarray:
         """Deduplicated candidate rows for a budget, from the shared frontier.
 
@@ -167,14 +161,11 @@ class RpForestIndex(VectorIndex):
         return np.unique(np.concatenate(collected))
 
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        q = self._query(query, k)
         if search_k is None:
             search_k = self.search_k if self.search_k is not None else self.n_trees * k
-        rows = self.candidate_rows(query, search_k)
-        if len(rows) == 0:
-            return SearchResult([])
-        scores = batch_scores(self.metric, query, self._vectors[rows])
+        rows = self.candidate_rows(q, search_k)
+        scores = batch_scores(self.metric, q, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
     def memory_bytes(self) -> int:

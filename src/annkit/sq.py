@@ -53,12 +53,8 @@ def _spans(params: SqParams) -> np.ndarray:
     return params.maxs.astype(np.float64) - params.mins.astype(np.float64)
 
 
-def sq_encode(params: SqParams, v: np.ndarray) -> np.ndarray:
-    """Map each component to its nearest 8-bit level, clamping out-of-range values."""
-    return sq_encode_batch(params, np.asarray(v, dtype=np.float64)[np.newaxis, :])[0]
-
-
 def sq_encode_batch(params: SqParams, vectors: np.ndarray) -> np.ndarray:
+    """Map each component to its nearest 8-bit level, clamping out-of-range values."""
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.dim:
         raise ValueError("vectors must be 2-d with the trained dimension")
@@ -73,16 +69,12 @@ def sq_encode_batch(params: SqParams, vectors: np.ndarray) -> np.ndarray:
     return levels.astype(np.uint8)
 
 
-def sq_decode(params: SqParams, code: np.ndarray) -> np.ndarray:
+def sq_decode_batch(params: SqParams, codes: np.ndarray) -> np.ndarray:
     """Mid-level reconstruction: min + (L + 0.5) * span / 256.
 
     Dimensions trained with min == max decode exactly to that constant.
     Returns float64, suitable for direct use in the scoring path.
     """
-    return sq_decode_batch(params, np.asarray(code, dtype=np.uint8)[np.newaxis, :])[0]
-
-
-def sq_decode_batch(params: SqParams, codes: np.ndarray) -> np.ndarray:
     arr = np.asarray(codes, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != params.dim:
         raise ValueError("codes must be 2-d with the trained dimension")

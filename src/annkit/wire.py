@@ -44,9 +44,6 @@ class Writer:
     def f32_array(self, arr: np.ndarray) -> None:
         self._chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
-    def f64_array(self, arr: np.ndarray) -> None:
-        self._chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
     def getvalue(self) -> bytes:
         return b"".join(self._chunks)
 
@@ -91,9 +88,6 @@ class Reader:
 
     def f32_array(self, count: int) -> np.ndarray:
         return np.frombuffer(self._take(4 * count), dtype="<f4").astype(np.float32)
-
-    def f64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * count), dtype="<f8").astype(np.float64)
 
     def expect_exhausted(self) -> None:
         if self._pos != len(self._data):

@@ -1,0 +1,91 @@
+"""The uniform search contract: one query gate for every family, and the
+public namespace it is exported through."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import annkit
+from annkit.families import FAMILIES, build_index
+from annkit.persist import dump_index, load_index_bytes
+
+# Knobs that fit the 300-row, 16-dim small set; every other family uses its defaults.
+_KNOBS = {"pq": {"m": 4, "nbits": 4}, "ivf-pq": {"m": 4, "nbits": 4}}
+
+
+@pytest.fixture(scope="module")
+def indexes(small_set):
+    """Family name -> {"built": index, "loaded": its VIDX round trip}."""
+    out = {}
+    for name in FAMILIES:
+        index = build_index(small_set, name, seed=0, **_KNOBS.get(name, {}))
+        out[name] = {"built": index, "loaded": load_index_bytes(dump_index(index))}
+    return out
+
+
+def _bad_query(small_set, case):
+    q = small_set.vectors[0].astype(np.float64)
+    if case == "wrong-dim":
+        return np.append(q, 0.0)
+    q[3] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}[case]
+    return q
+
+
+@pytest.mark.parametrize("state", ["built", "loaded"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("case", ["nan", "+inf", "-inf", "wrong-dim"])
+def test_every_family_rejects_a_bad_query(indexes, small_set, name, state, case):
+    with pytest.raises(ValueError):
+        indexes[name][state].search(_bad_query(small_set, case), 5)
+
+
+@pytest.mark.parametrize("state", ["built", "loaded"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_every_family_rejects_a_bad_k(indexes, small_set, name, state, k):
+    with pytest.raises(ValueError, match="k must be"):
+        indexes[name][state].search(small_set.vectors[0], k)
+
+
+_SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf])
+_KS = st.one_of(
+    st.integers(-2, 12),
+    st.integers(1, 12).map(np.int64),
+    st.floats(-2.0, 12.0, allow_nan=False),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FAMILIES)),
+    dim=st.sampled_from([15, 16, 16, 16, 17]),
+    data=st.data(),
+    k=_KS,
+)
+def test_query_validation_fuzz(indexes, name, dim, data, k):
+    """A search raises ValueError exactly when k or the query is bad; a good
+    search returns at most k distinct ids with finite scores."""
+    elements = st.one_of(st.floats(-1e3, 1e3), _SPECIAL)
+    q = data.draw(hnp.arrays(np.float64, dim, elements=elements))
+    index = indexes[name]["built"]
+    k_ok = isinstance(k, (int, np.integer)) and k >= 1
+    # Angular is undefined where the query's norm is 0 in float64, subnormal underflow included.
+    zero_angular = index.metric is annkit.Metric.ANGULAR and np.sum(q * q) == 0.0
+    if not k_ok or dim != index.dim or not np.isfinite(q).all() or zero_angular:
+        with pytest.raises(ValueError):
+            index.search(q, k)
+        return
+    res = index.search(q, k)
+    assert len(res) <= k
+    assert len(set(res.ids)) == len(res)
+    assert np.isfinite(res.scores).all()
+
+
+def test_public_names_are_sorted_unique_and_resolve():
+    names = annkit.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(annkit, name), name

@@ -1,5 +1,7 @@
 """Graph index: structure invariants, self-retrieval, recall trends."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,20 @@ def test_insert_rejects_non_finite_vector(bad):
     graph.insert(10_000, np.ones(8, dtype=np.float32))
     clean.insert(10_000, np.ones(8, dtype=np.float32))
     assert dump_index(graph) == dump_index(clean)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_vector(noisy_graph, bad):
+    """A stored vector a build would refuse fails the load, not a later search."""
+    data, graph = noisy_graph
+    blob = bytearray(dump_index(graph))
+    # magic, version, tag, M, ef_construction, ef_search, dim, count, entry id,
+    # ids (u64) and levels (u32), then the first stored vector
+    at = 6 + 4 * 4 + 8 * 2 + 12 * len(data)
+    assert bytes(blob[at : at + 4 * data.dim]) == graph._vec32[0].tobytes()
+    struct.pack_into("<f", blob, at, bad)
+    with pytest.raises(ValueError, match="finite"):
+        load_index_bytes(bytes(blob))
 
 
 # ------------------------------------------------------------ memory report

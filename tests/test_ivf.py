@@ -1,11 +1,14 @@
 """Inverted-file index: full-probe identities and nesting invariants."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from annkit.flat import FlatL2Index, exact_search
 from annkit.ivf import IvfIndex, default_nlist, default_nprobe, ivf_build
-from annkit.pq import pq_adc_search, pq_encode_batch, pq_train
+from annkit.persist import dump_index, load_index_bytes
+from annkit.pq import PqIndex, pq_encode_batch, pq_train
 from annkit.sq import sq_decode_batch, sq_encode_batch, sq_train
 
 
@@ -57,12 +60,11 @@ def test_full_probe_pq_equals_adc_scan(small_set, rng):
     """With every list probed, IVF-PQ is exactly an ADC pass over all codes."""
     index = ivf_build(small_set, nlist=8, encoding="pq", m=4, nbits=4, seed=0)
     cb = pq_train(small_set.vectors, m=4, nbits=4, seed=0)
-    codes = pq_encode_batch(cb, small_set.vectors)
-    pairs = list(zip(small_set.ids.tolist(), codes))
+    scan = PqIndex(cb, small_set.ids, pq_encode_batch(cb, small_set.vectors))
     for _ in range(5):
         q = rng.standard_normal(small_set.dim).astype(np.float32)
         got = index.search(q, 9, nprobe=8)
-        want = pq_adc_search(cb, pairs, q, 9)
+        want = scan.search(q, 9)
         assert got.neighbors == want.neighbors
 
 
@@ -118,6 +120,19 @@ def test_build_validation(small_set):
         ivf_build(small_set, nlist=4, nprobe=0)
     with pytest.raises(ValueError):
         ivf_build(small_set, encoding="huffman")
+
+
+@pytest.mark.parametrize("nprobe", [0, 9])
+def test_load_rejects_nprobe_outside_the_lists(small_set, nprobe):
+    """A blob whose stored nprobe is outside 1..nlist fails at load, not at every search."""
+    index = ivf_build(small_set, nlist=8, encoding="flat", seed=0)
+    blob = bytearray(dump_index(index))
+    # magic, version, tag, dim, nlist, coarse centroids, distortion, then nprobe
+    at = 6 + 4 + 4 + 4 * 8 * small_set.dim + 8
+    assert struct.unpack_from("<I", blob, at) == (index.nprobe,)
+    struct.pack_into("<I", blob, at, nprobe)
+    with pytest.raises(ValueError, match="nprobe"):
+        load_index_bytes(bytes(blob))
 
 
 def test_config_reports_encoding_and_knobs(small_set, ivf_flat):

@@ -12,6 +12,11 @@ def unpack(code: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(np.asarray(code, dtype=np.uint8))[:nbits]
 
 
+def encode(index: LshIndex, v: np.ndarray) -> np.ndarray:
+    """Packed code of one vector, through the batch encoder."""
+    return index.encode_batch(np.asarray(v, dtype=np.float64)[np.newaxis, :])[0]
+
+
 @pytest.fixture(scope="module")
 def index(small_set):
     return lsh_build(small_set, nbits=64, seed=0)
@@ -20,22 +25,22 @@ def index(small_set):
 def test_encode_is_sign_of_projection(index, rng):
     for _ in range(10):
         v = rng.standard_normal(index.dim)
-        bits = unpack(index.encode(v), index.nbits)
+        bits = unpack(encode(index, v), index.nbits)
         want = (index.hyperplanes.astype(np.float64) @ v >= 0.0).astype(np.uint8)
         np.testing.assert_array_equal(bits, want)
 
 
 def test_opposite_vectors_have_complementary_codes(index, rng):
     v = rng.standard_normal(index.dim)
-    a = unpack(index.encode(v), index.nbits)
-    b = unpack(index.encode(-v), index.nbits)
+    a = unpack(encode(index, v), index.nbits)
+    b = unpack(encode(index, -v), index.nbits)
     # dot products of -v flip sign except exact zeros, which are measure-zero here
     np.testing.assert_array_equal(a, 1 - b)
 
 
 def test_hamming_matches_unpacked_xor(index, small_set, rng):
     q = rng.standard_normal(index.dim)
-    qcode = index.encode(q)
+    qcode = encode(index, q)
     got = index.hamming_to(qcode)
     want = [
         int(np.sum(unpack(code, index.nbits) != unpack(qcode, index.nbits)))
@@ -45,7 +50,7 @@ def test_hamming_matches_unpacked_xor(index, small_set, rng):
 
 
 def test_identical_vector_has_zero_hamming(index, small_set):
-    code = index.encode(small_set.vectors64[17])
+    code = encode(index, small_set.vectors64[17])
     assert index.hamming_to(code)[17] == 0
 
 
@@ -69,7 +74,7 @@ def test_hand_built_planes_give_known_codes():
 def test_no_rerank_orders_by_hamming_then_id(index, small_set, rng):
     q = rng.standard_normal(index.dim)
     res = index.search(q, 25, rerank=False)
-    hamming = index.hamming_to(index.encode(q))
+    hamming = index.hamming_to(encode(index, q))
     order = np.lexsort((small_set.ids, hamming))[:25]
     assert res.ids == [int(small_set.ids[i]) for i in order]
     assert res.scores == sorted(res.scores)

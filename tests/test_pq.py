@@ -12,9 +12,7 @@ from annkit.pq import (
     adc_scores,
     adc_table,
     default_m,
-    pq_adc_search,
     pq_decode,
-    pq_encode,
     pq_encode_batch,
     pq_train,
 )
@@ -43,7 +41,8 @@ def test_encode_picks_nearest_subcentroid(tiny_codebook, rng):
     cb, _ = tiny_codebook
     for _ in range(20):
         v = rng.standard_normal(4)
-        code = pq_encode(cb, v)
+        code = pq_encode_batch(cb, v[np.newaxis, :])[0]
+        assert code.dtype == np.uint8
         for j, part in enumerate(cb.split(v)):
             d = np.linalg.norm(cb.books[j].vectors - part, axis=1)
             assert code[j] == np.argmin(d)
@@ -71,22 +70,14 @@ def test_adc_table_gather_identity(tiny_codebook, rng):
     np.testing.assert_allclose(adc_scores(cb, code[np.newaxis, :], q)[0], want)
 
 
-def test_encode_batch_matches_single(tiny_codebook, rng):
-    cb, data = tiny_codebook
-    batch = pq_encode_batch(cb, data[:10])
-    singles = np.stack([pq_encode(cb, v) for v in data[:10]])
-    np.testing.assert_array_equal(batch, singles)
-    assert batch.dtype == np.uint8
-
-
 def test_perfect_reconstruction_when_codewords_cover_points():
     """4 distinct points, 4 codewords per subspace: zero quantization error."""
     points = np.array(
         [[0.0, 0.0, 1.0, 1.0], [5.0, 5.0, -1.0, 2.0], [-3.0, 1.0, 4.0, 0.0], [2.0, -2.0, 0.0, 9.0]]
     )
     cb = pq_train(points, m=2, nbits=2, seed=0)
-    for v in points:
-        np.testing.assert_allclose(pq_decode(cb, pq_encode(cb, v)), v, atol=1e-9)
+    for v, code in zip(points, pq_encode_batch(cb, points)):
+        np.testing.assert_allclose(pq_decode(cb, code), v, atol=1e-9)
 
 
 def test_adc_matches_decoded_l2_at_scale(small_set, rng):
@@ -105,22 +96,13 @@ def test_pq_adc_search_ranking(tiny_codebook, rng):
     ids = np.arange(100, 120, dtype=np.uint64)
     codes = pq_encode_batch(cb, data[:20])
     q = rng.standard_normal(4)
-    res = pq_adc_search(cb, list(zip(ids.tolist(), codes)), q, 6)
+    index = PqIndex(cb, ids, codes)
+    assert index.family == "pq"
+    assert len(index) == 20
+    res = index.search(q, 6)
     scores = adc_scores(cb, codes, q)
     order = np.lexsort((ids, scores))[:6]
     assert res.ids == [int(ids[i]) for i in order]
-
-
-def test_pq_index_search_equals_functional_form(small_set, rng):
-    index = PqIndex.build(small_set, m=4, nbits=4, seed=0)
-    assert index.family == "pq"
-    assert len(index) == len(small_set)
-    q = rng.standard_normal(small_set.dim).astype(np.float32)
-    got = index.search(q, 8)
-    want = pq_adc_search(
-        index.codebook, list(zip(index.ids.tolist(), index.codes)), q, 8
-    )
-    assert got.neighbors == want.neighbors
 
 
 def test_train_validation(rng):

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from annkit.sq import (
-    SqParams,
-    sq_decode,
-    sq_decode_batch,
-    sq_encode,
-    sq_encode_batch,
-    sq_train,
-)
+from annkit.sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
 from annkit.wire import Reader, Writer
 
 
@@ -27,12 +20,12 @@ def test_encode_hand_computed_codes():
         mins=np.array([0.0, -1.0], dtype=np.float32),
         maxs=np.array([1.0, 1.0], dtype=np.float32),
     )
-    codes = sq_encode(params, np.array([0.5, 0.0]))
+    codes = sq_encode_batch(params, np.array([[0.5, 0.0], [0.0, -1.0], [1.0, 1.0]]))
     assert codes.dtype == np.uint8
     # 0.5 of the [0, 1] span -> round(0.5 * 255); midpoint of [-1, 1] likewise
-    assert codes.tolist() == [128, 128]
-    assert sq_encode(params, np.array([0.0, -1.0])).tolist() == [0, 0]
-    assert sq_encode(params, np.array([1.0, 1.0])).tolist() == [255, 255]
+    assert codes[0].tolist() == [128, 128]
+    assert codes[1].tolist() == [0, 0]
+    assert codes[2].tolist() == [255, 255]
 
 
 def test_round_trip_error_bounded_by_half_step(rng):
@@ -49,8 +42,8 @@ def test_round_trip_error_bounded_by_half_step(rng):
 def test_out_of_range_values_clip(rng):
     data = rng.standard_normal((40, 3))
     params = sq_train(data)
-    lo = sq_encode(params, params.mins.astype(np.float64) - 100.0)
-    hi = sq_encode(params, params.maxs.astype(np.float64) + 100.0)
+    mins, maxs = params.mins.astype(np.float64), params.maxs.astype(np.float64)
+    lo, hi = sq_encode_batch(params, np.stack([mins - 100.0, maxs + 100.0]))
     assert lo.tolist() == [0, 0, 0]
     assert hi.tolist() == [255, 255, 255]
 
@@ -58,28 +51,16 @@ def test_out_of_range_values_clip(rng):
 def test_constant_dimension_is_exact():
     data = np.array([[2.5, 1.0], [2.5, 3.0], [2.5, 2.0]])
     params = sq_train(data)
-    decoded = sq_decode(params, sq_encode(params, np.array([2.5, 2.0])))
+    decoded = sq_decode_batch(params, sq_encode_batch(params, np.array([[2.5, 2.0]])))[0]
     assert decoded[0] == pytest.approx(2.5, abs=1e-7)
-
-
-def test_batch_matches_single(rng):
-    data = rng.standard_normal((20, 5))
-    params = sq_train(data)
-    batch = sq_encode_batch(params, data)
-    singles = np.stack([sq_encode(params, v) for v in data])
-    np.testing.assert_array_equal(batch, singles)
-    np.testing.assert_allclose(
-        sq_decode_batch(params, batch),
-        np.stack([sq_decode(params, c) for c in batch]),
-        rtol=1e-12,
-    )
 
 
 def test_decode_monotone_in_code():
     params = SqParams(
         mins=np.array([-2.0], dtype=np.float32), maxs=np.array([2.0], dtype=np.float32)
     )
-    values = [float(sq_decode(params, np.array([c], dtype=np.uint8))[0]) for c in range(256)]
+    codes = np.arange(256, dtype=np.uint8)[:, np.newaxis]
+    values = sq_decode_batch(params, codes)[:, 0].tolist()
     assert values == sorted(values)
     # reconstruction sits at cell midpoints, half a step inside the range ends
     half_step = 4.0 / 512
