@@ -272,10 +272,10 @@ class HnswIndex(VectorIndex):
         pool is widened to max(configured ef_search, k) so large-k sweeps work.
         """
         q64 = self._query(query, k)
-        if len(self._ids) == 0:
-            raise ValueError("cannot search an empty graph")
         if ef_search is not None and ef_search < k:
             raise ValueError(f"ef_search={ef_search} must be >= k={k}")
+        if len(self._ids) == 0:
+            return SearchResult()
         ef = max(self.params.ef_search, k) if ef_search is None else ef_search
         entries = [self._entry]
         for layer in range(self._levels[self._entry], 0, -1):

@@ -24,6 +24,7 @@ from .pq import (
     pq_encode_batch,
     pq_train,
     read_codebook,
+    read_codes,
     write_codebook,
 )
 from .sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
@@ -181,7 +182,7 @@ class IvfIndex(VectorIndex):
                 list_payloads.append(r.f32_array(count * dim).reshape(count, dim))
             elif encoding == "pq":
                 assert codebook is not None
-                list_payloads.append(r.u8_array(count * codebook.m).reshape(count, codebook.m))
+                list_payloads.append(read_codes(r, codebook, count))
             else:
                 list_payloads.append(r.u8_array(count * dim).reshape(count, dim))
         return cls(coarse, encoding, list_ids, list_payloads, nprobe, codebook, sq_params)

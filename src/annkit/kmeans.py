@@ -18,6 +18,9 @@ DEFAULT_MAX_ITERS = 25
 # only lower the objective mathematically, but float64 summation noise near
 # convergence needs a hair of room.
 _DISTORTION_SLACK = 1e-9
+# Distance-block size of `assign_to_centroids` in float64 elements (256 KiB),
+# small enough to stay in L2 while the block is summed, clamped and scanned.
+_BLOCK_ELEMS = 1 << 15
 
 
 def assign_to_centroids(
@@ -31,16 +34,35 @@ def assign_to_centroids(
     """
     p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
-    # ||p - c||^2 expanded via a matmul; clamped because the expansion can
-    # produce tiny negatives.
-    sq = (
-        np.sum(p * p, axis=1)[:, np.newaxis]
-        - 2.0 * (p @ c.T)
-        + np.sum(c * c, axis=1)[np.newaxis, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    assign = np.argmin(sq, axis=1)
-    return assign, sq[np.arange(len(p)), assign]
+    n, k = len(p), len(c)
+    # ||p - c||^2 expanded via a matmul, one block of rows at a time so the
+    # distance block stays in cache. Scaling by -2 is exact, so p @ ct2 equals
+    # -(2 * (p @ c.T)) bit for bit.
+    pp = np.sum(p * p, axis=1)
+    cc = np.sum(c * c, axis=1)
+    ct2 = (-2.0 * c).T
+    # BLAS may sum a product of one or a few rows in another order than a tall
+    # one (GEMV or a small-matrix kernel), so no block is thinner than `rows`:
+    # the last block takes the remainder. tests/test_kmeans.py pins the result
+    # bitwise to the unblocked form.
+    rows = max(2, _BLOCK_ELEMS // max(k, 1))
+    blocks = max(1, n // rows)
+    assign = np.empty(n, dtype=np.intp)
+    sqdist = np.empty(n, dtype=np.float64)
+    buf = np.empty((n - (blocks - 1) * rows, k), dtype=np.float64)
+    for b in range(blocks):
+        s = b * rows
+        e = n if b == blocks - 1 else s + rows
+        sq = buf[: e - s]
+        np.matmul(p[s:e], ct2, out=sq)
+        sq += pp[s:e, np.newaxis]
+        sq += cc
+        # clamped because the expansion can produce tiny negatives
+        np.maximum(sq, 0.0, out=sq)
+        a = np.argmin(sq, axis=1)
+        assign[s:e] = a
+        sqdist[s:e] = sq[np.arange(e - s), a]
+    return assign, sqdist
 
 
 @dataclass
@@ -94,9 +116,13 @@ def kmeans_fit(
     (mean squared point-to-centroid distance) is asserted non-increasing
     across iterations.
     """
-    data = np.asarray(data, dtype=np.float64)
+    # Contiguous rows: callers such as pq_train pass column slices, and every
+    # seeding pass and Lloyd iteration reads the whole matrix.
+    data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
+    if not np.isfinite(data).all():
+        raise ValueError("data must be finite (no NaN or inf)")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(data):
@@ -120,8 +146,10 @@ def kmeans_fit(
     for _ in range(max_iters):
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=k)
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, data)
+        # bincount adds each column's rows in row order, as np.add.at does.
+        sums = np.empty_like(centroids)
+        for j in range(data.shape[1]):
+            sums[:, j] = np.bincount(assign, weights=data[:, j], minlength=k)
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, np.newaxis]
 

@@ -187,8 +187,7 @@ class PqIndex(VectorIndex):
         cb = read_codebook(r)
         count = r.u64()
         ids = r.u64_array(count)
-        codes = r.u8_array(count * cb.m).reshape(count, cb.m)
-        return cls(cb, ids, codes)
+        return cls(cb, ids, read_codes(r, cb, count))
 
 
 def write_codebook(w: Writer, cb: PqCodebook) -> None:
@@ -210,3 +209,12 @@ def read_codebook(r: Reader) -> PqCodebook:
         vectors = r.f32_array(ks * sub_dim).reshape(ks, sub_dim)
         books.append(Centroids(vectors=vectors, distortion=r.f64()))
     return PqCodebook(nbits=nbits, books=books)
+
+
+def read_codes(r: Reader, cb: PqCodebook, count: int) -> np.ndarray:
+    """(count, m) codes; ValueError when a code names no centroid (>= ks)."""
+    codes = r.u8_array(count * cb.m).reshape(count, cb.m)
+    # A byte cannot reach 256, so only codebooks with fewer than 8 bits need the scan.
+    if cb.nbits < 8 and np.any(codes >= cb.ks):
+        raise ValueError(f"PQ code out of range: codebook has {cb.ks} centroids")
+    return codes

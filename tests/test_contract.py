@@ -9,7 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 import annkit
 from annkit.families import FAMILIES, build_index
+from annkit.flat import FlatL2Index
+from annkit.hnsw import HnswIndex
 from annkit.persist import dump_index, load_index_bytes
+from annkit.pq import PqIndex, pq_train
 
 # Knobs that fit the 300-row, 16-dim small set; every other family uses its defaults.
 _KNOBS = {"pq": {"m": 4, "nbits": 4}, "ivf-pq": {"m": 4, "nbits": 4}}
@@ -81,6 +84,25 @@ def test_query_validation_fuzz(indexes, name, dim, data, k):
     assert len(res) <= k
     assert len(set(res.ids)) == len(res)
     assert np.isfinite(res.scores).all()
+
+
+_NO_IDS = np.empty(0, dtype=np.uint64)
+_EMPTY = {
+    "flat-l2": lambda s: FlatL2Index(_NO_IDS, np.empty((0, s.dim), dtype=np.float32)),
+    "pq": lambda s: PqIndex(pq_train(s.vectors, 4, 4), _NO_IDS, np.empty((0, 4), dtype=np.uint8)),
+    "hnsw": lambda s: HnswIndex(s.dim),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EMPTY))
+def test_empty_loaded_index_answers_nothing(small_set, name):
+    index = load_index_bytes(dump_index(_EMPTY[name](small_set)))
+    assert len(index) == 0
+    assert index.search(small_set.vectors[0], 3).neighbors == []
+    with pytest.raises(ValueError):
+        index.search(_bad_query(small_set, "nan"), 3)
+    with pytest.raises(ValueError, match="k must be"):
+        index.search(small_set.vectors[0], 0)
 
 
 def test_public_names_are_sorted_unique_and_resolve():

@@ -8,7 +8,7 @@ import pytest
 
 from annkit.data import gen_synthetic
 from annkit.distances import Metric
-from annkit.families import FAMILIES
+from annkit.families import FAMILIES, build_index
 from annkit.flat import FlatIPIndex, FlatL2Index
 from annkit.hnsw import HnswIndex, HnswParams
 from annkit.ivf import ivf_build
@@ -138,6 +138,21 @@ def test_rejects_truncation(small_set):
     blob = dump_index(FlatL2Index.build(small_set))
     with pytest.raises(ValueError):
         load_index_bytes(blob[:-5])
+
+
+@pytest.mark.parametrize("family", ["pq", "ivf-pq"])
+def test_rejects_pq_code_at_or_above_ks(family):
+    """With nbits=4 a code byte of 200 names no centroid; the load refuses it
+    instead of the first search raising IndexError."""
+    emb = gen_synthetic(4, 50, 8, 0.3, seed=1)
+    knobs = {"nprobe": 4} if family == "ivf-pq" else {}
+    blob = bytearray(dump_index(build_index(emb, family, seed=0, m=4, nbits=4, **knobs)))
+    assert load_index_bytes(bytes(blob)).search(emb.vectors[0], 3)  # the intact blob loads
+    blob[-1] = 200  # the last code byte of the last (non-empty) list
+    with pytest.raises(ValueError, match="code"):
+        load_index_bytes(bytes(blob))
+    blob[-1] = 15  # the largest valid code still loads
+    load_index_bytes(bytes(blob)).search(emb.vectors[0], 3)
 
 
 def test_ivf_metric_variants_round_trip(small_set, rng):
