@@ -36,6 +36,22 @@ class SearchResult:
         return iter(self.neighbors)
 
 
+def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
+    """Return the query as a flat float64 vector after checking it and k.
+
+    ValueError unless k is an int >= 1 (not a bool) and the query has `dim`
+    finite components. Every search and the exact oracle go through it.
+    """
+    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    q = np.asarray(query, dtype=np.float64).reshape(-1)
+    if q.shape[0] != dim:
+        raise ValueError(f"query has dim {q.shape[0]}, index expects {dim}")
+    if not np.isfinite(q).all():
+        raise ValueError("query must be finite (no NaN or inf)")
+    return q
+
+
 def make_result(
     metric: Metric, ids: np.ndarray, scores: np.ndarray, k: int
 ) -> SearchResult:
@@ -44,7 +60,7 @@ def make_result(
     `scores` must be the float64 output of the shared scoring path; they are
     narrowed to float32 only here, after ranking.
     """
-    order = rank_order(metric, ids, scores)[:k]
+    order = rank_order(metric, ids, scores, k)
     return SearchResult(
         [(int(ids[i]), float(np.float32(scores[i]))) for i in order]
     )
@@ -74,21 +90,7 @@ class VectorIndex(abc.ABC):
 
     @abc.abstractmethod
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        """Return the k best neighbors of `query`; first checked by `_query`."""
-
-    def _query(self, query: np.ndarray, k: int) -> np.ndarray:
-        """Return the query as a flat float64 vector after checking it and k.
-
-        ValueError unless k is an int >= 1 and the query has `dim` finite components.
-        """
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        q = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q.shape[0] != self.dim:
-            raise ValueError(f"query has dim {q.shape[0]}, index expects {self.dim}")
-        if not np.isfinite(q).all():
-            raise ValueError("query must be finite (no NaN or inf)")
-        return q
+        """Return the k best neighbors of `query`; first checked by `check_query`."""
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:

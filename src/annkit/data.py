@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -74,11 +73,6 @@ class EmbeddingSet:
     def vectors(self) -> np.ndarray:
         return self._vectors
 
-    @cached_property
-    def vectors64(self) -> np.ndarray:
-        """Cached float64 copy, read by index builds and the exact oracle."""
-        return self._vectors.astype(np.float64)
-
     @property
     def dim(self) -> int:
         return self._vectors.shape[1]
@@ -111,10 +105,11 @@ class EmbeddingSet:
 
     def normalized(self) -> "EmbeddingSet":
         """Copy of the set with every vector scaled to unit L2 norm."""
-        norms = np.sqrt(np.sum(self.vectors64 * self.vectors64, axis=1))
+        v = self._vectors.astype(np.float64)
+        norms = np.sqrt(np.sum(v * v, axis=1))
         if np.any(norms == 0.0):
             raise ValueError("cannot normalize a set containing zero vectors")
-        unit = (self.vectors64 / norms[:, np.newaxis]).astype(np.float32)
+        unit = (v / norms[:, np.newaxis]).astype(np.float32)
         return EmbeddingSet(self._ids.copy(), self._labels.copy(), unit)
 
 

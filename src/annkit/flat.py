@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores
+from .distances import Metric, batch_scores, shortlist, sq_row_norms
 from .wire import Reader, Writer
 
 
@@ -20,18 +20,13 @@ def exact_search(
     """Score every record and return the k best, ascending-id tie-break.
 
     `exclude` drops a single id (the query itself) before ranking. If fewer
-    than k candidates remain, all of them are returned.
+    than k candidates remain, all of them are returned. The query and k pass
+    the same gate as every index search.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    q = check_query(query, k, emb_set.dim)
     if len(emb_set) == 0:
         raise ValueError("cannot search an empty set")
-    ids = emb_set.ids
-    scores = batch_scores(metric, query, emb_set.vectors64)
-    if exclude is not None:
-        keep = ids != np.uint64(exclude)
-        ids, scores = ids[keep], scores[keep]
-    return make_result(metric, ids, scores, k)
+    return _scan(emb_set, q, k, metric, exclude)
 
 
 def ground_truth(
@@ -41,13 +36,35 @@ def ground_truth(
     metric: Metric = Metric.L2,
 ) -> dict[int, list[int]]:
     """True n nearest ids per query id, query excluded from its own result."""
+    sq_norms = sq_row_norms(emb_set.vectors)
+    max_sq_norm = float(sq_norms.max(initial=0.0))
     out: dict[int, list[int]] = {}
     for qid in np.asarray(query_ids).tolist():
         qid = int(qid)
         row = emb_set.row_of(qid)  # raises KeyError for unknown ids
-        res = exact_search(emb_set, emb_set.vectors[row], n, metric, exclude=qid)
-        out[qid] = res.ids
+        q = check_query(emb_set.vectors[row], n, emb_set.dim)
+        out[qid] = _scan(emb_set, q, n, metric, qid, sq_norms, max_sq_norm).ids
     return out
+
+
+def _scan(
+    emb_set: EmbeddingSet,
+    q: np.ndarray,
+    k: int,
+    metric: Metric,
+    exclude: int | None,
+    sq_norms: np.ndarray | None = None,
+    max_sq_norm: float | None = None,
+) -> SearchResult:
+    # A shortlist for k + 1 still holds the best k once one row is dropped.
+    cut = k if exclude is None else k + 1
+    rows = shortlist(metric, q, emb_set.vectors, cut, sq_norms, max_sq_norm)
+    ids = emb_set.ids[rows]
+    scores = batch_scores(metric, q, emb_set.vectors[rows])
+    if exclude is not None:
+        keep = ids != np.uint64(exclude)
+        ids, scores = ids[keep], scores[keep]
+    return make_result(metric, ids, scores, k)
 
 
 class _FlatIndex(VectorIndex):
@@ -56,6 +73,10 @@ class _FlatIndex(VectorIndex):
     def __init__(self, ids: np.ndarray, vectors: np.ndarray):
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._vectors = np.asarray(vectors, dtype=np.float32)
+        # The shortlist's norm column (L2 only) and its maximum, made on build and load.
+        sq_norms = sq_row_norms(self._vectors)
+        self._max_sq_norm = float(sq_norms.max(initial=0.0))
+        self._sq_norms = sq_norms if self.metric is Metric.L2 else None
 
     @classmethod
     def build(cls, emb_set: EmbeddingSet) -> "_FlatIndex":
@@ -79,12 +100,14 @@ class _FlatIndex(VectorIndex):
         return len(self._ids)
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
-        q = self._query(query, k)
-        scores = batch_scores(self.metric, q, self._vectors)
-        return make_result(self.metric, self._ids, scores, k)
+        q = check_query(query, k, self.dim)
+        rows = shortlist(self.metric, q, self._vectors, k, self._sq_norms, self._max_sq_norm)
+        scores = batch_scores(self.metric, q, self._vectors[rows])
+        return make_result(self.metric, self._ids[rows], scores, k)
 
     def memory_bytes(self) -> int:
-        return self._ids.nbytes + self._vectors.nbytes
+        norm_bytes = 0 if self._sq_norms is None else self._sq_norms.nbytes
+        return self._ids.nbytes + self._vectors.nbytes + norm_bytes
 
     def config(self) -> dict:
         return {}

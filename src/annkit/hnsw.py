@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .wire import Reader, Writer
@@ -271,7 +271,7 @@ class HnswIndex(VectorIndex):
         An explicit ef_search below k is an error; when omitted, the default
         pool is widened to max(configured ef_search, k) so large-k sweeps work.
         """
-        q64 = self._query(query, k)
+        q64 = check_query(query, k, self.dim)
         if ef_search is not None and ef_search < k:
             raise ValueError(f"ef_search={ef_search} must be >= k={k}")
         if len(self._ids) == 0:

@@ -13,9 +13,9 @@ import math
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores, rank_order
+from .distances import Metric, batch_scores, rank_order, shortlist
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit
 from .pq import (
     PqCodebook,
@@ -104,7 +104,7 @@ class IvfIndex(VectorIndex):
         return batch_scores(Metric.L2, query, sq_decode_batch(self.sq_params, payload))
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
-        q = self._query(query, k)
+        q = check_query(query, k, self.dim)
         nprobe = self.nprobe if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
@@ -118,6 +118,9 @@ class IvfIndex(VectorIndex):
             return SearchResult([])
         ids = np.concatenate(id_parts)
         payload = np.concatenate(payload_parts)
+        if self.encoding == "flat":
+            rows = shortlist(Metric.L2, q, payload, k)
+            ids, payload = ids[rows], payload[rows]
         return make_result(Metric.L2, ids, self._score_payload(payload, q), k)
 
     def memory_bytes(self) -> int:
@@ -215,7 +218,7 @@ def ivf_build(
         raise ValueError(f"nprobe must be in 1..{nlist}")
 
     coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
-    assign, _ = assign_to_centroids(emb_set.vectors64, coarse.vectors)
+    assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)
 
     codebook = sq_params = None
     if encoding == "pq":
@@ -224,7 +227,7 @@ def ivf_build(
         encoded: np.ndarray = pq_encode_batch(codebook, emb_set.vectors)
     elif encoding == "sq":
         sq_params = sq_train(emb_set.vectors)
-        encoded = sq_encode_batch(sq_params, emb_set.vectors64)
+        encoded = sq_encode_batch(sq_params, emb_set.vectors)
     else:
         encoded = emb_set.vectors
 

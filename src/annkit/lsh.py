@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order
 from .wire import Reader, Writer
@@ -71,12 +71,12 @@ class LshIndex(VectorIndex):
         return _POPCOUNT[xor].sum(axis=1).astype(np.int64)
 
     def search(self, query: np.ndarray, k: int, rerank: bool | None = None) -> SearchResult:
-        q = self._query(query, k)
+        q = check_query(query, k, self.dim)
         rerank = self.rerank if rerank is None else rerank
         hamming = self.hamming_to(self.encode_batch(q[np.newaxis, :])[0])
         if not rerank:
             return make_result(Metric.L2, self._ids, hamming.astype(np.float64), k)
-        pool = rank_order(Metric.L2, self._ids, hamming)[: RERANK_POOL_FACTOR * k]
+        pool = rank_order(Metric.L2, self._ids, hamming, RERANK_POOL_FACTOR * k)
         scores = batch_scores(Metric.L2, q, self._vectors[pool])
         return make_result(Metric.L2, self._ids[pool], scores, k)
 
@@ -140,5 +140,5 @@ def lsh_build(
         emb_set.vectors.copy(),
         rerank,
     )
-    index._codes = index.encode_batch(emb_set.vectors64)
+    index._codes = index.encode_batch(emb_set.vectors)
     return index

@@ -27,9 +27,9 @@ def dump_index(index: VectorIndex) -> bytes:
 
 
 def load_index_bytes(data: bytes) -> VectorIndex:
-    if data[:4] != VIDX_MAGIC:
+    r = Reader(data)
+    if len(data) < 4 or r.raw(4) != VIDX_MAGIC:
         raise ValueError("not a VIDX file (bad magic)")
-    r = Reader(data[4:])
     version = r.u8()
     if version != VIDX_VERSION:
         raise ValueError(f"unsupported VIDX version {version}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit
@@ -166,7 +166,7 @@ class PqIndex(VectorIndex):
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         """Rank every stored code by asymmetric distance; ascending-id tie-break."""
-        q = self._query(query, k)
+        q = check_query(query, k, self.dim)
         return make_result(Metric.L2, self._ids, adc_scores(self.codebook, self._codes, q), k)
 
     def memory_bytes(self) -> int:

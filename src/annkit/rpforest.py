@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores
 from .wire import Reader, Writer
@@ -161,7 +161,7 @@ class RpForestIndex(VectorIndex):
         return np.unique(np.concatenate(collected))
 
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
-        q = self._query(query, k)
+        q = check_query(query, k, self.dim)
         if search_k is None:
             search_k = self.search_k if self.search_k is not None else self.n_trees * k
         rows = self.candidate_rows(q, search_k)
@@ -249,7 +249,7 @@ def rp_build(
         raise ValueError("n_trees must be >= 1")
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
-    vectors64 = emb_set.vectors64
+    vectors64 = emb_set.vectors.astype(np.float64)
     all_rows = np.arange(len(emb_set))
     trees = [
         _build_tree(

@@ -48,46 +48,71 @@ class Writer:
         return b"".join(self._chunks)
 
 
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+# (wire dtype, in-memory dtype) of each array type.
+_U8_ARRAY = (np.dtype("u1"), np.dtype(np.uint8))
+_U32_ARRAY = (np.dtype("<u4"), np.dtype(np.uint32))
+_U64_ARRAY = (np.dtype("<u8"), np.dtype(np.uint64))
+_F32_ARRAY = (np.dtype("<f4"), np.dtype(np.float32))
+
+
 class Reader:
-    """Cursor over a byte buffer with typed little-endian reads."""
+    """Cursor over a byte buffer with typed little-endian reads.
+
+    Scalars are unpacked in place and each array is one owned copy taken
+    straight from the buffer, so `data` (bytes, bytearray or memoryview) is
+    never sliced and may be reused once the reads are done.
+    """
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def _advance(self, n: int) -> int:
+        pos = self._pos
+        if pos + n > len(self._data):
             raise ValueError("truncated buffer")
-        out = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return out
+        self._pos = pos + n
+        return pos
+
+    def _scalar(self, fmt: struct.Struct):
+        return fmt.unpack_from(self._data, self._advance(fmt.size))[0]
+
+    def _array(self, dtypes: tuple[np.dtype, np.dtype], count: int) -> np.ndarray:
+        wire, native = dtypes
+        pos = self._advance(wire.itemsize * count)
+        return np.frombuffer(self._data, dtype=wire, count=count, offset=pos).astype(native)
 
     def u8(self) -> int:
-        return struct.unpack("<B", self._take(1))[0]
+        return self._scalar(_U8)
 
     def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
+        return self._scalar(_U32)
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
+        return self._scalar(_U64)
 
     def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
+        return self._scalar(_F64)
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        pos = self._advance(n)
+        return bytes(self._data[pos : pos + n])
 
     def u8_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(count), dtype=np.uint8).copy()
+        return self._array(_U8_ARRAY, count)
 
     def u32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(4 * count), dtype="<u4").astype(np.uint32)
+        return self._array(_U32_ARRAY, count)
 
     def u64_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(8 * count), dtype="<u8").astype(np.uint64)
+        return self._array(_U64_ARRAY, count)
 
     def f32_array(self, count: int) -> np.ndarray:
-        return np.frombuffer(self._take(4 * count), dtype="<f4").astype(np.float32)
+        return self._array(_F32_ARRAY, count)
 
     def expect_exhausted(self) -> None:
         if self._pos != len(self._data):

@@ -166,8 +166,8 @@ def test_adc_matches_distance_to_decoded(dstar):
 def test_sq_error_bounded_by_span_over_256(dstar):
     params = sq_train(dstar.vectors)
     spans = params.maxs.astype(np.float64) - params.mins.astype(np.float64)
-    decoded = sq_decode_batch(params, sq_encode_batch(params, dstar.vectors64))
-    err = np.abs(decoded - dstar.vectors64)
+    decoded = sq_decode_batch(params, sq_encode_batch(params, dstar.vectors.astype(np.float64)))
+    err = np.abs(decoded - dstar.vectors.astype(np.float64))
     bound = spans / 256.0
     worst_ratio = float(np.max(err / bound[np.newaxis, :]))
     # a dense per-dimension sweep, not just the stored vectors
@@ -279,7 +279,7 @@ def test_precision_at_k_declines_gracefully(dstar, flat_l2, hnsw_index, rp_angul
 def test_candidate_sets_nest_exactly(dstar, ivf_flat_full, rp_angular, query_rows):
     """Growing nprobe or search_k only ever adds candidates, never removes."""
     for row in query_rows[:25]:
-        q = dstar.vectors64[row]
+        q = dstar.vectors[row].astype(np.float64)
         previous: set[int] = set()
         for nprobe in (1, 2, 5, 10, 49, 98):
             ids = set(ivf_flat_full.probe_candidate_ids(q, nprobe).tolist())

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 import annkit
 from annkit.families import FAMILIES, build_index
-from annkit.flat import FlatL2Index
+from annkit.data import gen_synthetic
+from annkit.flat import FlatL2Index, exact_search, ground_truth
 from annkit.hnsw import HnswIndex
 from annkit.persist import dump_index, load_index_bytes
 from annkit.pq import PqIndex, pq_train
@@ -46,10 +47,34 @@ def test_every_family_rejects_a_bad_query(indexes, small_set, name, state, case)
 
 @pytest.mark.parametrize("state", ["built", "loaded"])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
-@pytest.mark.parametrize("k", [0, -1, 2.5])
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
 def test_every_family_rejects_a_bad_k(indexes, small_set, name, state, k):
     with pytest.raises(ValueError, match="k must be"):
         indexes[name][state].search(small_set.vectors[0], k)
+
+
+@pytest.mark.parametrize(
+    "query, k",
+    [
+        (np.full(8, np.nan), 3),
+        (np.full(8, np.inf), 3),
+        (np.array([1.0] * 7 + [-np.inf]), 3),
+        (np.zeros(7), 3),
+        (np.zeros(8), 2.5),
+        (np.zeros(8), True),
+        (np.zeros(8), 0),
+    ],
+)
+@pytest.mark.parametrize("metric", list(annkit.Metric))
+def test_exact_oracle_rejects_what_search_rejects(query, k, metric):
+    """exact_search and ground_truth pass the same gate as every search:
+    a NaN query used to rank NaN scores and k=2.5 raised TypeError."""
+    s = gen_synthetic(4, 50, 8, 0.3, seed=1)
+    with pytest.raises(ValueError):
+        exact_search(s, query, k, metric)
+    if query.shape == (8,) and np.isfinite(query).all():
+        with pytest.raises(ValueError, match="k must be"):
+            ground_truth(s, s.ids[:3], k, metric)
 
 
 _SPECIAL = st.sampled_from([np.nan, np.inf, -np.inf])

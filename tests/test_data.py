@@ -83,16 +83,9 @@ def test_set_rejects_non_2d_vectors():
         )
 
 
-def test_vectors64_is_float64_view_of_vectors(small_set):
-    assert small_set.vectors64.dtype == np.float64
-    np.testing.assert_array_equal(
-        small_set.vectors64, small_set.vectors.astype(np.float64)
-    )
-
-
 def test_normalized_rows_have_unit_norm(small_set):
     unit = small_set.normalized()
-    norms = np.linalg.norm(unit.vectors64, axis=1)
+    norms = np.linalg.norm(unit.vectors.astype(np.float64), axis=1)
     np.testing.assert_allclose(norms, 1.0, rtol=1e-6)
     np.testing.assert_array_equal(unit.ids, small_set.ids)
     np.testing.assert_array_equal(unit.labels, small_set.labels)
@@ -132,9 +125,9 @@ def test_gen_synthetic_clusters_are_tight():
     """With small noise, points sit closer to their own class mean than to others."""
     s = gen_synthetic(4, 30, 8, 0.05, 9)
     means = np.stack(
-        [s.vectors64[s.labels == c].mean(axis=0) for c in range(4)]
+        [s.vectors.astype(np.float64)[s.labels == c].mean(axis=0) for c in range(4)]
     )
-    d = np.linalg.norm(s.vectors64[:, np.newaxis, :] - means, axis=2)
+    d = np.linalg.norm(s.vectors.astype(np.float64)[:, np.newaxis, :] - means, axis=2)
     assert np.array_equal(np.argmin(d, axis=1), s.labels)
 
 

@@ -71,7 +71,7 @@ def test_full_probe_pq_equals_adc_scan(small_set, rng):
 def test_full_probe_sq_equals_decoded_exhaustive(small_set, rng):
     index = ivf_build(small_set, nlist=8, encoding="sq", nprobe=8, seed=0)
     params = sq_train(small_set.vectors)
-    decoded = sq_decode_batch(params, sq_encode_batch(params, small_set.vectors64))
+    decoded = sq_decode_batch(params, sq_encode_batch(params, small_set.vectors.astype(np.float64)))
     from annkit.data import EmbeddingSet
 
     decoded_set = EmbeddingSet(

@@ -50,7 +50,7 @@ def test_hamming_matches_unpacked_xor(index, small_set, rng):
 
 
 def test_identical_vector_has_zero_hamming(index, small_set):
-    code = encode(index, small_set.vectors64[17])
+    code = encode(index, small_set.vectors[17].astype(np.float64))
     assert index.hamming_to(code)[17] == 0
 
 

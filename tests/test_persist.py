@@ -57,6 +57,21 @@ def test_save_load_save_is_byte_identical(family, small_set):
     assert dump_index(load_index_bytes(blob)) == blob
 
 
+@pytest.mark.parametrize("family", sorted(BUILDERS))
+def test_load_owns_its_arrays(family, small_set, rng):
+    """An index loaded from a bytearray keeps no view of it: overwriting the
+    buffer changes neither its answers nor its dump."""
+    index = BUILDERS[family](small_set)
+    blob = dump_index(index)
+    buf = bytearray(blob)
+    loaded = load_index_bytes(buf)
+    buf[:] = bytes(len(buf))
+    queries = [small_set.vectors[7]] + list(rng.standard_normal((4, small_set.dim)))
+    for q in queries:
+        assert loaded.search(q, 8).neighbors == index.search(q, 8).neighbors
+    assert dump_index(loaded) == blob
+
+
 def test_file_round_trip(tmp_path, small_set):
     index = FlatL2Index.build(small_set)
     path = tmp_path / "flat.vidx"

@@ -1,0 +1,181 @@
+"""Exact scans through the float32 shortlist against full-scan references.
+
+The references are kept here: `rank_order_reference` is the full lexsort that
+`rank_order` used before it took a cut, and `full_scan` scores every
+candidate with `batch_scores` and ranks them all. The inputs aim at the
+places a shortlist can go wrong: grid coordinates (exact ties and duplicate
+vectors), 1e3 and 1e5 offsets (float32 keys too coarse, so the kernel falls
+back to the full scan), 1e-20 magnitudes (float32 products underflow), float64
+queries that float32 cannot hold, and k from 1 to n + 1.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from annkit.data import EmbeddingSet
+from annkit.distances import Metric, batch_scores, rank_order, shortlist
+from annkit.flat import FlatIPIndex, FlatL2Index, exact_search
+from annkit.ivf import ivf_build
+from annkit.persist import dump_index, load_index_bytes
+
+_METRICS = st.sampled_from([Metric.L2, Metric.INNER_PRODUCT])
+
+
+def rank_order_reference(metric, ids, scores):
+    key = -scores if metric.higher_is_closer else scores
+    return np.lexsort((ids, key))
+
+
+def full_scan(metric, ids, vectors, query, k, exclude=None):
+    """Neighbors of a search that scores and sorts every candidate."""
+    scores = batch_scores(metric, query, vectors)
+    if exclude is not None:
+        keep = ids != np.uint64(exclude)
+        ids, scores = ids[keep], scores[keep]
+    order = rank_order_reference(metric, ids, scores)[:k]
+    return [(int(ids[i]), float(np.float32(scores[i]))) for i in order]
+
+
+# ------------------------------------------------------------- rank_order
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    metric=_METRICS,
+    kind=st.sampled_from(["grid", "grid-nan", "hamming", "spread"]),
+    n=st.one_of(st.integers(1, 80), st.integers(380, 700)),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_rank_order_cut_equals_full_sort(metric, kind, n, seed, data):
+    """Ties straddle the k-th key: every row at it must survive the cut.
+    Short lists take the full sort, long ones the cut."""
+    rng = np.random.default_rng(seed)
+    if kind == "hamming":
+        scores = rng.integers(0, 9, n).astype(np.int64)
+    elif kind == "spread":
+        scores = rng.standard_normal(n)
+    else:
+        scores = rng.integers(-3, 4, n) * 0.5
+        if kind == "grid-nan":
+            scores[rng.random(n) < 0.3] = np.nan
+    # Ids are unique in every index; a few repeats check that the cut keeps
+    # lexsort's stable order too.
+    ids = rng.permutation(np.arange(1000, 1000 + n)).astype(np.uint64)
+    if data.draw(st.booleans()):
+        ids = rng.integers(0, max(1, n // 2), n).astype(np.uint64)
+    k = data.draw(st.integers(1, n + 1))
+    want = rank_order_reference(metric, ids, scores)[:k]
+    assert rank_order(metric, ids, scores, k).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------- searches
+
+
+_SCALES = {"gauss": (1.0, 0.0), "1e3": (1.0, 1e3), "1e5": (1.0, 1e5), "1e-20": (1e-20, 0.0)}
+
+
+def _vectors(kind, n, d, rng):
+    if kind == "grid":
+        return (rng.integers(-2, 3, (n, d)) * 0.5).astype(np.float32)
+    scale, offset = _SCALES[kind]
+    return (rng.standard_normal((n, d)) * scale + offset).astype(np.float32)
+
+
+def _query(how, kind, vectors, rng):
+    row = vectors[rng.integers(len(vectors))].astype(np.float64)
+    if how == "row":
+        return row
+    if how == "near-row":  # float64 detail below float32 resolution
+        return row + np.abs(row).max() * 1e-9 * rng.standard_normal(row.shape)
+    return _vectors(kind, 1, len(row), rng)[0].astype(np.float64) + 1e-3 * (
+        np.abs(row).max() + 1e-30
+    ) * rng.standard_normal(row.shape)
+
+
+@st.composite
+def scan_cases(draw, max_n=120):
+    kind = draw(st.sampled_from(["grid", "grid", "gauss", "1e3", "1e5", "1e-20"]))
+    n = draw(st.integers(2, max_n))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = _vectors(kind, n, d, rng)
+    query = _query(draw(st.sampled_from(["row", "near-row", "fresh"])), kind, vectors, rng)
+    k = draw(st.one_of(st.integers(1, 4), st.integers(1, n + 1)))
+    ids = rng.permutation(np.arange(n)).astype(np.uint64) + np.uint64(50)
+    return vectors, ids, query, k
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(case=scan_cases(), metric=_METRICS)
+def test_flat_search_equals_full_scan(case, metric):
+    vectors, ids, query, k = case
+    cls = FlatL2Index if metric is Metric.L2 else FlatIPIndex
+    index = cls(ids, vectors)
+    want = full_scan(metric, ids, vectors, query, k)
+    assert index.search(query, k).neighbors == want
+    assert load_index_bytes(dump_index(index)).search(query, k).neighbors == want
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=scan_cases(), metric=_METRICS, exclude=st.booleans())
+def test_exact_search_equals_full_scan(case, metric, exclude):
+    vectors, ids, query, k = case
+    emb = EmbeddingSet(ids, np.zeros(len(ids), dtype=np.uint32), vectors)
+    drop = int(ids[len(ids) // 2]) if exclude else None
+    got = exact_search(emb, query, k, metric, exclude=drop)
+    assert got.neighbors == full_scan(metric, ids, vectors, query, k, drop)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=scan_cases(max_n=200), nlist=st.integers(1, 12))
+def test_ivf_flat_equals_full_scan_of_probed_lists(case, nlist):
+    vectors, ids, query, k = case
+    emb = EmbeddingSet(ids, np.zeros(len(ids), dtype=np.uint32), vectors)
+    index = ivf_build(emb, nlist=min(nlist, len(ids)), encoding="flat", seed=0)
+    for nprobe in (index.nprobe, index.nlist):
+        probed = [i for i in index.probe_order(query)[:nprobe] if len(index.list_ids[i])]
+        lists_ids = np.concatenate([index.list_ids[i] for i in probed])
+        lists_vectors = np.concatenate([index.list_payloads[i] for i in probed])
+        want = full_scan(Metric.L2, lists_ids, lists_vectors, query, k)
+        assert index.search(query, k, nprobe=nprobe).neighbors == want
+
+
+# ------------------------------------------------------------ the kernel
+
+
+def test_shortlist_is_short_on_clusters_and_falls_back_where_float32_is_too_coarse(small_set):
+    """The cases the property tests rely on both occur: a clustered set keeps
+    a handful of rows for k=10, a 1e5 offset sends every row to the full scan,
+    and so do Angular, Manhattan and a k over half the rows."""
+    v = small_set.vectors
+    for i in range(0, len(v), 37):
+        for metric in (Metric.L2, Metric.INNER_PRODUCT):
+            rows = shortlist(metric, v[i].astype(np.float64), v, 10)
+            assert isinstance(rows, np.ndarray) and 10 <= len(rows) <= 40, (metric, len(rows))
+    every = slice(None)
+    far = v + np.float32(1e5)
+    assert shortlist(Metric.L2, far[0].astype(np.float64), far, 10) == every
+    for metric in (Metric.ANGULAR, Metric.MANHATTAN):
+        assert shortlist(metric, v[0].astype(np.float64), v, 10) == every
+    assert shortlist(Metric.L2, v[0].astype(np.float64), v, len(v) // 2 + 1) == every
+    huge = np.full(v.shape[1], 2.0**61)
+    assert shortlist(Metric.L2, huge, v, 10) == every
+
+
+@pytest.mark.parametrize("metric", [Metric.L2, Metric.INNER_PRODUCT])
+def test_flat_scan_on_duplicates_and_grid_ties(metric):
+    """Every row duplicated, coordinates on a half-integer grid: many exact
+    ties at the k-th score, broken by ascending id."""
+    rng = np.random.default_rng(3)
+    base = (rng.integers(-2, 3, (60, 4)) * 0.5).astype(np.float32)
+    vectors = np.concatenate([base, base, base])
+    ids = rng.permutation(len(vectors)).astype(np.uint64)
+    cls = FlatL2Index if metric is Metric.L2 else FlatIPIndex
+    index = cls(ids, vectors)
+    for row in range(0, len(vectors), 7):
+        for k in (1, 3, 10, 25):
+            q = vectors[row].astype(np.float64)
+            assert index.search(q, k).neighbors == full_scan(metric, ids, vectors, q, k)
