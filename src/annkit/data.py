@@ -151,16 +151,18 @@ def dump_vemb(emb_set: EmbeddingSet) -> bytes:
 
 
 def load_vemb_bytes(data: bytes) -> EmbeddingSet:
+    if len(data) < 17:
+        raise ValueError("VEMB file is shorter than its 17-byte header")
     if data[:4] != VEMB_MAGIC:
         raise ValueError("not a VEMB file (bad magic)")
     version, dim, count = struct.unpack("<BIQ", data[4 : 4 + 13])
     if version != VEMB_VERSION:
         raise ValueError(f"unsupported VEMB version {version}")
     dtype = _record_dtype(dim)
-    body = data[17:]
-    if len(body) != count * dtype.itemsize:
+    if len(data) - 17 != count * dtype.itemsize:
         raise ValueError("VEMB record section has the wrong length")
-    table = np.frombuffer(body, dtype=dtype)
+    # A view of the records, not a slice: each column below is the only copy.
+    table = np.frombuffer(data, dtype=dtype, count=count, offset=17)
     return EmbeddingSet(
         table["id"].astype(np.uint64),
         table["label"].astype(np.uint32),

@@ -18,7 +18,13 @@ from .wire import Reader, Writer
 DEFAULT_NBITS = 128
 RERANK_POOL_FACTOR = 4
 
-_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+def code_word(width: int) -> np.dtype:
+    """The widest unsigned word whose size divides a packed code of `width` bytes."""
+    for word in (np.uint64, np.uint32, np.uint16):
+        if width % np.dtype(word).itemsize == 0:
+            return np.dtype(word)
+    return np.dtype(np.uint8)
 
 
 class LshIndex(VectorIndex):
@@ -34,7 +40,8 @@ class LshIndex(VectorIndex):
     ):
         self.hyperplanes = np.asarray(hyperplanes, dtype=np.float32)
         self._ids = np.asarray(ids, dtype=np.uint64)
-        self._codes = np.asarray(codes, dtype=np.uint8)  # (n, ceil(nbits/8)) packed
+        # (n, ceil(nbits/8)) packed; contiguous rows so hamming_to can view them as words
+        self._codes = np.ascontiguousarray(codes, dtype=np.uint8)
         self._vectors = np.asarray(vectors, dtype=np.float32)
         self.rerank = rerank
 
@@ -66,9 +73,22 @@ class LshIndex(VectorIndex):
         return np.packbits(bits, axis=1)
 
     def hamming_to(self, query_code: np.ndarray) -> np.ndarray:
-        """Hamming distance from one packed code to every stored code."""
-        xor = np.bitwise_xor(self._codes, np.asarray(query_code, dtype=np.uint8))
-        return _POPCOUNT[xor].sum(axis=1).astype(np.int64)
+        """Hamming distance from one packed code to every stored code.
+
+        The stored codes are viewed, without a copy, as columns of the widest
+        word that tiles a code (uint64 at 128 bits); each column is XORed with
+        the query's word and popcounted into an int64 total.
+        """
+        width = self._codes.shape[1]
+        query = np.ascontiguousarray(query_code, dtype=np.uint8)
+        if query.shape != (width,):
+            raise ValueError(f"query code must be {width} packed bytes, got shape {query.shape}")
+        word = code_word(width)
+        codes, query = self._codes.view(word), query.view(word)
+        total = np.zeros(len(codes), dtype=np.int64)
+        for j, part in enumerate(query):
+            total += np.bitwise_count(codes[:, j] ^ part)
+        return total
 
     def search(self, query: np.ndarray, k: int, rerank: bool | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)

@@ -106,22 +106,28 @@ def pq_decode(cb: PqCodebook, code: np.ndarray) -> np.ndarray:
 
 
 def adc_table(cb: PqCodebook, query: np.ndarray) -> np.ndarray:
-    """(m, ks) table of squared L2 distances, query sub-vector vs sub-centroids."""
-    parts = cb.split(query)
-    table = np.empty((cb.m, cb.ks), dtype=np.float64)
-    for j in range(cb.m):
-        diff = cb.books[j].vectors.astype(np.float64) - parts[j]
-        table[j] = np.sum(diff * diff, axis=1)
-    return table
+    """(m, ks) table of squared L2 distances, query sub-vector vs sub-centroids.
+
+    One broadcast difference of the stacked float32 books against the float64
+    query parts, squared in place and summed over each sub-vector: the same
+    promotion and the same per-row sums as one book at a time, so the same bits.
+    """
+    diff = np.stack([book.vectors for book in cb.books]) - cb.split(query)[:, np.newaxis, :]
+    diff *= diff
+    return diff.sum(axis=-1)
 
 
 def adc_scores(cb: PqCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Asymmetric distances for an (n, m) code matrix: sqrt of m table lookups."""
-    codes = np.asarray(codes)
+    """Asymmetric distances for an (n, m) code matrix: sqrt of m table lookups.
+
+    ValueError when codes is not an (n, m) integer matrix of centroid indices.
+    """
+    codes = check_codes(cb, codes)
     table = adc_table(cb, query)
-    total = np.zeros(len(codes), dtype=np.float64)
-    for j in range(cb.m):
-        total += table[j, codes[:, j]]
+    # Seeding with column 0 adds the same terms in the same order as 0 + t0 + t1 ...
+    total = table[0].take(codes[:, 0])
+    for j in range(1, cb.m):
+        total += table[j].take(codes[:, j])
     return np.sqrt(total)
 
 
@@ -211,10 +217,27 @@ def read_codebook(r: Reader) -> PqCodebook:
     return PqCodebook(nbits=nbits, books=books)
 
 
+def check_codes(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
+    """codes as an (n, m) integer array; ValueError when a code names no centroid."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != cb.m or codes.dtype.kind not in "iu":
+        raise ValueError(f"PQ codes must be an (n, {cb.m}) integer array")
+    # A byte cannot reach 256, so 8-bit codebooks skip the scan over uint8 codes.
+    if cb.nbits < 8 or codes.dtype != np.uint8:
+        check_code_range(cb, codes)
+    return codes
+
+
+def check_code_range(cb: PqCodebook, codes: np.ndarray) -> None:
+    """ValueError when a code is negative or >= ks."""
+    if codes.size and (codes.min() < 0 or codes.max() >= cb.ks):
+        raise ValueError(f"PQ code out of range: codebook has {cb.ks} centroids")
+
+
 def read_codes(r: Reader, cb: PqCodebook, count: int) -> np.ndarray:
     """(count, m) codes; ValueError when a code names no centroid (>= ks)."""
     codes = r.u8_array(count * cb.m).reshape(count, cb.m)
     # A byte cannot reach 256, so only codebooks with fewer than 8 bits need the scan.
-    if cb.nbits < 8 and np.any(codes >= cb.ks):
-        raise ValueError(f"PQ code out of range: codebook has {cb.ks} centroids")
+    if cb.nbits < 8:
+        check_code_range(cb, codes)
     return codes

@@ -73,9 +73,14 @@ def sq_decode_batch(params: SqParams, codes: np.ndarray) -> np.ndarray:
     """Mid-level reconstruction: min + (L + 0.5) * span / 256.
 
     Dimensions trained with min == max decode exactly to that constant.
-    Returns float64, suitable for direct use in the scoring path.
+    Returns a fresh float64 array, suitable for direct use in the scoring path;
+    it is decoded in place, adding min last (the same sum, so the same bits).
     """
-    arr = np.asarray(codes, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != params.dim:
+    out = np.array(codes, dtype=np.float64)  # always a copy, never the caller's array
+    if out.ndim != 2 or out.shape[1] != params.dim:
         raise ValueError("codes must be 2-d with the trained dimension")
-    return params.mins.astype(np.float64) + (arr + 0.5) * _spans(params) / LEVELS
+    out += 0.5
+    out *= _spans(params)
+    out /= LEVELS
+    out += params.mins.astype(np.float64)
+    return out

@@ -1,6 +1,7 @@
 """Embedding containers, the synthetic generator, and the VEMB byte format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,37 @@ def test_vemb_rejects_truncated_body(small_set):
     blob = dump_vemb(small_set)
     with pytest.raises(ValueError):
         load_vemb_bytes(blob[:-3])
+
+
+def test_vemb_rejects_a_short_header():
+    for blob in (b"", b"VEMB", b"VEMB\x01\x02"):
+        with pytest.raises(ValueError):
+            load_vemb_bytes(blob)
+
+
+def test_vemb_load_copies_the_records_once():
+    """The acceptance-corpus VEMB loads with at most 1.5x its size traced
+    (each column is copied once; a sliced record table made it 2.3x)."""
+    blob = dump_vemb(gen_synthetic(n_classes=32, per_class=300, dim=64, spread=0.05, seed=7))
+    tracemalloc.start()
+    try:
+        load_vemb_bytes(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(blob)
+
+
+def test_vemb_load_owns_its_arrays(small_set):
+    """A bytearray source can be zeroed, then freed, after the load."""
+    blob = bytearray(dump_vemb(small_set))
+    loaded = load_vemb_bytes(blob)
+    blob[:] = bytes(len(blob))
+    np.testing.assert_array_equal(loaded.ids, small_set.ids)
+    np.testing.assert_array_equal(loaded.labels, small_set.labels)
+    np.testing.assert_array_equal(loaded.vectors, small_set.vectors)
+    blob.clear()  # BufferError if a view of the buffer were still alive
+    assert dump_vemb(loaded) == dump_vemb(small_set)
 
 
 def test_vemb_magic_constant():

@@ -70,6 +70,40 @@ def test_adc_table_gather_identity(tiny_codebook, rng):
     np.testing.assert_allclose(adc_scores(cb, code[np.newaxis, :], q)[0], want)
 
 
+def test_adc_scores_rejects_codes_that_name_no_centroid(tiny_codebook, rng):
+    """ks = 4: a code of 4 or 5, a negative code, a 1-d code, a missing or extra
+    column and a float code are all ValueError, never IndexError or a silent score."""
+    cb, _ = tiny_codebook
+    q = rng.standard_normal(4)
+    bad = [
+        np.array([[0, 5]], dtype=np.uint8),
+        np.array([[4, 0]], dtype=np.uint8),
+        np.array([[0, -1]], dtype=np.int64),
+        np.array([1, 2], dtype=np.uint8),
+        np.array([[1]], dtype=np.uint8),
+        np.array([[1, 2, 3]], dtype=np.uint8),
+        np.array([[1.0, 2.0]]),
+    ]
+    for codes in bad:
+        with pytest.raises(ValueError):
+            adc_scores(cb, codes, q)
+    assert adc_scores(cb, np.array([[3, 3]], dtype=np.uint8), q).shape == (1,)
+    assert adc_scores(cb, np.empty((0, 2), dtype=np.uint8), q).shape == (0,)
+
+
+def test_adc_scores_takes_every_byte_at_eight_bits(rng):
+    data = rng.standard_normal((300, 2))
+    cb = pq_train(data, m=1, nbits=8, seed=0)
+    codes = np.arange(256, dtype=np.uint8)[:, np.newaxis]
+    got = adc_scores(cb, codes, data[0])
+    want = np.linalg.norm(cb.books[0].vectors.astype(np.float64) - data[0], axis=1)
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # Wider integers can name a centroid past 255 or below 0, so they are scanned.
+    for bad in (256, -1):
+        with pytest.raises(ValueError):
+            adc_scores(cb, np.array([[bad]], dtype=np.int64), data[0])
+
+
 def test_perfect_reconstruction_when_codewords_cover_points():
     """4 distinct points, 4 codewords per subspace: zero quantization error."""
     points = np.array(

@@ -10,8 +10,11 @@ BENCHMARK.json declares, one after the other, and which side runs first
 alternates from pair to pair. The output holds every run (metrics, the
 ``raw_*`` figures perfbench prints beside them, per-family rows) and, per
 workload and metric, both sides' quartiles, the ratio of medians, the
-parent's interquartile range and how many pairs the change won. ``--trace``
-adds one traced pair whose per-layer metrics are stored side by side.
+parent's interquartile range and how many pairs the change won. Beside
+them, ``families`` gives each family's raw ``query_p50_us`` (wall clock, not
+normalized): both medians, their ratio and the change's wins, so a claim
+shows which family moved. ``--trace`` adds one traced pair whose per-layer
+metrics are stored side by side.
 """
 
 from __future__ import annotations
@@ -109,6 +112,24 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
     return table
 
 
+def summarise_families(pairs: list[dict]) -> dict:
+    """Per family: medians of its raw query_p50_us on each side, their ratio and wins."""
+    table = {}
+    for fam in pairs[0]["parent"]["families"]:
+        values = {side: [pair[side]["families"][fam]["query_p50_us"] for pair in pairs]
+                  for side in SIDES}
+        medians = {side: statistics.median(values[side]) for side in SIDES}
+        table[fam] = {
+            "metric": "raw query_p50_us",
+            "pairs": len(pairs),
+            "parent_median": medians["parent"],
+            "change_median": medians["change"],
+            "change_over_parent": medians["change"] / medians["parent"] if medians["parent"] else None,
+            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+        }
+    return table
+
+
 def seed_range(text: str) -> tuple[str, list[int]]:
     workload, _, seeds = text.partition("=")
     first, _, last = seeds.partition("-")
@@ -163,6 +184,7 @@ def main(argv=None) -> int:
             "failed_ops": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
             "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
             **summarise(runs, better),
+            "families": summarise_families(runs),
         }
     if result["pairs"]:
         result["env"] = next(iter(result["pairs"].values()))[0]["change"]["env"]
