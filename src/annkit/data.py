@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -49,7 +50,12 @@ class EmbeddingSet:
         self._ids = ids
         self._labels = labels
         self._vectors = vectors
-        self._row_by_id = {int(i): row for row, i in enumerate(ids)}
+
+    @cached_property
+    def _row_by_id(self) -> dict[int, int]:
+        """id -> row, made on the first lookup: a set that is only indexed never
+        holds it (about 85 B per row)."""
+        return {int(i): row for row, i in enumerate(self._ids)}
 
     @classmethod
     def from_records(cls, records: Iterable[EmbeddingRecord]) -> "EmbeddingSet":

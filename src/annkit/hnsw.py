@@ -16,12 +16,23 @@ best-first scan with an ef_search-sized result pool at level 0.
 
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
+
+Storage: row r's vector, id and top level sit at row r of one float32
+(rows x dim) buffer, one uint64 and one uint32 array; all three grow by
+doubling on insert and are trimmed to size by `build`. Rows are found from
+ids by one vectorised compare over the id array. Row r's neighbour rows at
+each of its levels are one packed int32 `array.array`, so an edge costs 4 B
+and no Python int. The VIDX link section stores the same lists in the same
+order, and a load cuts each list straight out of it after one vectorised
+structure check (`_check_links`), so a corrupted file raises ValueError.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +41,11 @@ from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .wire import Reader, Writer
+
+# Fixed bytes of one neighbour list (the array object, its items apart) and
+# of one node's list of them (the list object, its slots apart).
+_LIST_HEADER = sys.getsizeof(array("i"))
+_NODE_HEADER = sys.getsizeof([])
 
 
 @dataclass
@@ -61,10 +77,9 @@ class HnswIndex(VectorIndex):
         self._dim = dim
         self._rng = np.random.default_rng(seed)
         self._vec32 = np.empty((0, dim), dtype=np.float32)
-        self._ids: list[int] = []
-        self._levels: list[int] = []
-        self._links: list[list[list[int]]] = []  # row -> level -> neighbor rows
-        self._row_by_id: dict[int, int] = {}
+        self._ids = np.empty(0, dtype=np.uint64)
+        self._levels = np.empty(0, dtype=np.uint32)
+        self._links: list[list[array]] = []  # row -> level -> neighbor rows
         self._entry = -1
 
     # ------------------------------------------------------------------ build
@@ -79,16 +94,31 @@ class HnswIndex(VectorIndex):
         index = cls(emb_set.dim, params, seed)
         for row in np.argsort(emb_set.ids, kind="stable"):
             index.insert(int(emb_set.ids[row]), emb_set.vectors[row])
-        index._vec32 = index._vec32[: len(emb_set)].copy()  # drop the doubling slack
+        n = len(emb_set)  # drop the doubling slack
+        index._vec32, index._ids, index._levels = (
+            a[:n].copy() for a in (index._vec32, index._ids, index._levels)
+        )
         return index
 
     def _grow(self, needed: int) -> None:
-        capacity = len(self._vec32)
+        capacity = len(self._ids)
         if needed <= capacity:
             return
-        grown = np.empty((max(needed, 16, 2 * capacity), self._dim), dtype=np.float32)
-        grown[:capacity] = self._vec32
-        self._vec32 = grown
+        size = max(needed, 16, 2 * capacity)
+        grown = []
+        for a in (self._vec32, self._ids, self._levels):
+            b = np.empty((size, *a.shape[1:]), dtype=a.dtype)
+            b[:capacity] = a
+            grown.append(b)
+        self._vec32, self._ids, self._levels = grown
+
+    def _find(self, record_id: int) -> int:
+        """Row holding `record_id`, or -1."""
+        rid = int(record_id)
+        if not 0 <= rid < 2**64:
+            return -1
+        hits = np.flatnonzero(self._ids[: len(self)] == np.uint64(rid))
+        return int(hits[0]) if len(hits) else -1
 
     def _draw_level(self) -> int:
         u = 1.0 - self._rng.random()  # uniform in (0, 1]
@@ -202,7 +232,9 @@ class HnswIndex(VectorIndex):
     def insert(self, record_id: int, vector: np.ndarray) -> None:
         """Add one vector; its level is drawn from the index's seeded stream."""
         record_id = int(record_id)
-        if record_id in self._row_by_id:
+        if not 0 <= record_id < 2**64:
+            raise ValueError(f"id {record_id} does not fit in 64 unsigned bits")
+        if self._find(record_id) >= 0:
             raise ValueError(f"duplicate id {record_id}")
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)
         if vector.shape[0] != self._dim:
@@ -211,20 +243,19 @@ class HnswIndex(VectorIndex):
             raise ValueError("vector must be finite (no NaN or inf)")
 
         level = self._draw_level()
-        row = len(self._ids)
+        row = len(self._links)
         self._grow(row + 1)
         self._vec32[row] = vector
-        self._ids.append(record_id)
-        self._levels.append(level)
-        self._links.append([[] for _ in range(level + 1)])
-        self._row_by_id[record_id] = row
+        self._ids[row] = record_id
+        self._levels[row] = level
+        self._links.append([array("i") for _ in range(level + 1)])
 
         if self._entry < 0:
             self._entry = row
             return
 
         q64 = vector.astype(np.float64)
-        top = self._levels[self._entry]
+        top = int(self._levels[self._entry])
         entries = [self._entry]
         for layer in range(top, level, -1):
             best = self._search_layer(q64, entries, 1, layer)
@@ -240,7 +271,7 @@ class HnswIndex(VectorIndex):
             upper = layer >= 1
             cand = self._extended(found, q64, layer) if upper else found
             neighbors = self._select_diverse(cand, self.params.M, fill=True)
-            self._links[row][layer] = list(neighbors)
+            self._links[row][layer] = array("i", neighbors)
             cap = self.params.M_max0 if layer == 0 else self.params.M
             for nb in neighbors:
                 links = self._links[nb][layer]
@@ -251,7 +282,9 @@ class HnswIndex(VectorIndex):
                     pairs = sorted(zip(nd.tolist(), links))
                     if upper:
                         pairs = self._extended(pairs, nb64, layer, exclude=nb)
-                    self._links[nb][layer] = self._select_diverse(pairs, cap, fill=upper)
+                    self._links[nb][layer] = array(
+                        "i", self._select_diverse(pairs, cap, fill=upper)
+                    )
             entries = [r for _, r in found]
 
         if level > top:
@@ -274,17 +307,16 @@ class HnswIndex(VectorIndex):
         q64 = check_query(query, k, self.dim)
         if ef_search is not None and ef_search < k:
             raise ValueError(f"ef_search={ef_search} must be >= k={k}")
-        if len(self._ids) == 0:
+        if self._entry < 0:
             return SearchResult()
         ef = max(self.params.ef_search, k) if ef_search is None else ef_search
         entries = [self._entry]
-        for layer in range(self._levels[self._entry], 0, -1):
+        for layer in range(int(self._levels[self._entry]), 0, -1):
             best = self._search_layer(q64, entries, 1, layer)
             entries = [best[0][1]]
         found = self._search_layer(q64, entries, ef, 0, visited_out=visited_out)
 
-        rows = [r for _, r in found]
-        ids = np.array([self._ids[r] for r in rows], dtype=np.uint64)
+        ids = self._ids[[r for _, r in found]]
         scores = np.sqrt(np.array([d for d, _ in found], dtype=np.float64))
         return make_result(Metric.L2, ids, scores, k)
 
@@ -295,50 +327,64 @@ class HnswIndex(VectorIndex):
         return self._dim
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return len(self._links)
 
     @property
     def ids(self) -> np.ndarray:
-        return np.array(self._ids, dtype=np.uint64)
+        return self._ids[: len(self)].copy()
 
     @property
     def entry_id(self) -> int:
         if self._entry < 0:
             raise ValueError("empty graph has no entry point")
-        return self._ids[self._entry]
+        return int(self._ids[self._entry])
+
+    def _row_of(self, record_id: int) -> int:
+        row = self._find(record_id)
+        if row < 0:
+            raise KeyError(f"unknown record id {record_id}")
+        return row
 
     def level_of(self, record_id: int) -> int:
-        return self._levels[self._row_by_id[int(record_id)]]
+        return int(self._levels[self._row_of(record_id)])
 
     def neighbors_of(self, record_id: int, level: int) -> list[int]:
-        row = self._row_by_id[int(record_id)]
-        return [self._ids[r] for r in self._links[row][level]]
+        return self._ids[self._links[self._row_of(record_id)][level]].tolist()
+
+    def _link_words(self) -> np.ndarray:
+        """The link section as written: per row and level, a degree then the rows."""
+        words = array("i")
+        for node in self._links:
+            for links in node:
+                words.append(len(links))
+                words.extend(links)
+        return np.frombuffer(words, dtype=np.int32)
 
     def validate_structure(self) -> None:
-        """Assert degree caps, level containment, and entry-point maximality."""
-        if not self._ids:
-            return
-        max_level = max(self._levels)
-        assert self._levels[self._entry] == max_level, "entry point must have max level"
-        for row, node_links in enumerate(self._links):
-            assert len(node_links) == self._levels[row] + 1, "node missing a level"
-            for level, links in enumerate(node_links):
-                cap = self.params.M_max0 if level == 0 else self.params.M
-                assert len(links) <= cap, f"degree {len(links)} exceeds cap {cap}"
-                assert row not in links, "self-loop"
-                assert len(set(links)) == len(links), "duplicate edge"
-                for nb in links:
-                    assert 0 <= nb < len(self._ids), "edge to missing node"
-                    assert self._levels[nb] >= level, "edge to node absent from level"
+        """ValueError unless the graph is well formed, by the check loads run."""
+        n = len(self)
+        levels = self._levels[:n]
+        if [len(node) for node in self._links] != (levels + 1).tolist():
+            raise ValueError("a node's lists do not match its level")
+        words = self._link_words()
+        heads, _ = _walk_headers(words, n + int(levels.sum()))
+        _check_links(self.params, self._ids[:n], levels, self._entry, words, heads)
 
     def memory_bytes(self) -> int:
-        """Vector buffer as held (spare capacity included), ids, edges, levels."""
-        n = len(self._ids)
-        id_bytes = n * 8
-        edge_bytes = sum(
-            4 * len(links) for node in self._links for links in node
+        """Buffers as held (spare capacity included), plus the link lists:
+        4 B per edge and a fixed header per list and per node, each with its
+        slot in the list that holds it."""
+        n = len(self)
+        lists = n + int(self._levels[:n].sum())
+        edges = sum(len(links) for node in self._links for links in node)
+        return (
+            self._vec32.nbytes
+            + self._ids.nbytes
+            + self._levels.nbytes
+            + 4 * edges
+            + lists * (_LIST_HEADER + 8)
+            + n * (_NODE_HEADER + 8)
         )
-        return self._vec32.nbytes + id_bytes + edge_bytes + 4 * n  # + per-node level
 
     def config(self) -> dict:
         return {
@@ -350,22 +396,17 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------ persistence
 
     def write_payload(self, w: Writer) -> None:
+        n = len(self)
         w.u32(self.params.M)
         w.u32(self.params.ef_construction)
         w.u32(self.params.ef_search)
         w.u32(self._dim)
-        w.u64(len(self._ids))
-        if self._ids:
-            w.u64(self._ids[self._entry])
-        else:
-            w.u64(0)
-        w.u64_array(np.array(self._ids, dtype=np.uint64))
-        w.u32_array(np.array(self._levels, dtype=np.uint32))
-        w.f32_array(self._vec32[: len(self._ids)])
-        for row in range(len(self._ids)):
-            for links in self._links[row]:
-                w.u32(len(links))
-                w.u32_array(np.array(links, dtype=np.uint32))
+        w.u64(n)
+        w.u64(self.entry_id if n else 0)
+        w.u64_array(self._ids[:n])
+        w.u32_array(self._levels[:n])
+        w.f32_array(self._vec32[:n])
+        w.u32_array(self._link_words())
 
     @classmethod
     def read_payload(cls, r: Reader) -> "HnswIndex":
@@ -378,16 +419,88 @@ class HnswIndex(VectorIndex):
         vectors = r.f32_array(count * dim).reshape(count, dim)
         if not np.isfinite(vectors).all():
             raise ValueError("stored vectors must be finite (no NaN or inf)")
+        # One list per (row, level): its degree, then its rows. The headers
+        # are walked once; everything else is checked and cut in bulk.
+        heads, end = _walk_headers(r.u32_view(), count + int(levels.sum(dtype=np.int64)))
+        words = r.u32_array(end)
+        hits = np.flatnonzero(ids == np.uint64(entry_id))
+        entry = int(hits[0]) if len(hits) else -1
+        _check_links(params, ids, levels, entry, words, heads)
+
         index = cls(dim, params)
         index._vec32 = vectors.copy()  # owned: a reshaped view would keep two array objects
-        index._ids = [int(i) for i in ids]
-        index._levels = [int(l) for l in levels]
-        index._row_by_id = {int(i): row for row, i in enumerate(ids)}
-        for row in range(count):
-            node_links = []
-            for _ in range(index._levels[row] + 1):
-                deg = r.u32()
-                node_links.append([int(x) for x in r.u32_array(deg)])
-            index._links.append(node_links)
-        index._entry = index._row_by_id[int(entry_id)] if count else -1
+        index._ids = ids
+        index._levels = levels
+        index._entry = entry
+        raw = words.tobytes()  # native words, every value below 2**31: int32 bytes
+        starts = 4 * heads + 4
+        ends = starts + 4 * words[heads].astype(np.int64)
+        lists = [array("i", raw[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+        bounds = np.cumsum(levels.astype(np.int64) + 1).tolist()
+        index._links = [lists[a:b] for a, b in zip([0, *bounds], bounds)]
         return index
+
+
+def _walk_headers(words: np.ndarray, lists: int) -> tuple[np.ndarray, int]:
+    """Word offsets of the first `lists` degree headers in a link section, and
+    the words they span. ValueError if the section is too short for them."""
+    if lists > len(words):
+        raise ValueError(f"{lists} link lists cannot fit in {len(words)} words")
+    # Native words read as Python ints straight from the buffer: no per-item numpy scalar.
+    view = memoryview(np.ascontiguousarray(words, dtype=np.uint32)).cast("B").cast("I")
+    heads = []
+    pos = 0
+    try:
+        for _ in range(lists):
+            heads.append(pos)
+            pos += 1 + view[pos]
+    except IndexError:
+        raise ValueError("link section is truncated") from None
+    if pos > len(words):
+        raise ValueError("link section is truncated")
+    return np.array(heads, dtype=np.int64), pos
+
+
+def _check_links(
+    params: HnswParams,
+    ids: np.ndarray,
+    levels: np.ndarray,
+    entry: int,
+    words: np.ndarray,
+    heads: np.ndarray,
+) -> None:
+    """ValueError unless the graph is well formed.
+
+    `words` is a link section (per row and level, a degree then that many
+    rows) and `heads` the offsets of its degree headers. Ids must be unique,
+    the entry row a node on the top level, every degree within its level's
+    cap, and every edge a stored row other than its owner, once per list, that
+    reaches the list's level.
+    """
+    n = len(ids)
+    ordered = np.sort(ids)
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("stored ids must be unique")
+    if n and entry < 0:
+        raise ValueError("entry id names no stored node")
+    if n and levels[entry] != levels.max():
+        raise ValueError("entry point is not on the top level")
+    span = levels.astype(np.int64) + 1
+    list_row = np.repeat(np.arange(n), span)
+    list_level = np.arange(len(heads)) - np.repeat(np.cumsum(span) - span, span)
+    deg = words[heads].astype(np.int64)
+    if np.any(deg > np.where(list_level == 0, params.M_max0, params.M)):
+        raise ValueError("a degree exceeds its level's cap")
+    is_edge = np.ones(len(words), dtype=bool)
+    is_edge[heads] = False
+    edges = words[is_edge].astype(np.int64)
+    of_list = np.repeat(np.arange(len(heads)), deg)
+    if np.any((edges < 0) | (edges >= n)):
+        raise ValueError("an edge names no stored node")
+    if np.any(edges == list_row[of_list]):
+        raise ValueError("a node links to itself")
+    keys = np.sort(of_list * n + edges)
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("a list repeats an edge")
+    if np.any(levels[edges] < list_level[of_list]):
+        raise ValueError("an edge leads to a node absent from its level")

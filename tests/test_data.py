@@ -39,6 +39,29 @@ def test_set_basic_accessors():
         s.row_of(77)
 
 
+def test_id_lookup_table_is_made_on_first_lookup():
+    """A set that is only indexed holds no id -> row dict (about 85 B a row);
+    the first row_of or `in` makes it."""
+    n = 2000
+    ids = np.arange(10, 10 + n, dtype=np.uint64)
+    labels = np.zeros(n, dtype=np.uint32)
+    vectors = np.ones((n, 4), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = EmbeddingSet(ids, labels, vectors)  # typed inputs: no copies
+        built = tracemalloc.get_traced_memory()[0] - before
+        assert 11 in s
+        looked_up = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 2_000
+    assert looked_up - built > 40 * n
+    assert s.row_of(10 + n - 1) == n - 1
+    with pytest.raises(KeyError, match="unknown record id 5"):
+        s.row_of(5)
+
+
 def test_set_iteration_yields_records():
     s = gen_synthetic(2, 3, 4, 0.1, 0)
     records = list(s)

@@ -1,6 +1,9 @@
 """Graph index: structure invariants, self-retrieval, recall trends."""
 
+import copy
+import hashlib
 import struct
+from array import array
 
 import numpy as np
 import pytest
@@ -313,3 +316,259 @@ def test_memory_bytes_counts_the_buffer_held(per_class):
     for graph in (built, loaded):
         graph.insert(10_000, np.zeros(16, dtype=np.float32))
         assert graph.memory_bytes() >= graph._vec32.nbytes
+
+
+# ------------------------------------------------------ pinned bytes
+
+
+def _results_digest(graph, queries) -> str:
+    h = hashlib.sha256()
+    for q in queries:
+        h.update(repr(graph.search(q, 10).neighbors).encode())
+    return h.hexdigest()
+
+
+def test_graph_bytes_and_results_are_pinned():
+    """Digests taken from the list-of-lists storage that the packed int32 lists
+    replaced: the same inserts give the same VIDX bytes and SearchResults,
+    after the build and after 50 further inserts."""
+    base = gen_synthetic(6, 50, 16, 0.05, seed=5)
+    extra = gen_synthetic(5, 10, 16, 0.08, seed=13)
+    queries = (
+        list(np.random.default_rng(23).standard_normal((16, 16)))
+        + list(base.vectors[:4])
+        + list(extra.vectors[:4])
+    )
+    graph = HnswIndex.build(base, HnswParams(M=8, ef_construction=24), seed=0)
+    assert hashlib.sha256(dump_index(graph)).hexdigest() == (
+        "c84a8f775ffc39d78660a937400303110b1057ae7babe5cabeb6b83bca029a09"
+    )
+    assert _results_digest(graph, queries) == (
+        "f1825e4fb396faf5971378a5efb499b14af9b242b0bdda8c506d764811507c04"
+    )
+    for rid, v in zip(extra.ids.tolist(), extra.vectors):
+        graph.insert(1000 + rid, v)
+    assert hashlib.sha256(dump_index(graph)).hexdigest() == (
+        "fad563aaf1a61db6730617efd107e3eb3d94dc170b3b568dbffb61a468075966"
+    )
+    assert _results_digest(graph, queries) == (
+        "3662e4683d3ecbe05c88a109d4a313be9da91ad7b04bffc61fabe2c3991c19fb"
+    )
+
+
+def test_loaded_graph_grows_like_the_built_one():
+    """A loaded graph takes the same inserts to the same bytes as the graph it
+    was dumped from. VIDX keeps no level stream, so the loaded graph is handed
+    the built one's."""
+    data = gen_synthetic(4, 60, 8, 0.3, seed=2)
+    extra = gen_synthetic(3, 20, 8, 0.3, seed=3)
+    built = HnswIndex.build(data, HnswParams(M=6, ef_construction=20), seed=4)
+    loaded = load_index_bytes(dump_index(built))
+    loaded._rng.bit_generator.state = built._rng.bit_generator.state
+    for rid, v in zip(extra.ids.tolist(), extra.vectors):
+        built.insert(500 + rid, v)
+        loaded.insert(500 + rid, v)
+    assert dump_index(loaded) == dump_index(built)
+    loaded.validate_structure()
+    for q in extra.vectors[:5]:
+        assert loaded.search(q, 5).neighbors == built.search(q, 5).neighbors
+
+
+def test_insert_rejects_an_id_outside_u64(noisy_graph):
+    graph = copy.deepcopy(noisy_graph[1])
+    for rid in (-1, 2**64):
+        with pytest.raises(ValueError, match="64"):
+            graph.insert(rid, np.zeros(8, dtype=np.float32))
+
+
+def test_unknown_id_lookups_raise_key_error(noisy_graph):
+    _, graph = noisy_graph
+    for rid in (10**9, -3):
+        with pytest.raises(KeyError, match="unknown record id"):
+            graph.level_of(rid)
+        with pytest.raises(KeyError, match="unknown record id"):
+            graph.neighbors_of(rid, 0)
+
+
+# ----------------------------------------------------- structure checks
+
+
+def _corrupt(graph, edit):
+    """`edit` applied to a copy of `graph`: ValueError from both the copy's
+    validate_structure() and the load of its dump; returns the load's message."""
+    bad = copy.deepcopy(graph)
+    edit(bad)
+    with pytest.raises(ValueError) as checked:
+        bad.validate_structure()
+    with pytest.raises(ValueError) as loaded:
+        load_index_bytes(dump_index(bad))
+    assert str(checked.value) == str(loaded.value)
+    return str(loaded.value)
+
+
+def _upper_row(graph) -> int:
+    return int(np.flatnonzero(graph._levels[: len(graph)] >= 1)[0])
+
+
+def _set_link(row, level, at, value):
+    def edit(g):
+        g._links[row][level][at] = value
+
+    return edit
+
+
+def test_intact_graph_passes_the_check(noisy_graph):
+    _, graph = noisy_graph
+    graph.validate_structure()
+    assert dump_index(load_index_bytes(dump_index(graph))) == dump_index(graph)
+
+
+@pytest.mark.parametrize("target", [200, 5000])
+def test_check_rejects_an_edge_past_the_last_row(noisy_graph, target):
+    """An edge of 5000 in a 200-node graph once loaded and raised IndexError
+    at the first search that reached it."""
+    _, graph = noisy_graph
+    assert len(graph) == 200
+    assert "no stored node" in _corrupt(graph, _set_link(3, 0, 0, target))
+
+
+def test_check_rejects_a_self_loop(noisy_graph):
+    _, graph = noisy_graph
+    assert "itself" in _corrupt(graph, _set_link(3, 0, 0, 3))
+
+
+def test_check_rejects_a_repeated_edge(noisy_graph):
+    _, graph = noisy_graph
+    first = graph._links[3][0][0]
+    assert "repeats" in _corrupt(graph, _set_link(3, 0, 1, first))
+
+
+def test_check_rejects_a_degree_over_the_cap(noisy_graph):
+    _, graph = noisy_graph
+    cap = graph.params.M_max0
+
+    def overfill(g):
+        links = g._links[3][0]
+        spare = [r for r in range(len(g)) if r != 3 and r not in links]
+        links.extend(spare[: cap + 1 - len(links)])
+
+    assert "cap" in _corrupt(graph, overfill)
+
+    row = _upper_row(graph)
+    upper = [r for r in range(len(graph)) if r != row and graph._levels[r] >= 1]
+    assert len(upper) > graph.params.M
+
+    def overfill_upper(g):
+        g._links[row][1] = array("i", upper[: g.params.M + 1])
+
+    assert "cap" in _corrupt(graph, overfill_upper)
+
+
+def test_check_rejects_an_edge_below_the_list_level(noisy_graph):
+    _, graph = noisy_graph
+    row = _upper_row(graph)
+    ground = int(np.flatnonzero(graph._levels[: len(graph)] == 0)[0])
+    assert "absent from its level" in _corrupt(graph, _set_link(row, 1, 0, ground))
+
+
+def test_check_rejects_an_entry_point_below_the_top(noisy_graph):
+    _, graph = noisy_graph
+    ground = int(np.flatnonzero(graph._levels[: len(graph)] == 0)[0])
+
+    def demote(g):
+        g._entry = ground
+
+    assert "top level" in _corrupt(graph, demote)
+
+
+def test_check_rejects_a_missing_level_list(noisy_graph):
+    _, graph = noisy_graph
+    bad = copy.deepcopy(graph)
+    bad._links[_upper_row(graph)].pop()
+    with pytest.raises(ValueError, match="level"):
+        bad.validate_structure()
+
+
+# Offsets in an hnsw VIDX blob: magic, version, tag, M, ef_construction,
+# ef_search, dim, count, then the entry id, the ids and the levels.
+_ENTRY_AT = 6 + 4 * 4 + 8
+_IDS_AT = _ENTRY_AT + 8
+
+
+def test_load_rejects_an_absent_entry_id(noisy_graph):
+    """An entry id naming no node once raised KeyError."""
+    _, graph = noisy_graph
+    blob = bytearray(dump_index(graph))
+    struct.pack_into("<Q", blob, _ENTRY_AT, 10**9)
+    with pytest.raises(ValueError, match="entry id"):
+        load_index_bytes(bytes(blob))
+
+
+def test_load_rejects_repeated_ids(noisy_graph):
+    _, graph = noisy_graph
+    blob = bytearray(dump_index(graph))
+    blob[_IDS_AT + 8 : _IDS_AT + 16] = blob[_IDS_AT : _IDS_AT + 8]
+    with pytest.raises(ValueError, match="unique"):
+        load_index_bytes(bytes(blob))
+
+
+def test_load_rejects_levels_whose_lists_cannot_fit(noisy_graph):
+    """A huge level is refused before the header walk starts."""
+    _, graph = noisy_graph
+    blob = bytearray(dump_index(graph))
+    struct.pack_into("<I", blob, _IDS_AT + 8 * len(graph), 10**6)
+    with pytest.raises(ValueError, match="cannot fit"):
+        load_index_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("cut", [4, 8, 40])
+def test_load_rejects_a_short_link_section(noisy_graph, cut):
+    _, graph = noisy_graph
+    with pytest.raises(ValueError):
+        load_index_bytes(dump_index(graph)[:-cut])
+
+
+def test_empty_graph_round_trips():
+    blob = dump_index(HnswIndex(4))
+    loaded = load_index_bytes(blob)
+    loaded.validate_structure()
+    assert dump_index(loaded) == blob
+    assert loaded.search(np.ones(4), 3).neighbors == []
+
+
+@st.composite
+def _corruptions(draw):
+    kind = draw(st.sampled_from(["bytes", "link words", "truncate", "append"]))
+    edits = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**31), st.integers(0, 255)), min_size=1, max_size=4
+        )
+    )
+    return kind, edits
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_corruptions())
+def test_corrupted_blob_raises_value_error_or_round_trips(noisy_graph, corruption):
+    """Each corrupted blob either raises ValueError or loads, dumps back to the
+    same bytes and answers a search."""
+    data, graph = noisy_graph
+    blob = bytearray(dump_index(graph))
+    links_at = _IDS_AT + 12 * len(graph) + 4 * data.dim * len(graph)
+    kind, edits = corruption
+    if kind == "truncate":
+        del blob[6 + edits[0][0] % (len(blob) - 6) :]
+    elif kind == "append":
+        blob += bytes(value for _, value in edits)
+    else:
+        start = 6 if kind == "bytes" else links_at
+        for at, value in edits:
+            blob[start + at % (len(blob) - start)] = value
+    blob = bytes(blob)
+    try:
+        loaded = load_index_bytes(blob)
+    except ValueError:
+        return
+    assert dump_index(loaded) == blob
+    loaded.validate_structure()
+    assert len(loaded.search(data.vectors[0], 5)) > 0

@@ -10,11 +10,14 @@ BENCHMARK.json declares, one after the other, and which side runs first
 alternates from pair to pair. The output holds every run (metrics, the
 ``raw_*`` figures perfbench prints beside them, per-family rows) and, per
 workload and metric, both sides' quartiles, the ratio of medians, the
-parent's interquartile range and how many pairs the change won. Beside
-them, ``families`` gives each family's raw ``query_p50_us`` (wall clock, not
-normalized): both medians, their ratio and the change's wins, so a claim
-shows which family moved. ``--trace`` adds one traced pair whose per-layer
-metrics are stored side by side.
+parent's interquartile range, how many pairs the change won and
+``claim_rule_met``: the change won at least 9 in 10 of at least 10 pairs (a
+tie is no win) and its median beats the parent's by more than the parent's
+interquartile range. Beside them, ``families`` gives the same comparison of
+each family's raw (wall clock, not normalized) ``query_p50_us`` and
+``load_ms`` and its ``resident_bytes``, so a claim shows which family moved.
+``--trace`` adds one traced pair whose per-layer metrics are stored side by
+side.
 """
 
 from __future__ import annotations
@@ -82,52 +85,61 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+CLAIM_PAIRS = 10  # fewest pairs that can back a claim; the change must win 9 in 10
+FAMILY_METRICS = ("query_p50_us", "load_ms", "resident_bytes")  # raw; lower is better
+
+
+def compare(parent: list[float], change: list[float], direction: str) -> dict:
+    """Quartiles of each side, ratio of medians, parent IQR, wins and the claim rule."""
+    wins = sum(c < p if direction == "lower" else c > p for p, c in zip(parent, change))
+    stats = {"parent": quartiles(parent), "change": quartiles(change)}
+    base = stats["parent"]["median"]
+    iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
+    gain = base - stats["change"]["median"]
+    if direction != "lower":
+        gain = -gain
+    return {
+        "better": direction,
+        "pairs": len(parent),
+        "change_wins": wins,
+        "equal_pairs": sum(c == p for p, c in zip(parent, change)),
+        **stats,
+        "change_over_parent": stats["change"]["median"] / base if base else None,
+        "parent_iqr": iqr,
+        "claim_rule_met": len(parent) >= CLAIM_PAIRS
+        and 10 * wins >= 9 * len(parent)
+        and gain > iqr,
+    }
+
+
 def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: quartiles of each side, ratio of medians, parent IQR, wins."""
+    """`compare` for every metric in `better` that both sides of a pair report."""
     table = {}
     for name, direction in better.items():
         values = {side: [] for side in SIDES}
-        wins = ties = 0
         for pair in pairs:
             p, c = (pair[side]["metrics"].get(name, pair[side]["extras"].get(name)) for side in SIDES)
             if p is None or c is None:
                 continue
             values["parent"].append(p)
             values["change"].append(c)
-            ties += c == p
-            wins += c < p if direction == "lower" else c > p
-        if not values["parent"]:
-            continue
-        stats = {side: quartiles(values[side]) for side in SIDES}
-        base = stats["parent"]["median"]
-        table[name] = {
-            "better": direction,
-            "pairs": len(values["parent"]),
-            "change_wins": wins,
-            "equal_pairs": ties,
-            **stats,
-            "change_over_parent": stats["change"]["median"] / base if base else None,
-            "parent_iqr": stats["parent"]["q3"] - stats["parent"]["q1"],
-        }
+        if values["parent"]:
+            table[name] = compare(values["parent"], values["change"], direction)
     return table
 
 
 def summarise_families(pairs: list[dict]) -> dict:
-    """Per family: medians of its raw query_p50_us on each side, their ratio and wins."""
-    table = {}
-    for fam in pairs[0]["parent"]["families"]:
-        values = {side: [pair[side]["families"][fam]["query_p50_us"] for pair in pairs]
-                  for side in SIDES}
-        medians = {side: statistics.median(values[side]) for side in SIDES}
-        table[fam] = {
-            "metric": "raw query_p50_us",
-            "pairs": len(pairs),
-            "parent_median": medians["parent"],
-            "change_median": medians["change"],
-            "change_over_parent": medians["change"] / medians["parent"] if medians["parent"] else None,
-            "change_wins": sum(c < p for p, c in zip(values["parent"], values["change"])),
+    """`compare` for each family's raw FAMILY_METRICS."""
+    return {
+        fam: {
+            name: compare(
+                *([pair[side]["families"][fam][name] for pair in pairs] for side in SIDES),
+                "lower",
+            )
+            for name in FAMILY_METRICS
         }
-    return table
+        for fam in pairs[0]["parent"]["families"]
+    }
 
 
 def seed_range(text: str) -> tuple[str, list[int]]:
