@@ -63,8 +63,7 @@ def batch_scores(metric: Metric, query: np.ndarray, vectors: np.ndarray) -> np.n
         raise ValueError(f"dimension mismatch: query has {q.shape[0]}, vectors have {v.shape[1]}")
 
     if metric is Metric.L2:
-        diff = v - q
-        return np.sqrt(np.sum(diff * diff, axis=1))
+        return np.sqrt(_sq_l2(v, q))
     if metric is Metric.MANHATTAN:
         return np.sum(np.abs(v - q), axis=1)
     if metric is Metric.INNER_PRODUCT:
@@ -80,6 +79,13 @@ def batch_scores(metric: Metric, query: np.ndarray, vectors: np.ndarray) -> np.n
         cos = np.clip(np.sum(v * q, axis=1) / (vn * qn), -1.0, 1.0)
         return np.sqrt(2.0 * (1.0 - cos))
     raise ValueError(f"unknown metric: {metric!r}")
+
+
+def _sq_l2(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared L2 from `q` to each row (last axis): ``rows - q``, squared in place, summed."""
+    diff = rows - q
+    diff *= diff
+    return diff.sum(axis=-1)
 
 
 def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.float32:

@@ -39,7 +39,7 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric
+from .distances import Metric, _sq_l2
 from .wire import Reader, Writer
 
 # Fixed bytes of one neighbour list (the array object, its items apart) and
@@ -130,9 +130,7 @@ class HnswIndex(VectorIndex):
         `q64` must be float64: the float32 rows then promote exactly, while a
         float32 query would make the difference round in float32.
         """
-        diff = self._vec32[rows] - q64
-        diff *= diff  # in place, and the method sum below, to spare per-call overhead
-        return diff.sum(axis=1)
+        return _sq_l2(self._vec32[rows], q64)
 
     def _search_layer(
         self,
@@ -208,9 +206,7 @@ class HnswIndex(VectorIndex):
                     rejected.append(row)
                 continue
             chosen.append(row)
-            later = vecs[i + 1 :] - vecs[i]
-            later *= later
-            np.minimum(nearest[i + 1 :], later.sum(axis=1), out=nearest[i + 1 :])
+            np.minimum(nearest[i + 1 :], _sq_l2(vecs[i + 1 :], vecs[i]), out=nearest[i + 1 :])
         chosen.extend(rejected[: cap - len(chosen)])
         return chosen
 
@@ -421,7 +417,7 @@ class HnswIndex(VectorIndex):
             raise ValueError("stored vectors must be finite (no NaN or inf)")
         # One list per (row, level): its degree, then its rows. The headers
         # are walked once; everything else is checked and cut in bulk.
-        heads, end = _walk_headers(r.u32_view(), count + int(levels.sum(dtype=np.int64)))
+        heads, end = _walk_headers(r.view("<u4"), count + int(levels.sum(dtype=np.int64)))
         words = r.u32_array(end)
         hits = np.flatnonzero(ids == np.uint64(entry_id))
         entry = int(hits[0]) if len(hits) else -1

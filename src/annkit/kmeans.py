@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .distances import _sq_l2
+
 MOVEMENT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 25
 # Relative slack for the in-loop monotonicity assertion: Lloyd's update can
@@ -88,8 +90,7 @@ def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     chosen = np.empty((k, data.shape[1]), dtype=np.float64)
     first = int(rng.integers(n))
     chosen[0] = data[first]
-    diff = data - chosen[0]
-    closest_sq = np.sum(diff * diff, axis=1)
+    closest_sq = _sq_l2(data, chosen[0])
     for i in range(1, k):
         total = closest_sq.sum()
         if total > 0.0:
@@ -98,8 +99,7 @@ def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
             # All points coincide with an existing centroid; any pick works.
             idx = int(rng.integers(n))
         chosen[i] = data[idx]
-        diff = data - chosen[i]
-        np.minimum(closest_sq, np.sum(diff * diff, axis=1), out=closest_sq)
+        np.minimum(closest_sq, _sq_l2(data, chosen[i]), out=closest_sq)
     return chosen
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric
+from .distances import Metric, _sq_l2
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit
 from .wire import Reader, Writer
 
@@ -112,9 +112,7 @@ def adc_table(cb: PqCodebook, query: np.ndarray) -> np.ndarray:
     query parts, squared in place and summed over each sub-vector: the same
     promotion and the same per-row sums as one book at a time, so the same bits.
     """
-    diff = np.stack([book.vectors for book in cb.books]) - cb.split(query)[:, np.newaxis, :]
-    diff *= diff
-    return diff.sum(axis=-1)
+    return _sq_l2(np.stack([book.vectors for book in cb.books]), cb.split(query)[:, np.newaxis, :])
 
 
 def adc_scores(cb: PqCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:

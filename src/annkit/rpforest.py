@@ -1,21 +1,27 @@
 """Random-projection tree forest (angular / L2 / Manhattan).
 
-Each tree recursively splits its items with a hyperplane through two sampled
-points: for the angular flavor the points are normalized first and the plane
-passes through the origin; for L2/Manhattan the plane bisects the segment
-between them. A query walks a single best-first frontier over all trees,
-ordered by its margin to each splitting plane, inspecting up to search_k
-leaves and collecting their items, then re-ranks the deduplicated pool with
-the exact forest metric. The frontier is deterministic, so the candidate
-pool for a small budget is always a subset of the pool for a larger one.
+Each tree splits its items with a hyperplane through two sampled points: for
+the angular flavor the points are normalized first and the plane passes
+through the origin; for L2/Manhattan the plane bisects the segment between
+them. A query walks a single best-first frontier over all trees, ordered by
+its margin to each splitting plane, inspecting up to search_k leaves and
+collecting their items, then re-ranks the deduplicated pool with the exact
+forest metric. The frontier is deterministic, so the candidate pool for a
+small budget is always a subset of the pool for a larger one.
+
+The trees are flat arrays in VIDX node order: each in pre-order, one after
+another. Node i is a split when `splits[i] >= 0`, the row of its plane in
+`normals` and `offsets`, with children i + 1 (left) and `right[i]`; a leaf
+holds `rows[cuts[i]:cuts[i + 1]]`. Nothing recurses, so any depth is fine.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
@@ -28,31 +34,14 @@ _SPLIT_RETRIES = 3
 
 _METRIC_TAGS = {Metric.ANGULAR: 0, Metric.L2: 1, Metric.MANHATTAN: 2}
 _METRIC_BY_TAG = {tag: metric for metric, tag in _METRIC_TAGS.items()}
+_LEAF, _SPLIT = 0, 1  # VIDX node tags
 
 
-@dataclass
-class Leaf:
-    rows: np.ndarray  # uint32 row indices into the forest's vector table
-
-
-@dataclass
-class Split:
-    normal: np.ndarray  # float32
-    offset: float
-    left: "Leaf | Split"  # side with dot(normal, x) - offset <= 0
-    right: "Leaf | Split"  # strictly positive side
-
-
-def _build_tree(
-    vectors64: np.ndarray,
-    rows: np.ndarray,
-    leaf_size: int,
-    angular: bool,
-    rng: np.random.Generator,
-) -> Leaf | Split:
-    if len(rows) <= leaf_size:
-        return Leaf(rows.astype(np.uint32))
-
+def _plane(
+    vectors64: np.ndarray, rows: np.ndarray, angular: bool, rng: np.random.Generator
+) -> tuple[np.ndarray, float, np.ndarray] | None:
+    """(float32 normal, offset, mask of the rows strictly on the positive side)
+    of a plane that splits `rows`, or None if no sampled pair gives one."""
     for _ in range(1 + _SPLIT_RETRIES):
         i, j = rng.choice(len(rows), size=2, replace=False)
         p, q = vectors64[rows[i]], vectors64[rows[j]]
@@ -60,28 +49,23 @@ def _build_tree(
             pn, qn = np.sqrt(np.sum(p * p)), np.sqrt(np.sum(q * q))
             if pn == 0.0 or qn == 0.0:
                 continue
-            normal64 = p / pn - q / qn
-            offset = 0.0
+            normal = (p / pn - q / qn).astype(np.float32)
         else:
-            normal64 = p - q
-            offset = 0.0  # recomputed below from the narrowed normal
-        normal = normal64.astype(np.float32)
+            normal = (p - q).astype(np.float32)
         if not np.any(normal):
             continue  # coincident sample points
         n64 = normal.astype(np.float64)
-        if not angular:
-            offset = float(n64 @ ((p + q) / 2.0))
-        values = vectors64[rows] @ n64 - offset
-        right = values > 0.0
-        n_right = int(right.sum())
-        if 0 < n_right < len(rows):
-            return Split(
-                normal=normal,
-                offset=offset,
-                left=_build_tree(vectors64, rows[~right], leaf_size, angular, rng),
-                right=_build_tree(vectors64, rows[right], leaf_size, angular, rng),
-            )
-    return Leaf(rows.astype(np.uint32))  # unsplittable (e.g. duplicates)
+        offset = 0.0 if angular else float(n64 @ ((p + q) / 2.0))  # from the narrowed normal
+        right = vectors64[rows] @ n64 - offset > 0.0
+        if 0 < int(right.sum()) < len(rows):
+            return normal, offset, right
+    return None  # unsplittable (e.g. duplicates)
+
+
+def _records(data: np.ndarray, at: np.ndarray, width: int, dtype: str) -> np.ndarray:
+    """The `width` bytes at each offset `at` in `data`, one row of `dtype` each."""
+    windows = sliding_window_view(data, width) if len(at) else np.empty((0, width), np.uint8)
+    return windows[at].view(dtype).astype(np.dtype(dtype).newbyteorder("="), copy=False)
 
 
 class RpForestIndex(VectorIndex):
@@ -91,18 +75,34 @@ class RpForestIndex(VectorIndex):
         self,
         metric: Metric,
         leaf_size: int,
-        trees: list[Leaf | Split],
         ids: np.ndarray,
         vectors: np.ndarray,
+        is_split: np.ndarray,
+        normals: np.ndarray,
+        offsets: np.ndarray,
+        cuts: np.ndarray,
+        rows: np.ndarray,
         search_k: int | None = None,
     ):
         if metric not in _METRIC_TAGS:
             raise ValueError(f"forest metric must be angular, l2 or manhattan; got {metric}")
         self.metric = metric
         self.leaf_size = leaf_size
-        self.trees = trees
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._vectors = np.asarray(vectors, dtype=np.float32)
+        self._splits = np.where(is_split, np.cumsum(is_split) - 1, -1).astype(np.int32)
+        self._normals = np.asarray(normals, dtype=np.float32).reshape(-1, self.dim)
+        self._offsets = np.asarray(offsets, dtype=np.float64)
+        self._cuts = np.asarray(cuts, dtype=np.int64)
+        self._rows = np.asarray(rows, dtype=np.uint32)
+        # level[i] (splits minus leaves before node i) is higher inside a split's left
+        # subtree, so its right child is the next node on its level; tree t starts at level -t.
+        level = np.concatenate(([0], np.cumsum(np.where(is_split, 1, -1))))
+        order = np.argsort(level, kind="stable")  # by level, then by node
+        after = np.empty_like(order)
+        after[order[:-1]] = order[1:]
+        self._right = np.where(is_split, after[:-1], -1).astype(np.int32)
+        self._roots = order[np.searchsorted(level[order], -np.arange(-level[-1]))]
         self.search_k = search_k  # None -> n_trees * k at query time
 
     @property
@@ -111,7 +111,7 @@ class RpForestIndex(VectorIndex):
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return len(self._roots)
 
     @property
     def dim(self) -> int:
@@ -138,26 +138,24 @@ class RpForestIndex(VectorIndex):
         q64 = np.asarray(query, dtype=np.float64).reshape(-1)
         if q64.shape[0] != self.dim:
             raise ValueError(f"query has dim {q64.shape[0]}, forest expects {self.dim}")
-        counter = 0
-        frontier: list[tuple[float, int, Leaf | Split]] = []
-        for tree in self.trees:
-            frontier.append((-np.inf, counter, tree))  # max-heap on priority
-            counter += 1
-        heapq.heapify(frontier)
+        # memoryviews index to Python numbers: no numpy scalar per node
+        splits, right, cuts, offsets = map(
+            memoryview, (self._splits, self._right, self._cuts, self._offsets)
+        )
+        # (-priority, counter, node): a max-heap on priority; sorted, hence a heap
+        frontier = [(-np.inf, t, root) for t, root in enumerate(self._roots.tolist())]
+        counter = len(frontier)
         collected: list[np.ndarray] = []
         while frontier and len(collected) < search_k:
             neg_priority, _, node = heapq.heappop(frontier)
-            if isinstance(node, Leaf):
-                collected.append(node.rows)
+            split = splits[node]
+            if split < 0:
+                collected.append(self._rows[cuts[node] : cuts[node + 1]])
                 continue
-            priority = -neg_priority
-            margin = float(node.normal.astype(np.float64) @ q64 - node.offset)
-            heapq.heappush(frontier, (-min(priority, +margin), counter, node.right))
-            counter += 1
-            heapq.heappush(frontier, (-min(priority, -margin), counter, node.left))
-            counter += 1
-        if not collected:
-            return np.empty(0, dtype=np.uint32)
+            margin = float(q64.dot(self._normals[split]) - offsets[split])
+            heapq.heappush(frontier, (max(neg_priority, -margin), counter, right[node]))
+            heapq.heappush(frontier, (max(neg_priority, margin), counter + 1, node + 1))
+            counter += 2
         return np.unique(np.concatenate(collected))
 
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
@@ -169,16 +167,8 @@ class RpForestIndex(VectorIndex):
         return make_result(self.metric, self._ids[rows], scores, k)
 
     def memory_bytes(self) -> int:
-        total = self._ids.nbytes + self._vectors.nbytes
-        stack = list(self.trees)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Leaf):
-                total += node.rows.nbytes
-            else:
-                total += node.normal.nbytes + 8
-                stack.extend((node.left, node.right))
-        return total
+        """The bytes of every array the forest holds."""
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
 
     def config(self) -> dict:
         return {
@@ -198,40 +188,57 @@ class RpForestIndex(VectorIndex):
         w.u64(len(self._ids))
         w.u64_array(self._ids)
         w.f32_array(self._vectors)
-        for tree in self.trees:
-            self._write_node(w, tree)
-
-    def _write_node(self, w: Writer, node: Leaf | Split) -> None:
-        if isinstance(node, Leaf):
-            w.u8(0)
-            w.u32(len(node.rows))
-            w.u32_array(node.rows)
-        else:
-            w.u8(1)
-            w.f32_array(node.normal)
-            w.f64(node.offset)
-            self._write_node(w, node.left)
-            self._write_node(w, node.right)
+        cuts = self._cuts.tolist()
+        for node, split in enumerate(self._splits.tolist()):
+            if split < 0:
+                w.u8(_LEAF)
+                w.u32(cuts[node + 1] - cuts[node])
+                w.u32_array(self._rows[cuts[node] : cuts[node + 1]])
+            else:
+                w.u8(_SPLIT)
+                w.f32_array(self._normals[split])
+                w.f64(self._offsets[split])
 
     @classmethod
     def read_payload(cls, r: Reader) -> "RpForestIndex":
-        metric = _METRIC_BY_TAG[r.u8()]
-        n_trees = r.u32()
-        leaf_size = r.u32()
-        dim = r.u32()
-        count = r.u64()
+        metric = _METRIC_BY_TAG.get(r.u8())  # None fails the constructor's check
+        n_trees, leaf_size, dim, count = r.u32(), r.u32(), r.u32(), r.u64()
+        if not (n_trees and leaf_size and dim):
+            raise ValueError("n_trees, leaf_size and dim must be >= 1")
         ids = r.u64_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
-
-        def read_node() -> Leaf | Split:
-            if r.u8() == 0:
-                return Leaf(r.u32_array(r.u32()))
-            normal = r.f32_array(dim)
-            offset = r.f64()
-            return Split(normal=normal, offset=offset, left=read_node(), right=read_node())
-
-        trees = [read_node() for _ in range(n_trees)]
-        return cls(metric, leaf_size, trees, ids, vectors)
+        # One walk finds each node's start by counting open child slots, then
+        # every array is cut and checked in bulk; a node spans at least 5 bytes.
+        data, starts, pos, open_slots = memoryview(r.view("u1")), [], 0, n_trees
+        try:
+            while open_slots:
+                starts.append(pos)
+                if data[pos] == _SPLIT:  # tag, normal, offset
+                    pos += 1 + 4 * dim + 8
+                    open_slots += 1
+                elif data[pos] == _LEAF:  # tag, row count, rows
+                    pos += 5 + 4 * struct.unpack_from("<I", data, pos + 1)[0]
+                    open_slots -= 1
+                else:
+                    raise ValueError(f"node tag {data[pos]} is neither 0 (leaf) nor 1 (split)")
+        except (IndexError, struct.error):
+            raise ValueError("forest nodes are truncated") from None
+        section = r.u8_array(pos)  # ValueError if the last leaf's rows run past the end
+        starts = np.array(starts, dtype=np.int64)
+        is_split = section[starts] == _SPLIT
+        sizes = np.where(is_split, 0, _records(section, starts + 1, 4, "<u4").reshape(-1))
+        cuts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        normals = _records(section, starts[is_split] + 1, 4 * dim, "<f4")
+        offsets = _records(section, starts[is_split] + 1 + 4 * dim, 8, "<f8").reshape(-1)
+        row_at = np.repeat(starts + 5 - 4 * cuts[:-1], sizes) + 4 * np.arange(cuts[-1])
+        rows = _records(section, row_at, 4, "<u4").reshape(-1)
+        if not all(np.isfinite(a).all() for a in (vectors, normals, offsets)):
+            raise ValueError("stored vectors and split planes must be finite (no NaN or inf)")
+        forest = cls(metric, leaf_size, ids, vectors, is_split, normals, offsets, cuts, rows)
+        trees = np.split(rows, cuts[forest._roots[1:]])
+        if any(len(tree) != count or np.any(np.sort(tree) != np.arange(count)) for tree in trees):
+            raise ValueError(f"each tree's leaves must hold every row below {count} exactly once")
+        return forest
 
 
 def rp_build(
@@ -245,22 +252,24 @@ def rp_build(
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if leaf_size < 1:
-        raise ValueError("leaf_size must be >= 1")
+    if n_trees < 1 or leaf_size < 1:
+        raise ValueError("n_trees and leaf_size must be >= 1")
     vectors64 = emb_set.vectors.astype(np.float64)
-    all_rows = np.arange(len(emb_set))
-    trees = [
-        _build_tree(
-            vectors64,
-            all_rows,
-            leaf_size,
-            metric is Metric.ANGULAR,
-            np.random.default_rng(np.random.SeedSequence([int(seed), t])),
-        )
-        for t in range(n_trees)
-    ]
-    return RpForestIndex(
-        metric, leaf_size, trees, emb_set.ids.copy(), emb_set.vectors.copy(), search_k
-    )
+    angular = metric is Metric.ANGULAR
+    is_split, normals, offsets, leaves = [], [], [], []  # leaves: a node's rows (none at a split)
+    for t in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
+        stack = [np.arange(len(emb_set))]  # the left side is pushed last: split (and drawn) first
+        while stack:
+            rows = stack.pop()
+            plane = _plane(vectors64, rows, angular, rng) if len(rows) > leaf_size else None
+            is_split.append(plane is not None)
+            leaves.append(rows if plane is None else rows[:0])
+            if plane is not None:
+                normal, offset, right = plane
+                normals.append(normal)
+                offsets.append(offset)
+                stack += [rows[right], rows[~right]]
+    cuts = np.cumsum([0] + [len(rows) for rows in leaves])
+    return RpForestIndex(metric, leaf_size, emb_set.ids.copy(), emb_set.vectors.copy(),
+                         is_split, normals, offsets, cuts, np.concatenate(leaves), search_k)

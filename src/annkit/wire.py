@@ -114,10 +114,10 @@ class Reader:
     def f32_array(self, count: int) -> np.ndarray:
         return self._array(_F32_ARRAY, count)
 
-    def u32_view(self) -> np.ndarray:
-        """Every whole u32 word left, as a read-only view; the cursor stays put."""
-        left = (len(self._data) - self._pos) // 4
-        return np.frombuffer(self._data, dtype="<u4", count=left, offset=self._pos)
+    def view(self, dtype: str) -> np.ndarray:
+        """Every whole `dtype` item left, as a read-only view; the cursor stays put."""
+        left = (len(self._data) - self._pos) // np.dtype(dtype).itemsize
+        return np.frombuffer(self._data, dtype=dtype, count=left, offset=self._pos)
 
     def expect_exhausted(self) -> None:
         if self._pos != len(self._data):

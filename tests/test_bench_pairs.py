@@ -93,3 +93,21 @@ def test_families_compare_raw_load_and_resident_bytes():
     assert load["parent"]["median"] == pytest.approx(61.0)  # the raw figure
     resident = table["hnsw"]["resident_bytes"]
     assert resident["equal_pairs"] == 10 and not resident["claim_rule_met"]
+
+
+def test_code_size_counts_src_lines_and_public_names(tmp_path):
+    package = tmp_path / "src" / "annkit"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('"""Doc."""\nfrom .a import x\n\n__all__ = [\n    "x",\n    "y",\n]\n')
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "other.py").write_text("not counted\n")
+    assert bench_pairs.code_size(tmp_path) == {"src_lines": 9, "all_names": 2}
+
+
+def test_code_size_of_this_checkout_matches_the_package():
+    import annkit
+
+    size = bench_pairs.code_size(bench_pairs.ROOT)
+    assert size["all_names"] == len(annkit.__all__)
+    package = bench_pairs.ROOT / "src" / "annkit"
+    assert size["src_lines"] == sum(len(p.read_text().splitlines()) for p in package.glob("*.py"))

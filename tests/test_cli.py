@@ -150,6 +150,20 @@ def test_search_requires_exactly_one_query_form(tmp_path, data_path):
                  "--vector", "1,2", "--data", str(data_path)]) == 1
 
 
+def test_search_by_id_rejects_k_zero(tmp_path, data_path, capsys):
+    """`--id ... --k 0` once exited 0 and printed nothing, while the same k
+    with `--vector` exited 1."""
+    index_path = tmp_path / "flat.vidx"
+    main(["build", "--data", str(data_path), "--family", "flat-l2",
+          "--out", str(index_path)])
+    capsys.readouterr()
+    assert main(["search", "--index", str(index_path), "--data", str(data_path),
+                 "--id", "7", "--k", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "k must be" in captured.err
+
+
 def test_csv_input_accepted(tmp_path):
     csv_path = tmp_path / "demo.csv"
     csv_path.write_text(

@@ -1,6 +1,8 @@
 """The uniform search contract: one query gate for every family, and the
 public namespace it is exported through."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import annkit
+from annkit.bench import search_excluding
 from annkit.families import FAMILIES, build_index
 from annkit.data import gen_synthetic
 from annkit.flat import FlatL2Index, exact_search, ground_truth
@@ -51,6 +54,15 @@ def test_every_family_rejects_a_bad_query(indexes, small_set, name, state, case)
 def test_every_family_rejects_a_bad_k(indexes, small_set, name, state, k):
     with pytest.raises(ValueError, match="k must be"):
         indexes[name][state].search(small_set.vectors[0], k)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("k", [0, -1, 2.5, True])
+def test_search_excluding_rejects_a_bad_k(indexes, small_set, name, k):
+    """k passes the search gate before k + 1 is asked for: k=0 once returned
+    [], k=True one neighbour, and k=2.5 failed with the message "got 3.5"."""
+    with pytest.raises(ValueError, match=f"k must be .*got {re.escape(repr(k))}$"):
+        search_excluding(indexes[name]["built"], small_set.vectors[0], k, int(small_set.ids[0]))
 
 
 @pytest.mark.parametrize(

@@ -102,13 +102,11 @@ def test_family_tags_are_frozen():
 def test_loaded_memory_bytes_tells_the_truth():
     """A freshly loaded index retains no more than 1.10 x its memory_bytes().
 
-    Retained bytes are what tracemalloc sees load_index_bytes keep. rpforest
-    is left out: its Python tree nodes cost far more than the structural
-    bytes memory_bytes() counts.
+    Retained bytes are what tracemalloc sees load_index_bytes keep.
     """
     s = gen_synthetic(8, 250, 32, 0.05, seed=4)
     builders = dict(BUILDERS, pq=lambda s: PqIndex.build(s, m=4, nbits=8, seed=0))
-    for family in ("flat-l2", "flat-ip", "lsh", "ivf-flat", "ivf-sq", "pq", "hnsw"):
+    for family in ("flat-l2", "flat-ip", "lsh", "ivf-flat", "ivf-sq", "pq", "hnsw", "rpforest"):
         blob = dump_index(builders[family](s))
         gc.collect()
         tracemalloc.start()

@@ -1,12 +1,20 @@
-"""Random-projection forest: leaf exactness, budgets, metric variants."""
+"""Random-projection forest: leaf exactness, budgets, metric variants,
+pinned bytes and load-time checks."""
+
+import hashlib
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annkit.data import EmbeddingSet
 from annkit.distances import Metric
 from annkit.flat import exact_search
-from annkit.rpforest import RpForestIndex, rp_build
+from annkit.persist import VIDX_MAGIC, VIDX_VERSION, dump_index, load_index_bytes
+from annkit.rpforest import rp_build
+from annkit.wire import Writer
 
 
 def test_single_giant_leaf_is_exact(small_set, rng):
@@ -140,3 +148,198 @@ def test_config_reports_knobs(small_set):
     assert cfg["n_trees"] == 5
     assert cfg["leaf_size"] == 20
     assert cfg["metric"] == "angular"
+
+
+# ------------------------------------------------------------ pinned bytes
+
+
+def _results_digest(forest, queries) -> str:
+    h = hashlib.sha256()
+    for q in queries:
+        for budget in (None, 3, len(forest) * forest.n_trees):
+            h.update(repr(forest.search(q, 10, search_k=budget).neighbors).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "metric, vidx, results",
+    [
+        (
+            Metric.ANGULAR,
+            "f52b35e04ab10ba4ac64a5505fabbcf98e72b2c33c676aa5e0edfe7b02986145",
+            "61569df1732c4fe4041422c1578a42dce695b73768b4732b8faa35132da47726",
+        ),
+        (
+            Metric.L2,
+            "0c3471a51c95be9d5ac275446029186399356173658c7af19f32db0be4e88324",
+            "d7b68093ffbf66d8a2d776c8844670f7b7f88e20d50d019652713b72230cf2c3",
+        ),
+        (
+            Metric.MANHATTAN,
+            "dbdf122ca8ebb840faa91c40272c3b5c8867b8095dae9812e9e35c5981c01b97",
+            "2c4ceeff445f1be5f6c5385eb820879f491b01a40e4282622986c0ec19ea1f73",
+        ),
+    ],
+)
+def test_forest_bytes_and_results_are_pinned(small_set, metric, vidx, results):
+    """Digests taken from the node-object forest that the flat arrays
+    replaced: the same build gives the same VIDX bytes, and the built and the
+    loaded forest the same SearchResults at the default, a small and an
+    exhaustive budget."""
+    queries = list(np.random.default_rng(23).standard_normal((16, 16))) + list(small_set.vectors[:4])
+    forest = rp_build(small_set, n_trees=5, leaf_size=8, metric=metric, seed=3)
+    blob = dump_index(forest)
+    assert hashlib.sha256(blob).hexdigest() == vidx
+    assert _results_digest(forest, queries) == results
+    assert _results_digest(load_index_bytes(blob), queries) == results
+
+
+# ------------------------------------------------------------ malformed loads
+
+# Offsets in an rpforest VIDX blob: magic, version and family tag, then the
+# metric tag, n_trees, leaf_size, dim, count, the ids and the vectors.
+_METRIC_AT = 6
+_N_TREES_AT = _METRIC_AT + 1
+_LEAF_SIZE_AT = _N_TREES_AT + 4
+_NODES_AT = _LEAF_SIZE_AT + 4 + 4 + 8  # plus the ids and the vectors
+
+
+@pytest.fixture(scope="module")
+def forest_blob(small_set):
+    forest = rp_build(small_set, n_trees=3, leaf_size=8, metric=Metric.L2, seed=0)
+    return dump_index(forest), _NODES_AT + (8 + 4 * small_set.dim) * len(small_set)
+
+
+def _first_leaf(blob: bytes, nodes_at: int, dim: int) -> int:
+    """Offset of the first leaf: the end of the leftmost path of splits."""
+    pos = nodes_at
+    while blob[pos] == 1:
+        pos += 1 + 4 * dim + 8
+    assert blob[pos] == 0
+    return pos
+
+
+def _load_edited(blob: bytes, at: int, fmt: str, value) -> None:
+    edited = bytearray(blob)
+    struct.pack_into(fmt, edited, at, value)
+    load_index_bytes(bytes(edited))
+
+
+def test_load_rejects_an_unknown_metric_tag(forest_blob):
+    """Once a KeyError."""
+    with pytest.raises(ValueError, match="forest metric"):
+        _load_edited(forest_blob[0], _METRIC_AT, "<B", 3)
+
+
+def test_load_rejects_a_node_tag_other_than_leaf_or_split(forest_blob):
+    blob, nodes_at = forest_blob
+    with pytest.raises(ValueError, match="node tag 2"):
+        _load_edited(blob, nodes_at, "<B", 2)
+
+
+@pytest.mark.parametrize("at", [_N_TREES_AT, _LEAF_SIZE_AT])
+def test_load_rejects_zero_trees_or_leaf_size(forest_blob, at):
+    with pytest.raises(ValueError, match=">= 1"):
+        _load_edited(forest_blob[0], at, "<I", 0)
+
+
+def test_load_rejects_a_leaf_row_past_the_end(forest_blob, small_set):
+    """Once loaded, then raised IndexError on the first search."""
+    blob, nodes_at = forest_blob
+    leaf = _first_leaf(blob, nodes_at, small_set.dim)
+    with pytest.raises(ValueError, match="every row below 300 exactly once"):
+        _load_edited(blob, leaf + 5, "<I", len(small_set))
+
+
+def test_load_rejects_a_tree_that_holds_a_row_twice(forest_blob, small_set):
+    blob, nodes_at = forest_blob
+    leaf = _first_leaf(blob, nodes_at, small_set.dim)
+    size, first, second = struct.unpack_from("<3I", blob, leaf + 1)
+    assert size >= 2
+    with pytest.raises(ValueError, match="exactly once"):
+        _load_edited(blob, leaf + 5, "<I", second)
+
+
+def test_load_rejects_a_tree_missing_its_last_leaf(forest_blob):
+    with pytest.raises(ValueError):
+        load_index_bytes(forest_blob[0][:-4])
+
+
+def _chain_blob(n: int) -> bytes:
+    """One L2 tree over the points (i, 1): split i puts row i in a leaf on its
+    left and the rest down its right, so the splits nest n - 1 deep."""
+    w = Writer()
+    w.raw(VIDX_MAGIC)
+    w.u8(VIDX_VERSION)
+    w.u8(8)  # rpforest
+    w.u8(1)  # l2
+    for value in (1, 1, 2):  # n_trees, leaf_size, dim
+        w.u32(value)
+    w.u64(n)
+    w.u64_array(np.arange(n))
+    w.f32_array(np.stack([np.arange(n), np.ones(n)], axis=1))
+    for row in range(n - 1):
+        w.u8(1)
+        w.f32_array(np.array([1.0, 0.0]))
+        w.f64(row + 0.5)
+        w.u8(0)
+        w.u32(1)
+        w.u32_array(np.array([row]))
+    w.u8(0)
+    w.u32(1)
+    w.u32_array(np.array([n - 1]))
+    return w.getvalue()
+
+
+def test_a_deep_tree_loads_and_searches_without_recursion():
+    """A tree nested 5,000 splits deep once raised RecursionError on load."""
+    n = 5001
+    blob = _chain_blob(n)
+    forest = load_index_bytes(blob)
+    assert dump_index(forest) == blob
+    points = EmbeddingSet(
+        ids=np.arange(n, dtype=np.uint64),
+        labels=np.zeros(n, dtype=np.uint32),
+        vectors=np.stack([np.arange(n), np.ones(n)], axis=1).astype(np.float32),
+    )
+    q = np.array([2500.2, 1.0])
+    assert forest.search(q, 5, search_k=1).ids == [2500]
+    assert forest.search(q, 5, search_k=n).neighbors == exact_search(points, q, 5, Metric.L2).neighbors
+    with pytest.raises(ValueError):
+        load_index_bytes(blob[:-1])
+
+
+@st.composite
+def _corruptions(draw):
+    kind = draw(st.sampled_from(["bytes", "node bytes", "truncate", "append"]))
+    edits = draw(
+        st.lists(
+            st.tuples(st.integers(0, 2**31), st.integers(0, 255)), min_size=1, max_size=4
+        )
+    )
+    return kind, edits
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_corruptions())
+def test_corrupted_blob_raises_value_error_or_round_trips(forest_blob, small_set, corruption):
+    """Each corrupted blob either raises ValueError or loads, dumps back to the
+    same bytes and answers a search."""
+    original, nodes_at = forest_blob
+    blob = bytearray(original)
+    kind, edits = corruption
+    if kind == "truncate":
+        del blob[6 + edits[0][0] % (len(blob) - 6) :]
+    elif kind == "append":
+        blob += bytes(value for _, value in edits)
+    else:
+        start = 6 if kind == "bytes" else nodes_at
+        for at, value in edits:
+            blob[start + at % (len(blob) - start)] = value
+    blob = bytes(blob)
+    try:
+        loaded = load_index_bytes(blob)
+    except ValueError:
+        return
+    assert dump_index(loaded) == blob
+    assert len(loaded.search(small_set.vectors[0], 5)) > 0

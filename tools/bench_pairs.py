@@ -17,12 +17,14 @@ interquartile range. Beside them, ``families`` gives the same comparison of
 each family's raw (wall clock, not normalized) ``query_p50_us`` and
 ``load_ms`` and its ``resident_bytes``, so a claim shows which family moved.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
-side.
+side. ``code`` gives each side's src line count (``src/annkit/*.py``) and
+the number of names in ``annkit.__all__``.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import io
 import json
 import statistics
@@ -46,6 +48,19 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def code_size(tree: Path) -> dict:
+    """Lines in src/annkit/*.py (as `wc -l` counts them) and len(annkit.__all__)."""
+    package = tree / "src" / "annkit"
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    init = ast.parse((package / "__init__.py").read_text())
+    names = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
+    )
+    return {"src_lines": lines, "all_names": len(names)}
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int, trace: bool) -> dict:
@@ -173,6 +188,7 @@ def main(argv=None) -> int:
             "parent_commit": commit,
             "change": "working tree of the checkout",
             "pairs_note": "alternating parent/change pairs; 'first' names the side that ran first",
+            "code": {side: code_size(trees[side]) for side in SIDES},
             "summary": {},
             "traced": {},
             "pairs": {},
