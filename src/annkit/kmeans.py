@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distances import _sq_l2
-
 MOVEMENT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 25
 # Relative slack for the in-loop monotonicity assertion: Lloyd's update can
@@ -21,8 +19,42 @@ DEFAULT_MAX_ITERS = 25
 # convergence needs a hair of room.
 _DISTORTION_SLACK = 1e-9
 # Distance-block size of `assign_to_centroids` in float64 elements (256 KiB),
-# small enough to stay in L2 while the block is summed, clamped and scanned.
+# small enough to stay in L2 while the block is summed and scanned.
 _BLOCK_ELEMS = 1 << 15
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _column_sums(t: np.ndarray) -> np.ndarray:
+    """Column sums of `t`, added in the order numpy's pairwise sum adds a row.
+
+    ``_column_sums(np.array(x.T))`` equals ``x.sum(axis=1)`` bit for bit when
+    no entry is -0.0 (numpy starts from +0.0). numpy adds a row narrower than 8
+    left to right. From 8 to 128 wide it keeps eight running sums over stride-8
+    columns, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the
+    ``d % 8`` trailing columns left to right. A wider row is split at half its
+    width rounded down to a multiple of 8. Here each step is one whole-row add,
+    with no per-row reduction overhead. `t` is overwritten; row 0, returned as
+    a view, holds the sums.
+    """
+    d = len(t)
+    if d == 0:
+        return np.zeros(t.shape[1:])
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        _column_sums(t[:half])
+        t[0] += _column_sums(t[half:])
+        return t[0]
+    tail = 1
+    if d >= 8:
+        tail = d - d % 8
+        for i in range(8, tail, 8):
+            t[:8] += t[i : i + 8]
+        t[0:8:2] += t[1:8:2]
+        t[0:8:4] += t[2:8:4]
+        t[0] += t[4]
+    for i in range(tail, d):
+        t[0] += t[i]
+    return t[0]
 
 
 def assign_to_centroids(
@@ -52,6 +84,7 @@ def assign_to_centroids(
     assign = np.empty(n, dtype=np.intp)
     sqdist = np.empty(n, dtype=np.float64)
     buf = np.empty((n - (blocks - 1) * rows, k), dtype=np.float64)
+    row_idx = np.arange(len(buf))
     for b in range(blocks):
         s = b * rows
         e = n if b == blocks - 1 else s + rows
@@ -59,11 +92,16 @@ def assign_to_centroids(
         np.matmul(p[s:e], ct2, out=sq)
         sq += pp[s:e, np.newaxis]
         sq += cc
-        # clamped because the expansion can produce tiny negatives
-        np.maximum(sq, 0.0, out=sq)
-        a = np.argmin(sq, axis=1)
-        assign[s:e] = a
-        sqdist[s:e] = sq[np.arange(e - s), a]
+        a = np.argmin(sq, axis=1, out=assign[s:e])
+        d = sqdist[s:e]
+        d[:] = sq[row_idx[: e - s], a]
+        # The expansion can round a true zero to a tiny negative. Clamping the
+        # block at 0 would make a row's minimum the first entry <= 0, at +0.0;
+        # only rows whose minimum is negative need that, so only they are fixed.
+        if d.min(initial=0.0) < 0.0:
+            neg = np.flatnonzero(d < 0.0)
+            a[neg] = np.argmax(sq[neg] <= 0.0, axis=1)
+            d[neg] = 0.0
     return assign, sqdist
 
 
@@ -85,21 +123,41 @@ class Centroids:
 
 
 def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initialization: spread-out starting centroids."""
-    n = len(data)
-    chosen = np.empty((k, data.shape[1]), dtype=np.float64)
+    """k-means++ initialization: spread-out starting centroids.
+
+    Picks the same centroids, and leaves `rng` in the same state, as
+    ``_sq_l2(data, c)`` distances with ``rng.choice(n, p=closest_sq / total)``
+    (tests/test_kmeans.py keeps that form as the reference). The distances come
+    from a column-major copy of `data` summed by `_column_sums`.
+    """
+    n, dim = data.shape
+    chosen = np.empty((k, dim), dtype=np.float64)
+    cols = np.array(data.T, order="C")
+    sq = np.empty_like(cols)
+    cdf = np.empty(n, dtype=np.float64)
+
+    def sq_dist(c: np.ndarray) -> np.ndarray:
+        np.subtract(cols, c[:, np.newaxis], out=sq)
+        np.multiply(sq, sq, out=sq)
+        return _column_sums(sq)
+
     first = int(rng.integers(n))
     chosen[0] = data[first]
-    closest_sq = _sq_l2(data, chosen[0])
+    closest_sq = sq_dist(chosen[0]).copy()
     for i in range(1, k):
         total = closest_sq.sum()
         if total > 0.0:
-            idx = int(rng.choice(n, p=closest_sq / total))
+            # Generator.choice(n, p=closest_sq / total) step for step, without
+            # its argument checks: the same cdf and the same single draw.
+            np.divide(closest_sq, total, out=cdf)
+            np.cumsum(cdf, out=cdf)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         else:
             # All points coincide with an existing centroid; any pick works.
             idx = int(rng.integers(n))
         chosen[i] = data[idx]
-        np.minimum(closest_sq, _sq_l2(data, chosen[i]), out=closest_sq)
+        np.minimum(closest_sq, sq_dist(chosen[i]), out=closest_sq)
     return chosen
 
 
@@ -121,8 +179,11 @@ def kmeans_fit(
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
-    if not np.isfinite(data).all():
-        raise ValueError("data must be finite (no NaN or inf)")
+    # Centroids come back as float32, and within its range no distance or
+    # seeding probability below can overflow. NaN fails both comparisons, so
+    # NaN and inf are rejected too.
+    if not (data.max(initial=0.0) <= _FLOAT32_MAX and data.min(initial=0.0) >= -_FLOAT32_MAX):
+        raise ValueError(f"data must be finite, each |value| <= float32 max {_FLOAT32_MAX:.6g}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > len(data):

@@ -13,7 +13,12 @@ _SPEC.loader.exec_module(bench_pairs)
 
 def _run(load_ms: float, qps: float, raw_load_ms: float | None = None) -> dict:
     extras = {} if raw_load_ms is None else {"raw_load_ms": raw_load_ms}
-    family = {"query_p50_us": 100.0, "load_ms": raw_load_ms or load_ms, "resident_bytes": 1000}
+    family = {
+        "build_s": 2.0,
+        "query_p50_us": 100.0,
+        "load_ms": raw_load_ms or load_ms,
+        "resident_bytes": 1000,
+    }
     return {
         "metrics": {"load_ms": load_ms, "qps": qps},
         "extras": extras,
@@ -93,6 +98,20 @@ def test_families_compare_raw_load_and_resident_bytes():
     assert load["parent"]["median"] == pytest.approx(61.0)  # the raw figure
     resident = table["hnsw"]["resident_bytes"]
     assert resident["equal_pairs"] == 10 and not resident["claim_rule_met"]
+
+
+def test_families_compare_each_family_build():
+    pairs = _pairs(PARENT, PARENT)
+    for i, pair in enumerate(pairs):
+        pair["parent"]["families"]["pq"] = {**pair["parent"]["families"]["hnsw"], "build_s": 5.0 + i / 10}
+        pair["change"]["families"]["pq"] = {**pair["change"]["families"]["hnsw"], "build_s": 4.0 + i / 10}
+    table = bench_pairs.summarise_families(pairs)
+    pq = table["pq"]["build_s"]
+    assert pq["change_wins"] == 10 and pq["claim_rule_met"]
+    assert pq["parent"]["median"] == pytest.approx(5.45)
+    assert pq["change_over_parent"] == pytest.approx(4.45 / 5.45)
+    hnsw = table["hnsw"]["build_s"]
+    assert hnsw["equal_pairs"] == 10 and not hnsw["claim_rule_met"]
 
 
 def test_code_size_counts_src_lines_and_public_names(tmp_path):

@@ -1,5 +1,5 @@
 """Lloyd training: recovery on separated data, repair, determinism, and the
-blocked assignment kernel against the unblocked reference."""
+blocked assignment and column-major seeding kernels against their references."""
 
 import numpy as np
 import pytest
@@ -8,13 +8,17 @@ from hypothesis import strategies as st
 
 import annkit.ivf
 import annkit.pq
+from annkit.data import EmbeddingSet
+from annkit.distances import _sq_l2
 from annkit.families import build_index
+from annkit.ivf import ivf_build
 from annkit.kmeans import (
     _BLOCK_ELEMS,
     _DISTORTION_SLACK,
     DEFAULT_MAX_ITERS,
     MOVEMENT_TOL,
     Centroids,
+    _column_sums,
     _seed_plus_plus,
     assign_to_centroids,
     kmeans_fit,
@@ -37,12 +41,32 @@ def assign_to_centroids_reference(points, centroids):
     return assign, sq[np.arange(len(p)), assign]
 
 
+def seed_plus_plus_reference(data, k, rng):
+    """k-means++ seeding as written before the column-major kernel: one
+    `_sq_l2` row-sum pass per centroid and `rng.choice` for each pick."""
+    n = len(data)
+    chosen = np.empty((k, data.shape[1]), dtype=np.float64)
+    first = int(rng.integers(n))
+    chosen[0] = data[first]
+    closest_sq = _sq_l2(data, chosen[0])
+    for i in range(1, k):
+        total = closest_sq.sum()
+        if total > 0.0:
+            idx = int(rng.choice(n, p=closest_sq / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen[i] = data[idx]
+        np.minimum(closest_sq, _sq_l2(data, chosen[i]), out=closest_sq)
+    return chosen
+
+
 def kmeans_fit_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
     """Lloyd training as written before the blocked kernel: data kept as passed
-    (strided column slices included), reference assignment, np.add.at sums."""
+    (strided column slices included), reference seeding and assignment,
+    np.add.at sums."""
     data = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
-    centroids = _seed_plus_plus(data, k, rng)
+    centroids = seed_plus_plus_reference(data, k, rng)
     history = []
 
     def record(value):
@@ -233,6 +257,98 @@ def test_blocked_assign_equals_reference_bitwise(
     np.testing.assert_array_equal(first[inverse.reshape(-1)[assign]], assign)
 
 
+def test_rows_with_several_negative_expanded_distances_match_the_clamped_reference():
+    """A point equal to one centroid and a hair from three others: the expansion
+    gives them tiny negatives of two values, the more negative one later. Clamping
+    makes the first entry <= 0 the nearest, at +0.0; the kernel must agree
+    without it."""
+    p = np.array([-7.911, -6.675, 4.608, 14.315, 3.062, 2.428])
+    nudges = np.array([[0, 1, 1, 2, 0, -1], [-1, -1, -1, 1, 1, -1], [2, 0, -1, 0, 0, -1]]) * 1e-9
+    centroids = np.vstack([p + 1.0, p + nudges, p, p - 2.0])
+    points = np.array([p - 2.0, p, p + 0.5, p, p + 1.0, p])
+    expanded = (
+        np.sum(points * points, axis=1)[:, np.newaxis]
+        - 2.0 * (points @ centroids.T)
+        + np.sum(centroids * centroids, axis=1)
+    )
+    for row in (1, 3, 5):  # the case really is there, with distinct negatives
+        negatives = expanded[row][expanded[row] < 0]
+        assert len(set(negatives.tolist())) >= 2
+        assert np.argmin(expanded[row]) != np.argmax(expanded[row] <= 0)
+    assign, sqdist = assign_to_centroids(points, centroids)
+    ref_assign, ref_sqdist = assign_to_centroids_reference(points, centroids)
+    np.testing.assert_array_equal(assign, ref_assign)
+    np.testing.assert_array_equal(_bits(sqdist), _bits(ref_sqdist))
+    assert _bits(sqdist[[1, 3, 5]]).tolist() == [0, 0, 0]  # +0.0, not -0.0
+
+
+def _seeding_data(rng, n, dim, kind):
+    """Normal rows at a random scale, grid rows (exact ties), rows drawn from a
+    few distinct points, or one point repeated (the total == 0 branch)."""
+    if kind == "normal":
+        return rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4)
+    if kind == "grid":
+        return rng.integers(-2, 3, size=(n, dim)) * 0.5
+    pool = rng.standard_normal((1 if kind == "coincident" else 3, dim))
+    return pool[rng.integers(0, len(pool), size=n)]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([*range(1, 10), 16, 17, 64, 127, 128, 129, 136, 200, 264]),
+    n=st.integers(1, 300),
+    k_frac=st.floats(0.0, 1.0),
+    kind=st.sampled_from(["normal", "grid", "duplicates", "coincident"]),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_seeding_equals_reference_bitwise(dim, n, k_frac, kind, strided, seed):
+    """The same centroids and the generator left in the same state."""
+    rng = np.random.default_rng(seed)
+    data = _seeding_data(rng, n, dim, kind)
+    if strided:
+        data = np.hstack([data, data])[:, :dim]
+    k = 1 + int(k_frac * (min(n, 60) - 1))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _seed_plus_plus(data, k, got_rng)
+    want = seed_plus_plus_reference(data, k, want_rng)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_column_sums_equal_numpy_row_sums_at_every_width():
+    rng = np.random.default_rng(12)
+    for dim in range(0, 301):
+        rows = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-4, 5, size=(40, dim))
+        rows[:5] = rng.integers(-2, 3, size=(5, dim)) * 0.5
+        q = rows[7].copy()  # one exact zero row
+        diff = np.array((rows - q).T)
+        diff *= diff
+        np.testing.assert_array_equal(
+            _bits(_column_sums(diff)), _bits(_sq_l2(rows, q)), err_msg=f"width {dim}"
+        )
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_zero_width_data_trains_like_the_reference(k):
+    """Width 0 is legal (pq_train allows it, as 0 % m == 0): every distance is 0."""
+    data = np.zeros((5, 0))
+    got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+    np.testing.assert_array_equal(
+        _seed_plus_plus(data, k, got_rng), seed_plus_plus_reference(data, k, want_rng)
+    )
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    got, want = kmeans_fit(data, k, seed=4), kmeans_fit_reference(data, k, seed=4)
+    assert got.vectors.shape == want.vectors.shape == (k, 0)
+    assert got.history == want.history
+    centroids = np.zeros((k, 0))
+    for g, w in zip(
+        assign_to_centroids(data, centroids), assign_to_centroids_reference(data, centroids)
+    ):
+        np.testing.assert_array_equal(g, w)
+    assert [book.vectors.shape for book in pq_train(np.zeros((10, 0)), 2, 2).books] == [(4, 0), (4, 0)]
+
+
 @settings(derandomize=True, max_examples=120, deadline=None)
 @given(
     n=st.integers(2, 400),
@@ -284,3 +400,36 @@ def test_non_finite_training_data_raises(rng, train, bad):
     data[7, 3] = bad
     with pytest.raises(ValueError, match="finite"):
         train(data)
+
+
+def _ivf_books(data):
+    n = len(data)
+    emb_set = EmbeddingSet(np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint32), data)
+    index = ivf_build(emb_set, nlist=3, encoding="pq", m=2, nbits=2)
+    return [index.coarse.vectors, *(book.vectors for book in index.codebook.books)]
+
+
+# Each trains on `data` and returns the float32 centroid arrays it made.
+_TRAINERS = {
+    "kmeans_fit": lambda data: [kmeans_fit(data, 3).vectors],
+    "pq_train": lambda data: [book.vectors for book in pq_train(data, 2, 2).books],
+    "ivf_build": _ivf_books,
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("scale", [1e39, 1e150, 1e160, 1e300])
+@pytest.mark.parametrize("train", _TRAINERS.values(), ids=_TRAINERS.keys())
+def test_training_data_beyond_float32_range_raises(rng, train, scale):
+    """Centroids come back as float32. An EmbeddingSet holds float32 too, so
+    ivf_build's set refuses such values before any training."""
+    data = rng.uniform(-1.0, 1.0, size=(20, 4)) * scale
+    with pytest.raises(ValueError, match="finite"):
+        train(data)
+
+
+@pytest.mark.parametrize("train", _TRAINERS.values(), ids=_TRAINERS.keys())
+def test_training_data_at_float32_magnitude_fits(rng, train):
+    data = rng.uniform(-1.0, 1.0, size=(20, 4)) * 3e38
+    data[0, 0] = 3e38
+    assert all(np.isfinite(vectors).all() for vectors in train(data))

@@ -14,8 +14,9 @@ parent's interquartile range, how many pairs the change won and
 ``claim_rule_met``: the change won at least 9 in 10 of at least 10 pairs (a
 tie is no win) and its median beats the parent's by more than the parent's
 interquartile range. Beside them, ``families`` gives the same comparison of
-each family's raw (wall clock, not normalized) ``query_p50_us`` and
-``load_ms`` and its ``resident_bytes``, so a claim shows which family moved.
+each family's raw (wall clock, not normalized) ``build_s``, ``query_p50_us``
+and ``load_ms`` and its ``resident_bytes``, so a claim shows which family
+moved: a ``setup_s`` claim, for one, shows each family's build.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
 side. ``code`` gives each side's src line count (``src/annkit/*.py``) and
 the number of names in ``annkit.__all__``.
@@ -101,7 +102,7 @@ def quartiles(values: list[float]) -> dict:
 
 
 CLAIM_PAIRS = 10  # fewest pairs that can back a claim; the change must win 9 in 10
-FAMILY_METRICS = ("query_p50_us", "load_ms", "resident_bytes")  # raw; lower is better
+FAMILY_METRICS = ("build_s", "query_p50_us", "load_ms", "resident_bytes")  # raw; lower is better
 
 
 def compare(parent: list[float], change: list[float], direction: str) -> dict:
