@@ -5,7 +5,7 @@ inverted-file, graph, hashing, and projection-forest search, plus a labeled
 benchmark protocol and binary persistence for sets (VEMB) and indexes (VIDX).
 """
 
-from .base import SearchResult, VectorIndex, make_result
+from .base import SearchResult, VectorIndex
 from .bench import (
     BenchReport,
     ProtocolConfig,
@@ -25,7 +25,7 @@ from .data import (
     load_vemb_bytes,
     save_vemb,
 )
-from .distances import Metric, batch_scores, distance, normalize, rank_order
+from .distances import Metric, batch_scores
 from .evaluation import (
     ConfusionCounts,
     LabelMetrics,
@@ -39,20 +39,12 @@ from .families import ALL_FAMILIES, build_index
 from .flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 from .hnsw import HnswIndex, HnswParams
 from .ivf import IvfIndex, ivf_build
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit
+from .kmeans import Centroids, kmeans_fit
 from .lsh import LshIndex, lsh_build
 from .persist import dump_index, load_index, load_index_bytes, save_index
-from .pq import (
-    PqCodebook,
-    PqIndex,
-    adc_table,
-    default_m,
-    pq_decode,
-    pq_encode_batch,
-    pq_train,
-)
+from .pq import PqCodebook, PqIndex, pq_train
 from .rpforest import RpForestIndex, rp_build
-from .sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
+from .sq import SqParams, sq_decode_batch, sq_train
 
 __version__ = "0.1.0"
 
@@ -78,12 +70,8 @@ __all__ = [
     "SearchResult",
     "SqParams",
     "VectorIndex",
-    "adc_table",
-    "assign_to_centroids",
     "batch_scores",
     "build_index",
-    "default_m",
-    "distance",
     "dump_index",
     "dump_vemb",
     "exact_search",
@@ -99,14 +87,9 @@ __all__ = [
     "load_vemb",
     "load_vemb_bytes",
     "lsh_build",
-    "make_result",
-    "normalize",
-    "pq_decode",
-    "pq_encode_batch",
     "pq_train",
     "precision_at_k",
     "predict_label",
-    "rank_order",
     "read_report",
     "recall_at_n",
     "rp_build",
@@ -116,7 +99,6 @@ __all__ = [
     "save_vemb",
     "search_excluding",
     "sq_decode_batch",
-    "sq_encode_batch",
     "sq_train",
     "write_report",
 ]

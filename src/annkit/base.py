@@ -75,6 +75,7 @@ class VectorIndex(abc.ABC):
 
     family: str
     metric: Metric = Metric.L2  # the metric searches rank by and recall is scored in
+    _ids: np.ndarray  # uint64, one per stored vector
 
     @property
     def label(self) -> str:
@@ -85,8 +86,13 @@ class VectorIndex(abc.ABC):
     @abc.abstractmethod
     def dim(self) -> int: ...
 
-    @abc.abstractmethod
-    def __len__(self) -> int: ...
+    @property
+    def ids(self) -> np.ndarray:
+        """The stored ids (uint64), one per vector; every VIDX load checks them unique."""
+        return self._ids
+
+    def __len__(self) -> int:
+        return len(self._ids)
 
     @abc.abstractmethod
     def search(self, query: np.ndarray, k: int) -> SearchResult:

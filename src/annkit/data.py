@@ -19,6 +19,18 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype([("id", "<u8"), ("label", "<u4"), ("vector", "<f4", (dim,))])
 
 
+def check_unique_ids(ids: np.ndarray) -> None:
+    """ValueError if an id repeats.
+
+    Ids in increasing order, as generated sets and most indexes hold them,
+    pass one adjacent compare; any other order is sorted first.
+    """
+    if len(ids) > 1 and not (ids[1:] > ids[:-1]).all():
+        ordered = np.sort(ids)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("stored ids must be unique")
+
+
 @dataclass(frozen=True)
 class EmbeddingRecord:
     """A single embedding: unique 64-bit id, 32-bit class label, float32 vector."""
@@ -43,8 +55,7 @@ class EmbeddingSet:
         labels = np.asarray(labels, dtype=np.uint32)
         if not (len(ids) == len(labels) == len(vectors)):
             raise ValueError("ids, labels and vectors must have equal length")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("ids must be unique")
+        check_unique_ids(ids)
         if not np.all(np.isfinite(vectors)):
             raise ValueError("vector components must be finite")
         self._ids = ids

@@ -88,32 +88,6 @@ def _sq_l2(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
-def distance(metric: Metric, a: np.ndarray, b: np.ndarray) -> np.float32:
-    """Score a single pair of vectors; returned as a 32-bit float.
-
-    L2 is the Euclidean norm of (a - b), Manhattan the sum of absolute
-    component differences, Angular is sqrt(2 * (1 - cosine)) with the cosine
-    clamped into [-1, 1], and InnerProduct is the dot product reported as a
-    similarity.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("vectors must have finite components")
-    return np.float32(batch_scores(metric, a, b[np.newaxis, :])[0])
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||2 as float32; raises on a zero vector."""
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    norm = np.sqrt(np.sum(arr * arr))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return (arr / norm).astype(np.float32)
-
-
 # Below this many candidates one full lexsort is faster than a partition plus
 # a sorted cut (64 rows: 1.5 vs 5.2 us; 512 rows: 8.3 vs 6.5 us).
 _CUT_MIN_ROWS = 384

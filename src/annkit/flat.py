@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .base import SearchResult, VectorIndex, check_query, make_result
@@ -76,6 +78,9 @@ class _FlatIndex(VectorIndex):
         # The shortlist's norm column (L2 only) and its maximum, made on build and load.
         sq_norms = sq_row_norms(self._vectors)
         self._max_sq_norm = float(sq_norms.max(initial=0.0))
+        # NaN or inf in a row makes the maximum NaN or inf; finite rows rarely do.
+        if not math.isfinite(self._max_sq_norm) and not np.isfinite(self._vectors).all():
+            raise ValueError("stored vectors must be finite (no NaN or inf)")
         self._sq_norms = sq_norms if self.metric is Metric.L2 else None
 
     @classmethod
@@ -89,15 +94,8 @@ class _FlatIndex(VectorIndex):
         return self._vectors.shape[1]
 
     @property
-    def ids(self) -> np.ndarray:
-        return self._ids
-
-    @property
     def vectors(self) -> np.ndarray:
         return self._vectors
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         q = check_query(query, k, self.dim)

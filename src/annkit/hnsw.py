@@ -364,7 +364,7 @@ class HnswIndex(VectorIndex):
             raise ValueError("a node's lists do not match its level")
         words = self._link_words()
         heads, _ = _walk_headers(words, n + int(levels.sum()))
-        _check_links(self.params, self._ids[:n], levels, self._entry, words, heads)
+        _check_links(self.params, n, levels, self._entry, words, heads)
 
     def memory_bytes(self) -> int:
         """Buffers as held (spare capacity included), plus the link lists:
@@ -421,7 +421,7 @@ class HnswIndex(VectorIndex):
         words = r.u32_array(end)
         hits = np.flatnonzero(ids == np.uint64(entry_id))
         entry = int(hits[0]) if len(hits) else -1
-        _check_links(params, ids, levels, entry, words, heads)
+        _check_links(params, count, levels, entry, words, heads)
 
         index = cls(dim, params)
         index._vec32 = vectors.copy()  # owned: a reshaped view would keep two array objects
@@ -459,7 +459,7 @@ def _walk_headers(words: np.ndarray, lists: int) -> tuple[np.ndarray, int]:
 
 def _check_links(
     params: HnswParams,
-    ids: np.ndarray,
+    n: int,
     levels: np.ndarray,
     entry: int,
     words: np.ndarray,
@@ -468,15 +468,12 @@ def _check_links(
     """ValueError unless the graph is well formed.
 
     `words` is a link section (per row and level, a degree then that many
-    rows) and `heads` the offsets of its degree headers. Ids must be unique,
-    the entry row a node on the top level, every degree within its level's
-    cap, and every edge a stored row other than its owner, once per list, that
-    reaches the list's level.
+    rows) and `heads` the offsets of its degree headers. The entry row must be
+    a node on the top level, every degree within its level's cap, and every
+    edge a stored row other than its owner, once per list, that reaches the
+    list's level. Ids are not checked: `insert` refuses a repeated id, and
+    every VIDX load checks them.
     """
-    n = len(ids)
-    ordered = np.sort(ids)
-    if np.any(ordered[1:] == ordered[:-1]):
-        raise ValueError("stored ids must be unique")
     if n and entry < 0:
         raise ValueError("entry id names no stored node")
     if n and levels[entry] != levels.max():

@@ -5,11 +5,17 @@ and scores only those candidates — exactly (flat payload), by asymmetric
 distance (PQ codes), or against the 8-bit reconstruction (SQ bytes). The
 candidate set for nprobe = p is by construction a subset of the one for
 p + 1, which makes recall non-decreasing in nprobe.
+
+The lists are held in one compressed-sparse-row layout: `ids` and `payload`
+sorted by list (build order inside a list), and nlist + 1 `offsets`, so list
+i is rows ``offsets[i]:offsets[i + 1]`` of both. VIDX stores each list as its
+count, its ids and its payload rows, one list after another.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 
@@ -20,11 +26,11 @@ from .kmeans import Centroids, assign_to_centroids, kmeans_fit
 from .pq import (
     PqCodebook,
     adc_scores,
+    check_codes,
     default_m,
     pq_encode_batch,
     pq_train,
     read_codebook,
-    read_codes,
     write_codebook,
 )
 from .sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
@@ -48,8 +54,9 @@ class IvfIndex(VectorIndex):
         self,
         coarse: Centroids,
         encoding: str,
-        list_ids: list[np.ndarray],
-        list_payloads: list[np.ndarray],
+        ids: np.ndarray,
+        payload: np.ndarray,
+        offsets: np.ndarray,
         nprobe: int,
         codebook: PqCodebook | None = None,
         sq_params: SqParams | None = None,
@@ -60,8 +67,9 @@ class IvfIndex(VectorIndex):
             raise ValueError(f"nprobe must be in 1..{coarse.k}")
         self.coarse = coarse
         self.encoding = encoding
-        self.list_ids = list_ids
-        self.list_payloads = list_payloads
+        self._ids = np.asarray(ids, dtype=np.uint64)
+        self.payload = payload  # one row per id: float32 vectors or uint8 codes
+        self.offsets = np.asarray(offsets, dtype=np.int64)
         self.nprobe = nprobe
         self.codebook = codebook
         self.sq_params = sq_params
@@ -78,8 +86,22 @@ class IvfIndex(VectorIndex):
     def dim(self) -> int:
         return self.coarse.dim
 
-    def __len__(self) -> int:
-        return sum(len(ids) for ids in self.list_ids)
+    @property
+    def list_ids(self) -> list[np.ndarray]:
+        """Each list's ids, as views of `ids`. Nothing in annkit reads them:
+        perfbench's `rescore` (perfbench/workloads.py) does, to settle float32 ties."""
+        return np.split(self._ids, self.offsets[1:-1])
+
+    @property
+    def list_payloads(self) -> list[np.ndarray]:
+        """Each list's payload rows, as views of `payload`; see `list_ids`."""
+        return np.split(self.payload, self.offsets[1:-1])
+
+    def _probed(self, lists: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+        """The rows of each of `arrays` (ids, payload) that `lists` hold, list after list."""
+        bounds = self.offsets.tolist()
+        spans = [(bounds[i], bounds[i + 1]) for i in lists.tolist()]
+        return [np.concatenate([a[lo:hi] for lo, hi in spans]) for a in arrays]
 
     def probe_order(self, query: np.ndarray) -> np.ndarray:
         """Coarse lists ranked nearest-first, index tie-break."""
@@ -88,11 +110,7 @@ class IvfIndex(VectorIndex):
 
     def probe_candidate_ids(self, query: np.ndarray, nprobe: int) -> np.ndarray:
         """Ids reachable at a probe depth; the subset-monotonicity surface."""
-        order = self.probe_order(query)[:nprobe]
-        parts = [self.list_ids[i] for i in order if len(self.list_ids[i])]
-        if not parts:
-            return np.empty(0, dtype=np.uint64)
-        return np.concatenate(parts)
+        return self._probed(self.probe_order(query)[:nprobe], self._ids)[0]
 
     def _score_payload(self, payload: np.ndarray, query: np.ndarray) -> np.ndarray:
         if self.encoding == "flat":
@@ -108,30 +126,21 @@ class IvfIndex(VectorIndex):
         nprobe = self.nprobe if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
-        order = self.probe_order(q)[:nprobe]
-        id_parts, payload_parts = [], []
-        for i in order:
-            if len(self.list_ids[i]):
-                id_parts.append(self.list_ids[i])
-                payload_parts.append(self.list_payloads[i])
-        if not id_parts:
+        ids, payload = self._probed(self.probe_order(q)[:nprobe], self._ids, self.payload)
+        if not len(ids):
             return SearchResult([])
-        ids = np.concatenate(id_parts)
-        payload = np.concatenate(payload_parts)
         if self.encoding == "flat":
             rows = shortlist(Metric.L2, q, payload, k)
             ids, payload = ids[rows], payload[rows]
         return make_result(Metric.L2, ids, self._score_payload(payload, q), k)
 
     def memory_bytes(self) -> int:
-        total = self.coarse.vectors.nbytes
-        total += sum(ids.nbytes for ids in self.list_ids)
-        total += sum(p.nbytes for p in self.list_payloads)
+        arrays = [self.coarse.vectors, self._ids, self.payload, self.offsets]
         if self.codebook is not None:
-            total += sum(b.vectors.nbytes for b in self.codebook.books)
+            arrays += [b.vectors for b in self.codebook.books]
         if self.sq_params is not None:
-            total += self.sq_params.mins.nbytes + self.sq_params.maxs.nbytes
-        return total
+            arrays += [self.sq_params.mins, self.sq_params.maxs]
+        return sum(a.nbytes for a in arrays)
 
     def config(self) -> dict:
         cfg: dict = {
@@ -156,13 +165,12 @@ class IvfIndex(VectorIndex):
         elif self.encoding == "sq":
             assert self.sq_params is not None
             self.sq_params.write(w)
-        for ids, payload in zip(self.list_ids, self.list_payloads):
-            w.u64(len(ids))
-            w.u64_array(ids)
-            if self.encoding == "flat":
-                w.f32_array(payload)
-            else:
-                w.u8_array(payload)
+        write_rows = w.f32_array if self.encoding == "flat" else w.u8_array
+        bounds = self.offsets.tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            w.u64(b - a)
+            w.u64_array(self._ids[a:b])
+            write_rows(self.payload[a:b])
 
     @classmethod
     def read_payload(cls, r: Reader, encoding: str) -> "IvfIndex":
@@ -173,22 +181,34 @@ class IvfIndex(VectorIndex):
         )
         nprobe = r.u32()
         codebook = sq_params = None
+        width = dim  # payload items per row
         if encoding == "pq":
             codebook = read_codebook(r)
+            width = codebook.m
         elif encoding == "sq":
             sq_params = SqParams.read(r)
-        list_ids, list_payloads = [], []
-        for _ in range(nlist):
-            count = r.u64()
-            list_ids.append(r.u64_array(count))
-            if encoding == "flat":
-                list_payloads.append(r.f32_array(count * dim).reshape(count, dim))
-            elif encoding == "pq":
-                assert codebook is not None
-                list_payloads.append(read_codes(r, codebook, count))
-            else:
-                list_payloads.append(r.u8_array(count * dim).reshape(count, dim))
-        return cls(coarse, encoding, list_ids, list_payloads, nprobe, codebook, sq_params)
+        wire = np.dtype("<f4" if encoding == "flat" else "u1")
+        row_bytes = width * wire.itemsize
+        # One walk over the count headers, then each array is one copy of its lists.
+        section = r.view("u1")
+        data, starts, counts, pos = memoryview(section), [], [], 0
+        try:
+            for _ in range(nlist):
+                count = struct.unpack_from("<Q", data, pos)[0]
+                starts.append(pos + 8)
+                counts.append(count)
+                pos += 8 + count * (8 + row_bytes)
+        except struct.error:
+            raise ValueError("truncated buffer") from None
+        r.skip(pos)
+        cuts = [(a, a + 8 * c, a + (8 + row_bytes) * c) for a, c in zip(starts, counts)]
+        ids = np.concatenate([section[a:b] for a, b, _ in cuts]).view("<u8")
+        payload = np.concatenate([section[b:c] for _, b, c in cuts]).view(wire)
+        payload = payload.astype(wire.newbyteorder("="), copy=False).reshape(-1, width)
+        if codebook is not None:
+            check_codes(codebook, payload)
+        offsets = np.cumsum([0] + counts, dtype=np.int64)
+        return cls(coarse, encoding, ids, payload, offsets, nprobe, codebook, sq_params)
 
 
 def ivf_build(
@@ -231,9 +251,7 @@ def ivf_build(
     else:
         encoded = emb_set.vectors
 
-    list_ids, list_payloads = [], []
-    for c in range(nlist):
-        rows = np.flatnonzero(assign == c)
-        list_ids.append(emb_set.ids[rows].copy())
-        list_payloads.append(np.ascontiguousarray(encoded[rows]))
-    return IvfIndex(coarse, encoding, list_ids, list_payloads, nprobe, codebook, sq_params)
+    rows = np.argsort(assign, kind="stable")  # by list, then by row
+    offsets = np.cumsum(np.bincount(assign, minlength=nlist), dtype=np.int64)
+    return IvfIndex(coarse, encoding, emb_set.ids[rows], encoded[rows],
+                    np.concatenate(([0], offsets)), nprobe, codebook, sq_params)

@@ -54,15 +54,8 @@ class LshIndex(VectorIndex):
         return self.hyperplanes.shape[1]
 
     @property
-    def ids(self) -> np.ndarray:
-        return self._ids
-
-    @property
     def codes(self) -> np.ndarray:
         return self._codes
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Packed sign codes, one row per vector: bit i set iff dot(h_i, v) >= 0."""

@@ -2,7 +2,7 @@
 
 Layout: magic ``VIDX``, one version byte, one family-tag byte, then the
 family-specific little-endian payload. Saving a loaded index reproduces the
-original bytes exactly.
+original bytes exactly. Every load rejects an index whose stored ids repeat.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .base import VectorIndex
+from .data import check_unique_ids
 from .families import BY_TAG, family
 from .wire import Reader, Writer
 
@@ -38,6 +39,7 @@ def load_index_bytes(data: bytes) -> VectorIndex:
         raise ValueError(f"unknown family tag {tag}")
     index = BY_TAG[tag].read(r)
     r.expect_exhausted()
+    check_unique_ids(index.ids)
     return index
 
 

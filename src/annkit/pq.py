@@ -1,4 +1,4 @@
-"""Product quantization: codebook training, encode/decode, and ADC search.
+"""Product quantization: codebook training, encoding, and ADC search.
 
 A vector is split into m contiguous sub-vectors, each quantized against its
 own codebook of ks = 2^nbits centroids. Search is asymmetric: the query stays
@@ -95,16 +95,6 @@ def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
     return codes
 
 
-def pq_decode(cb: PqCodebook, code: np.ndarray) -> np.ndarray:
-    """Concatenate the selected sub-centroids back into a float32 vector."""
-    code = np.asarray(code)
-    if code.shape != (cb.m,):
-        raise ValueError(f"code must have exactly m={cb.m} entries")
-    return np.concatenate(
-        [cb.books[j].vectors[int(code[j])] for j in range(cb.m)]
-    ).astype(np.float32)
-
-
 def adc_table(cb: PqCodebook, query: np.ndarray) -> np.ndarray:
     """(m, ks) table of squared L2 distances, query sub-vector vs sub-centroids.
 
@@ -158,15 +148,8 @@ class PqIndex(VectorIndex):
         return self.codebook.dim
 
     @property
-    def ids(self) -> np.ndarray:
-        return self._ids
-
-    @property
     def codes(self) -> np.ndarray:
         return self._codes
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         """Rank every stored code by asymmetric distance; ascending-id tie-break."""

@@ -117,13 +117,6 @@ class RpForestIndex(VectorIndex):
     def dim(self) -> int:
         return self._vectors.shape[1]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return self._ids
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
     def candidate_rows(self, query: np.ndarray, search_k: int) -> np.ndarray:
         """Deduplicated candidate rows for a budget, from the shared frontier.
 

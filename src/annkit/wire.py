@@ -114,6 +114,10 @@ class Reader:
     def f32_array(self, count: int) -> np.ndarray:
         return self._array(_F32_ARRAY, count)
 
+    def skip(self, n: int) -> None:
+        """Move past `n` bytes already read through `view`."""
+        self._advance(n)
+
     def view(self, dtype: str) -> np.ndarray:
         """Every whole `dtype` item left, as a read-only view; the cursor stays put."""
         left = (len(self._data) - self._pos) // np.dtype(dtype).itemsize

@@ -23,7 +23,7 @@ from annkit.ivf import ivf_build
 from annkit.kmeans import assign_to_centroids, kmeans_fit
 from annkit.lsh import RERANK_POOL_FACTOR, lsh_build
 from annkit.persist import dump_index, load_index_bytes
-from annkit.pq import PqIndex, adc_scores, pq_decode, pq_train
+from annkit.pq import PqIndex, adc_scores, pq_train
 from annkit.rpforest import rp_build
 from annkit.sq import sq_decode_batch, sq_encode_batch, sq_train
 
@@ -156,7 +156,8 @@ def test_adc_matches_distance_to_decoded(dstar):
         q = rng.standard_normal(dstar.dim) * 2.0
         codes = rng.integers(0, cb.ks, size=(10, cb.m)).astype(np.uint8)
         got = adc_scores(cb, codes, q)
-        decoded = np.stack([pq_decode(cb, c) for c in codes])
+        # each code's sub-centroids side by side: the reconstruction ADC approximates
+        decoded = np.concatenate([cb.books[j].vectors[codes[:, j]] for j in range(cb.m)], axis=1)
         want = batch_scores(Metric.L2, q, decoded)
         worst = max(worst, float(np.max(np.abs(got - want) / want)))
     note(f"adc vs decoded-l2 worst relative error = {worst:.3e}")

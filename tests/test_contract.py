@@ -32,6 +32,17 @@ def indexes(small_set):
     return out
 
 
+@pytest.mark.parametrize("state", ["built", "loaded"])
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_holds_each_id_once(indexes, small_set, name, state):
+    index = indexes[name][state]
+    ids = index.ids
+    assert ids.dtype == np.uint64
+    assert len(index) == len(ids)
+    assert len(np.unique(ids)) == len(ids)
+    assert sorted(ids.tolist()) == sorted(small_set.ids.tolist())
+
+
 def _bad_query(small_set, case):
     q = small_set.vectors[0].astype(np.float64)
     if case == "wrong-dim":

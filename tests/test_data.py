@@ -80,6 +80,19 @@ def test_from_records_round_trip(small_set):
     np.testing.assert_array_equal(rebuilt.vectors, small_set.vectors)
 
 
+@pytest.mark.parametrize("ids, unique", [([5, 1, 3], True), ([1, 3, 5], True),
+                                         ([5, 1, 5], False), ([1, 3, 3], False)])
+def test_set_checks_ids_in_any_order(ids, unique):
+    """Increasing ids take the fast path; any other order is sorted first."""
+    args = (np.array(ids, dtype=np.uint64), np.zeros(3, dtype=np.uint32),
+            np.zeros((3, 2), dtype=np.float32))
+    if unique:
+        assert len(EmbeddingSet(*args)) == 3
+    else:
+        with pytest.raises(ValueError, match="unique"):
+            EmbeddingSet(*args)
+
+
 def test_set_rejects_duplicate_ids():
     with pytest.raises(ValueError):
         EmbeddingSet(

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from annkit.distances import Metric, batch_scores, distance, normalize, rank_order
+from annkit.data import EmbeddingSet
+from annkit.distances import Metric, batch_scores, rank_order
 
 
 def naive_score(metric: Metric, a, b) -> float:
@@ -48,33 +49,37 @@ def test_batch_scores_match_naive(metric, rng):
     assert got.dtype == np.float64
 
 
+def one(metric: Metric, a, b) -> float:
+    """The score of a single pair: b as a one-row batch."""
+    return batch_scores(metric, a, np.asarray(b)[np.newaxis, :])[0]
+
+
 @pytest.mark.parametrize("metric", list(Metric))
 def test_scalar_distance_matches_batch_row(metric, rng):
+    """A pair scored alone scores exactly as its row inside a larger batch."""
     a = rng.standard_normal(6)
-    b = rng.standard_normal(6)
-    one = distance(metric, a, b)
-    row = batch_scores(metric, a, b[np.newaxis, :])[0]
-    assert one == np.float32(row)
+    rows = rng.standard_normal((5, 6))
+    assert one(metric, a, rows[2]) == batch_scores(metric, a, rows)[2]
 
 
 def test_l2_zero_for_identical_vectors(rng):
     v = rng.standard_normal(8)
-    assert distance(Metric.L2, v, v) == 0.0
-    assert distance(Metric.MANHATTAN, v, v) == 0.0
+    assert one(Metric.L2, v, v) == 0.0
+    assert one(Metric.MANHATTAN, v, v) == 0.0
 
 
 def test_angular_identity_and_opposite():
     v = np.array([1.0, 2.0, -3.0])
-    assert distance(Metric.ANGULAR, v, v) == pytest.approx(0.0, abs=1e-6)
+    assert one(Metric.ANGULAR, v, v) == pytest.approx(0.0, abs=1e-6)
     # antipodal vectors: cos = -1 so the distance is sqrt(2 * 2) = 2
-    assert distance(Metric.ANGULAR, v, -v) == pytest.approx(2.0, rel=1e-6)
+    assert one(Metric.ANGULAR, v, -v) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_angular_is_scale_invariant(rng):
     a = rng.standard_normal(5)
     b = rng.standard_normal(5)
-    d1 = distance(Metric.ANGULAR, a, b)
-    d2 = distance(Metric.ANGULAR, 3.5 * a, 0.2 * b)
+    d1 = one(Metric.ANGULAR, a, b)
+    d2 = one(Metric.ANGULAR, 3.5 * a, 0.2 * b)
     assert d1 == pytest.approx(d2, rel=1e-5)
 
 
@@ -96,16 +101,23 @@ def test_metric_string_values():
     assert Metric("l2") is Metric.L2
 
 
+def _set_of(vectors: np.ndarray) -> EmbeddingSet:
+    n = len(vectors)
+    return EmbeddingSet(np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint32), vectors)
+
+
 def test_normalize_unit_norm(rng):
-    v = rng.standard_normal(7) * 10
-    u = normalize(v)
-    assert np.linalg.norm(u) == pytest.approx(1.0, rel=1e-6)
-    np.testing.assert_allclose(u * np.linalg.norm(v), v, rtol=1e-5, atol=1e-7)
+    """Normalizing keeps each row's direction and makes its norm 1."""
+    v = (rng.standard_normal((4, 7)) * 10).astype(np.float32)
+    u = _set_of(v).normalized().vectors.astype(np.float64)
+    norms = np.linalg.norm(v.astype(np.float64), axis=1)
+    np.testing.assert_allclose(np.linalg.norm(u, axis=1), 1.0, rtol=1e-6)
+    np.testing.assert_allclose(u * norms[:, np.newaxis], v, rtol=1e-5, atol=1e-5)
 
 
 def test_normalize_zero_raises():
     with pytest.raises(ValueError):
-        normalize(np.zeros(3))
+        _set_of(np.zeros((1, 3), dtype=np.float32)).normalized()
 
 
 def test_rank_order_ascending_for_distances():

@@ -87,10 +87,10 @@ def test_full_probe_sq_equals_decoded_exhaustive(small_set, rng):
 
 
 def test_every_record_lands_in_exactly_one_list(small_set, ivf_flat):
-    seen = []
-    for ids in ivf_flat.list_ids:
-        seen.extend(ids.tolist())
-    assert sorted(seen) == sorted(small_set.ids.tolist())
+    offsets = ivf_flat.offsets
+    assert offsets[0] == 0 and offsets[-1] == len(ivf_flat.ids) == len(ivf_flat.payload)
+    assert len(offsets) == ivf_flat.nlist + 1 and np.all(np.diff(offsets) >= 0)
+    assert sorted(ivf_flat.ids.tolist()) == sorted(small_set.ids.tolist())
 
 
 def test_search_result_never_contains_duplicates(small_set, ivf_flat, rng):

@@ -1,12 +1,15 @@
 """VIDX container: byte-stable round trips for every index family."""
 
 import gc
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from annkit.data import gen_synthetic
+from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric
 from annkit.families import FAMILIES, build_index
 from annkit.flat import FlatIPIndex, FlatL2Index
@@ -176,3 +179,46 @@ def test_ivf_metric_variants_round_trip(small_set, rng):
         assert loaded.label == forest.label
         q = rng.standard_normal(small_set.dim).astype(np.float32)
         assert loaded.search(q, 6).neighbors == forest.search(q, 6).neighbors
+
+
+# ------------------------------------------------------------ stored values
+
+# Ids far from every count, code and float bit pattern, so each one's eight
+# bytes occur in a blob only where that id is stored.
+_ID_BASE = 0x5EED_0000_0000_0000
+
+
+@pytest.fixture(scope="module")
+def distinct_id_blobs(small_set):
+    """Family -> (the set's ids, the VIDX blob of an index over it)."""
+    ids = np.uint64(_ID_BASE) + np.uint64(7919) * small_set.ids
+    s = EmbeddingSet(ids, small_set.labels, small_set.vectors)
+    return {name: (ids, dump_index(build(s))) for name, build in BUILDERS.items()}
+
+
+@settings(derandomize=True, max_examples=90, deadline=None)
+@given(family=st.sampled_from(sorted(BUILDERS)), data=st.data())
+def test_every_loader_rejects_a_repeated_id(distinct_id_blobs, family, data):
+    """One stored id written over another: every tag's load raises ValueError.
+
+    flat, pq, ivf, lsh and rpforest blobs once loaded such a file and then
+    answered a search with the same id twice.
+    """
+    ids, blob = distinct_id_blobs[family]
+    kept, lost = data.draw(st.lists(st.sampled_from(ids.tolist()), min_size=2, max_size=2,
+                                    unique=True))
+    kept, lost = struct.pack("<Q", kept), struct.pack("<Q", lost)
+    assume(blob.count(lost) == 1)  # the hnsw entry id is stored twice
+    with pytest.raises(ValueError, match="unique"):
+        load_index_bytes(blob.replace(lost, kept))
+
+
+@pytest.mark.parametrize("family", ["flat-l2", "flat-ip"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_flat_loaders_reject_non_finite_vectors(small_set, family, value):
+    """A NaN row once dropped out of every answer, and +inf led flat-ip's."""
+    blob = bytearray(dump_index(BUILDERS[family](small_set)))
+    vectors_at = 6 + 4 + 8 + 8 * len(small_set)  # magic, version, tag, dim, count, ids
+    struct.pack_into("<f", blob, vectors_at, value)
+    with pytest.raises(ValueError, match="finite"):
+        load_index_bytes(bytes(blob))

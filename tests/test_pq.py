@@ -12,11 +12,15 @@ from annkit.pq import (
     adc_scores,
     adc_table,
     default_m,
-    pq_decode,
     pq_encode_batch,
     pq_train,
 )
 from annkit.wire import Reader, Writer
+
+
+def decode(cb, codes: np.ndarray) -> np.ndarray:
+    """Reference decode: each code's sub-centroids side by side, as float32 rows."""
+    return np.concatenate([cb.books[j].vectors[codes[:, j]] for j in range(cb.m)], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +59,7 @@ def test_adc_equals_decoded_l2_exhaustively(tiny_codebook, rng):
     for _ in range(5):
         q = rng.standard_normal(4)
         got = adc_scores(cb, codes, q)
-        decoded = np.stack([pq_decode(cb, c) for c in codes])
+        decoded = decode(cb, codes)
         want = np.linalg.norm(decoded - q, axis=1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
@@ -110,8 +114,7 @@ def test_perfect_reconstruction_when_codewords_cover_points():
         [[0.0, 0.0, 1.0, 1.0], [5.0, 5.0, -1.0, 2.0], [-3.0, 1.0, 4.0, 0.0], [2.0, -2.0, 0.0, 9.0]]
     )
     cb = pq_train(points, m=2, nbits=2, seed=0)
-    for v, code in zip(points, pq_encode_batch(cb, points)):
-        np.testing.assert_allclose(pq_decode(cb, code), v, atol=1e-9)
+    np.testing.assert_allclose(decode(cb, pq_encode_batch(cb, points)), points, atol=1e-9)
 
 
 def test_adc_matches_decoded_l2_at_scale(small_set, rng):
@@ -120,7 +123,7 @@ def test_adc_matches_decoded_l2_at_scale(small_set, rng):
     for _ in range(10):
         q = rng.standard_normal(small_set.dim)
         got = adc_scores(cb, codes, q)
-        decoded = np.stack([pq_decode(cb, c) for c in codes])
+        decoded = decode(cb, codes)
         want = batch_scores(Metric.L2, q, decoded)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 

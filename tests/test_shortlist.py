@@ -136,9 +136,9 @@ def test_ivf_flat_equals_full_scan_of_probed_lists(case, nlist):
     emb = EmbeddingSet(ids, np.zeros(len(ids), dtype=np.uint32), vectors)
     index = ivf_build(emb, nlist=min(nlist, len(ids)), encoding="flat", seed=0)
     for nprobe in (index.nprobe, index.nlist):
-        probed = [i for i in index.probe_order(query)[:nprobe] if len(index.list_ids[i])]
-        lists_ids = np.concatenate([index.list_ids[i] for i in probed])
-        lists_vectors = np.concatenate([index.list_payloads[i] for i in probed])
+        lists = [slice(*index.offsets[i : i + 2]) for i in index.probe_order(query)[:nprobe]]
+        lists_ids = np.concatenate([index.ids[rows] for rows in lists])
+        lists_vectors = np.concatenate([index.payload[rows] for rows in lists])
         want = full_scan(Metric.L2, lists_ids, lists_vectors, query, k)
         assert index.search(query, k, nprobe=nprobe).neighbors == want
 
