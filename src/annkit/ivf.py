@@ -2,9 +2,14 @@
 
 A query ranks the coarse centroids, scans the nprobe nearest inverted lists,
 and scores only those candidates — exactly (flat payload), by asymmetric
-distance (PQ codes), or against the 8-bit reconstruction (SQ bytes). The
-candidate set for nprobe = p is by construction a subset of the one for
-p + 1, which makes recall non-decreasing in nprobe.
+distance (PQ codes), or against the 8-bit reconstruction (SQ bytes). Flat
+lists pass through `distances.shortlist` first. SQ lists rank every probed
+code by a float32 key computed on the codes themselves and decode only the
+rows a proven bound keeps (`sq._code_shortlist`), or every row where that
+bound cannot be kept tight. Either way the scores are those of decoding and
+scoring every probed row. The candidate set for nprobe = p is by
+construction a subset of the one for p + 1, which makes recall
+non-decreasing in nprobe.
 
 The lists are held in one compressed-sparse-row layout: `ids` and `payload`
 sorted by list (build order inside a list), and nlist + 1 `offsets`, so list
@@ -33,7 +38,7 @@ from .pq import (
     read_codebook,
     write_codebook,
 )
-from .sq import SqParams, sq_decode_batch, sq_encode_batch, sq_train
+from .sq import SqParams, _code_shortlist, sq_decode_batch, sq_encode_batch, sq_train
 from .wire import Reader, Writer
 
 ENCODINGS = ("flat", "pq", "sq")
@@ -131,6 +136,10 @@ class IvfIndex(VectorIndex):
             return SearchResult([])
         if self.encoding == "flat":
             rows = shortlist(Metric.L2, q, payload, k)
+            ids, payload = ids[rows], payload[rows]
+        elif self.encoding == "sq":
+            assert self.sq_params is not None
+            rows = _code_shortlist(self.sq_params, payload, q, k)
             ids, payload = ids[rows], payload[rows]
         return make_result(Metric.L2, ids, self._score_payload(payload, q), k)
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .distances import _ETA32, _EVERY_ROW, _MAX_DIM, _U32, _U64
 from .wire import Reader, Writer
 
 LEVELS = 256
@@ -23,6 +25,8 @@ class SqParams:
         self.maxs = np.asarray(self.maxs, dtype=np.float32).reshape(-1)
         if self.mins.shape != self.maxs.shape:
             raise ValueError("mins and maxs must have the same shape")
+        if not np.isfinite([self.mins, self.maxs]).all():
+            raise ValueError("mins and maxs must be finite")
         if np.any(self.mins > self.maxs):
             raise ValueError("per-dimension min must not exceed max")
 
@@ -84,3 +88,114 @@ def sq_decode_batch(params: SqParams, codes: np.ndarray) -> np.ndarray:
     out /= LEVELS
     out += params.mins.astype(np.float64)
     return out
+
+
+_TOP = LEVELS - 1  # the largest code
+_KEY_LIMIT = 2.0**100  # keys below this in magnitude keep every float32 product and sum finite
+
+
+def _code_shortlist(
+    params: SqParams, codes: np.ndarray, query: np.ndarray, k: int
+) -> np.ndarray | slice:
+    """Rows of `codes` whose decoded vectors can rank among the best k by L2.
+
+    `query` is float64. Returns an ascending index array, or ``slice(None)``
+    when every row must be decoded and scored: when k exceeds half the rows or
+    the dimension 2**20, when a key could reach 2**100 (huge spans or query
+    components), and when the shortlist would hold over half the rows.
+    Scoring ``batch_scores(Metric.L2, query, sq_decode_batch(params,
+    codes[rows]))`` and ranking it with `rank_order` gives exactly the best k
+    of decoding and scoring every row. The argument is that of
+    `distances.shortlist`, on keys computed from the codes themselves.
+
+    Keys. Let S be the float64 span ``maxs - mins`` that `sq_decode_batch`
+    uses, s = S / 256 (exact) and b = mins + 0.5 s as float64 computes it.
+    Code c stands for the real point w = b + c s, and for every row
+    ||w - q||^2 = Z + K with Z = ||b - q||^2, the same for all rows, and
+    K = c.a + (c c).t, where a = 2 s (b - q) and t = s s. Both weights are
+    computed in float64 and rounded to float32 as a32 and t32. The codes are
+    cast to float32 exactly, c c is exact in float32, and one float32
+    matrix-vector product each gives c.a32 and (c c).t32. Their float32 sum
+    is the row's key.
+
+    Bound. Let d be the dimension, u = 2**-24, e = 2**-53, g = d u / (1 - d u)
+    (gamma_d, Higham, Accuracy and Stability of Numerical Algorithms, section
+    3.1) and P = 255 sum|a| + 255**2 sum t over the float64 weights. The
+    float32 weights are at most (1 + u) times larger and codes are at most
+    255, so (1 + u) P bounds the absolute sum of the products in any key. For
+    every row:
+
+    - each float32 product, in any summation order, is within g times its
+      absolute sum of the exact one: within g (1 + u) P for the two together;
+    - the float32 addition of the two adds u (1 + g)(1 + u) P;
+    - the weights: b - q and its product by 2 s round once each, so the
+      float64 a is within 3 e of the real a, relatively, and t within 2 e;
+      rounding either to float32 adds u, relatively. A code multiplies them
+      by at most 255 and 255**2, which moves the key by at most (u + 4 e) P.
+      The query enters only through a, so this also covers rounding q.
+
+    So each key lies within E = (g + u (2 + g) + 4 e)(1 + u) P of K, up to
+    underflow terms. The decoder rounds too: c + 0.5 is exact, the product by S rounds
+    once, the division by 256 is exact and adding mins rounds once, so each
+    decoded component lies within e (|mins| + 3 S) of mins + (c + 0.5) S / 256,
+    which float64 b misses by e |b| at most. The decoded row v therefore lies
+    within Ed = e (2 ||mins|| + 4 ||S||) of w. batch_scores then adds its own
+    float64 error: with G = gamma_{d+4} in float64, its squared distance lies
+    within G ||v - q||^2 of the exact one.
+
+    Let c_k be the k-th smallest key and take as anchors the k rows with keys
+    <= c_k. Each has ||w - q||^2 <= R^2 = c_k + E + Z, so its computed
+    squared score is at most (1 + G)(R + Ed)^2. A row with key k_c has
+    ||w - q||^2 >= k_c - E + Z, so its computed squared score is at least
+    (1 - G)(||w - q|| - Ed)^2. With l = sqrt((1 + G) / (1 - G)), it ranks
+    strictly behind every anchor once ||w - q|| > l R + (1 + l) Ed, that is
+    once k_c > c_k + 2 E + F with
+    F = (l^2 - 1) R^2 + 2 l (1 + l) R Ed + (1 + l)^2 Ed^2. So no tie-break
+    can bring it into the best k. The rows kept are those with
+    k_c <= c_k + 2 E + F. R^2 is raised by 2**-30 of its terms, which covers
+    the float64 rounding of Z and of the sum. The slack is widened by 2**-20
+    of itself, which covers the float64 rounding of computing it, and by
+    2**17 (d + 1) 2**-149, which covers every underflow term, those of the
+    float32 weights included.
+    """
+    n, d = codes.shape
+    if 2 * k > n or d > _MAX_DIM:
+        return _EVERY_ROW
+    spans = _spans(params)
+    mins = params.mins.astype(np.float64)
+    step = spans / LEVELS  # s
+    gap = mins + 0.5 * step  # b ...
+    gap -= query  # ... less q
+    lin = 2.0 * step * gap  # a
+    quad = step * step  # t
+    reach = _TOP * float(np.abs(lin).sum()) + _TOP * _TOP * float(quad.sum())  # P
+    if not reach < _KEY_LIMIT:
+        return _EVERY_ROW
+    g = d * _U32 / (1.0 - d * _U32)
+    e = (g + _U32 * (2.0 + g) + 4.0 * _U64) * (1.0 + _U32) * reach
+    z = float(gap @ gap)
+    ed = _U64 * (2.0 * math.sqrt(float(mins @ mins)) + 4.0 * math.sqrt(float(spans @ spans)))
+    c = codes.astype(np.float32)
+    keys = c @ lin.astype(np.float32)
+    c *= c
+    keys += c @ quad.astype(np.float32)
+    kth = float(np.partition(keys, k - 1)[k - 1])
+    r2 = max(kth + e + z, 0.0) + 2.0**-30 * (abs(kth) + e + z)
+    r = math.sqrt(r2)
+    big_g = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
+    lam = math.sqrt((1.0 + big_g) / (1.0 - big_g))
+    f = (
+        2.0 * big_g / (1.0 - big_g) * r2
+        + 2.0 * lam * (1.0 + lam) * r * ed
+        + (1.0 + lam) ** 2 * ed * ed
+    )
+    bound = kth + (2.0 * e + f) * (1.0 + 2.0**-20) + 2**17 * (d + 1) * _ETA32
+    if not bound < _KEY_LIMIT:  # keys are below about 2**100: all would be kept
+        return _EVERY_ROW
+    # The smallest float32 >= bound: comparing float32 keys with it keeps
+    # exactly the keys <= bound.
+    cut = np.float32(bound)
+    if cut < bound:
+        cut = np.nextafter(cut, np.float32(np.inf))
+    rows = np.flatnonzero(keys <= cut)
+    return rows if 2 * len(rows) <= n else _EVERY_ROW

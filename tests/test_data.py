@@ -11,6 +11,7 @@ from annkit.data import (
     VEMB_VERSION,
     EmbeddingRecord,
     EmbeddingSet,
+    check_unique_ids,
     dump_vemb,
     gen_synthetic,
     load_csv,
@@ -91,6 +92,20 @@ def test_set_checks_ids_in_any_order(ids, unique):
     else:
         with pytest.raises(ValueError, match="unique"):
             EmbeddingSet(*args)
+
+
+@pytest.mark.parametrize("scale", [1, 4, 5, 1000])
+def test_unordered_ids_are_checked_dense_or_sparse(scale):
+    """Ids below four times their count are counted, others sorted; both
+    paths accept distinct ids and find one repeat, wherever it lies."""
+    rng = np.random.default_rng(scale)
+    ids = rng.permutation(np.arange(500, dtype=np.uint64) * np.uint64(scale))
+    check_unique_ids(ids)
+    for at in (0, 1, 250, 499):
+        repeated = ids.copy()
+        repeated[at] = ids[(at + 7) % len(ids)]
+        with pytest.raises(ValueError, match="unique"):
+            check_unique_ids(repeated)
 
 
 def test_set_rejects_duplicate_ids():

@@ -1,0 +1,40 @@
+"""tools/identity.py: the per-family digest table and its comparison."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from annkit.families import FAMILIES
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
+_SPEC = importlib.util.spec_from_file_location("identity", _PATH)
+identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(identity)
+
+
+def _row(tag: str) -> dict:
+    return {field: f"{tag}-{field}" for field in identity.FIELDS}
+
+
+def test_differences_name_each_changed_field_and_missing_row():
+    parent = {"flat-l2": _row("a"), "hnsw": _row("a"), "lsh": _row("a")}
+    change = {"flat-l2": _row("a"), "hnsw": {**_row("a"), "loaded_memory_bytes": 7}, "pq": _row("a")}
+    assert identity.differences(parent, parent) == []
+    assert identity.differences(parent, change) == [
+        "hnsw: loaded_memory_bytes a-loaded_memory_bytes -> 7",
+        "lsh: only in the parent",
+        "pq: only in the change",
+    ]
+
+
+def test_table_covers_every_family_and_repeats_exactly(small_set):
+    """Two tables of one tree are equal, every family has a row, and each
+    loaded index holds and answers what the built one does."""
+    rows = np.arange(0, len(small_set), 50)
+    first = identity.table(small_set, rows, n_random=2)
+    assert list(first) == list(FAMILIES)
+    assert identity.differences(first, identity.table(small_set, rows, n_random=2)) == []
+    for r in first.values():
+        assert r["built_memory_bytes"] == r["loaded_memory_bytes"]
+        assert r["built_results_sha256"] == r["loaded_results_sha256"]

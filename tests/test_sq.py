@@ -81,6 +81,18 @@ def test_params_validation():
         )
 
 
+@pytest.mark.parametrize("field", ["mins", "maxs"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite_ranges(field, value):
+    """A NaN range once decoded to NaN scores, and an infinite max passed the
+    min <= max check."""
+    ranges = {"mins": np.array([0.0, -1.0], dtype=np.float32),
+              "maxs": np.array([1.0, 1.0], dtype=np.float32)}
+    ranges[field][1] = value
+    with pytest.raises(ValueError, match="finite"):
+        SqParams(**ranges)
+
+
 def test_params_wire_round_trip(rng):
     data = rng.standard_normal((30, 4))
     params = sq_train(data)

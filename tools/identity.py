@@ -1,0 +1,149 @@
+"""Check that every index family gives the same bytes and answers as a parent.
+
+    python3 tools/identity.py                    # this checkout's table
+    python3 tools/identity.py --parent HEAD~1    # compare with a commit
+
+Every row of ``annkit.families.FAMILIES`` is built on the acceptance corpus
+(32 classes x 300 points, dim 64, seed 7; normalized for rows that index the
+unit set) and dumped to VIDX. Each row reports the sha256 of the VIDX bytes,
+``memory_bytes()`` of the built and of the loaded index, and a sha256 of the
+built and of the loaded index's ``SearchResult``s for a fixed query set (64
+corpus rows sampled with seed 11 and 16 Gaussian vectors, k = 10, default
+knobs).
+
+With ``--parent`` the parent side is the committed tree of that revision,
+extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
+checkout's working tree. Each side runs this script against its own ``src``
+in a fresh process with BLAS pinned to one thread, and every field that
+differs is listed; the exit code is 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+FIELDS = (
+    "vidx_sha256",
+    "built_memory_bytes",
+    "loaded_memory_bytes",
+    "built_results_sha256",
+    "loaded_results_sha256",
+)
+K = 10
+N_QUERIES = 64
+BLAS_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def results_digest(index, queries) -> str:
+    h = hashlib.sha256()
+    for q in queries:
+        h.update(repr(index.search(q, K).neighbors).encode())
+    return h.hexdigest()
+
+
+def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
+    """Family name -> FIELDS, for every FAMILIES row built on `emb_set` and
+    queried with its rows `query_rows` and `n_random` Gaussian vectors."""
+    from annkit.families import FAMILIES, build_index
+    from annkit.persist import dump_index, load_index_bytes
+
+    gauss = np.random.default_rng(11).standard_normal((n_random, emb_set.dim))
+    out = {}
+    for name, row in FAMILIES.items():
+        data = emb_set.normalized() if row.unit else emb_set
+        queries = [*data.vectors[query_rows], *gauss]
+        built = build_index(data, name, seed=0)
+        blob = dump_index(built)
+        loaded = load_index_bytes(blob)
+        out[name] = {
+            "vidx_sha256": hashlib.sha256(blob).hexdigest(),
+            "built_memory_bytes": built.memory_bytes(),
+            "loaded_memory_bytes": loaded.memory_bytes(),
+            "built_results_sha256": results_digest(built, queries),
+            "loaded_results_sha256": results_digest(loaded, queries),
+        }
+    return out
+
+
+def acceptance_table() -> dict[str, dict]:
+    from annkit.bench import sample_query_rows
+    from annkit.data import gen_synthetic
+
+    corpus = gen_synthetic(n_classes=32, per_class=300, dim=64, spread=0.05, seed=7)
+    return table(corpus, sample_query_rows(len(corpus), N_QUERIES, seed=11))
+
+
+def side(src: Path) -> dict[str, dict]:
+    """`acceptance_table` of the package under `src`, run in its own process."""
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--src", str(src), "--json"],
+        env={**os.environ, **BLAS_ONE_THREAD}, capture_output=True, text=True,
+    )
+    if proc.returncode:
+        sys.exit(f"identity table for {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
+    """One line per family missing from a side or per field that differs."""
+    lines = []
+    for name in sorted(set(parent) | set(change)):
+        if name not in change or name not in parent:
+            lines.append(f"{name}: only in the {'parent' if name in parent else 'change'}")
+            continue
+        lines += [
+            f"{name}: {field} {parent[name][field]} -> {change[name][field]}"
+            for field in FIELDS
+            if parent[name][field] != change[name][field]
+        ]
+    return lines
+
+
+def show(rows: dict[str, dict]) -> str:
+    lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  results built/loaded"]
+    for name, r in rows.items():
+        memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
+        results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
+        lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}")
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", help="git revision to compare with")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="package directory to import")
+    parser.add_argument("--json", action="store_true", help="print the table as JSON")
+    args = parser.parse_args(argv)
+
+    if args.parent is None:
+        sys.path.insert(0, str(args.src.resolve()))
+        rows = acceptance_table()
+        print(json.dumps(rows) if args.json else show(rows))
+        return 0
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
+    from bench_pairs import extract
+
+    with tempfile.TemporaryDirectory(prefix="identity-parent-") as tmp:
+        commit = extract(args.parent, Path(tmp))
+        parent = side(Path(tmp) / "src")
+    change = side(ROOT / "src")
+    print(show(change))
+    lines = differences(parent, change)
+    print(f"\nparent {commit}: ", end="")
+    print("\n".join(["differs:", *lines]) if lines else f"all {len(change)} rows identical")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
