@@ -5,14 +5,13 @@ inverted-file, graph, hashing, and projection-forest search, plus a labeled
 benchmark protocol and binary persistence for sets (VEMB) and indexes (VIDX).
 """
 
-from .base import SearchResult, VectorIndex
+from .base import SearchResult, VectorIndex, search_excluding
 from .bench import (
     BenchReport,
     ProtocolConfig,
     read_report,
     run_benchmark,
     run_protocol,
-    search_excluding,
     write_report,
 )
 from .data import (

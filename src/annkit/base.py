@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -98,10 +98,30 @@ class VectorIndex(abc.ABC):
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         """Return the k best neighbors of `query`; first checked by `check_query`."""
 
-    @abc.abstractmethod
     def memory_bytes(self) -> int:
-        """Deterministic structural footprint: sum of component byte sizes."""
+        """Deterministic structural footprint: the bytes of every numpy array
+        the index holds, as an attribute or inside a dataclass or list one."""
+        total, items = 0, list(vars(self).values())
+        while items:
+            item = items.pop()
+            if isinstance(item, np.ndarray):
+                total += item.nbytes
+            elif isinstance(item, list):
+                items += item
+            elif is_dataclass(item):
+                items += vars(item).values()
+        return total
 
     @abc.abstractmethod
     def config(self) -> dict:
         """Build parameters, echoed into benchmark reports."""
+
+
+def search_excluding(
+    index: VectorIndex, query: np.ndarray, k: int, exclude: int
+) -> SearchResult:
+    """Top-k with the query id excluded: search k+1, drop the query id if present."""
+    check_query(query, k, index.dim)  # k itself passes the search gate, not only k + 1
+    res = index.search(query, k + 1)
+    kept = [(nid, score) for nid, score in res.neighbors if nid != exclude]
+    return SearchResult(kept[:k])

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query
+from .base import VectorIndex, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric
 from .evaluation import label_metrics, precision_at_k, recall_at_n
@@ -79,16 +79,6 @@ def sample_query_rows(n: int, n_queries: int, seed: int) -> np.ndarray:
     if n_queries > n:
         raise ValueError(f"n_queries={n_queries} exceeds the set size {n}")
     return np.random.default_rng(seed).choice(n, size=n_queries, replace=False)
-
-
-def search_excluding(
-    index: VectorIndex, query: np.ndarray, k: int, exclude: int
-) -> SearchResult:
-    """Top-k with the query id excluded: search k+1, drop the query id if present."""
-    check_query(query, k, index.dim)  # k itself passes the search gate, not only k + 1
-    res = index.search(query, k + 1)
-    kept = [(nid, score) for nid, score in res.neighbors if nid != exclude]
-    return SearchResult(kept[:k])
 
 
 def run_protocol(

@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ProtocolConfig, run_benchmark, search_excluding, write_report
+from .base import search_excluding
+from .bench import ProtocolConfig, run_benchmark, write_report
 from .data import EmbeddingSet, gen_synthetic, load_csv, load_vemb, save_vemb
 from .distances import Metric
 from .families import ALL_FAMILIES, FAMILIES, build_index, family
 from .flat import ground_truth
-from .persist import load_index, save_index
+from .persist import dump_index, load_index, load_index_bytes
 
 _METRIC_CHOICES = [m.value for m in Metric]
 
@@ -133,9 +134,13 @@ def _cmd_gen(args) -> int:
 def _cmd_build(args) -> int:
     emb_set = _load_any(args.data)
     index = build_index(emb_set, args.family, seed=args.seed, **_knobs(args, args.family))
-    save_index(index, args.out)
-    size = Path(args.out).stat().st_size
-    print(f"wrote {args.out}: {index.label}, {len(index)} vectors, {size} bytes")
+    blob = dump_index(index)
+    stored = load_index_bytes(blob).config()  # a knob VIDX does not store is lost here
+    lost = [knob for knob, value in index.config().items() if stored.get(knob) != value]
+    if lost:
+        raise ValueError(f"{index.label} cannot store {', '.join(lost)} in VIDX; no file written")
+    Path(args.out).write_bytes(blob)
+    print(f"wrote {args.out}: {index.label}, {len(index)} vectors, {len(blob)} bytes")
     return 0
 
 

@@ -9,10 +9,12 @@ Exact L2 and inner-product scans (flat-l2, flat-ip, ivf-flat lists, and
 `exact_search` / `ground_truth`) put a shortlist stage in front of that path:
 :func:`shortlist` ranks every row by one float32 matrix-vector product and
 keeps only the rows that a proven rounding bound cannot rule out of the best
-k. Those rows are scored by :func:`batch_scores` and ranked by
-:func:`rank_order` exactly as before, so scores and order are unchanged.
-Angular and Manhattan scans, and every approximate family, score all of their
-candidates.
+k. IVF-SQ does the same on keys computed from its codes (`sq._code_shortlist`).
+Both hand their float32 keys and their error bounds to one cut,
+:func:`_proven_cut`, which holds the bound's argument. The rows kept are
+scored by :func:`batch_scores` and ranked by :func:`rank_order` exactly as
+before, so scores and order are unchanged. Angular and Manhattan scans, and
+every other approximate family, score all of their candidates.
 """
 
 from __future__ import annotations
@@ -123,6 +125,7 @@ def sq_row_norms(vectors: np.ndarray) -> np.ndarray:
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
 _ETA32 = 2.0**-149  # smallest float32 subnormal: bounds the error of any underflowing op
+_F32_MAX = float(np.finfo(np.float32).max)
 _LIMIT = 2.0**60  # norms and query components below this keep float32 products finite
 _MAX_DIM = 2**20  # up to here gamma_d is finite and 2**-20 covers the float64 rounding of the bound
 _EVERY_ROW = slice(None)
@@ -142,7 +145,7 @@ def shortlist(
     ``slice(None)`` when every row must be scored: for Angular and Manhattan,
     when k exceeds half the rows or the dimension 2**20, when a norm or query
     component is 2**60 or more (or NaN) so that float32 products could
-    overflow, and when the shortlist would hold over half the rows. Ranking
+    overflow, and where :func:`_proven_cut` returns every row. Ranking
     ``batch_scores(metric, query, vectors[rows])`` with :func:`rank_order`
     gives exactly the best k of the full scan.
 
@@ -151,13 +154,11 @@ def shortlist(
 
     Keys. With q32 the query rounded to float32, one float32 product
     s = vectors @ q32 gives each row the key c = ||v||^2 - 2 s (L2, with the
-    float32 norm column) or c = -s (inner product); the exact key
-    K = ||v||^2 - 2 v.q, resp. -v.q, orders rows as batch_scores does up to
-    batch_scores' own rounding, since ||v - q||^2 = K + ||q||^2.
-
-    Bound. Let d be the dimension, u = 2**-24, g = d u / (1 - d u) (gamma_d,
-    Higham, Accuracy and Stability of Numerical Algorithms, section 3.1),
-    N >= max ||v||, Q = ||q32|| and R = ||q - q32||. For every row:
+    float32 norm column) or c = -s (inner product). The exact key is
+    K = ||v||^2 - 2 v.q, with ||v - q||^2 = K + Z and Z = ||q||^2 (L2), resp.
+    K = -v.q. Let d be the dimension, u = 2**-24, g = d u / (1 - d u)
+    (gamma_d, Higham, Accuracy and Stability of Numerical Algorithms, section
+    3.1), N >= max ||v||, Q = ||q32|| and R = ||q - q32||. For every row:
 
     - the float32 dot product, in any summation order, is within
       g sum|v_t q32_t| <= g N Q of v.q32, plus d 2**-149 if products
@@ -169,19 +170,8 @@ def shortlist(
       u (1 + g)(N^2 + 2 N Q).
 
     So |c - K| <= E with E = g N^2 + 2 g N Q + 2 N R + u (1 + g)(N^2 + 2 N Q)
-    for L2 and E = g N Q + N R for the inner product, plus the underflow
-    terms. batch_scores adds its own float64 error: with G = gamma_{d+4} in
-    float64, its L2 distance squared lies within G ||v - q||^2 of the exact
-    one (difference, square, d-term sum, square root), and its inner product
-    within G N ||q||. Let c_k be the k-th smallest key and take as anchors the
-    k rows with keys <= c_k; each has K <= c_k + E, so ||v - q||^2 <= D =
-    c_k + E + ||q||^2. A row with c > c_k + 2E + F has K > K_anchor + F for
-    every anchor, and F = 2 G D / (1 - G) (L2), F = 2 G N ||q|| (inner
-    product) then makes batch_scores rank every anchor strictly ahead of it,
-    so no tie-break can bring it into the best k. The rows kept are those
-    with c <= c_k + 2E + F, the slack widened by 2**-20 of itself, which
-    covers the float64 rounding of computing it, and by 16 (d + 1) 2**-149,
-    which covers every underflow term, float64 ones included.
+    for L2 and E = g N Q + N R for the inner product, up to underflow terms.
+    The scored rows are the stored ones (Ed = 0).
     """
     n, d = vectors.shape
     if metric not in (Metric.L2, Metric.INNER_PRODUCT) or 2 * k > n or d > _MAX_DIM:
@@ -196,30 +186,78 @@ def shortlist(
     q32 = q.astype(np.float32)
     err = q - q32
     g = d * _U32 / (1.0 - d * _U32)
-    big_g = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
     norm = math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - g))  # N >= max ||v||
     nq = norm * math.sqrt(float(q32 @ q32.astype(np.float64)))  # N Q
     nr = norm * math.sqrt(float(err @ err))  # N R
     keys = vectors @ q32
-    if metric is Metric.L2:
-        keys *= -2.0
-        keys += sq_norms
-        n2 = norm * norm
-        e = g * n2 + 2.0 * g * nq + 2.0 * nr + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
-    else:
+    if metric is Metric.INNER_PRODUCT:
         np.negative(keys, out=keys)
-        e = g * nq + nr
+        return _proven_cut(keys, k, d, g * nq + nr, norm_q=norm * math.sqrt(float(q @ q)))
+    keys *= -2.0
+    keys += sq_norms
+    n2 = norm * norm
+    e = g * n2 + 2.0 * g * nq + 2.0 * nr + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
+    return _proven_cut(keys, k, d, e, z=float(q @ q))
+
+
+def _proven_cut(
+    keys: np.ndarray,
+    k: int,
+    d: int,
+    e: float,
+    z: float | None = None,
+    ed: float = 0.0,
+    norm_q: float = 0.0,
+) -> np.ndarray | slice:
+    """Rows whose float32 key can rank among the best k, or ``slice(None)``.
+
+    The cut of :func:`shortlist` and ``sq._code_shortlist``; lower keys rank
+    closer. For L2 (`z` given) each row stands for a real point w with
+    ||w - q||^2 = K + z, and its scored vector lies within `ed` of w. For the
+    inner product (`z` None) K = -v.q, and `norm_q` >= N ||q|| with N >= every
+    row's norm. Each key c is within `e` of its K up to underflow terms, and
+    d <= 2**20 is the dimension.
+
+    batch_scores adds its own float64 error: with G = gamma_{d+4} in float64
+    (difference, square, d-term sum, square root), its L2 distance squared
+    lies within G ||v - q||^2 of the exact one, and its inner product within
+    G N ||q||. Take as anchors the k rows with keys <= c_k, the k-th smallest.
+    For L2 each anchor has ||w - q||^2 <= R^2 = c_k + E + Z and a computed
+    squared score of at most (1 + G)(R + Ed)^2, while a row with key c has
+    ||w - q||^2 >= c - E + Z and a computed squared score of at least
+    (1 - G)(||w - q|| - Ed)^2. With l = sqrt((1 + G) / (1 - G)), the row
+    ranks strictly behind every anchor once c > c_k + 2 E + F, where
+    F = 2 G / (1 - G) R^2 + 2 l (1 + l) R Ed + (1 + l)^2 Ed^2. For the inner
+    product F = 2 G N ||q|| does the same. So no tie-break can bring such a
+    row into the best k.
+
+    R^2 is raised by 2**-30 of its terms (the float64 rounding of Z and the
+    sum), and the slack 2 E + F by 2**-20 of itself (its float64 rounding)
+    and by 2**17 (d + 1) 2**-149 (every underflow term, sq's float32 weights
+    included). The keys kept are those <= the smallest float32 >= the bound.
+    Every row is returned when the bound reaches float32's maximum or when
+    over half the rows would be kept.
+    """
+    n = len(keys)
     kth = float(np.partition(keys, k - 1)[k - 1])
-    if metric is Metric.L2:
-        reach = max(kth + e + float(q @ q), 0.0)
-        f = 2.0 * big_g * reach / (1.0 - big_g)
+    big_g = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
+    if z is None:
+        f = 2.0 * big_g * norm_q
     else:
-        f = 2.0 * big_g * norm * math.sqrt(float(q @ q))
-    bound = kth + (2.0 * e + f) * (1.0 + 2.0**-20) + 16 * (d + 1) * _ETA32
-    # The smallest float32 >= bound: comparing float32 keys with it keeps
-    # exactly the keys <= bound.
+        r2 = max(kth + e + z, 0.0) + 2.0**-30 * (abs(kth) + e + z)
+        lam = math.sqrt((1.0 + big_g) / (1.0 - big_g))
+        f = (
+            2.0 * big_g / (1.0 - big_g) * r2
+            + 2.0 * lam * (1.0 + lam) * math.sqrt(r2) * ed
+            + (1.0 + lam) ** 2 * ed * ed
+        )
+    bound = kth + (2.0 * e + f) * (1.0 + 2.0**-20) + 2**17 * (d + 1) * _ETA32
+    if not bound < _F32_MAX:
+        return _EVERY_ROW
+    # The smallest float32 >= bound. The test runs in float64: numpy compares
+    # a float32 with a Python float in float32, where the two are equal.
     cut = np.float32(bound)
-    if cut < bound:
+    if float(cut) < bound:
         cut = np.nextafter(cut, np.float32(np.inf))
     rows = np.flatnonzero(keys <= cut)
     return rows if 2 * len(rows) <= n else _EVERY_ROW

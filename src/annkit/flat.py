@@ -1,4 +1,10 @@
-"""Exhaustive-scan search: the exact baseline and the two flat index families."""
+"""Exhaustive-scan search: the two flat index families and the exact oracle.
+
+Every exact scan is a flat search: a `shortlist` of the stored rows, scored
+by `batch_scores` and ranked by `make_result`. `exact_search` and
+`ground_truth` run it over a whole set in any metric (`_Oracle`), and drop
+the query's own id only through `search_excluding`.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import math
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result
+from .base import SearchResult, VectorIndex, check_query, make_result, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, shortlist, sq_row_norms
 from .wire import Reader, Writer
@@ -21,14 +27,16 @@ def exact_search(
 ) -> SearchResult:
     """Score every record and return the k best, ascending-id tie-break.
 
-    `exclude` drops a single id (the query itself) before ranking. If fewer
-    than k candidates remain, all of them are returned. The query and k pass
-    the same gate as every index search.
+    `exclude` drops a single id (the query itself) as `search_excluding`
+    does. If fewer than k candidates remain, all of them are returned. The
+    query and k pass the same gate as every index search.
     """
-    q = check_query(query, k, emb_set.dim)
     if len(emb_set) == 0:
         raise ValueError("cannot search an empty set")
-    return _scan(emb_set, q, k, metric, exclude)
+    oracle = _Oracle(emb_set, metric)
+    if exclude is None:
+        return oracle.search(query, k)
+    return search_excluding(oracle, query, k, exclude)
 
 
 def ground_truth(
@@ -38,35 +46,13 @@ def ground_truth(
     metric: Metric = Metric.L2,
 ) -> dict[int, list[int]]:
     """True n nearest ids per query id, query excluded from its own result."""
-    sq_norms = sq_row_norms(emb_set.vectors)
-    max_sq_norm = float(sq_norms.max(initial=0.0))
+    oracle = _Oracle(emb_set, metric)
     out: dict[int, list[int]] = {}
     for qid in np.asarray(query_ids).tolist():
         qid = int(qid)
         row = emb_set.row_of(qid)  # raises KeyError for unknown ids
-        q = check_query(emb_set.vectors[row], n, emb_set.dim)
-        out[qid] = _scan(emb_set, q, n, metric, qid, sq_norms, max_sq_norm).ids
+        out[qid] = search_excluding(oracle, emb_set.vectors[row], n, qid).ids
     return out
-
-
-def _scan(
-    emb_set: EmbeddingSet,
-    q: np.ndarray,
-    k: int,
-    metric: Metric,
-    exclude: int | None,
-    sq_norms: np.ndarray | None = None,
-    max_sq_norm: float | None = None,
-) -> SearchResult:
-    # A shortlist for k + 1 still holds the best k once one row is dropped.
-    cut = k if exclude is None else k + 1
-    rows = shortlist(metric, q, emb_set.vectors, cut, sq_norms, max_sq_norm)
-    ids = emb_set.ids[rows]
-    scores = batch_scores(metric, q, emb_set.vectors[rows])
-    if exclude is not None:
-        keep = ids != np.uint64(exclude)
-        ids, scores = ids[keep], scores[keep]
-    return make_result(metric, ids, scores, k)
 
 
 class _FlatIndex(VectorIndex):
@@ -103,10 +89,6 @@ class _FlatIndex(VectorIndex):
         scores = batch_scores(self.metric, q, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
-    def memory_bytes(self) -> int:
-        norm_bytes = 0 if self._sq_norms is None else self._sq_norms.nbytes
-        return self._ids.nbytes + self._vectors.nbytes + norm_bytes
-
     def config(self) -> dict:
         return {}
 
@@ -120,6 +102,8 @@ class _FlatIndex(VectorIndex):
     @classmethod
     def read_payload(cls, r: Reader) -> "_FlatIndex":
         dim = r.u32()
+        if not dim:
+            raise ValueError("dim must be >= 1")
         count = r.u64()
         ids = r.u64_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
@@ -137,3 +121,11 @@ class FlatIPIndex(_FlatIndex):
 
     family = "flat-ip"
     metric = Metric.INNER_PRODUCT
+
+
+class _Oracle(_FlatIndex):
+    """A flat scan of a whole set in any metric, sharing the set's arrays."""
+
+    def __init__(self, emb_set: EmbeddingSet, metric: Metric):
+        self.metric = metric
+        _FlatIndex.__init__(self, emb_set.ids, emb_set.vectors)

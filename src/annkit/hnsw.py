@@ -374,9 +374,7 @@ class HnswIndex(VectorIndex):
         lists = n + int(self._levels[:n].sum())
         edges = sum(len(links) for node in self._links for links in node)
         return (
-            self._vec32.nbytes
-            + self._ids.nbytes
-            + self._levels.nbytes
+            super().memory_bytes()
             + 4 * edges
             + lists * (_LIST_HEADER + 8)
             + n * (_NODE_HEADER + 8)

@@ -3,10 +3,8 @@
 A query ranks the coarse centroids, scans the nprobe nearest inverted lists,
 and scores only those candidates — exactly (flat payload), by asymmetric
 distance (PQ codes), or against the 8-bit reconstruction (SQ bytes). Flat
-lists pass through `distances.shortlist` first. SQ lists rank every probed
-code by a float32 key computed on the codes themselves and decode only the
-rows a proven bound keeps (`sq._code_shortlist`), or every row where that
-bound cannot be kept tight. Either way the scores are those of decoding and
+lists pass through `distances.shortlist` first, and SQ lists decode only
+the codes `sq._code_shortlist` keeps; either way the scores are those of
 scoring every probed row. The candidate set for nprobe = p is by
 construction a subset of the one for p + 1, which makes recall
 non-decreasing in nprobe.
@@ -117,39 +115,23 @@ class IvfIndex(VectorIndex):
         """Ids reachable at a probe depth; the subset-monotonicity surface."""
         return self._probed(self.probe_order(query)[:nprobe], self._ids)[0]
 
-    def _score_payload(self, payload: np.ndarray, query: np.ndarray) -> np.ndarray:
-        if self.encoding == "flat":
-            return batch_scores(Metric.L2, query, payload)
-        if self.encoding == "pq":
-            assert self.codebook is not None
-            return adc_scores(self.codebook, payload, query)
-        assert self.sq_params is not None
-        return batch_scores(Metric.L2, query, sq_decode_batch(self.sq_params, payload))
-
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)
         nprobe = self.nprobe if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
         ids, payload = self._probed(self.probe_order(q)[:nprobe], self._ids, self.payload)
-        if not len(ids):
-            return SearchResult([])
+        if self.encoding == "pq":
+            assert self.codebook is not None
+            return make_result(Metric.L2, ids, adc_scores(self.codebook, payload, q), k)
         if self.encoding == "flat":
             rows = shortlist(Metric.L2, q, payload, k)
-            ids, payload = ids[rows], payload[rows]
-        elif self.encoding == "sq":
+            scores = batch_scores(Metric.L2, q, payload[rows])
+        else:
             assert self.sq_params is not None
             rows = _code_shortlist(self.sq_params, payload, q, k)
-            ids, payload = ids[rows], payload[rows]
-        return make_result(Metric.L2, ids, self._score_payload(payload, q), k)
-
-    def memory_bytes(self) -> int:
-        arrays = [self.coarse.vectors, self._ids, self.payload, self.offsets]
-        if self.codebook is not None:
-            arrays += [b.vectors for b in self.codebook.books]
-        if self.sq_params is not None:
-            arrays += [self.sq_params.mins, self.sq_params.maxs]
-        return sum(a.nbytes for a in arrays)
+            scores = batch_scores(Metric.L2, q, sq_decode_batch(self.sq_params, payload[rows]))
+        return make_result(Metric.L2, ids[rows], scores, k)
 
     def config(self) -> dict:
         cfg: dict = {

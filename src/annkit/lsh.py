@@ -93,14 +93,6 @@ class LshIndex(VectorIndex):
         scores = batch_scores(Metric.L2, q, self._vectors[pool])
         return make_result(Metric.L2, self._ids[pool], scores, k)
 
-    def memory_bytes(self) -> int:
-        return (
-            self.hyperplanes.nbytes
-            + self._ids.nbytes
-            + self._codes.nbytes
-            + self._vectors.nbytes
-        )
-
     def config(self) -> dict:
         return {"nbits": self.nbits, "rerank": self.rerank}
 
@@ -120,6 +112,8 @@ class LshIndex(VectorIndex):
     def read_payload(cls, r: Reader) -> "LshIndex":
         nbits = r.u32()
         dim = r.u32()
+        if not (nbits and dim):
+            raise ValueError("nbits and dim must be >= 1")
         rerank = bool(r.u8())
         count = r.u64()
         hyperplanes = r.f32_array(nbits * dim).reshape(nbits, dim)

@@ -156,10 +156,6 @@ class PqIndex(VectorIndex):
         q = check_query(query, k, self.dim)
         return make_result(Metric.L2, self._ids, adc_scores(self.codebook, self._codes, q), k)
 
-    def memory_bytes(self) -> int:
-        book_bytes = sum(b.vectors.nbytes for b in self.codebook.books)
-        return book_bytes + self._ids.nbytes + self._codes.nbytes
-
     def config(self) -> dict:
         return {"m": self.codebook.m, "nbits": self.codebook.nbits}
 

@@ -159,10 +159,6 @@ class RpForestIndex(VectorIndex):
         scores = batch_scores(self.metric, q, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
-    def memory_bytes(self) -> int:
-        """The bytes of every array the forest holds."""
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
-
     def config(self) -> dict:
         return {
             "n_trees": self.n_trees,

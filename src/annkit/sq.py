@@ -1,4 +1,10 @@
-"""8-bit scalar quantization: per-dimension affine mapping onto levels 0..255."""
+"""8-bit scalar quantization: per-dimension affine mapping onto levels 0..255.
+
+IVF-SQ ranks probed codes without decoding them: `_code_shortlist` gives
+each code a float32 key and bounds its error, and `distances._proven_cut`
+keeps the rows that bound cannot rule out of the best k. Only those are
+decoded and scored.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import _ETA32, _EVERY_ROW, _MAX_DIM, _U32, _U64
+from .distances import _EVERY_ROW, _MAX_DIM, _U32, _U64, _proven_cut
 from .wire import Reader, Writer
 
 LEVELS = 256
@@ -102,11 +108,11 @@ def _code_shortlist(
     `query` is float64. Returns an ascending index array, or ``slice(None)``
     when every row must be decoded and scored: when k exceeds half the rows or
     the dimension 2**20, when a key could reach 2**100 (huge spans or query
-    components), and when the shortlist would hold over half the rows.
-    Scoring ``batch_scores(Metric.L2, query, sq_decode_batch(params,
-    codes[rows]))`` and ranking it with `rank_order` gives exactly the best k
-    of decoding and scoring every row. The argument is that of
-    `distances.shortlist`, on keys computed from the codes themselves.
+    components), and where `distances._proven_cut` returns every row. Scoring
+    ``batch_scores(Metric.L2, query, sq_decode_batch(params, codes[rows]))``
+    and ranking it with `rank_order` gives exactly the best k of decoding and
+    scoring every row. The cut is `distances._proven_cut`'s, on keys computed
+    from the codes themselves; what follows are its inputs E, Z and Ed.
 
     Keys. Let S be the float64 span ``maxs - mins`` that `sq_decode_batch`
     uses, s = S / 256 (exact) and b = mins + 0.5 s as float64 computes it.
@@ -118,12 +124,11 @@ def _code_shortlist(
     matrix-vector product each gives c.a32 and (c c).t32. Their float32 sum
     is the row's key.
 
-    Bound. Let d be the dimension, u = 2**-24, e = 2**-53, g = d u / (1 - d u)
-    (gamma_d, Higham, Accuracy and Stability of Numerical Algorithms, section
-    3.1) and P = 255 sum|a| + 255**2 sum t over the float64 weights. The
-    float32 weights are at most (1 + u) times larger and codes are at most
-    255, so (1 + u) P bounds the absolute sum of the products in any key. For
-    every row:
+    E. Let d be the dimension, u = 2**-24, e = 2**-53, g = d u / (1 - d u)
+    (gamma_d, as in `distances.shortlist`) and P = 255 sum|a| + 255**2 sum t
+    over the float64 weights. The float32 weights are at most (1 + u) times
+    larger and codes are at most 255, so (1 + u) P bounds the absolute sum of
+    the products in any key. For every row:
 
     - each float32 product, in any summation order, is within g times its
       absolute sum of the exact one: within g (1 + u) P for the two together;
@@ -135,28 +140,13 @@ def _code_shortlist(
       The query enters only through a, so this also covers rounding q.
 
     So each key lies within E = (g + u (2 + g) + 4 e)(1 + u) P of K, up to
-    underflow terms. The decoder rounds too: c + 0.5 is exact, the product by S rounds
+    underflow terms.
+
+    Ed. The decoder rounds too: c + 0.5 is exact, the product by S rounds
     once, the division by 256 is exact and adding mins rounds once, so each
     decoded component lies within e (|mins| + 3 S) of mins + (c + 0.5) S / 256,
     which float64 b misses by e |b| at most. The decoded row v therefore lies
-    within Ed = e (2 ||mins|| + 4 ||S||) of w. batch_scores then adds its own
-    float64 error: with G = gamma_{d+4} in float64, its squared distance lies
-    within G ||v - q||^2 of the exact one.
-
-    Let c_k be the k-th smallest key and take as anchors the k rows with keys
-    <= c_k. Each has ||w - q||^2 <= R^2 = c_k + E + Z, so its computed
-    squared score is at most (1 + G)(R + Ed)^2. A row with key k_c has
-    ||w - q||^2 >= k_c - E + Z, so its computed squared score is at least
-    (1 - G)(||w - q|| - Ed)^2. With l = sqrt((1 + G) / (1 - G)), it ranks
-    strictly behind every anchor once ||w - q|| > l R + (1 + l) Ed, that is
-    once k_c > c_k + 2 E + F with
-    F = (l^2 - 1) R^2 + 2 l (1 + l) R Ed + (1 + l)^2 Ed^2. So no tie-break
-    can bring it into the best k. The rows kept are those with
-    k_c <= c_k + 2 E + F. R^2 is raised by 2**-30 of its terms, which covers
-    the float64 rounding of Z and of the sum. The slack is widened by 2**-20
-    of itself, which covers the float64 rounding of computing it, and by
-    2**17 (d + 1) 2**-149, which covers every underflow term, those of the
-    float32 weights included.
+    within Ed = e (2 ||mins|| + 4 ||S||) of w.
     """
     n, d = codes.shape
     if 2 * k > n or d > _MAX_DIM:
@@ -173,29 +163,9 @@ def _code_shortlist(
         return _EVERY_ROW
     g = d * _U32 / (1.0 - d * _U32)
     e = (g + _U32 * (2.0 + g) + 4.0 * _U64) * (1.0 + _U32) * reach
-    z = float(gap @ gap)
     ed = _U64 * (2.0 * math.sqrt(float(mins @ mins)) + 4.0 * math.sqrt(float(spans @ spans)))
     c = codes.astype(np.float32)
     keys = c @ lin.astype(np.float32)
     c *= c
     keys += c @ quad.astype(np.float32)
-    kth = float(np.partition(keys, k - 1)[k - 1])
-    r2 = max(kth + e + z, 0.0) + 2.0**-30 * (abs(kth) + e + z)
-    r = math.sqrt(r2)
-    big_g = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
-    lam = math.sqrt((1.0 + big_g) / (1.0 - big_g))
-    f = (
-        2.0 * big_g / (1.0 - big_g) * r2
-        + 2.0 * lam * (1.0 + lam) * r * ed
-        + (1.0 + lam) ** 2 * ed * ed
-    )
-    bound = kth + (2.0 * e + f) * (1.0 + 2.0**-20) + 2**17 * (d + 1) * _ETA32
-    if not bound < _KEY_LIMIT:  # keys are below about 2**100: all would be kept
-        return _EVERY_ROW
-    # The smallest float32 >= bound: comparing float32 keys with it keeps
-    # exactly the keys <= bound.
-    cut = np.float32(bound)
-    if cut < bound:
-        cut = np.nextafter(cut, np.float32(np.inf))
-    rows = np.flatnonzero(keys <= cut)
-    return rows if 2 * len(rows) <= n else _EVERY_ROW
+    return _proven_cut(keys, k, d, e, z=float(gap @ gap), ed=ed)

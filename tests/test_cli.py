@@ -132,6 +132,20 @@ def test_build_respects_knobs(tmp_path, data_path):
     assert load_index(index_path).nbits == 32
 
 
+def test_build_refuses_a_knob_vidx_cannot_store(tmp_path, data_path, capsys):
+    """VIDX v1 has no field for the forest's search_k: a reloaded forest
+    reported None and answered with its default budget. The build now fails
+    and writes nothing."""
+    index_path = tmp_path / "forest.vidx"
+    assert main(["build", "--data", str(data_path), "--family", "rpforest",
+                 "--search-k", "2", "--out", str(index_path)]) == 1
+    assert "search_k" in capsys.readouterr().err
+    assert not index_path.exists()
+    assert main(["build", "--data", str(data_path), "--family", "rpforest",
+                 "--trees", "3", "--out", str(index_path)]) == 0
+    assert load_index(index_path).n_trees == 3
+
+
 def test_unknown_subcommand_fails():
     assert main(["frobnicate"]) != 0
 

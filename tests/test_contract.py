@@ -32,6 +32,26 @@ def indexes(small_set):
     return out
 
 
+# One non-default value per knob, by the CLI flag that sets it. The forest's
+# search_k is left out: VIDX v1 does not store it, and `annkit build` refuses it.
+_NON_DEFAULT = {
+    "nlist": 9, "nprobe": 3, "m": 4, "nbits": 4, "trees": 3, "leaf_size": 7,
+    "hnsw_m": 5, "ef_construction": 21, "ef_search": 13, "lsh_bits": 24, "rerank": False,
+    "metric": "manhattan",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_config_survives_a_vidx_round_trip(small_set, name):
+    knobs = {kw: _NON_DEFAULT[dest] for kw, dest in FAMILIES[name].knobs.items()
+             if dest != "search_k"}
+    index = build_index(small_set, name, seed=0, **knobs)
+    config = index.config()
+    for value in knobs.values():
+        assert value in config.values()
+    assert load_index_bytes(dump_index(index)).config() == config
+
+
 @pytest.mark.parametrize("state", ["built", "loaded"])
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_holds_each_id_once(indexes, small_set, name, state):

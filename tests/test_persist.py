@@ -15,7 +15,7 @@ from annkit.families import FAMILIES, build_index
 from annkit.flat import FlatIPIndex, FlatL2Index
 from annkit.hnsw import HnswIndex, HnswParams
 from annkit.ivf import ivf_build
-from annkit.lsh import lsh_build
+from annkit.lsh import LshIndex, lsh_build
 from annkit.persist import (
     VIDX_MAGIC,
     VIDX_VERSION,
@@ -211,6 +211,22 @@ def test_every_loader_rejects_a_repeated_id(distinct_id_blobs, family, data):
     assume(blob.count(lost) == 1)  # the hnsw entry id is stored twice
     with pytest.raises(ValueError, match="unique"):
         load_index_bytes(blob.replace(lost, kept))
+
+
+_NO_BUILDER_WRITES = {
+    # nbits 0: every code is empty, so every query has Hamming distance 0
+    "lsh": lambda s: LshIndex(np.empty((0, s.dim)), s.ids, np.empty((len(s), 0)), s.vectors),
+    # dim 0: loaded, then failed inside the shortlist at the first search
+    "flat-l2": lambda s: FlatL2Index(s.ids, np.empty((len(s), 0))),
+    "flat-ip": lambda s: FlatIPIndex(s.ids, np.empty((len(s), 0))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_NO_BUILDER_WRITES))
+def test_loaders_reject_shapes_no_builder_writes(small_set, family):
+    blob = dump_index(_NO_BUILDER_WRITES[family](small_set))
+    with pytest.raises(ValueError, match="must be >= 1"):
+        load_index_bytes(blob)
 
 
 @pytest.mark.parametrize("family", ["flat-l2", "flat-ip"])

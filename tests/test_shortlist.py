@@ -9,14 +9,16 @@ back to the full scan), 1e-20 magnitudes (float32 products underflow), float64
 queries that float32 cannot hold, and k from 1 to n + 1.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annkit.data import EmbeddingSet
-from annkit.distances import Metric, batch_scores, rank_order, shortlist
-from annkit.flat import FlatIPIndex, FlatL2Index, exact_search
+from annkit.distances import Metric, _proven_cut, batch_scores, rank_order, shortlist
+from annkit.flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 from annkit.ivf import ivf_build
 from annkit.persist import dump_index, load_index_bytes
 
@@ -120,13 +122,23 @@ def test_flat_search_equals_full_scan(case, metric):
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(case=scan_cases(), metric=_METRICS, exclude=st.booleans())
+@given(case=scan_cases(), metric=st.sampled_from(list(Metric)), exclude=st.booleans())
 def test_exact_search_equals_full_scan(case, metric, exclude):
+    """The oracle in every metric, with and without the query's own id."""
     vectors, ids, query, k = case
+    if metric is Metric.ANGULAR:  # cosine is undefined for zero vectors
+        vectors[~vectors.any(axis=1)] = 1.0
+        query = query if query.any() else query + 1.0
     emb = EmbeddingSet(ids, np.zeros(len(ids), dtype=np.uint32), vectors)
     drop = int(ids[len(ids) // 2]) if exclude else None
     got = exact_search(emb, query, k, metric, exclude=drop)
     assert got.neighbors == full_scan(metric, ids, vectors, query, k, drop)
+    rows = [0, len(ids) // 2, len(ids) - 1]
+    truth = ground_truth(emb, ids[rows], k, metric)
+    for row in rows:
+        qid = int(ids[row])
+        want = full_scan(metric, ids, vectors, vectors[row].astype(np.float64), k, qid)
+        assert truth[qid] == [i for i, _ in want]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -144,6 +156,80 @@ def test_ivf_flat_equals_full_scan_of_probed_lists(case, nlist):
 
 
 # ------------------------------------------------------------ the kernel
+
+
+def _ceil32(x):
+    """The smallest float32 >= x, found by stepping (compared in float64)."""
+    c = np.float32(x)
+    while float(c) < x:
+        c = np.nextafter(c, np.float32(np.inf))
+    while float(np.nextafter(c, np.float32(-np.inf))) >= x:
+        c = np.nextafter(c, np.float32(-np.inf))
+    return c
+
+
+def _reference_bound(kth, d, e, z=None, ed=0.0, norm_q=0.0):
+    """The bound of `_proven_cut`'s docstring, term by term."""
+    big_g = (d + 4) * 2.0**-53 / (1.0 - (d + 4) * 2.0**-53)
+    if z is None:
+        f = 2.0 * big_g * norm_q
+    else:
+        r2 = max(kth + e + z, 0.0) + 2.0**-30 * (abs(kth) + e + z)
+        lam = np.sqrt((1.0 + big_g) / (1.0 - big_g))
+        f = (2.0 * big_g / (1.0 - big_g) * r2 + 2.0 * lam * (1.0 + lam) * np.sqrt(r2) * ed
+             + (1.0 + lam) ** 2 * ed * ed)
+    return kth + (2.0 * e + f) * (1.0 + 2.0**-20) + 2**17 * (d + 1) * 2.0**-149
+
+
+# Each case makes a different term move the float32 ceiling of the bound:
+# F from R^2 (a large Z), F from Ed, the 2**-20 widening (a large E), the
+# inner product's F, the underflow slack (a zero bound), and bounds that round
+# down to float32 (so only the ceiling keeps the key on them).
+_CUT_CASES = [
+    dict(kth=0.0, d=16, e=0.0, z=0.0),
+    dict(kth=1.0, d=16, e=0.0, z=2.0**40),
+    dict(kth=1.0, d=16, e=0.0, z=4.0, ed=0.25),
+    dict(kth=1.0, d=16, e=1.0, z=0.0),
+    dict(kth=-3.0, d=64, e=2.0**-10, z=0.0, ed=2.0**-12),
+    dict(kth=1.0, d=16, e=2.0**-26),
+    dict(kth=1.0, d=16, e=0.0, norm_q=2.0**30),
+    dict(kth=1.0, d=16, e=3.0 * 2.0**-25, z=0.0),
+    dict(kth=1.0, d=16, e=0.3, z=0.0),
+    dict(kth=1.0, d=7, e=0.1, z=5.0),
+]
+
+
+@pytest.mark.parametrize("case", _CUT_CASES, ids=[
+    "underflow", "f-of-z", "f-of-ed", "widening", "negative-kth", "ip-e", "ip-f",
+    "e-tiny", "e-0.3", "d7",
+])
+@pytest.mark.parametrize("k", [1, 3])
+def test_proven_cut_keeps_the_float32_ceiling_of_its_bound(case, k):
+    """A key at the smallest float32 >= the bound is kept, the next float32
+    above it is dropped, and the anchors at the k-th key stay."""
+    case = dict(case)
+    kth = case.pop("kth")
+    bound = _reference_bound(kth, **case)
+    ceiling = _ceil32(bound)
+    above = np.nextafter(ceiling, np.float32(np.inf))
+    keys = np.array([kth] * k + [ceiling, above] + [2.0**100] * (k + 4), dtype=np.float32)
+    rows = _proven_cut(keys, k, **case)
+    assert rows.tolist() == list(range(k + 1)), (bound, ceiling)
+
+
+def test_proven_cut_returns_every_row_past_float32_and_over_half():
+    """A bound at or past float32's maximum keeps every row without rounding
+    it into an infinite float32, and a cut that keeps over half the rows
+    gives way to scoring them all."""
+    every = slice(None)
+    keys = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _proven_cut(keys, 1, 16, 2.0e38, z=0.0) == every
+        assert _proven_cut(keys, 1, 16, 0.0, norm_q=2.0**180) == every
+    assert _proven_cut(keys, 1, 16, 1.25, z=0.0).tolist() == [0, 1, 2]
+    assert _proven_cut(keys, 1, 16, 1.75, z=0.0) == every
+    assert _proven_cut(np.ones(4, dtype=np.float32), 1, 16, 0.0, z=0.0) == every
 
 
 def test_shortlist_is_short_on_clusters_and_falls_back_where_float32_is_too_coarse(small_set):
