@@ -17,8 +17,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-TP, FP, FN, TN = "tp", "fp", "fn", "tn"
-
 
 @dataclass
 class ConfusionCounts:

@@ -11,8 +11,11 @@ non-decreasing in nprobe.
 
 The lists are held in one compressed-sparse-row layout: `ids` and `payload`
 sorted by list (build order inside a list), and nlist + 1 `offsets`, so list
-i is rows ``offsets[i]:offsets[i + 1]`` of both. VIDX stores each list as its
-count, its ids and its payload rows, one list after another.
+i is rows ``offsets[i]:offsets[i + 1]`` of both.
+
+VIDX stores u32 dim, u32 nlist, the coarse `Centroids`, u32 nprobe, the codec
+(`PqCodebook`, `SqParams` or, for flat, none; its dim must be the index's),
+then each list as its u64 count, its ids and its payload rows.
 """
 
 from __future__ import annotations
@@ -25,21 +28,13 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit
-from .pq import (
-    PqCodebook,
-    adc_scores,
-    check_codes,
-    default_m,
-    pq_encode_batch,
-    pq_train,
-    read_codebook,
-    write_codebook,
-)
+from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids
+from .pq import PqCodebook, adc_scores, check_codes, default_m, pq_encode_batch, pq_train
 from .sq import SqParams, _code_shortlist, sq_decode_batch, sq_encode_batch, sq_train
 from .wire import Reader, Writer
 
-ENCODINGS = ("flat", "pq", "sq")
+# Encoding -> the class of its payload codec; flat payloads are the vectors.
+_CODECS: dict[str, type] = {"flat": type(None), "pq": PqCodebook, "sq": SqParams}
 
 
 def default_nlist(n: int) -> int:
@@ -61,11 +56,14 @@ class IvfIndex(VectorIndex):
         payload: np.ndarray,
         offsets: np.ndarray,
         nprobe: int,
-        codebook: PqCodebook | None = None,
-        sq_params: SqParams | None = None,
+        codec: PqCodebook | SqParams | None = None,
     ):
-        if encoding not in ENCODINGS:
+        if encoding not in _CODECS:
             raise ValueError(f"unknown encoding {encoding!r}")
+        if not isinstance(codec, _CODECS[encoding]):
+            raise ValueError(f"ivf-{encoding} cannot take a {type(codec).__name__} codec")
+        if codec is not None and codec.dim != coarse.dim:
+            raise ValueError(f"codec has dim {codec.dim}, index has dim {coarse.dim}")
         if not 1 <= nprobe <= coarse.k:
             raise ValueError(f"nprobe must be in 1..{coarse.k}")
         self.coarse = coarse
@@ -74,8 +72,7 @@ class IvfIndex(VectorIndex):
         self.payload = payload  # one row per id: float32 vectors or uint8 codes
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.nprobe = nprobe
-        self.codebook = codebook
-        self.sq_params = sq_params
+        self.codec = codec
 
     @property
     def family(self) -> str:  # type: ignore[override]
@@ -88,6 +85,11 @@ class IvfIndex(VectorIndex):
     @property
     def dim(self) -> int:
         return self.coarse.dim
+
+    # The codec by its type's name, None for the other encodings. Nothing in
+    # annkit reads these: perfbench's `rescore` does, as it reads `list_ids`.
+    codebook = property(lambda self: self.codec if self.encoding == "pq" else None)
+    sq_params = property(lambda self: self.codec if self.encoding == "sq" else None)
 
     @property
     def list_ids(self) -> list[np.ndarray]:
@@ -122,15 +124,13 @@ class IvfIndex(VectorIndex):
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
         ids, payload = self._probed(self.probe_order(q)[:nprobe], self._ids, self.payload)
         if self.encoding == "pq":
-            assert self.codebook is not None
-            return make_result(Metric.L2, ids, adc_scores(self.codebook, payload, q), k)
+            return make_result(Metric.L2, ids, adc_scores(self.codec, payload, q), k)
         if self.encoding == "flat":
             rows = shortlist(Metric.L2, q, payload, k)
             scores = batch_scores(Metric.L2, q, payload[rows])
         else:
-            assert self.sq_params is not None
-            rows = _code_shortlist(self.sq_params, payload, q, k)
-            scores = batch_scores(Metric.L2, q, sq_decode_batch(self.sq_params, payload[rows]))
+            rows = _code_shortlist(self.codec, payload, q, k)
+            scores = batch_scores(Metric.L2, q, sq_decode_batch(self.codec, payload[rows]))
         return make_result(Metric.L2, ids[rows], scores, k)
 
     def config(self) -> dict:
@@ -139,23 +139,18 @@ class IvfIndex(VectorIndex):
             "nprobe": self.nprobe,
             "encoding": self.encoding,
         }
-        if self.codebook is not None:
-            cfg["m"] = self.codebook.m
-            cfg["nbits"] = self.codebook.nbits
+        if isinstance(self.codec, PqCodebook):
+            cfg["m"] = self.codec.m
+            cfg["nbits"] = self.codec.nbits
         return cfg
 
     def write_payload(self, w: Writer) -> None:
         w.u32(self.dim)
         w.u32(self.nlist)
-        w.f32_array(self.coarse.vectors)
-        w.f64(self.coarse.distortion)
+        self.coarse.write(w)
         w.u32(self.nprobe)
-        if self.encoding == "pq":
-            assert self.codebook is not None
-            write_codebook(w, self.codebook)
-        elif self.encoding == "sq":
-            assert self.sq_params is not None
-            self.sq_params.write(w)
+        if self.codec is not None:
+            self.codec.write(w)
         write_rows = w.f32_array if self.encoding == "flat" else w.u8_array
         bounds = self.offsets.tolist()
         for a, b in zip(bounds, bounds[1:]):
@@ -167,39 +162,31 @@ class IvfIndex(VectorIndex):
     def read_payload(cls, r: Reader, encoding: str) -> "IvfIndex":
         dim = r.u32()
         nlist = r.u32()
-        coarse = Centroids(
-            vectors=r.f32_array(nlist * dim).reshape(nlist, dim), distortion=r.f64()
-        )
+        [coarse] = read_centroids(r, 1, nlist, dim)
         nprobe = r.u32()
-        codebook = sq_params = None
-        width = dim  # payload items per row
-        if encoding == "pq":
-            codebook = read_codebook(r)
-            width = codebook.m
-        elif encoding == "sq":
-            sq_params = SqParams.read(r)
+        codec = None if encoding == "flat" else _CODECS[encoding].read(r)
+        width = codec.m if isinstance(codec, PqCodebook) else dim  # payload items per row
         wire = np.dtype("<f4" if encoding == "flat" else "u1")
         row_bytes = width * wire.itemsize
         # One walk over the count headers, then each array is one copy of its lists.
         section = r.view("u1")
         data, starts, counts, pos = memoryview(section), [], [], 0
-        try:
-            for _ in range(nlist):
-                count = struct.unpack_from("<Q", data, pos)[0]
-                starts.append(pos + 8)
-                counts.append(count)
-                pos += 8 + count * (8 + row_bytes)
-        except struct.error:
-            raise ValueError("truncated buffer") from None
+        for _ in range(nlist):
+            if pos + 8 > len(data):  # also stops a corrupt count before pos outgrows ssize_t
+                raise ValueError("truncated buffer")
+            count = struct.unpack_from("<Q", data, pos)[0]
+            starts.append(pos + 8)
+            counts.append(count)
+            pos += 8 + count * (8 + row_bytes)
         r.skip(pos)
         cuts = [(a, a + 8 * c, a + (8 + row_bytes) * c) for a, c in zip(starts, counts)]
         ids = np.concatenate([section[a:b] for a, b, _ in cuts]).view("<u8")
         payload = np.concatenate([section[b:c] for _, b, c in cuts]).view(wire)
         payload = payload.astype(wire.newbyteorder("="), copy=False).reshape(-1, width)
-        if codebook is not None:
-            check_codes(codebook, payload)
+        if isinstance(codec, PqCodebook):
+            check_codes(codec, payload)
         offsets = np.cumsum([0] + counts, dtype=np.int64)
-        return cls(coarse, encoding, ids, payload, offsets, nprobe, codebook, sq_params)
+        return cls(coarse, encoding, ids, payload, offsets, nprobe, codec)
 
 
 def ivf_build(
@@ -218,7 +205,7 @@ def ivf_build(
     """
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    if encoding not in ENCODINGS:
+    if encoding not in _CODECS:
         raise ValueError(f"unknown encoding {encoding!r}")
     n = len(emb_set)
     nlist = default_nlist(n) if nlist is None else nlist
@@ -231,18 +218,16 @@ def ivf_build(
     coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
     assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)
 
-    codebook = sq_params = None
+    codec, encoded = None, emb_set.vectors
     if encoding == "pq":
         m = default_m(emb_set.dim) if m is None else m
-        codebook = pq_train(emb_set.vectors, m, nbits, seed=seed)
-        encoded: np.ndarray = pq_encode_batch(codebook, emb_set.vectors)
+        codec = pq_train(emb_set.vectors, m, nbits, seed=seed)
+        encoded = pq_encode_batch(codec, emb_set.vectors)
     elif encoding == "sq":
-        sq_params = sq_train(emb_set.vectors)
-        encoded = sq_encode_batch(sq_params, emb_set.vectors)
-    else:
-        encoded = emb_set.vectors
+        codec = sq_train(emb_set.vectors)
+        encoded = sq_encode_batch(codec, emb_set.vectors)
 
     rows = np.argsort(assign, kind="stable")  # by list, then by row
     offsets = np.cumsum(np.bincount(assign, minlength=nlist), dtype=np.int64)
     return IvfIndex(coarse, encoding, emb_set.ids[rows], encoded[rows],
-                    np.concatenate(([0], offsets)), nprobe, codebook, sq_params)
+                    np.concatenate(([0], offsets)), nprobe, codec)

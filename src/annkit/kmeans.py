@@ -1,9 +1,13 @@
-"""Lloyd's k-means with k-means++ seeding.
+"""Lloyd's k-means with k-means++ seeding, and the VIDX layout of its output.
 
 This is deliberately hand-rolled rather than delegated to a library: the
 coarse quantizer and the PQ codebooks need deterministic seeding, an in-loop
 distortion monotonicity assertion, and a specific empty-cluster repair rule,
 all of which are part of the training contract here.
+
+VIDX stores a centroid set (`Centroids.write`) as its k x dim float32 vectors,
+then its f64 distortion; the caller stores k and dim. `read_centroids` reads
+a run of sets: 1 for the IVF coarse quantizer, m for a PQ codebook.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .wire import Reader, Writer
 
 MOVEMENT_TOL = 1e-6
 DEFAULT_MAX_ITERS = 25
@@ -120,6 +126,26 @@ class Centroids:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
+
+    def write(self, w: Writer) -> None:
+        w.f32_array(self.vectors)
+        w.f64(self.distortion)
+
+
+def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
+    """`count` centroid sets of k x dim, read as one block and checked finite
+    in one pass: each set's vectors are a view of one owned float32 array.
+    ValueError when k or dim is 0, the buffer is short, or a vector is not finite.
+    """
+    if k < 1 or dim < 1:
+        raise ValueError(f"centroid sets must be >= 1 x 1, got {k} x {dim}")
+    section = r.view("u1")
+    r.skip(count * (4 * k * dim + 8))  # raises before a record dtype can be oversized
+    block = np.frombuffer(section, np.dtype([("v", "<f4", (k, dim)), ("d", "<f8")]), count)
+    vectors = block["v"].astype(np.float32)
+    if not np.isfinite(vectors).all():
+        raise ValueError("centroid vectors must be finite (no NaN or inf)")
+    return [Centroids(v, d) for v, d in zip(vectors, block["d"].tolist())]
 
 
 def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

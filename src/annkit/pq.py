@@ -4,6 +4,10 @@ A vector is split into m contiguous sub-vectors, each quantized against its
 own codebook of ks = 2^nbits centroids. Search is asymmetric: the query stays
 uncompressed and scores come from a per-subspace table of squared distances,
 so one table build amortizes over the whole candidate list.
+
+VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then m `kmeans`
+centroid sets of ks x sub_dim; its read refuses m 0 and nbits outside 1..8.
+A `PqIndex` adds u64 count, the ids and count x m u8 codes (`check_codes`).
 """
 
 from __future__ import annotations
@@ -15,8 +19,16 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, _sq_l2
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit
+from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids
 from .wire import Reader, Writer
+
+
+def _check_shape(m: int, nbits: int) -> None:
+    """ValueError unless m >= 1 and nbits is in 1..8: the shapes `pq_train` makes."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    if not 1 <= nbits <= 8:
+        raise ValueError(f"nbits must be in 1..8 (codes are stored as single bytes), got {nbits}")
 
 
 def default_m(dim: int) -> int:
@@ -56,6 +68,19 @@ class PqCodebook:
             raise ValueError(f"vector has dim {arr.shape[0]}, codebook expects {self.dim}")
         return arr.reshape(self.m, self.sub_dim)
 
+    def write(self, w: Writer) -> None:
+        w.u32(self.m)
+        w.u32(self.nbits)
+        w.u32(self.sub_dim)
+        for book in self.books:
+            book.write(w)
+
+    @classmethod
+    def read(cls, r: Reader) -> "PqCodebook":
+        m, nbits, sub_dim = r.u32(), r.u32(), r.u32()
+        _check_shape(m, nbits)
+        return cls(nbits=nbits, books=read_centroids(r, m, 1 << nbits, sub_dim))
+
 
 def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     """Train one k-means codebook per contiguous subspace.
@@ -67,10 +92,9 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
     dim = data.shape[1]
-    if m < 1 or dim % m != 0:
+    _check_shape(m, nbits)
+    if dim % m != 0:
         raise ValueError(f"m={m} must divide dim={dim}")
-    if not 1 <= nbits <= 8:
-        raise ValueError("nbits must be in 1..8 (codes are stored as single bytes)")
     ks = 1 << nbits
     if ks > len(data):
         raise ValueError(f"2^nbits={ks} exceeds the number of training points")
@@ -160,38 +184,17 @@ class PqIndex(VectorIndex):
         return {"m": self.codebook.m, "nbits": self.codebook.nbits}
 
     def write_payload(self, w: Writer) -> None:
-        write_codebook(w, self.codebook)
+        self.codebook.write(w)
         w.u64(len(self))
         w.u64_array(self._ids)
         w.u8_array(self._codes)
 
     @classmethod
     def read_payload(cls, r: Reader) -> "PqIndex":
-        cb = read_codebook(r)
+        cb = PqCodebook.read(r)
         count = r.u64()
         ids = r.u64_array(count)
-        return cls(cb, ids, read_codes(r, cb, count))
-
-
-def write_codebook(w: Writer, cb: PqCodebook) -> None:
-    w.u32(cb.m)
-    w.u32(cb.nbits)
-    w.u32(cb.sub_dim)
-    for book in cb.books:
-        w.f32_array(book.vectors)
-        w.f64(book.distortion)
-
-
-def read_codebook(r: Reader) -> PqCodebook:
-    m = r.u32()
-    nbits = r.u32()
-    sub_dim = r.u32()
-    ks = 1 << nbits
-    books = []
-    for _ in range(m):
-        vectors = r.f32_array(ks * sub_dim).reshape(ks, sub_dim)
-        books.append(Centroids(vectors=vectors, distortion=r.f64()))
-    return PqCodebook(nbits=nbits, books=books)
+        return cls(cb, ids, check_codes(cb, r.u8_array(count * cb.m).reshape(count, cb.m)))
 
 
 def check_codes(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
@@ -200,21 +203,7 @@ def check_codes(cb: PqCodebook, codes: np.ndarray) -> np.ndarray:
     if codes.ndim != 2 or codes.shape[1] != cb.m or codes.dtype.kind not in "iu":
         raise ValueError(f"PQ codes must be an (n, {cb.m}) integer array")
     # A byte cannot reach 256, so 8-bit codebooks skip the scan over uint8 codes.
-    if cb.nbits < 8 or codes.dtype != np.uint8:
-        check_code_range(cb, codes)
-    return codes
-
-
-def check_code_range(cb: PqCodebook, codes: np.ndarray) -> None:
-    """ValueError when a code is negative or >= ks."""
-    if codes.size and (codes.min() < 0 or codes.max() >= cb.ks):
+    scan = cb.nbits < 8 or codes.dtype != np.uint8
+    if scan and codes.size and (codes.min() < 0 or codes.max() >= cb.ks):
         raise ValueError(f"PQ code out of range: codebook has {cb.ks} centroids")
-
-
-def read_codes(r: Reader, cb: PqCodebook, count: int) -> np.ndarray:
-    """(count, m) codes; ValueError when a code names no centroid (>= ks)."""
-    codes = r.u8_array(count * cb.m).reshape(count, cb.m)
-    # A byte cannot reach 256, so only codebooks with fewer than 8 bits need the scan.
-    if cb.nbits < 8:
-        check_code_range(cb, codes)
     return codes

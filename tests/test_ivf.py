@@ -192,7 +192,7 @@ def sq_index(codes, params, nlist, rng, ids=None):
     offsets = np.concatenate(([0], np.cumsum(np.bincount(assign, minlength=nlist))))
     ids = rng.permutation(n).astype(np.uint64) + np.uint64(100) if ids is None else ids
     coarse = Centroids(rng.standard_normal((nlist, d)).astype(np.float32), 0.0)
-    return IvfIndex(coarse, "sq", ids, codes, offsets, 1, sq_params=params)
+    return IvfIndex(coarse, "sq", ids, codes, offsets, 1, params)
 
 
 _SPAN_SCALES = [0.0, 1e-30, 1e-20, 1e-7, 1.0, 1.0, 1.0, 1e3, 1e10, 1e30]

@@ -24,8 +24,9 @@ from annkit.persist import (
     load_index_bytes,
     save_index,
 )
-from annkit.pq import PqIndex
+from annkit.pq import PqIndex, pq_encode_batch
 from annkit.rpforest import rp_build
+from annkit.wire import Writer
 
 BUILDERS = {
     "flat-l2": lambda s: FlatL2Index.build(s),
@@ -238,3 +239,136 @@ def test_flat_loaders_reject_non_finite_vectors(small_set, family, value):
     struct.pack_into("<f", blob, vectors_at, value)
     with pytest.raises(ValueError, match="finite"):
         load_index_bytes(bytes(blob))
+
+
+# ---------------------------------------------------------------- codebooks
+
+_FRAME = 6  # magic, version byte, family tag
+
+
+def _ivf_sections(index, blob) -> tuple[int, int, int]:
+    """Offsets of an IVF blob's coarse vectors, payload codec and first list."""
+    coarse = _FRAME + 8  # after dim and nlist
+    codec = coarse + 4 * index.nlist * index.dim + 8 + 4  # after distortion and nprobe
+    row_bytes = index.payload.nbytes // len(index)
+    return coarse, codec, len(blob) - 8 * index.nlist - len(index) * (8 + row_bytes)
+
+
+@pytest.mark.parametrize("family", ["pq", "ivf-pq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pq_loaders_reject_non_finite_books(small_set, family, value):
+    """A NaN in the book entry that row 0's first code names once loaded, and
+    row 0 then dropped out of its own answer."""
+    index = BUILDERS[family](small_set)
+    blob = bytearray(dump_index(index))
+    books = _FRAME + 12 if family == "pq" else _ivf_sections(index, blob)[1] + 12
+    code = int(pq_encode_batch(index.codebook, small_set.vectors[:1])[0, 0])
+    struct.pack_into("<f", blob, books + 4 * code * index.codebook.sub_dim, value)
+    with pytest.raises(ValueError, match="finite"):
+        load_index_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("family", ["ivf-flat", "ivf-sq", "ivf-pq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_ivf_loaders_reject_non_finite_coarse_centroids(small_set, family, value):
+    """A NaN in the coarse centroid of row 0's list once loaded, and no probe
+    then reached row 0."""
+    index = BUILDERS[family](small_set)
+    blob = bytearray(dump_index(index))
+    home = int(index.probe_order(small_set.vectors[0])[0])
+    struct.pack_into("<f", blob, _ivf_sections(index, blob)[0] + 4 * home * index.dim, value)
+    with pytest.raises(ValueError, match="finite"):
+        load_index_bytes(bytes(blob))
+
+
+def _pq_blob(m: int, nbits: int, sub_dim: int = 4, n: int = 5) -> bytes:
+    """A pq blob written field by field; past nbits 15 it stops after the
+    codebook header."""
+    w = Writer()
+    w.raw(VIDX_MAGIC)
+    w.u8(VIDX_VERSION)
+    w.u8(FAMILIES["pq"].tag)
+    for field in (m, nbits, sub_dim):
+        w.u32(field)
+    if nbits < 16:
+        for _ in range(m):
+            w.f32_array(np.ones((1 << nbits, sub_dim)))
+            w.f64(0.0)
+        w.u64(n)
+        w.u64_array(np.arange(n))
+        w.u8_array(np.zeros((n, m)))
+    return w.getvalue()
+
+
+@pytest.mark.parametrize(
+    "m, nbits, match",
+    [(0, 4, "m must be >= 1"), (4, 0, "nbits must be in 1..8"), (4, 9, "nbits must be in 1..8"),
+     (4, 2**27, "nbits must be in 1..8")],
+)
+def test_pq_loader_rejects_code_shapes_no_builder_writes(m, nbits, match):
+    """m 0 once loaded and raised IndexError at the first search; nbits 0 and 9
+    loaded and answered; nbits 2**27 built a 16 MiB int for 2**nbits before
+    the load found the buffer short."""
+    assert load_index_bytes(_pq_blob(4, 4)).search(np.zeros(16), 3)  # the same blob, m 4, nbits 4
+    with pytest.raises(ValueError, match=match):
+        load_index_bytes(_pq_blob(m, nbits))
+
+
+@pytest.mark.parametrize("family", ["ivf-pq", "ivf-sq"])
+def test_ivf_loader_rejects_a_codec_of_another_dim(small_set, family):
+    """A codec over the first 8 of 16 dims once loaded, and every search then
+    failed inside the scoring."""
+    index = BUILDERS[family](small_set)
+    narrow = BUILDERS[family](EmbeddingSet(small_set.ids, small_set.labels, small_set.vectors[:, :8]))
+    blob, narrow_blob = dump_index(index), dump_index(narrow)
+    _, codec, lists = _ivf_sections(index, blob)
+    _, narrow_codec, narrow_lists = _ivf_sections(narrow, narrow_blob)
+    spliced = blob[:codec] + narrow_blob[narrow_codec:narrow_lists] + blob[lists:]
+    with pytest.raises(ValueError, match="codec has dim 8, index has dim 16"):
+        load_index_bytes(spliced)
+
+
+@pytest.mark.parametrize("family", ["ivf-flat", "ivf-sq", "ivf-pq"])
+def test_ivf_loader_rejects_a_list_count_past_the_buffer(small_set, family):
+    """A count of 2**63 in the first list header once raised OverflowError."""
+    index = BUILDERS[family](small_set)
+    blob = bytearray(dump_index(index))
+    struct.pack_into("<Q", blob, _ivf_sections(index, blob)[2], 2**63)
+    with pytest.raises(ValueError, match="truncated"):
+        load_index_bytes(bytes(blob))
+
+
+_CODEBOOK_FAMILIES = ("pq", "ivf-flat", "ivf-sq", "ivf-pq")
+
+
+@pytest.fixture(scope="module")
+def codebook_blobs(small_set):
+    """Family -> (blob, end of its header, coarse-quantizer and codebook
+    region: through the pq row count or the first IVF list count)."""
+    out = {}
+    for name in _CODEBOOK_FAMILIES:
+        index = BUILDERS[name](small_set)
+        blob = dump_index(index)
+        if name == "pq":
+            out[name] = blob, len(blob) - len(index) * (8 + index.codebook.m)
+        else:
+            out[name] = blob, _ivf_sections(index, blob)[2] + 8
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(family=st.sampled_from(_CODEBOOK_FAMILIES), data=st.data())
+def test_codebook_loaders_raise_only_value_error(codebook_blobs, small_set, family, data):
+    """1-4 bytes overwritten after the frame, up to the stored rows: the load
+    raises ValueError, or the blob loads, dumps back to itself and answers."""
+    blob, end = codebook_blobs[family]
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(_FRAME, end - 1))] = data.draw(st.integers(0, 255))
+    try:
+        index = load_index_bytes(bytes(blob))
+    except ValueError:
+        return
+    assert dump_index(index) == blob
+    ids = index.search(small_set.vectors[0], 5).ids
+    assert 1 <= len(ids) == len(set(ids)) <= 5

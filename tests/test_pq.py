@@ -8,6 +8,7 @@ import pytest
 from annkit.data import EmbeddingSet
 from annkit.distances import Metric, batch_scores
 from annkit.pq import (
+    PqCodebook,
     PqIndex,
     adc_scores,
     adc_table,
@@ -168,16 +169,14 @@ def test_train_deterministic(small_set):
 
 
 def test_codebook_wire_round_trip(tiny_codebook):
-    from annkit.pq import read_codebook, write_codebook
-
     cb, _ = tiny_codebook
     w = Writer()
-    write_codebook(w, cb)
+    cb.write(w)
     blob = w.getvalue()
-    back = read_codebook(Reader(blob))
+    back = PqCodebook.read(Reader(blob))
     assert back.m == cb.m and back.ks == cb.ks
     for x, y in zip(back.books, cb.books):
         np.testing.assert_array_equal(x.vectors, y.vectors)
     w2 = Writer()
-    write_codebook(w2, back)
+    back.write(w2)
     assert w2.getvalue() == blob
