@@ -20,10 +20,13 @@ reported scores are exact Euclidean distances to the stored vectors.
 Storage: row r's vector, id and top level sit at row r of one float32
 (rows x dim) buffer, one uint64 and one uint32 array; all three grow by
 doubling on insert and are trimmed to size by `build`. Rows are found from
-ids by one vectorised compare over the id array. Row r's neighbour rows at
-each of its levels are one packed int32 `array.array`, so an edge costs 4 B
-and no Python int. The VIDX link section stores the same lists in the same
-order, and a load cuts each list straight out of it after one vectorised
+ids by one vectorised compare over the id array. The links are held level
+by level: `_links[level][row]` is row's neighbour rows at that level, one
+packed int32 `array.array`, so an edge costs 4 B and no Python int. Level 0
+is a list with one entry per row; each upper level is a dict holding only
+the rows that reach it (about one row in M), so a node has no list object of
+its own. The VIDX link section stores the same lists row by row, and a load
+cuts each list straight out of it into its level after one vectorised
 structure check (`_check_links`), so a corrupted file raises ValueError.
 """
 
@@ -43,9 +46,9 @@ from .distances import Metric, _sq_l2
 from .wire import Reader, Writer
 
 # Fixed bytes of one neighbour list (the array object, its items apart) and
-# of one node's list of them (the list object, its slots apart).
+# of a list of them (the list object, its slots apart).
 _LIST_HEADER = sys.getsizeof(array("i"))
-_NODE_HEADER = sys.getsizeof([])
+_SLOTS_HEADER = sys.getsizeof([])
 
 
 @dataclass
@@ -79,7 +82,8 @@ class HnswIndex(VectorIndex):
         self._vec32 = np.empty((0, dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.uint64)
         self._levels = np.empty(0, dtype=np.uint32)
-        self._links: list[list[array]] = []  # row -> level -> neighbor rows
+        # level -> row -> neighbor rows: a list at level 0, dicts above it
+        self._links: list[list[array] | dict[int, array]] = [[]]
         self._entry = -1
 
     # ------------------------------------------------------------------ build
@@ -146,6 +150,7 @@ class HnswIndex(VectorIndex):
         with different ef values traverse identically until the smaller pool
         starts rejecting — the visited set grows monotonically with ef.
         """
+        links = self._links[level]
         visited = set(entries)
         entry_d = self._dists(q64, entries)
         candidates = sorted(zip(entry_d.tolist(), entries))
@@ -160,7 +165,7 @@ class HnswIndex(VectorIndex):
             bound = -pool[0][0]
             if len(pool) >= ef and d > bound:
                 break
-            fresh = [r for r in self._links[row][level] if r not in visited]
+            fresh = [r for r in links[row] if r not in visited]
             if not fresh:
                 continue
             visited.update(fresh)
@@ -218,9 +223,10 @@ class HnswIndex(VectorIndex):
         exclude: int | None = None,
     ) -> list[tuple[float, int]]:
         """Candidates plus their graph neighbors at `layer`, re-scored."""
+        links = self._links[layer]
         rows = {r for _, r in found}
         for _, r in found:
-            rows.update(self._links[r][layer])
+            rows.update(links[r])
         rows.discard(exclude)
         rows = sorted(rows)
         return list(zip(self._dists(q64, rows).tolist(), rows))
@@ -239,12 +245,16 @@ class HnswIndex(VectorIndex):
             raise ValueError("vector must be finite (no NaN or inf)")
 
         level = self._draw_level()
-        row = len(self._links)
+        row = len(self)
         self._grow(row + 1)
         self._vec32[row] = vector
         self._ids[row] = record_id
         self._levels[row] = level
-        self._links.append([array("i") for _ in range(level + 1)])
+        self._links[0].append(array("i"))
+        while len(self._links) <= level:
+            self._links.append({})
+        for layer in range(1, level + 1):
+            self._links[layer][row] = array("i")
 
         if self._entry < 0:
             self._entry = row
@@ -267,10 +277,11 @@ class HnswIndex(VectorIndex):
             upper = layer >= 1
             cand = self._extended(found, q64, layer) if upper else found
             neighbors = self._select_diverse(cand, self.params.M, fill=True)
-            self._links[row][layer] = array("i", neighbors)
+            at_layer = self._links[layer]
+            at_layer[row] = array("i", neighbors)
             cap = self.params.M_max0 if layer == 0 else self.params.M
             for nb in neighbors:
-                links = self._links[nb][layer]
+                links = at_layer[nb]
                 links.append(row)
                 if len(links) > cap:
                     nb64 = self._vec32[nb].astype(np.float64)
@@ -278,9 +289,7 @@ class HnswIndex(VectorIndex):
                     pairs = sorted(zip(nd.tolist(), links))
                     if upper:
                         pairs = self._extended(pairs, nb64, layer, exclude=nb)
-                    self._links[nb][layer] = array(
-                        "i", self._select_diverse(pairs, cap, fill=upper)
-                    )
+                    at_layer[nb] = array("i", self._select_diverse(pairs, cap, fill=upper))
             entries = [r for _, r in found]
 
         if level > top:
@@ -323,7 +332,7 @@ class HnswIndex(VectorIndex):
         return self._dim
 
     def __len__(self) -> int:
-        return len(self._links)
+        return len(self._links[0])
 
     @property
     def ids(self) -> np.ndarray:
@@ -345,13 +354,17 @@ class HnswIndex(VectorIndex):
         return int(self._levels[self._row_of(record_id)])
 
     def neighbors_of(self, record_id: int, level: int) -> list[int]:
-        return self._ids[self._links[self._row_of(record_id)][level]].tolist()
+        row = self._row_of(record_id)
+        if not 0 <= level <= self._levels[row]:
+            raise IndexError(f"record {record_id} has no level {level}")
+        return self._ids[self._links[level][row]].tolist()
 
     def _link_words(self) -> np.ndarray:
         """The link section as written: per row and level, a degree then the rows."""
         words = array("i")
-        for node in self._links:
-            for links in node:
+        for row, top in enumerate(self._levels[: len(self)].tolist()):
+            for layer in self._links[: top + 1]:
+                links = layer[row]
                 words.append(len(links))
                 words.extend(links)
         return np.frombuffer(words, dtype=np.int32)
@@ -360,24 +373,30 @@ class HnswIndex(VectorIndex):
         """ValueError unless the graph is well formed, by the check loads run."""
         n = len(self)
         levels = self._levels[:n]
-        if [len(node) for node in self._links] != (levels + 1).tolist():
-            raise ValueError("a node's lists do not match its level")
+        if len(self._links) != (int(levels.max()) + 1 if n else 1):
+            raise ValueError("the graph holds a level no node reaches, or lacks one")
+        for level, layer in enumerate(self._links[1:], 1):
+            if sorted(layer) != np.flatnonzero(levels >= level).tolist():
+                raise ValueError(f"level {level} holds other rows than those that reach it")
         words = self._link_words()
         heads, _ = _walk_headers(words, n + int(levels.sum()))
         _check_links(self.params, n, levels, self._entry, words, heads)
 
     def memory_bytes(self) -> int:
-        """Buffers as held (spare capacity included), plus the link lists:
-        4 B per edge and a fixed header per list and per node, each with its
-        slot in the list that holds it."""
-        n = len(self)
-        lists = n + int(self._levels[:n].sum())
-        edges = sum(len(links) for node in self._links for links in node)
+        """Buffers as held (spare capacity included), plus the links: 4 B per
+        edge, a fixed header per neighbour list, and the level containers (the
+        level list and level 0's list, a header and 8 B per slot; each upper
+        level's dict as it is sized)."""
+        level0, upper = self._links[0], self._links[1:]
+        lists = len(level0) + sum(map(len, upper))
+        edges = sum(map(len, level0)) + sum(len(links) for d in upper for links in d.values())
         return (
             super().memory_bytes()
             + 4 * edges
-            + lists * (_LIST_HEADER + 8)
-            + n * (_NODE_HEADER + 8)
+            + lists * _LIST_HEADER
+            + 2 * _SLOTS_HEADER
+            + 8 * (len(self._links) + len(level0))
+            + sum(map(sys.getsizeof, upper))
         )
 
     def config(self) -> dict:
@@ -426,12 +445,21 @@ class HnswIndex(VectorIndex):
         index._ids = ids
         index._levels = levels
         index._entry = entry
-        raw = words.tobytes()  # native words, every value below 2**31: int32 bytes
-        starts = 4 * heads + 4
-        ends = starts + 4 * words[heads].astype(np.int64)
-        lists = [array("i", raw[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
-        bounds = np.cumsum(levels.astype(np.int64) + 1).tolist()
-        index._links = [lists[a:b] for a, b in zip([0, *bounds], bounds)]
+        # Native words, every value below 2**31: the section read as int32. A
+        # slice of it is an array sized exactly, copied with one memcpy.
+        section = array("i", words.tobytes())
+        starts = heads + 1
+        ends = starts + words[heads].astype(np.int64)
+        span = levels.astype(np.int64) + 1
+        first = np.cumsum(span) - span  # each row's level-0 list
+
+        def cut(at: np.ndarray) -> list[array]:
+            return [section[a:b] for a, b in zip(starts[at].tolist(), ends[at].tolist())]
+
+        index._links = [cut(first)]
+        for level in range(1, int(levels.max()) + 1 if count else 1):
+            rows = np.flatnonzero(levels >= level)
+            index._links.append(dict(zip(rows.tolist(), cut(first[rows] + level))))
         return index
 
 
@@ -490,7 +518,9 @@ def _check_links(
         raise ValueError("an edge names no stored node")
     if np.any(edges == list_row[of_list]):
         raise ValueError("a node links to itself")
-    keys = np.sort(of_list * n + edges)
+    # Every key is below len(heads) * n; int32 keys sort about twice as fast.
+    keys = of_list * n + edges
+    keys = np.sort(keys.astype(np.int32) if len(heads) * n < 2**31 else keys)
     if np.any(keys[1:] == keys[:-1]):
         raise ValueError("a list repeats an edge")
     if np.any(levels[edges] < list_level[of_list]):

@@ -134,8 +134,9 @@ class Centroids:
 
 def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
     """`count` centroid sets of k x dim, read as one block and checked finite
-    in one pass: each set's vectors are a view of one owned float32 array.
-    ValueError when k or dim is 0, the buffer is short, or a vector is not finite.
+    in one pass each for the vectors and the distortions: each set's vectors
+    are a view of one owned float32 array. ValueError when k or dim is 0, the
+    buffer is short, or a vector or a distortion is not finite.
     """
     if k < 1 or dim < 1:
         raise ValueError(f"centroid sets must be >= 1 x 1, got {k} x {dim}")
@@ -145,6 +146,8 @@ def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
     vectors = block["v"].astype(np.float32)
     if not np.isfinite(vectors).all():
         raise ValueError("centroid vectors must be finite (no NaN or inf)")
+    if not np.isfinite(block["d"]).all():
+        raise ValueError("centroid distortions must be finite (no NaN or inf)")
     return [Centroids(v, d) for v, d in zip(vectors, block["d"].tolist())]
 
 

@@ -390,6 +390,14 @@ def test_unknown_id_lookups_raise_key_error(noisy_graph):
             graph.neighbors_of(rid, 0)
 
 
+def test_neighbors_of_a_level_the_node_lacks_raises_index_error(noisy_graph):
+    _, graph = noisy_graph
+    ground = int(graph._ids[np.flatnonzero(graph._levels[: len(graph)] == 0)[0]])
+    for level in (-1, 1, graph.level_of(graph.entry_id) + 1):
+        with pytest.raises(IndexError, match="has no level"):
+            graph.neighbors_of(ground, level)
+
+
 # ----------------------------------------------------- structure checks
 
 
@@ -412,7 +420,7 @@ def _upper_row(graph) -> int:
 
 def _set_link(row, level, at, value):
     def edit(g):
-        g._links[row][level][at] = value
+        g._links[level][row][at] = value
 
     return edit
 
@@ -439,7 +447,7 @@ def test_check_rejects_a_self_loop(noisy_graph):
 
 def test_check_rejects_a_repeated_edge(noisy_graph):
     _, graph = noisy_graph
-    first = graph._links[3][0][0]
+    first = graph._links[0][3][0]
     assert "repeats" in _corrupt(graph, _set_link(3, 0, 1, first))
 
 
@@ -448,7 +456,7 @@ def test_check_rejects_a_degree_over_the_cap(noisy_graph):
     cap = graph.params.M_max0
 
     def overfill(g):
-        links = g._links[3][0]
+        links = g._links[0][3]
         spare = [r for r in range(len(g)) if r != 3 and r not in links]
         links.extend(spare[: cap + 1 - len(links)])
 
@@ -459,7 +467,7 @@ def test_check_rejects_a_degree_over_the_cap(noisy_graph):
     assert len(upper) > graph.params.M
 
     def overfill_upper(g):
-        g._links[row][1] = array("i", upper[: g.params.M + 1])
+        g._links[1][row] = array("i", upper[: g.params.M + 1])
 
     assert "cap" in _corrupt(graph, overfill_upper)
 
@@ -484,9 +492,54 @@ def test_check_rejects_an_entry_point_below_the_top(noisy_graph):
 def test_check_rejects_a_missing_level_list(noisy_graph):
     _, graph = noisy_graph
     bad = copy.deepcopy(graph)
-    bad._links[_upper_row(graph)].pop()
+    del bad._links[1][_upper_row(graph)]
     with pytest.raises(ValueError, match="level"):
         bad.validate_structure()
+
+
+def test_check_rejects_a_level_holding_a_row_below_it(noisy_graph):
+    _, graph = noisy_graph
+    ground = int(np.flatnonzero(graph._levels[: len(graph)] == 0)[0])
+    bad = copy.deepcopy(graph)
+    bad._links[1][ground] = array("i")
+    with pytest.raises(ValueError, match="level 1 holds other rows"):
+        bad.validate_structure()
+
+
+def test_check_rejects_a_level_no_node_reaches(noisy_graph):
+    _, graph = noisy_graph
+    bad = copy.deepcopy(graph)
+    bad._links.append({})
+    with pytest.raises(ValueError, match="level no node reaches"):
+        bad.validate_structure()
+    bad._links[-2:] = []
+    with pytest.raises(ValueError, match="lacks one"):
+        bad.validate_structure()
+
+
+def test_loaded_graph_keeps_the_built_links(noisy_graph):
+    _, graph = noisy_graph
+    loaded = load_index_bytes(dump_index(graph))
+    assert np.array_equal(loaded._link_words(), graph._link_words())
+    assert loaded._links == graph._links
+    assert loaded.memory_bytes() == graph.memory_bytes()
+
+
+def test_loaded_graph_grows_a_new_top_level_and_round_trips():
+    """A load that then inserts a node above its top level adds the level."""
+    data = gen_synthetic(4, 20, 8, 0.1, seed=3)
+    graph = load_index_bytes(dump_index(HnswIndex.build(data, HnswParams(M=4), seed=1)))
+    top = graph.level_of(graph.entry_id)
+    graph._draw_level = lambda: top + 2
+    graph.insert(10**6, np.full(8, 0.5, dtype=np.float32))
+    assert len(graph._links) == top + 3
+    assert graph.entry_id == 10**6
+    assert graph.level_of(10**6) == top + 2
+    graph.validate_structure()
+    blob = dump_index(graph)
+    again = load_index_bytes(blob)
+    assert dump_index(again) == blob
+    assert again.search(np.full(8, 0.5), 1).ids == [10**6]
 
 
 # Offsets in an hnsw VIDX blob: magic, version, tag, M, ef_construction,
@@ -529,10 +582,15 @@ def test_load_rejects_a_short_link_section(noisy_graph, cut):
 
 
 def test_empty_graph_round_trips():
-    blob = dump_index(HnswIndex(4))
+    empty = HnswIndex(4)
+    empty.validate_structure()
+    blob = dump_index(empty)
     loaded = load_index_bytes(blob)
     loaded.validate_structure()
     assert dump_index(loaded) == blob
+    assert len(loaded) == 0
+    assert loaded._links == [[]]
+    assert loaded.memory_bytes() == empty.memory_bytes()
     assert loaded.search(np.ones(4), 3).neighbors == []
 
 

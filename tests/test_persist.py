@@ -104,7 +104,7 @@ def test_family_tags_are_frozen():
 
 
 def test_loaded_memory_bytes_tells_the_truth():
-    """A freshly loaded index retains no more than 1.10 x its memory_bytes().
+    """A freshly loaded index retains between 0.98 and 1.10 x its memory_bytes().
 
     Retained bytes are what tracemalloc sees load_index_bytes keep.
     """
@@ -121,7 +121,9 @@ def test_loaded_memory_bytes_tells_the_truth():
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= 1.10 * index.memory_bytes(), (family, held, index.memory_bytes())
+        assert 0.98 * index.memory_bytes() <= held <= 1.10 * index.memory_bytes(), (
+            family, held, index.memory_bytes()
+        )
 
 
 def test_rejects_bad_magic(small_set):
@@ -278,6 +280,24 @@ def test_ivf_loaders_reject_non_finite_coarse_centroids(small_set, family, value
     home = int(index.probe_order(small_set.vectors[0])[0])
     struct.pack_into("<f", blob, _ivf_sections(index, blob)[0] + 4 * home * index.dim, value)
     with pytest.raises(ValueError, match="finite"):
+        load_index_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("family", ["pq", "ivf-flat", "ivf-sq", "ivf-pq"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_codebook_loaders_reject_a_non_finite_distortion(small_set, family, value):
+    """A NaN or inf stored distortion (pq: the last book's; ivf: the coarse
+    set's), which no training writes, once loaded and round-tripped."""
+    index = BUILDERS[family](small_set)
+    blob = bytearray(dump_index(index))
+    if family == "pq":
+        book = 4 * (1 << index.codebook.nbits) * index.codebook.sub_dim + 8
+        at, stored = _FRAME + 12 + index.codebook.m * book - 8, index.codebook.books[-1]
+    else:
+        at, stored = _ivf_sections(index, blob)[0] + 4 * index.nlist * index.dim, index.coarse
+    assert struct.unpack_from("<d", blob, at)[0] == stored.distortion
+    struct.pack_into("<d", blob, at, value)
+    with pytest.raises(ValueError, match="distortions must be finite"):
         load_index_bytes(bytes(blob))
 
 
