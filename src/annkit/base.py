@@ -73,14 +73,9 @@ class VectorIndex(abc.ABC):
     is exclusive.
     """
 
-    family: str
+    family: str  # the name of its row in `families.FAMILIES`
     metric: Metric = Metric.L2  # the metric searches rank by and recall is scored in
     _ids: np.ndarray  # uint64, one per stored vector
-
-    @property
-    def label(self) -> str:
-        """Report row name; families with a metric variant override this."""
-        return self.family
 
     @property
     @abc.abstractmethod

@@ -128,7 +128,7 @@ def run_protocol(
         "index": index.config(),
     }
     return BenchReport(
-        family=index.label,
+        family=index.family,
         memory_estimate_mb=index.memory_bytes() / 2**20,
         precision=metrics.precision,
         recall=metrics.recall,

@@ -28,9 +28,6 @@ from .families import ALL_FAMILIES, FAMILIES, build_index, family
 from .flat import ground_truth
 from .persist import dump_index, load_index, load_index_bytes
 
-_METRIC_CHOICES = [m.value for m in Metric]
-
-
 def _load_any(path: str) -> EmbeddingSet:
     if Path(path).suffix.lower() == ".csv":
         return load_csv(path)
@@ -83,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index over an embedding file")
     p.add_argument("--data", required=True, help="VEMB or CSV input")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--metric", choices=_METRIC_CHOICES, help="rpforest metric")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="VIDX output path")
     _add_knob_flags(p)
@@ -99,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("truth", help="exact nearest neighbors for stored ids")
     p.add_argument("--data", required=True, help="VEMB or CSV input")
     p.add_argument("--k", type=int, default=5, help="neighbors per query")
-    p.add_argument("--metric", choices=_METRIC_CHOICES, default=Metric.L2.value)
+    p.add_argument("--metric", choices=[m.value for m in Metric], default=Metric.L2.value)
     p.add_argument(
         "--id", type=int, action="append", help="query id (repeatable; default: all)"
     )
@@ -117,7 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--recall-n", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--metric", choices=_METRIC_CHOICES, help="rpforest metric")
     p.add_argument("--out", help="report output path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_knob_flags(p)
@@ -138,9 +133,9 @@ def _cmd_build(args) -> int:
     stored = load_index_bytes(blob).config()  # a knob VIDX does not store is lost here
     lost = [knob for knob, value in index.config().items() if stored.get(knob) != value]
     if lost:
-        raise ValueError(f"{index.label} cannot store {', '.join(lost)} in VIDX; no file written")
+        raise ValueError(f"{index.family} cannot store {', '.join(lost)} in VIDX; no file written")
     Path(args.out).write_bytes(blob)
-    print(f"wrote {args.out}: {index.label}, {len(index)} vectors, {len(blob)} bytes")
+    print(f"wrote {args.out}: {index.family}, {len(index)} vectors, {len(blob)} bytes")
     return 0
 
 

@@ -77,23 +77,19 @@ def label_metrics(outcomes: Sequence[tuple[int, Sequence[int]]]) -> LabelMetrics
     """
     if not outcomes:
         raise ValueError("cannot compute metrics from zero outcomes")
-    pairs = [
-        (query_label, predict_label(retrieved) if len(retrieved) else None)
-        for query_label, retrieved in outcomes
-    ]
-
-    classes = sorted({t for t, _ in pairs} | {p for _, p in pairs if p is not None})
-    per_class = {c: ConfusionCounts() for c in classes}
-    for truth, pred in pairs:
-        for c in classes:
-            if truth == c and pred == c:
-                per_class[c].tp += 1
-            elif truth != c and pred == c:
-                per_class[c].fp += 1
-            elif truth == c and pred != c:
-                per_class[c].fn += 1
-            else:
-                per_class[c].tn += 1
+    preds = [predict_label(retrieved) if len(retrieved) else None for _, retrieved in outcomes]
+    n = len(outcomes)
+    truths = Counter(truth for truth, _ in outcomes)
+    predicted = Counter(pred for pred in preds if pred is not None)
+    hits = Counter(truth for (truth, _), pred in zip(outcomes, preds) if truth == pred)
+    # One-vs-rest per class: of the n queries, truths[c] are c and predicted[c]
+    # are called c, and hits[c] are both.
+    classes = sorted(truths.keys() | predicted.keys())
+    per_class = {
+        c: ConfusionCounts(tp=hits[c], fp=predicted[c] - hits[c], fn=truths[c] - hits[c],
+                           tn=n - truths[c] - predicted[c] + hits[c])
+        for c in classes
+    }
 
     agg = ConfusionCounts(
         tp=sum(c.tp for c in per_class.values()),
@@ -103,7 +99,7 @@ def label_metrics(outcomes: Sequence[tuple[int, Sequence[int]]]) -> LabelMetrics
     )
     micro_p = agg.precision()
     micro_r = agg.recall()
-    accuracy = sum(1 for t, p in pairs if t == p) / len(pairs)
+    accuracy = agg.tp / n
 
     class_p = [c.precision() for c in per_class.values()]
     class_r = [c.recall() for c in per_class.values()]

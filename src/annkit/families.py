@@ -1,8 +1,11 @@
 """The family table: one row per index family.
 
 A row names the family and gives its frozen VIDX tag, its payload reader, its
-builder and the build knobs it takes. Persistence, the benchmark and the CLI
-all dispatch through this table; no other module lists the families.
+builder and the build knobs it takes. Every row can be stored, and a built
+index's `family` is its row's name. The forest's three metric rows share one
+tag and one reader; the payload stores the metric. Persistence, the benchmark
+and the CLI all dispatch through this table; no other module lists the
+families.
 
 Readers and builders look their classes and functions up when called, so a
 patched attribute (a wrapped method, say) is seen through the table too.
@@ -28,10 +31,8 @@ from .wire import Reader
 @dataclass(frozen=True)
 class Family:
     name: str
-    # VIDX family byte. It is wire format: never renumber a tag. None marks a
-    # report row whose index is stored under another row's tag.
-    tag: int | None
-    read: Callable[[Reader], VectorIndex] | None  # VIDX payload -> index
+    tag: int  # VIDX family byte. It is wire format: never renumber a tag.
+    read: Callable[[Reader], VectorIndex]  # VIDX payload -> index
     build: Callable[..., VectorIndex]  # (emb_set, seed, **knobs) -> index
     knobs: dict[str, str]  # build keyword -> argparse dest of the CLI flag that sets it
     benched: bool = True  # a row of `bench --family all`
@@ -50,8 +51,7 @@ def _ivf(encoding: str, tag: int, knobs: dict[str, str], benched: bool = True) -
 
 
 def _forest(metric: Metric) -> Family:
-    """A report row per forest metric; the index is stored as `rpforest`."""
-    return Family(f"rpforest-{metric.value}", None, None,
+    return Family(f"rpforest-{metric.value}", 8, lambda r: RpForestIndex.read_payload(r),
                   lambda s, seed, **kw: rp_build(s, metric=metric, seed=seed, **kw), _FOREST)
 
 
@@ -72,17 +72,13 @@ _ROWS = (
     Family("lsh", 6, lambda r: LshIndex.read_payload(r),
            lambda s, seed, **kw: lsh_build(s, seed=seed, **kw),
            {"nbits": "lsh_bits", "rerank": "rerank"}),
-    Family("rpforest", 8, lambda r: RpForestIndex.read_payload(r),
-           lambda s, seed, metric=Metric.ANGULAR, **kw: rp_build(
-               s, metric=Metric(metric), seed=seed, **kw),
-           {**_FOREST, "metric": "metric"}, benched=False),
     _forest(Metric.ANGULAR),
     _forest(Metric.L2),
     _forest(Metric.MANHATTAN),
 )
 
 FAMILIES: dict[str, Family] = {row.name: row for row in _ROWS}
-BY_TAG: dict[int, Family] = {row.tag: row for row in _ROWS if row.tag is not None}
+BY_TAG: dict[int, Family] = {row.tag: row for row in _ROWS}
 
 # Report rows for `bench --family all`, one per benchmarked configuration.
 ALL_FAMILIES = tuple(row.name for row in _ROWS if row.benched)

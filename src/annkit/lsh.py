@@ -114,14 +114,18 @@ class LshIndex(VectorIndex):
         dim = r.u32()
         if not (nbits and dim):
             raise ValueError("nbits and dim must be >= 1")
-        rerank = bool(r.u8())
+        rerank = r.u8()
+        if rerank > 1:
+            raise ValueError(f"rerank byte must be 0 or 1, got {rerank}")
         count = r.u64()
         hyperplanes = r.f32_array(nbits * dim).reshape(nbits, dim)
+        if not np.isfinite(hyperplanes).all():
+            raise ValueError("hyperplanes must be finite (no NaN or inf)")
         ids = r.u64_array(count)
         code_bytes = (nbits + 7) // 8
         codes = r.u8_array(count * code_bytes).reshape(count, code_bytes)
         vectors = r.f32_array(count * dim).reshape(count, dim)
-        return cls(hyperplanes, ids, codes, vectors, rerank)
+        return cls(hyperplanes, ids, codes, vectors, bool(rerank))
 
 
 def lsh_build(

@@ -69,8 +69,6 @@ def _records(data: np.ndarray, at: np.ndarray, width: int, dtype: str) -> np.nda
 
 
 class RpForestIndex(VectorIndex):
-    family = "rpforest"
-
     def __init__(
         self,
         metric: Metric,
@@ -106,7 +104,7 @@ class RpForestIndex(VectorIndex):
         self.search_k = search_k  # None -> n_trees * k at query time
 
     @property
-    def label(self) -> str:
+    def family(self) -> str:
         return f"rpforest-{self.metric.value}"
 
     @property

@@ -1,6 +1,6 @@
-"""Little-endian binary primitives shared by the VEMB and VIDX file formats.
+"""Little-endian binary primitives of the VIDX file format.
 
-Both formats are defined bit-exactly, so every scalar and array goes through
+The format is defined bit-exactly, so every scalar and array goes through
 explicit ``<``-endian struct codes / dtypes regardless of host byte order.
 """
 

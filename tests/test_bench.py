@@ -143,9 +143,8 @@ def test_family_metric_mapping(small_set):
     assert metric("flat-l2") is Metric.L2
     assert metric("flat-ip") is Metric.INNER_PRODUCT
     assert metric("rpforest-angular") is Metric.ANGULAR
+    assert metric("rpforest-l2") is Metric.L2
     assert metric("rpforest-manhattan") is Metric.MANHATTAN
-    assert metric("rpforest") is Metric.ANGULAR  # the build default
-    assert metric("rpforest", metric="l2") is Metric.L2
     assert metric("hnsw", M=4, ef_construction=8) is Metric.L2
     for family in ("lsh", "ivf-sq", "pq"):
         assert metric(family) is Metric.L2

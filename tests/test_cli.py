@@ -101,28 +101,34 @@ def test_bench_prints_table_without_out(data_path, capsys):
 
 def test_bench_knobs_reach_index(tmp_path, data_path):
     out_path = tmp_path / "report.json"
-    assert main(["bench", "--data", str(data_path), "--family", "rpforest",
+    assert main(["bench", "--data", str(data_path), "--family", "rpforest-angular",
                  "--trees", "4", "--queries", "20", "--out", str(out_path)]) == 0
     rows = json.loads(out_path.read_text())
     assert rows[0]["config"]["index"]["n_trees"] == 4
 
 
-def test_bench_metric_flag_only_reaches_rpforest(tmp_path, data_path):
-    """`--metric` sets the rpforest knob; other families keep their own metric."""
-    rows = {}
-    for extra in ([], ["--metric", "manhattan"]):
-        out_path = tmp_path / "report.json"
-        assert main(["bench", "--data", str(data_path), "--family",
-                     "hnsw,lsh,pq,ivf-sq,rpforest", "--nbits", "4", "--queries", "40",
-                     "--out", str(out_path), *extra]) == 0
-        rows[bool(extra)] = json.loads(out_path.read_text())
-    for plain, flagged in zip(rows[False], rows[True]):
-        if plain["family"].startswith("rpforest"):
-            assert flagged["config"]["metric"] == "manhattan"
-            assert flagged["family"] == "rpforest-manhattan"
-            continue
-        assert plain["config"]["metric"] == flagged["config"]["metric"] == "l2"
-        assert flagged["recall_at_n"] == plain["recall_at_n"]
+def test_bench_metric_flag_only_reaches_rpforest(tmp_path, data_path, capsys):
+    """The forest's metric is in its family name, so `build` and `bench` take
+    no `--metric` (only `truth` does) and no bare `rpforest` family; the
+    other families keep their own metric."""
+    out_path = tmp_path / "report.json"
+    assert main(["bench", "--data", str(data_path), "--family", "rpforest-manhattan,hnsw",
+                 "--queries", "40", "--out", str(out_path)]) == 0
+    rows = json.loads(out_path.read_text())
+    assert [(r["family"], r["config"]["metric"]) for r in rows] == [
+        ("rpforest-manhattan", "manhattan"), ("hnsw", "l2")]
+    capsys.readouterr()
+    for command in ("build", "bench"):
+        assert main([command, "--data", str(data_path), "--family", "rpforest-l2",
+                     "--metric", "l2", "--out", str(tmp_path / "x")]) == 2
+        assert "unrecognized arguments: --metric" in capsys.readouterr().err
+    assert main(["build", "--data", str(data_path), "--family", "rpforest",
+                 "--out", str(tmp_path / "x")]) == 2
+    assert "invalid choice: 'rpforest'" in capsys.readouterr().err
+    assert main(["bench", "--data", str(data_path), "--family", "rpforest"]) == 1
+    assert "unknown index family 'rpforest'" in capsys.readouterr().err
+    assert main(["truth", "--data", str(data_path), "--id", "0", "--k", "2",
+                 "--metric", "manhattan"]) == 0
 
 
 def test_build_respects_knobs(tmp_path, data_path):
@@ -137,11 +143,11 @@ def test_build_refuses_a_knob_vidx_cannot_store(tmp_path, data_path, capsys):
     reported None and answered with its default budget. The build now fails
     and writes nothing."""
     index_path = tmp_path / "forest.vidx"
-    assert main(["build", "--data", str(data_path), "--family", "rpforest",
+    assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
                  "--search-k", "2", "--out", str(index_path)]) == 1
     assert "search_k" in capsys.readouterr().err
     assert not index_path.exists()
-    assert main(["build", "--data", str(data_path), "--family", "rpforest",
+    assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
                  "--trees", "3", "--out", str(index_path)]) == 0
     assert load_index(index_path).n_trees == 3
 

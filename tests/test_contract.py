@@ -37,7 +37,6 @@ def indexes(small_set):
 _NON_DEFAULT = {
     "nlist": 9, "nprobe": 3, "m": 4, "nbits": 4, "trees": 3, "leaf_size": 7,
     "hnsw_m": 5, "ef_construction": 21, "ef_search": 13, "lsh_bits": 24, "rerank": False,
-    "metric": "manhattan",
 }
 
 
@@ -50,6 +49,22 @@ def test_config_survives_a_vidx_round_trip(small_set, name):
     for value in knobs.values():
         assert value in config.values()
     assert load_index_bytes(dump_index(index)).config() == config
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_is_named_and_stored_by_its_row(indexes, name):
+    """A built index's family is its row's name, and a VIDX round trip keeps
+    the name, the row's tag and the bytes."""
+    built, loaded = indexes[name]["built"], indexes[name]["loaded"]
+    blob = dump_index(built)
+    assert built.family == loaded.family == name
+    assert blob[5] == FAMILIES[name].tag
+    assert dump_index(loaded) == blob
+
+
+def test_a_family_name_is_one_row():
+    with pytest.raises(ValueError, match="unknown index family 'rpforest'"):
+        build_index(gen_synthetic(2, 10, 4, 0.1, seed=0), "rpforest")
 
 
 @pytest.mark.parametrize("state", ["built", "loaded"])

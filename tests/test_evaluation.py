@@ -27,17 +27,22 @@ def naive_predict(retrieved):
 
 
 def naive_metrics(outcomes):
-    """Plain-dict evaluator: per-class tp/fp/fn, then micro and macro averages."""
+    """Plain-dict evaluator: per-class tp/fp/fn/tn, then micro and macro averages.
+
+    An empty retrieval predicts nothing: a miss for its class, a false
+    positive for none."""
     tp, fp, fn = Counter(), Counter(), Counter()
     classes = set()
     for true_label, retrieved in outcomes:
-        pred = naive_predict(retrieved)
+        pred = naive_predict(retrieved) if retrieved else None
         classes.add(true_label)
-        classes.add(pred)
+        if pred is not None:
+            classes.add(pred)
         if pred == true_label:
             tp[true_label] += 1
         else:
-            fp[pred] += 1
+            if pred is not None:
+                fp[pred] += 1
             fn[true_label] += 1
 
     def div(a, b):
@@ -50,47 +55,47 @@ def naive_metrics(outcomes):
     correct = sum(tp.values())
     micro_p = div(correct, correct + sum(fp.values()))
     micro_r = div(correct, correct + sum(fn.values()))
-    per_class = {}
-    for c in classes:
+    counts, scores = {}, []
+    for c in sorted(classes):
+        counts[c] = (tp[c], fp[c], fn[c], n - tp[c] - fp[c] - fn[c])
         p = div(tp[c], tp[c] + fp[c])
         r = div(tp[c], tp[c] + fn[c])
-        per_class[c] = (p, r, f1(p, r))
-    macro_p = sum(v[0] for v in per_class.values()) / len(per_class)
-    macro_r = sum(v[1] for v in per_class.values()) / len(per_class)
-    macro_f1 = sum(v[2] for v in per_class.values()) / len(per_class)
+        scores.append((p, r, f1(p, r)))
     return {
         "precision": micro_p,
         "recall": micro_r,
         "f1": f1(micro_p, micro_r),
         "accuracy": div(correct, n),
-        "macro_precision": macro_p,
-        "macro_recall": macro_r,
-        "macro_f1": macro_f1,
+        "macro_precision": sum(v[0] for v in scores) / len(scores),
+        "macro_recall": sum(v[1] for v in scores) / len(scores),
+        "macro_f1": sum(v[2] for v in scores) / len(scores),
+        "per_class": counts,
     }
 
 
-def random_outcomes(rng, n_queries=30, n_classes=5, k=5):
+def random_outcomes(rng, n_queries=30, n_classes=5, k=5, p_empty=0.0):
+    """Random (label, retrieved) pairs; a share `p_empty` retrieves nothing."""
     out = []
     for _ in range(n_queries):
         true_label = int(rng.integers(n_classes))
-        retrieved = rng.integers(n_classes, size=k).tolist()
+        retrieved = [] if rng.random() < p_empty else rng.integers(n_classes, size=k).tolist()
         out.append((true_label, retrieved))
     return out
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_label_metrics_match_naive_evaluator(seed):
+    """Every field equals the reference exactly, per-class counts included,
+    with and without empty retrievals."""
     rng = np.random.default_rng(seed)
-    outcomes = random_outcomes(rng)
-    got = label_metrics(outcomes)
-    want = naive_metrics(outcomes)
-    assert got.precision == pytest.approx(want["precision"], abs=1e-12)
-    assert got.recall == pytest.approx(want["recall"], abs=1e-12)
-    assert got.f1 == pytest.approx(want["f1"], abs=1e-12)
-    assert got.accuracy == pytest.approx(want["accuracy"], abs=1e-12)
-    assert got.macro_precision == pytest.approx(want["macro_precision"], abs=1e-12)
-    assert got.macro_recall == pytest.approx(want["macro_recall"], abs=1e-12)
-    assert got.macro_f1 == pytest.approx(want["macro_f1"], abs=1e-12)
+    for p_empty in (0.0, 0.2):
+        outcomes = random_outcomes(rng, p_empty=p_empty)
+        got = label_metrics(outcomes)
+        want = naive_metrics(outcomes)
+        per_class = want.pop("per_class")
+        assert {c: (m.tp, m.fp, m.fn, m.tn) for c, m in got.per_class.items()} == per_class
+        assert got.aggregated == ConfusionCounts(*map(sum, zip(*per_class.values())))
+        assert {name: getattr(got, name) for name in want} == want
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -6,6 +6,7 @@ import pytest
 from annkit.data import EmbeddingSet
 from annkit.flat import FlatL2Index
 from annkit.lsh import DEFAULT_NBITS, RERANK_POOL_FACTOR, LshIndex, lsh_build
+from annkit.persist import dump_index, load_index_bytes
 
 
 def unpack(code: np.ndarray, nbits: int) -> np.ndarray:
@@ -125,3 +126,33 @@ def test_default_nbits_and_config(small_set):
 def test_build_validation(small_set):
     with pytest.raises(ValueError):
         lsh_build(small_set, nbits=0)
+
+
+# VIDX frame (6 bytes), nbits u32, dim u32, then the rerank byte, the count
+# u64 and the (nbits, dim) float32 hyperplanes.
+_RERANK_AT = 14
+_PLANES_AT = 23
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_load_rejects_non_finite_hyperplanes(small_set, value):
+    """A NaN or inf plane, which no build writes, once loaded and answered
+    queries (inf with a matmul warning)."""
+    blob = bytearray(dump_index(lsh_build(small_set, nbits=16, seed=0)))
+    n = 2 * small_set.dim  # the first two hyperplanes
+    blob[_PLANES_AT:_PLANES_AT + 4 * n] = np.full(n, value, dtype="<f4").tobytes()
+    with pytest.raises(ValueError, match="hyperplanes must be finite"):
+        load_index_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("byte", [2, 255])
+def test_load_rejects_a_rerank_byte_other_than_0_or_1(small_set, byte):
+    """A rerank byte of 2 once loaded and was dumped back as 1."""
+    blob = bytearray(dump_index(lsh_build(small_set, nbits=16, seed=0)))
+    assert blob[_RERANK_AT] == 1
+    for valid in (0, 1):
+        blob[_RERANK_AT] = valid
+        assert dump_index(load_index_bytes(bytes(blob))) == blob
+    blob[_RERANK_AT] = byte
+    with pytest.raises(ValueError, match=f"rerank byte must be 0 or 1, got {byte}"):
+        load_index_bytes(bytes(blob))

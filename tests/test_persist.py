@@ -87,8 +87,9 @@ def test_file_round_trip(tmp_path, small_set):
 
 
 def test_family_tags_are_frozen():
-    """Tag bytes are wire format; renumbering would silently break old files."""
-    tags = {name: row.tag for name, row in FAMILIES.items() if row.tag is not None}
+    """Tag bytes are wire format; renumbering would silently break old files.
+    The forest is tag 8 in every metric; its payload stores the metric."""
+    tags = {name: row.tag for name, row in FAMILIES.items()}
     assert tags == {
         "flat-l2": 0,
         "flat-ip": 1,
@@ -98,7 +99,9 @@ def test_family_tags_are_frozen():
         "ivf-sq": 5,
         "lsh": 6,
         "hnsw": 7,
-        "rpforest": 8,
+        "rpforest-angular": 8,
+        "rpforest-l2": 8,
+        "rpforest-manhattan": 8,
     }
     assert VIDX_VERSION == 1
 
@@ -179,7 +182,7 @@ def test_ivf_metric_variants_round_trip(small_set, rng):
     for metric in (Metric.ANGULAR, Metric.L2, Metric.MANHATTAN):
         forest = rp_build(small_set, n_trees=3, metric=metric, seed=1)
         loaded = load_index_bytes(dump_index(forest))
-        assert loaded.label == forest.label
+        assert loaded.family == forest.family == f"rpforest-{metric.value}"
         q = rng.standard_normal(small_set.dim).astype(np.float32)
         assert loaded.search(q, 6).neighbors == forest.search(q, 6).neighbors
 
@@ -385,6 +388,10 @@ def test_codebook_loaders_raise_only_value_error(codebook_blobs, small_set, fami
     blob = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 4))):
         blob[data.draw(st.integers(_FRAME, end - 1))] = data.draw(st.integers(0, 255))
+    _raises_value_error_or_round_trips(blob, small_set)
+
+
+def _raises_value_error_or_round_trips(blob: bytearray, small_set) -> None:
     try:
         index = load_index_bytes(bytes(blob))
     except ValueError:
@@ -392,3 +399,35 @@ def test_codebook_loaders_raise_only_value_error(codebook_blobs, small_set, fami
     assert dump_index(index) == blob
     ids = index.search(small_set.vectors[0], 5).ids
     assert 1 <= len(ids) == len(set(ids)) <= 5
+
+
+_OTHER_FAMILIES = ("flat-l2", "flat-ip", "lsh", "hnsw",
+                   "rpforest-angular", "rpforest-l2", "rpforest-manhattan")
+
+
+@pytest.fixture(scope="module")
+def vector_blobs(small_set):
+    """Family -> (blob, start, end of its stored float32 vectors)."""
+    vectors = small_set.vectors.astype("<f4").tobytes()
+    out = {}
+    for name in _OTHER_FAMILIES:
+        blob = dump_index(build_index(small_set, name, seed=0))
+        start = blob.index(vectors)
+        out[name] = blob, start, start + len(vectors)
+    return out
+
+
+@pytest.mark.parametrize("family", _OTHER_FAMILIES)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_other_loader_raises_only_value_error(vector_blobs, small_set, family, data):
+    """1-4 bytes overwritten anywhere after the frame but in the stored
+    vectors (headers, ids, hyperplanes, codes, links, tree nodes): the load
+    raises ValueError, or the blob loads, dumps back to itself and answers."""
+    blob, start, end = vector_blobs[family]
+    outside = start - _FRAME + len(blob) - end
+    blob = bytearray(blob)
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = _FRAME + data.draw(st.integers(0, outside - 1))
+        blob[at if at < start else at + end - start] = data.draw(st.integers(0, 255))
+    _raises_value_error_or_round_trips(blob, small_set)

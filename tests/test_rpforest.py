@@ -133,13 +133,12 @@ def test_deterministic_given_seed(small_set, rng):
 
 
 def test_family_label_carries_metric(small_set):
-    assert rp_build(small_set, seed=0).label == "rpforest-angular"
-    assert rp_build(small_set, metric=Metric.L2, seed=0).label == "rpforest-l2"
+    assert rp_build(small_set, seed=0).family == "rpforest-angular"
+    assert rp_build(small_set, metric=Metric.L2, seed=0).family == "rpforest-l2"
     assert (
-        rp_build(small_set, metric=Metric.MANHATTAN, seed=0).label
+        rp_build(small_set, metric=Metric.MANHATTAN, seed=0).family
         == "rpforest-manhattan"
     )
-    assert rp_build(small_set, seed=0).family == "rpforest"
 
 
 def test_config_reports_knobs(small_set):
