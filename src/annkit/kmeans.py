@@ -5,13 +5,21 @@ coarse quantizer and the PQ codebooks need deterministic seeding, an in-loop
 distortion monotonicity assertion, and a specific empty-cluster repair rule,
 all of which are part of the training contract here.
 
+`kmeans_fit` keeps two things per fit rather than per pass: a column-major
+(dim, n) copy of the data, which every k-means++ distance pass sums with
+`_column_sums` and every Lloyd update sums per column with `np.bincount`, and
+the squared point norms, which every `assign_to_centroids` call reuses. Both
+give the bits of the row-major, per-call forms.
+
 VIDX stores a centroid set (`Centroids.write`) as its k x dim float32 vectors,
 then its f64 distortion; the caller stores k and dim. `read_centroids` reads
-a run of sets: 1 for the IVF coarse quantizer, m for a PQ codebook.
+a run of sets: 1 for the IVF coarse quantizer, m for a PQ codebook. Its sets
+are views of one (count, k, dim) array, which a `PqCodebook` keeps as its block.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +72,15 @@ def _column_sums(t: np.ndarray) -> np.ndarray:
 
 
 def assign_to_centroids(
-    points: np.ndarray, centroids: np.ndarray
+    points: np.ndarray, centroids: np.ndarray, *, point_norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per point under squared L2.
 
     Returns (assignment indices, squared distances). Ties go to the lowest
     centroid index. Used both by training and by inverted-list construction so
-    the two always agree.
+    the two always agree. `point_norms`, when given, must be
+    ``np.sum(p * p, axis=1)`` of the float64 points: `kmeans_fit` computes it
+    once per fit instead of once per call.
     """
     p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
@@ -78,18 +88,22 @@ def assign_to_centroids(
     # ||p - c||^2 expanded via a matmul, one block of rows at a time so the
     # distance block stays in cache. Scaling by -2 is exact, so p @ ct2 equals
     # -(2 * (p @ c.T)) bit for bit.
-    pp = np.sum(p * p, axis=1)
+    pp = np.sum(p * p, axis=1) if point_norms is None else point_norms
     cc = np.sum(c * c, axis=1)
     ct2 = (-2.0 * c).T
     # BLAS may sum a product of one or a few rows in another order than a tall
     # one (GEMV or a small-matrix kernel), so no block is thinner than `rows`:
     # the last block takes the remainder. tests/test_kmeans.py pins the result
-    # bitwise to the unblocked form.
+    # bitwise to the unblocked form. That holds with one BLAS thread; threaded
+    # OpenBLAS can round a block's rows unlike the same rows of the whole product.
     rows = max(2, _BLOCK_ELEMS // max(k, 1))
     blocks = max(1, n // rows)
     assign = np.empty(n, dtype=np.intp)
     sqdist = np.empty(n, dtype=np.float64)
     buf = np.empty((n - (blocks - 1) * rows, k), dtype=np.float64)
+    # The centroid norms tiled to the block's shape once: a same-shape add is
+    # cheaper than broadcasting one row over every block, with the same sums.
+    cc_rows = np.tile(cc, (len(buf), 1))
     row_idx = np.arange(len(buf))
     for b in range(blocks):
         s = b * rows
@@ -97,7 +111,7 @@ def assign_to_centroids(
         sq = buf[: e - s]
         np.matmul(p[s:e], ct2, out=sq)
         sq += pp[s:e, np.newaxis]
-        sq += cc
+        sq += cc_rows[: e - s]
         a = np.argmin(sq, axis=1, out=assign[s:e])
         d = sqdist[s:e]
         d[:] = sq[row_idx[: e - s], a]
@@ -133,10 +147,11 @@ class Centroids:
 
 
 def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
-    """`count` centroid sets of k x dim, read as one block and checked finite
-    in one pass each for the vectors and the distortions: each set's vectors
-    are a view of one owned float32 array. ValueError when k or dim is 0, the
-    buffer is short, or a vector or a distortion is not finite.
+    """`count` centroid sets of k x dim, read as one block, its vectors checked
+    finite in one pass and its `count` distortions one float at a time: each
+    set's vectors are a view of one owned (count, k, dim) float32 array.
+    ValueError when k or dim is 0, the buffer is short, or a vector or a
+    distortion is not finite.
     """
     if k < 1 or dim < 1:
         raise ValueError(f"centroid sets must be >= 1 x 1, got {k} x {dim}")
@@ -146,22 +161,23 @@ def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
     vectors = block["v"].astype(np.float32)
     if not np.isfinite(vectors).all():
         raise ValueError("centroid vectors must be finite (no NaN or inf)")
-    if not np.isfinite(block["d"]).all():
+    distortions = block["d"].tolist()
+    if not all(map(math.isfinite, distortions)):
         raise ValueError("centroid distortions must be finite (no NaN or inf)")
-    return [Centroids(v, d) for v, d in zip(vectors, block["d"].tolist())]
+    return [Centroids(v, d) for v, d in zip(vectors, distortions)]
 
 
-def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ initialization: spread-out starting centroids.
 
-    Picks the same centroids, and leaves `rng` in the same state, as
-    ``_sq_l2(data, c)`` distances with ``rng.choice(n, p=closest_sq / total)``
-    (tests/test_kmeans.py keeps that form as the reference). The distances come
-    from a column-major copy of `data` summed by `_column_sums`.
+    `cols` is the data transposed, (dim, n), best C-contiguous. Picks the same
+    centroids, and leaves `rng` in the same state, as ``_sq_l2(data, c)``
+    distances with ``rng.choice(n, p=closest_sq / total)`` (tests/test_kmeans.py
+    keeps that form as the reference). Each distance pass sums the rows of
+    ``(cols - c)**2`` with `_column_sums`.
     """
-    n, dim = data.shape
+    dim, n = cols.shape
     chosen = np.empty((k, dim), dtype=np.float64)
-    cols = np.array(data.T, order="C")
     sq = np.empty_like(cols)
     cdf = np.empty(n, dtype=np.float64)
 
@@ -171,7 +187,7 @@ def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         return _column_sums(sq)
 
     first = int(rng.integers(n))
-    chosen[0] = data[first]
+    chosen[0] = cols[:, first]
     closest_sq = sq_dist(chosen[0]).copy()
     for i in range(1, k):
         total = closest_sq.sum()
@@ -185,7 +201,7 @@ def _seed_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:
             # All points coincide with an existing centroid; any pick works.
             idx = int(rng.integers(n))
-        chosen[i] = data[idx]
+        chosen[i] = cols[:, idx]
         np.minimum(closest_sq, sq_dist(chosen[i]), out=closest_sq)
     return chosen
 
@@ -204,7 +220,7 @@ def kmeans_fit(
     across iterations.
     """
     # Contiguous rows: callers such as pq_train pass column slices, and every
-    # seeding pass and Lloyd iteration reads the whole matrix.
+    # assignment reads the whole matrix.
     data = np.ascontiguousarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
@@ -219,7 +235,9 @@ def kmeans_fit(
         raise ValueError(f"k={k} exceeds the number of training points ({len(data)})")
 
     rng = np.random.default_rng(seed)
-    centroids = _seed_plus_plus(data, k, rng)
+    cols = np.array(data.T, order="C")
+    norms = np.sum(data * data, axis=1)
+    centroids = _seed_plus_plus(cols, k, rng)
     history: list[float] = []
 
     def record(value: float) -> None:
@@ -230,7 +248,7 @@ def kmeans_fit(
             )
         history.append(value)
 
-    assign, sqdist = assign_to_centroids(data, centroids)
+    assign, sqdist = assign_to_centroids(data, centroids, point_norms=norms)
     record(float(sqdist.mean()))
 
     for _ in range(max_iters):
@@ -238,8 +256,8 @@ def kmeans_fit(
         counts = np.bincount(assign, minlength=k)
         # bincount adds each column's rows in row order, as np.add.at does.
         sums = np.empty_like(centroids)
-        for j in range(data.shape[1]):
-            sums[:, j] = np.bincount(assign, weights=data[:, j], minlength=k)
+        for j, col in enumerate(cols):
+            sums[:, j] = np.bincount(assign, weights=col, minlength=k)
         nonempty = counts > 0
         new_centroids[nonempty] = sums[nonempty] / counts[nonempty, np.newaxis]
 
@@ -253,7 +271,7 @@ def kmeans_fit(
 
         movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
         centroids = new_centroids
-        assign, sqdist = assign_to_centroids(data, centroids)
+        assign, sqdist = assign_to_centroids(data, centroids, point_norms=norms)
         record(float(sqdist.mean()))
         if movement < MOVEMENT_TOL:
             break

@@ -5,6 +5,12 @@ own codebook of ks = 2^nbits centroids. Search is asymmetric: the query stays
 uncompressed and scores come from a per-subspace table of squared distances,
 so one table build amortizes over the whole candidate list.
 
+A `PqCodebook` holds its m books as the rows of one (m, ks, sub_dim) float32
+block. `adc_table` builds the (m, ks) table dimension-major: the query parts
+are subtracted from the block's (sub_dim, m, ks) transpose, squared in place,
+and the sub_dim rows are added in numpy's pairwise order
+(`kmeans._column_sums`), so each entry has the bits of a per-book row sum.
+
 VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then m `kmeans`
 centroid sets of ks x sub_dim; its read refuses m 0 and nbits outside 1..8.
 A `PqIndex` adds u64 count, the ids and count x m u8 codes (`check_codes`).
@@ -18,8 +24,8 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric, _sq_l2
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids
+from .distances import Metric
+from .kmeans import Centroids, _column_sums, assign_to_centroids, kmeans_fit, read_centroids
 from .wire import Reader, Writer
 
 
@@ -41,10 +47,34 @@ def default_m(dim: int) -> int:
 
 @dataclass
 class PqCodebook:
-    """Per-subspace centroid tables for an m x ks product code."""
+    """Per-subspace centroid tables for an m x ks product code.
+
+    The books' vectors are the rows of one C-contiguous (m, ks, sub_dim) array,
+    `block`, which `adc_table` reads whole; `read_centroids` returns its sets
+    as such rows. Books that are all views of one array of that shape are
+    taken as its rows in order, unchecked (an offset check per view would cost
+    more than the rest of a load); any others are copied into a new block
+    here. Only the views are attributes, so `memory_bytes()` counts it once.
+    """
 
     nbits: int
     books: list[Centroids]  # m entries, each ks x sub_dim
+
+    def __post_init__(self) -> None:
+        block = self.books[0].vectors.base
+        if not (
+            isinstance(block, np.ndarray)
+            and block.flags.c_contiguous
+            and block.shape == (len(self.books), *self.books[0].vectors.shape)
+            and all(book.vectors.base is block for book in self.books)
+        ):
+            block = np.stack([book.vectors for book in self.books])
+            self.books = [Centroids(v, b.distortion, b.history) for v, b in zip(block, self.books)]
+
+    @property
+    def block(self) -> np.ndarray:
+        """The (m, ks, sub_dim) array whose rows are the books' vectors."""
+        return self.books[0].vectors.base
 
     @property
     def m(self) -> int:
@@ -86,7 +116,8 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     """Train one k-means codebook per contiguous subspace.
 
     Requires m to divide the dimension and 2^nbits <= len(data). Sub-codebooks
-    get derived seeds so the whole training is deterministic in `seed`.
+    get derived seeds so the whole training is deterministic in `seed`. The
+    trained books are copied once into the codebook's block.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
@@ -122,11 +153,19 @@ def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
 def adc_table(cb: PqCodebook, query: np.ndarray) -> np.ndarray:
     """(m, ks) table of squared L2 distances, query sub-vector vs sub-centroids.
 
-    One broadcast difference of the stacked float32 books against the float64
-    query parts, squared in place and summed over each sub-vector: the same
-    promotion and the same per-row sums as one book at a time, so the same bits.
+    Dimension-major: the float64 query parts are subtracted from a C-ordered
+    float64 copy of the codebook block's (sub_dim, m, ks) transpose, squared
+    in place, and its sub_dim rows added by `_column_sums`, which replays
+    numpy's pairwise order for a row of sub_dim terms. So every entry has the
+    bits of the row-wise ``np.sum(diff * diff, axis=1)`` of one float32 book
+    promoted against its float64 query part.
     """
-    return _sq_l2(np.stack([book.vectors for book in cb.books]), cb.split(query)[:, np.newaxis, :])
+    # The exact cast first, then a float64 subtract: the bits of the mixed
+    # float32 - float64 subtract, without its buffered strided loop.
+    diff = cb.block.transpose(2, 0, 1).astype(np.float64, order="C")
+    diff -= cb.split(query).T[:, :, np.newaxis]
+    diff *= diff
+    return _column_sums(diff)
 
 
 def adc_scores(cb: PqCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from annkit.kmeans import Centroids
 from annkit.lsh import LshIndex, code_word
 from annkit.pq import PqCodebook, adc_scores, adc_table
 from annkit.sq import LEVELS, SqParams, sq_decode_batch
+from annkit.wire import Reader, Writer
 
 _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
@@ -68,18 +69,33 @@ def random_codebook(rng, m, nbits, sub_dim, scale):
     return PqCodebook(nbits=nbits, books=books)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+# Widths that reach `_column_sums`' other branches: whole stride-8 blocks, a
+# tail, the 128 limit either side, and the split above it (twice at 256).
+_WIDE_SUB_DIMS = [16, 24, 127, 128, 129, 136, 256]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
 @given(
     m=st.sampled_from([1, 2, 8, 64]),
     nbits=st.integers(1, 8),
-    sub_dim=st.integers(1, 9),
+    sub_dim=st.one_of(st.integers(1, 9), st.sampled_from(_WIDE_SUB_DIMS)),
     n=st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
     scale=st.sampled_from([1e-20, 1e-3, 1.0, 1e3, 1e15]),
+    read_back=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_adc_kernels_match_reference_bitwise(m, nbits, sub_dim, n, scale, seed):
+def test_adc_kernels_match_reference_bitwise(m, nbits, sub_dim, n, scale, read_back, seed):
+    """Separate books (copied into one block) and books read back from VIDX
+    (views of the loaded block) give the reference table, bit for bit."""
     rng = np.random.default_rng(seed)
+    m = m if sub_dim < 10 else min(m, 3)
     cb = random_codebook(rng, m, nbits, sub_dim, scale)
+    if read_back:
+        w = Writer()
+        cb.write(w)
+        cb = PqCodebook.read(Reader(w.getvalue()))
+    assert cb.block.shape == (m, cb.ks, sub_dim)
+    assert all(book.vectors.base is cb.block for book in cb.books)
     query = rng.standard_normal(cb.dim) * scale
     codes = rng.integers(0, cb.ks, (n, m)).astype(np.uint8)
     # The extreme codes 0 and ks - 1 in every subspace, whenever there are rows.

@@ -98,6 +98,38 @@ def kmeans_fit_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
     return Centroids(vectors=centroids.astype(np.float32), distortion=history[-1], history=history)
 
 
+def lloyd_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
+    """Lloyd training as written before the norms were kept per fit: every
+    assignment recomputes the point norms, and each centroid column is summed
+    by bincount over a strided column of the row-major data."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    rng = np.random.default_rng(seed)
+    centroids = seed_plus_plus_reference(data, k, rng)
+    history = []
+    assign, sqdist = assign_to_centroids(data, centroids)
+    history.append(float(sqdist.mean()))
+    for _ in range(max_iters):
+        new_centroids = centroids.copy()
+        counts = np.bincount(assign, minlength=k)
+        sums = np.empty_like(centroids)
+        for j in range(data.shape[1]):
+            sums[:, j] = np.bincount(assign, weights=data[:, j], minlength=k)
+        nonempty = counts > 0
+        new_centroids[nonempty] = sums[nonempty] / counts[nonempty, np.newaxis]
+        empties = np.flatnonzero(~nonempty)
+        if len(empties) > 0:
+            farthest = np.argsort(-sqdist, kind="stable")[: len(empties)]
+            for slot, point_idx in zip(empties, farthest):
+                new_centroids[slot] = data[point_idx]
+        movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
+        centroids = new_centroids
+        assign, sqdist = assign_to_centroids(data, centroids)
+        history.append(float(sqdist.mean()))
+        if movement < MOVEMENT_TOL:
+            break
+    return Centroids(vectors=centroids.astype(np.float32), distortion=history[-1], history=history)
+
+
 def distortion(data, centroids):
     _, sqdist = assign_to_centroids(np.asarray(data, dtype=np.float64), centroids)
     return float(sqdist.mean())
@@ -310,7 +342,7 @@ def test_seeding_equals_reference_bitwise(dim, n, k_frac, kind, strided, seed):
         data = np.hstack([data, data])[:, :dim]
     k = 1 + int(k_frac * (min(n, 60) - 1))
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _seed_plus_plus(data, k, got_rng)
+    got = _seed_plus_plus(np.array(data.T, order="C"), k, got_rng)
     want = seed_plus_plus_reference(data, k, want_rng)
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -335,7 +367,7 @@ def test_zero_width_data_trains_like_the_reference(k):
     data = np.zeros((5, 0))
     got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
     np.testing.assert_array_equal(
-        _seed_plus_plus(data, k, got_rng), seed_plus_plus_reference(data, k, want_rng)
+        _seed_plus_plus(np.zeros((0, 5)), k, got_rng), seed_plus_plus_reference(data, k, want_rng)
     )
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     got, want = kmeans_fit(data, k, seed=4), kmeans_fit_reference(data, k, seed=4)
@@ -367,6 +399,44 @@ def test_kmeans_fit_equals_reference_bitwise(n, dim, k_frac, grid, strided, seed
     got = kmeans_fit(data, k, seed=seed)
     want = kmeans_fit_reference(data, k, seed=seed)
     np.testing.assert_array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+    np.testing.assert_array_equal(_bits(got.history), _bits(want.history))
+
+
+@pytest.mark.parametrize("k", [1, 98, 181, 256])
+@pytest.mark.parametrize("dim", [1, 8, 64])
+def test_assign_with_kept_norms_equals_recomputed_bitwise(k, dim):
+    """`point_norms` replaces only the per-call norm pass: the same blocks, the
+    same assignment and the same bits, on strided points with repeats."""
+    rng = np.random.default_rng(k * dim)
+    n = 3 * max(2, _BLOCK_ELEMS // k) + 5
+    points = rng.standard_normal((n, 2 * dim))[:, :dim]
+    points[rng.integers(0, n, size=n // 3)] = points[0]
+    centroids = points[rng.integers(0, n, size=k)] + rng.standard_normal((k, dim)) * 1e-3
+    want = assign_to_centroids(points, centroids)
+    got = assign_to_centroids(points, centroids, point_norms=np.sum(points * points, axis=1))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
+
+
+@pytest.mark.parametrize(
+    "n,dim,k",
+    [(2400, 64, 49), (2400, 8, 256)],
+    ids=["coarse-64d", "subspace-8d"],
+)
+def test_kmeans_fit_equals_per_call_norm_lloyd_bitwise(n, dim, k):
+    """Norms kept per fit and sums from the column-major copy train the same
+    codebook as the per-call loop, on clustered data with a zero column and a
+    repeated point."""
+    rng = np.random.default_rng(dim)
+    centers = rng.standard_normal((k // 4 + 1, dim)) * 4.0
+    data = centers[rng.integers(0, len(centers), n)] + rng.standard_normal((n, dim))
+    data[:, dim // 2] = 0.0
+    data[n // 3] = data[7]
+    got = kmeans_fit(data, k, seed=3)
+    want = lloyd_reference(data, k, seed=3)
+    assert len(got.history) >= 3  # several Lloyd updates, not only the seeding
+    np.testing.assert_array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+    assert _bits(got.distortion) == _bits(want.distortion)
     np.testing.assert_array_equal(_bits(got.history), _bits(want.history))
 
 
