@@ -89,10 +89,7 @@ def run_protocol(
     truth: dict[int, list[int]] | None = None,
 ) -> BenchReport:
     """Benchmark one built index over the set it was built from, in its metric."""
-    n = len(emb_set)
-    if config.n_queries > n:
-        raise ValueError(f"n_queries={config.n_queries} exceeds the set size {n}")
-    rows = sample_query_rows(n, config.n_queries, config.seed)
+    rows = sample_query_rows(len(emb_set), config.n_queries, config.seed)
     query_ids = emb_set.ids[rows]
     if truth is None:
         truth = ground_truth(emb_set, query_ids, config.recall_n, index.metric)

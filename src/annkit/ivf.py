@@ -13,9 +13,10 @@ The lists are held in one compressed-sparse-row layout: `ids` and `payload`
 sorted by list (build order inside a list), and nlist + 1 `offsets`, so list
 i is rows ``offsets[i]:offsets[i + 1]`` of both.
 
-VIDX stores u32 dim, u32 nlist, the coarse `Centroids`, u32 nprobe, the codec
-(`PqCodebook`, `SqParams` or, for flat, none; its dim must be the index's),
-then each list as its u64 count, its ids and its payload rows.
+VIDX stores u32 dim, u32 nlist, the coarse `Centroids` (a run of one
+`kmeans.write_centroids` set), u32 nprobe, the codec (`PqCodebook`, `SqParams`
+or, for flat, none; its dim must be the index's), then each list as its u64
+count, its ids and its payload rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids
+from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
 from .pq import PqCodebook, adc_scores, check_codes, default_m, pq_encode_batch, pq_train
 from .sq import SqParams, _code_shortlist, sq_decode_batch, sq_encode_batch, sq_train
 from .wire import Reader, Writer
@@ -147,7 +148,7 @@ class IvfIndex(VectorIndex):
     def write_payload(self, w: Writer) -> None:
         w.u32(self.dim)
         w.u32(self.nlist)
-        self.coarse.write(w)
+        write_centroids(w, self.coarse.vectors[np.newaxis], [self.coarse.distortion])
         w.u32(self.nprobe)
         if self.codec is not None:
             self.codec.write(w)
@@ -162,7 +163,8 @@ class IvfIndex(VectorIndex):
     def read_payload(cls, r: Reader, encoding: str) -> "IvfIndex":
         dim = r.u32()
         nlist = r.u32()
-        [coarse] = read_centroids(r, 1, nlist, dim)
+        vectors, [distortion] = read_centroids(r, 1, nlist, dim)
+        coarse = Centroids(vectors[0], distortion)
         nprobe = r.u32()
         codec = None if encoding == "flat" else _CODECS[encoding].read(r)
         width = codec.m if isinstance(codec, PqCodebook) else dim  # payload items per row

@@ -11,10 +11,11 @@ all of which are part of the training contract here.
 the squared point norms, which every `assign_to_centroids` call reuses. Both
 give the bits of the row-major, per-call forms.
 
-VIDX stores a centroid set (`Centroids.write`) as its k x dim float32 vectors,
-then its f64 distortion; the caller stores k and dim. `read_centroids` reads
-a run of sets: 1 for the IVF coarse quantizer, m for a PQ codebook. Its sets
-are views of one (count, k, dim) array, which a `PqCodebook` keeps as its block.
+VIDX stores a run of centroid sets, 1 for the IVF coarse quantizer and m for
+a PQ codebook, each as its k x dim float32 vectors, then its f64 distortion;
+the caller stores the count, k and dim. `write_centroids` and
+`read_centroids` own that layout, as a (count, k, dim) block and a list of
+count distortions, which a `PqCodebook` keeps as they are read.
 """
 
 from __future__ import annotations
@@ -141,30 +142,33 @@ class Centroids:
     def dim(self) -> int:
         return self.vectors.shape[1]
 
-    def write(self, w: Writer) -> None:
-        w.f32_array(self.vectors)
-        w.f64(self.distortion)
+
+def write_centroids(w: Writer, block: np.ndarray, distortions: list[float]) -> None:
+    """Each set of a (count, k, dim) block as its float32 vectors, then its distortion."""
+    for vectors, distortion in zip(block, distortions):
+        w.f32_array(vectors)
+        w.f64(distortion)
 
 
-def read_centroids(r: Reader, count: int, k: int, dim: int) -> list[Centroids]:
-    """`count` centroid sets of k x dim, read as one block, its vectors checked
-    finite in one pass and its `count` distortions one float at a time: each
-    set's vectors are a view of one owned (count, k, dim) float32 array.
-    ValueError when k or dim is 0, the buffer is short, or a vector or a
-    distortion is not finite.
+def read_centroids(r: Reader, count: int, k: int, dim: int) -> tuple[np.ndarray, list[float]]:
+    """`count` centroid sets of k x dim as one owned C-contiguous (count, k,
+    dim) float32 block, its vectors checked finite in one pass, and the list
+    of their `count` distortions, checked one float at a time. ValueError when
+    k or dim is 0, the buffer is short, or a vector or a distortion is not
+    finite.
     """
     if k < 1 or dim < 1:
         raise ValueError(f"centroid sets must be >= 1 x 1, got {k} x {dim}")
     section = r.view("u1")
     r.skip(count * (4 * k * dim + 8))  # raises before a record dtype can be oversized
-    block = np.frombuffer(section, np.dtype([("v", "<f4", (k, dim)), ("d", "<f8")]), count)
-    vectors = block["v"].astype(np.float32)
+    records = np.frombuffer(section, np.dtype([("v", "<f4", (k, dim)), ("d", "<f8")]), count)
+    vectors = records["v"].astype(np.float32)
     if not np.isfinite(vectors).all():
         raise ValueError("centroid vectors must be finite (no NaN or inf)")
-    distortions = block["d"].tolist()
+    distortions = records["d"].tolist()
     if not all(map(math.isfinite, distortions)):
         raise ValueError("centroid distortions must be finite (no NaN or inf)")
-    return [Centroids(v, d) for v, d in zip(vectors, distortions)]
+    return vectors, distortions
 
 
 def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

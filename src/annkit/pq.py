@@ -5,14 +5,15 @@ own codebook of ks = 2^nbits centroids. Search is asymmetric: the query stays
 uncompressed and scores come from a per-subspace table of squared distances,
 so one table build amortizes over the whole candidate list.
 
-A `PqCodebook` holds its m books as the rows of one (m, ks, sub_dim) float32
-block. `adc_table` builds the (m, ks) table dimension-major: the query parts
-are subtracted from the block's (sub_dim, m, ks) transpose, squared in place,
-and the sub_dim rows are added in numpy's pairwise order
+A `PqCodebook` holds its m books as one (m, ks, sub_dim) float32 block, with
+their m distortions. `adc_table` builds the (m, ks) table dimension-major:
+the query parts are subtracted from the block's (sub_dim, m, ks) transpose,
+squared in place, and the sub_dim rows are added in numpy's pairwise order
 (`kmeans._column_sums`), so each entry has the bits of a per-book row sum.
 
-VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then m `kmeans`
-centroid sets of ks x sub_dim; its read refuses m 0 and nbits outside 1..8.
+VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then its block and
+distortions as m centroid sets of ks x sub_dim (`kmeans.write_centroids`,
+`kmeans.read_centroids`); its read refuses m 0 and nbits outside 1..8.
 A `PqIndex` adds u64 count, the ids and count x m u8 codes (`check_codes`).
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
-from .kmeans import Centroids, _column_sums, assign_to_centroids, kmeans_fit, read_centroids
+from .kmeans import _column_sums, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
 from .wire import Reader, Writer
 
 
@@ -49,44 +50,36 @@ def default_m(dim: int) -> int:
 class PqCodebook:
     """Per-subspace centroid tables for an m x ks product code.
 
-    The books' vectors are the rows of one C-contiguous (m, ks, sub_dim) array,
-    `block`, which `adc_table` reads whole; `read_centroids` returns its sets
-    as such rows. Books that are all views of one array of that shape are
-    taken as its rows in order, unchecked (an offset check per view would cost
-    more than the rest of a load); any others are copied into a new block
-    here. Only the views are attributes, so `memory_bytes()` counts it once.
+    `block[j]` is book j's ks x sub_dim centroids, `distortions[j]` its
+    training MSE. The block is held as a C-contiguous float32 array (the one
+    a load reads is kept as it is); ValueError unless it is 3-d with ks =
+    2^nbits rows per book and one distortion per book.
     """
 
     nbits: int
-    books: list[Centroids]  # m entries, each ks x sub_dim
+    block: np.ndarray  # (m, ks, sub_dim) float32
+    distortions: list[float]
 
     def __post_init__(self) -> None:
-        block = self.books[0].vectors.base
-        if not (
-            isinstance(block, np.ndarray)
-            and block.flags.c_contiguous
-            and block.shape == (len(self.books), *self.books[0].vectors.shape)
-            and all(book.vectors.base is block for book in self.books)
-        ):
-            block = np.stack([book.vectors for book in self.books])
-            self.books = [Centroids(v, b.distortion, b.history) for v, b in zip(block, self.books)]
-
-    @property
-    def block(self) -> np.ndarray:
-        """The (m, ks, sub_dim) array whose rows are the books' vectors."""
-        return self.books[0].vectors.base
+        self.block = np.ascontiguousarray(self.block, dtype=np.float32)
+        shape = self.block.shape
+        if len(shape) != 3 or shape[1] != 1 << self.nbits or len(self.distortions) != shape[0]:
+            raise ValueError(
+                f"a codebook block is (m, 2^nbits, sub_dim) with m distortions; got {shape} "
+                f"at nbits {self.nbits} with {len(self.distortions)} distortions"
+            )
 
     @property
     def m(self) -> int:
-        return len(self.books)
+        return self.block.shape[0]
 
     @property
     def ks(self) -> int:
-        return 1 << self.nbits
+        return self.block.shape[1]
 
     @property
     def sub_dim(self) -> int:
-        return self.books[0].dim
+        return self.block.shape[2]
 
     @property
     def dim(self) -> int:
@@ -102,14 +95,13 @@ class PqCodebook:
         w.u32(self.m)
         w.u32(self.nbits)
         w.u32(self.sub_dim)
-        for book in self.books:
-            book.write(w)
+        write_centroids(w, self.block, self.distortions)
 
     @classmethod
     def read(cls, r: Reader) -> "PqCodebook":
         m, nbits, sub_dim = r.u32(), r.u32(), r.u32()
         _check_shape(m, nbits)
-        return cls(nbits=nbits, books=read_centroids(r, m, 1 << nbits, sub_dim))
+        return cls(nbits, *read_centroids(r, m, 1 << nbits, sub_dim))
 
 
 def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
@@ -117,7 +109,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
 
     Requires m to divide the dimension and 2^nbits <= len(data). Sub-codebooks
     get derived seeds so the whole training is deterministic in `seed`. The
-    trained books are copied once into the codebook's block.
+    trained books are stacked once into the codebook's block.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
@@ -134,7 +126,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
         kmeans_fit(data[:, j * sub : (j + 1) * sub], ks, seed=np.random.SeedSequence([seed, j]))
         for j in range(m)
     ]
-    return PqCodebook(nbits=nbits, books=books)
+    return PqCodebook(nbits, np.stack([b.vectors for b in books]), [b.distortion for b in books])
 
 
 def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
@@ -145,7 +137,7 @@ def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
     sub = cb.sub_dim
     codes = np.empty((len(arr), cb.m), dtype=np.uint8)
     for j in range(cb.m):
-        assign, _ = assign_to_centroids(arr[:, j * sub : (j + 1) * sub], cb.books[j].vectors)
+        assign, _ = assign_to_centroids(arr[:, j * sub : (j + 1) * sub], cb.block[j])
         codes[:, j] = assign
     return codes
 

@@ -157,7 +157,7 @@ def test_adc_matches_distance_to_decoded(dstar):
         codes = rng.integers(0, cb.ks, size=(10, cb.m)).astype(np.uint8)
         got = adc_scores(cb, codes, q)
         # each code's sub-centroids side by side: the reconstruction ADC approximates
-        decoded = np.concatenate([cb.books[j].vectors[codes[:, j]] for j in range(cb.m)], axis=1)
+        decoded = np.concatenate([cb.block[j][codes[:, j]] for j in range(cb.m)], axis=1)
         want = batch_scores(Metric.L2, q, decoded)
         worst = max(worst, float(np.max(np.abs(got - want) / want)))
     note(f"adc vs decoded-l2 worst relative error = {worst:.3e}")

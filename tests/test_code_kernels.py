@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annkit.kmeans import Centroids
 from annkit.lsh import LshIndex, code_word
 from annkit.pq import PqCodebook, adc_scores, adc_table
 from annkit.sq import LEVELS, SqParams, sq_decode_batch
@@ -26,7 +25,7 @@ def adc_table_reference(cb, query):
     parts = cb.split(query)
     table = np.empty((cb.m, cb.ks), dtype=np.float64)
     for j in range(cb.m):
-        diff = cb.books[j].vectors.astype(np.float64) - parts[j]
+        diff = cb.block[j].astype(np.float64) - parts[j]
         table[j] = np.sum(diff * diff, axis=1)
     return table
 
@@ -59,14 +58,8 @@ def assert_same_bits(got, want):
 
 
 def random_codebook(rng, m, nbits, sub_dim, scale):
-    books = [
-        Centroids(
-            vectors=(rng.standard_normal((1 << nbits, sub_dim)) * scale).astype(np.float32),
-            distortion=0.0,
-        )
-        for _ in range(m)
-    ]
-    return PqCodebook(nbits=nbits, books=books)
+    """A codebook whose float64 draws the constructor rounds to float32."""
+    return PqCodebook(nbits, rng.standard_normal((m, 1 << nbits, sub_dim)) * scale, [0.0] * m)
 
 
 # Widths that reach `_column_sums`' other branches: whole stride-8 blocks, a
@@ -85,8 +78,8 @@ _WIDE_SUB_DIMS = [16, 24, 127, 128, 129, 136, 256]
     seed=st.integers(0, 2**32 - 1),
 )
 def test_adc_kernels_match_reference_bitwise(m, nbits, sub_dim, n, scale, read_back, seed):
-    """Separate books (copied into one block) and books read back from VIDX
-    (views of the loaded block) give the reference table, bit for bit."""
+    """A float64 block (rounded into a float32 copy) and the block read back
+    from VIDX (kept as read) give the reference table, bit for bit."""
     rng = np.random.default_rng(seed)
     m = m if sub_dim < 10 else min(m, 3)
     cb = random_codebook(rng, m, nbits, sub_dim, scale)
@@ -94,8 +87,8 @@ def test_adc_kernels_match_reference_bitwise(m, nbits, sub_dim, n, scale, read_b
         w = Writer()
         cb.write(w)
         cb = PqCodebook.read(Reader(w.getvalue()))
-    assert cb.block.shape == (m, cb.ks, sub_dim)
-    assert all(book.vectors.base is cb.block for book in cb.books)
+    assert cb.block.shape == (m, cb.ks, sub_dim) and cb.block.dtype == np.float32
+    assert cb.block.flags.c_contiguous
     query = rng.standard_normal(cb.dim) * scale
     codes = rng.integers(0, cb.ks, (n, m)).astype(np.uint8)
     # The extreme codes 0 and ks - 1 in every subspace, whenever there are rows.

@@ -378,7 +378,7 @@ def test_zero_width_data_trains_like_the_reference(k):
         assign_to_centroids(data, centroids), assign_to_centroids_reference(data, centroids)
     ):
         np.testing.assert_array_equal(g, w)
-    assert [book.vectors.shape for book in pq_train(np.zeros((10, 0)), 2, 2).books] == [(4, 0), (4, 0)]
+    assert pq_train(np.zeros((10, 0)), 2, 2).block.shape == (2, 4, 0)
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
@@ -476,13 +476,13 @@ def _ivf_books(data):
     n = len(data)
     emb_set = EmbeddingSet(np.arange(n, dtype=np.uint64), np.zeros(n, dtype=np.uint32), data)
     index = ivf_build(emb_set, nlist=3, encoding="pq", m=2, nbits=2)
-    return [index.coarse.vectors, *(book.vectors for book in index.codebook.books)]
+    return [index.coarse.vectors, index.codebook.block]
 
 
 # Each trains on `data` and returns the float32 centroid arrays it made.
 _TRAINERS = {
     "kmeans_fit": lambda data: [kmeans_fit(data, 3).vectors],
-    "pq_train": lambda data: [book.vectors for book in pq_train(data, 2, 2).books],
+    "pq_train": lambda data: [pq_train(data, 2, 2).block],
     "ivf_build": _ivf_books,
 }
 

@@ -295,10 +295,11 @@ def test_codebook_loaders_reject_a_non_finite_distortion(small_set, family, valu
     blob = bytearray(dump_index(index))
     if family == "pq":
         book = 4 * (1 << index.codebook.nbits) * index.codebook.sub_dim + 8
-        at, stored = _FRAME + 12 + index.codebook.m * book - 8, index.codebook.books[-1]
+        at, stored = _FRAME + 12 + index.codebook.m * book - 8, index.codebook.distortions[-1]
     else:
-        at, stored = _ivf_sections(index, blob)[0] + 4 * index.nlist * index.dim, index.coarse
-    assert struct.unpack_from("<d", blob, at)[0] == stored.distortion
+        at = _ivf_sections(index, blob)[0] + 4 * index.nlist * index.dim
+        stored = index.coarse.distortion
+    assert struct.unpack_from("<d", blob, at)[0] == stored
     struct.pack_into("<d", blob, at, value)
     with pytest.raises(ValueError, match="distortions must be finite"):
         load_index_bytes(bytes(blob))

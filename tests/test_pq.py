@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from annkit.data import EmbeddingSet
+import annkit.pq
+from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric, batch_scores
+from annkit.persist import dump_index, load_index_bytes
 from annkit.pq import (
     PqCodebook,
     PqIndex,
@@ -21,7 +23,7 @@ from annkit.wire import Reader, Writer
 
 def decode(cb, codes: np.ndarray) -> np.ndarray:
     """Reference decode: each code's sub-centroids side by side, as float32 rows."""
-    return np.concatenate([cb.books[j].vectors[codes[:, j]] for j in range(cb.m)], axis=1)
+    return np.concatenate([cb.block[j][codes[:, j]] for j in range(cb.m)], axis=1)
 
 
 @pytest.fixture(scope="module")
@@ -38,8 +40,8 @@ def test_codebook_shape(tiny_codebook):
     assert cb.ks == 4
     assert cb.sub_dim == 2
     assert cb.dim == 4
-    for book in cb.books:
-        assert book.vectors.shape == (4, 2)
+    assert cb.block.shape == (2, 4, 2) and cb.block.dtype == np.float32
+    assert len(cb.distortions) == 2
 
 
 def test_encode_picks_nearest_subcentroid(tiny_codebook, rng):
@@ -49,7 +51,7 @@ def test_encode_picks_nearest_subcentroid(tiny_codebook, rng):
         code = pq_encode_batch(cb, v[np.newaxis, :])[0]
         assert code.dtype == np.uint8
         for j, part in enumerate(cb.split(v)):
-            d = np.linalg.norm(cb.books[j].vectors - part, axis=1)
+            d = np.linalg.norm(cb.block[j] - part, axis=1)
             assert code[j] == np.argmin(d)
 
 
@@ -101,7 +103,7 @@ def test_adc_scores_takes_every_byte_at_eight_bits(rng):
     cb = pq_train(data, m=1, nbits=8, seed=0)
     codes = np.arange(256, dtype=np.uint8)[:, np.newaxis]
     got = adc_scores(cb, codes, data[0])
-    want = np.linalg.norm(cb.books[0].vectors.astype(np.float64) - data[0], axis=1)
+    want = np.linalg.norm(cb.block[0].astype(np.float64) - data[0], axis=1)
     np.testing.assert_allclose(got, want, rtol=1e-12)
     # Wider integers can name a centroid past 255 or below 0, so they are scanned.
     for bad in (256, -1):
@@ -164,8 +166,8 @@ def test_default_m_divides_dim():
 def test_train_deterministic(small_set):
     a = pq_train(small_set.vectors, m=4, nbits=4, seed=5)
     b = pq_train(small_set.vectors, m=4, nbits=4, seed=5)
-    for x, y in zip(a.books, b.books):
-        np.testing.assert_array_equal(x.vectors, y.vectors)
+    np.testing.assert_array_equal(a.block, b.block)
+    assert a.distortions == b.distortions
 
 
 def test_codebook_wire_round_trip(tiny_codebook):
@@ -175,8 +177,61 @@ def test_codebook_wire_round_trip(tiny_codebook):
     blob = w.getvalue()
     back = PqCodebook.read(Reader(blob))
     assert back.m == cb.m and back.ks == cb.ks
-    for x, y in zip(back.books, cb.books):
-        np.testing.assert_array_equal(x.vectors, y.vectors)
+    np.testing.assert_array_equal(back.block, cb.block)
+    assert back.distortions == cb.distortions
     w2 = Writer()
     back.write(w2)
     assert w2.getvalue() == blob
+
+
+def per_book_scores(block, codes, query):
+    """ADC scores book by book: row j of each book's table, summed onto zeros."""
+    parts = np.asarray(query, dtype=np.float64).reshape(len(block), -1)
+    total = np.zeros(len(codes))
+    for j, (book, part) in enumerate(zip(block, parts)):
+        diff = book.astype(np.float64) - part
+        total += np.sum(diff * diff, axis=1)[codes[:, j]]
+    return np.sqrt(total)
+
+
+@pytest.mark.parametrize(
+    "books", [lambda block: block[::-1], lambda block: block[[0, 0]]], ids=["reversed", "repeated"]
+)
+def test_any_block_scores_as_it_encodes(books):
+    """A codebook made from a trained block's books in another order, or one
+    book twice, scores with the books it encodes with, built or loaded."""
+    s = gen_synthetic(4, 100, 8, 0.3, seed=1)
+    block = books(PqIndex.build(s, m=2, nbits=4).codebook.block)
+    cb = PqCodebook(4, block, [0.0, 0.0])
+    codes = pq_encode_batch(cb, s.vectors)
+    built = PqIndex(cb, s.ids.copy(), codes)
+    loaded = load_index_bytes(dump_index(built))
+    for q in s.vectors[::40].astype(np.float64):
+        np.testing.assert_array_equal(adc_scores(cb, codes, q), per_book_scores(block, codes, q))
+        assert built.search(q, 5) == loaded.search(q, 5)
+
+
+@pytest.mark.parametrize(
+    "shape, distortions",
+    [((4, 3), 4), ((2, 5, 3), 2), ((2, 4, 3), 1)],
+    ids=["2-d", "ks-not-2^nbits", "distortion-count"],
+)
+def test_codebook_rejects_a_block_of_the_wrong_shape(shape, distortions):
+    with pytest.raises(ValueError, match="codebook block"):
+        PqCodebook(2, np.zeros(shape, dtype=np.float32), [0.0] * distortions)
+
+
+def test_codebook_load_keeps_the_block_it_reads(tiny_codebook, monkeypatch):
+    """A load holds the float32 block `read_centroids` returns, not a copy."""
+    cb, _ = tiny_codebook
+    w = Writer()
+    cb.write(w)
+    real, read = annkit.pq.read_centroids, []
+
+    def recording_read(*args):
+        read.append(real(*args))
+        return read[-1]
+
+    monkeypatch.setattr(annkit.pq, "read_centroids", recording_read)
+    back = PqCodebook.read(Reader(w.getvalue()))
+    assert back.block is read[0][0] and back.block.flags.c_contiguous
