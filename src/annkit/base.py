@@ -62,7 +62,7 @@ def make_result(
     """
     order = rank_order(metric, ids, scores, k)
     return SearchResult(
-        [(int(ids[i]), float(np.float32(scores[i]))) for i in order]
+        list(zip(ids[order].tolist(), scores[order].astype(np.float32).tolist()))
     )
 
 
@@ -113,10 +113,12 @@ class VectorIndex(abc.ABC):
 
 
 def search_excluding(
-    index: VectorIndex, query: np.ndarray, k: int, exclude: int
+    index: VectorIndex, query: np.ndarray, k: int, exclude: int, **knobs
 ) -> SearchResult:
-    """Top-k with the query id excluded: search k+1, drop the query id if present."""
+    """Top-k with the query id excluded: search k+1, drop the query id if present.
+
+    `knobs` are passed to `index.search` (a forest's `search_k`, say)."""
     check_query(query, k, index.dim)  # k itself passes the search gate, not only k + 1
-    res = index.search(query, k + 1)
+    res = index.search(query, k + 1, **knobs)
     kept = [(nid, score) for nid, score in res.neighbors if nid != exclude]
     return SearchResult(kept[:k])

@@ -3,7 +3,7 @@
 Subcommands:
   gen     synthetic labeled set -> VEMB file
   build   VEMB/CSV + family + knobs -> VIDX file
-  search  VIDX + (stored id | raw vector) -> neighbor listing
+  search  VIDX + (stored id | raw vector) + query-time knobs -> neighbor listing
   truth   VEMB/CSV -> exact nearest-neighbor file (JSON)
   bench   VEMB/CSV + family list (or "all") -> report
 
@@ -14,6 +14,7 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -91,6 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", help="embedding file, required with --id")
     p.add_argument("--vector", help="comma-separated query components")
     p.add_argument("--out", help="write neighbors as JSON instead of stdout")
+    g = p.add_argument_group("query-time knobs (each only for the families whose search takes it)")
+    g.add_argument("--search-k", type=int, help="projection forest: leaves inspected")
+    g.add_argument("--nprobe", type=int, help="IVF: lists probed")
+    g.add_argument("--ef-search", type=int, help="HNSW: query beam width")
+    g.add_argument("--rerank", action=argparse.BooleanOptionalAction,
+                   help="LSH: re-rank the Hamming pool by exact L2")
 
     p = sub.add_parser("truth", help="exact nearest neighbors for stored ids")
     p.add_argument("--data", required=True, help="VEMB or CSV input")
@@ -148,19 +155,34 @@ def _print_neighbors(result, out: str | None) -> None:
             print(f"{nid}\t{score:.6f}")
 
 
+_SEARCH_KNOBS = ("search_k", "nprobe", "ef_search", "rerank")
+
+
+def _search_knobs(args: argparse.Namespace, index) -> dict:
+    """The query-time knobs set on the command line; ValueError if the
+    index's `search` does not take one of them."""
+    knobs = {kw: getattr(args, kw) for kw in _SEARCH_KNOBS if getattr(args, kw) is not None}
+    unknown = [kw for kw in knobs if kw not in inspect.signature(index.search).parameters]
+    if unknown:
+        flags = ", ".join("--" + kw.replace("_", "-") for kw in unknown)
+        raise ValueError(f"{index.family} search takes no {flags}")
+    return knobs
+
+
 def _cmd_search(args) -> int:
     index = load_index(args.index)
     if (args.id is None) == (args.vector is None):
         raise ValueError("provide exactly one of --id or --vector")
+    knobs = _search_knobs(args, index)
     if args.id is not None:
         if not args.data:
             raise ValueError("--id requires --data to resolve the query vector")
         emb_set = _load_any(args.data)
         query = emb_set.vector_of(args.id)
-        result = search_excluding(index, query, args.k, args.id)
+        result = search_excluding(index, query, args.k, args.id, **knobs)
     else:
         query = np.array([float(x) for x in args.vector.split(",")], dtype=np.float32)
-        result = index.search(query, args.k)
+        result = index.search(query, args.k, **knobs)
     _print_neighbors(result, args.out)
     return 0
 

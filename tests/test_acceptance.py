@@ -61,6 +61,11 @@ def truth5_l2(dstar, query_ids):
 
 
 @pytest.fixture(scope="module")
+def truth10_angular(dstar, query_ids):
+    return ground_truth(dstar, query_ids, 10, Metric.ANGULAR)
+
+
+@pytest.fixture(scope="module")
 def truth5_angular(dstar, query_ids):
     return ground_truth(dstar, query_ids, 5, Metric.ANGULAR)
 
@@ -79,7 +84,7 @@ def hnsw_index(dstar):
 
 @pytest.fixture(scope="module")
 def rp_angular(dstar):
-    return rp_build(dstar, seed=0)  # 10 trees, angular
+    return rp_build(dstar, seed=0)  # default knobs, angular
 
 
 @pytest.fixture(scope="module")
@@ -208,9 +213,11 @@ def test_kmeans_distortion_never_increases(dstar):
 #
 # Measured at these exact seeds and query sample (500 queries, seed 11):
 #   hnsw  M=32 efc=40 efs=128 seed 0   recall@10 = 0.9902
-#   rpforest angular 10 trees seed 0   recall@5  = 0.9748 (search_k=50)
-#                                      recall@5  = 1.0000 (search_k=250)
+#   rpforest angular, default knobs    recall@5  = 1.0000 (search_k=50)
+#   (6 trees of 48-row leaves) seed 0  recall@5  = 1.0000 (search_k=250)
+#                                      recall@10 = 1.0000 (default budget, n_trees x k)
 #   ivf-pq nlist=98 m=64 nbits=8 s=0   recall@5  = 0.9376
+# (10 trees of 16-row leaves read 0.9748, 1.0000 and 0.9994.)
 # Floors sit >= 0.02 below each measured value.
 
 
@@ -241,6 +248,19 @@ def test_rp_forest_recall_floors(dstar, rp_angular, query_rows, truth5_angular):
     assert low >= 0.80
     assert high >= 0.95
     assert low >= 0.80 + 0.02 and high >= 0.95 + 0.02
+
+
+def test_rp_forest_default_budget_recall_floor(dstar, rp_angular, query_rows, truth10_angular):
+    got = mean_recall(
+        lambda row, qid: search_excluding(rp_angular, dstar.vectors[row], 10, qid).ids,
+        query_rows,
+        dstar,
+        truth10_angular,
+        10,
+    )
+    note(f"rpforest recall@10 = {got:.4f} at the default budget (floor 0.97)")
+    assert got >= 0.97
+    assert got >= 0.97 + 0.02
 
 
 def test_ivf_pq_recall_floor(dstar, query_rows, truth5_l2):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from annkit import gen_synthetic, ground_truth, load_vemb, save_vemb
+from annkit import gen_synthetic, ground_truth, load_vemb, save_vemb, search_excluding
 from annkit.cli import main
 from annkit.persist import load_index
 
@@ -150,6 +150,83 @@ def test_build_refuses_a_knob_vidx_cannot_store(tmp_path, data_path, capsys):
     assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
                  "--trees", "3", "--out", str(index_path)]) == 0
     assert load_index(index_path).n_trees == 3
+
+
+@pytest.mark.parametrize(
+    "family, build_flags, search_flags, knobs, k",
+    [
+        ("rpforest-angular", ["--trees", "2", "--leaf-size", "4"], ["--search-k", "1"],
+         {"search_k": 1}, 10),
+        ("ivf-flat", ["--nlist", "8", "--nprobe", "8"], ["--nprobe", "1"], {"nprobe": 1}, 30),
+        ("lsh", [], ["--no-rerank"], {"rerank": False}, 10),
+        ("lsh", ["--no-rerank"], ["--rerank"], {"rerank": True}, 10),
+    ],
+)
+def test_search_passes_query_time_knobs(tmp_path, data_path, family, build_flags,
+                                        search_flags, knobs, k):
+    """Each knob reaches `index.search`: the CLI answers what the library
+    answers with that knob, which here differs from the stored default."""
+    index_path = tmp_path / "index.vidx"
+    assert main(["build", "--data", str(data_path), "--family", family, *build_flags,
+                 "--out", str(index_path)]) == 0
+    query = load_vemb(data_path).vectors[3]
+    vector = ",".join(str(x) for x in query)
+    out_path = tmp_path / "hits.json"
+    assert main(["search", "--index", str(index_path), f"--vector={vector}", "--k", str(k),
+                 *search_flags, "--out", str(out_path)]) == 0
+    index = load_index(index_path)
+    want = [[nid, score] for nid, score in index.search(query, k, **knobs).neighbors]
+    assert json.loads(out_path.read_text()) == want
+    assert want != [[nid, score] for nid, score in index.search(query, k).neighbors]
+
+
+def test_search_passes_ef_search_to_hnsw(tmp_path, data_path, capsys):
+    index_path = tmp_path / "hnsw.vidx"
+    assert main(["build", "--data", str(data_path), "--family", "hnsw",
+                 "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    base = ["search", "--index", str(index_path), "--data", str(data_path), "--id", "7"]
+    assert main([*base, "--k", "4", "--ef-search", "4"]) == 1  # --id searches k + 1
+    assert "ef_search=4 must be >= k=5" in capsys.readouterr().err
+    assert main([*base, "--k", "4", "--ef-search", "5"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_search_by_id_passes_knobs_through(tmp_path, data_path):
+    index_path = tmp_path / "forest.vidx"
+    assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
+                 "--trees", "2", "--leaf-size", "4", "--out", str(index_path)]) == 0
+    out_path = tmp_path / "hits.json"
+    assert main(["search", "--index", str(index_path), "--data", str(data_path), "--id", "7",
+                 "--k", "10", "--search-k", "1", "--out", str(out_path)]) == 0
+    index, query = load_index(index_path), load_vemb(data_path).vector_of(7)
+    want = search_excluding(index, query, 10, 7, search_k=1)
+    assert json.loads(out_path.read_text()) == [[nid, score] for nid, score in want.neighbors]
+    assert len(want) < len(search_excluding(index, query, 10, 7))
+
+
+@pytest.mark.parametrize(
+    "family, flags, named",
+    [
+        ("flat-l2", ["--nprobe", "2"], "--nprobe"),
+        ("rpforest-angular", ["--ef-search", "9", "--rerank"], "--ef-search, --rerank"),
+        ("ivf-flat", ["--search-k", "3"], "--search-k"),
+        ("hnsw", ["--no-rerank"], "--rerank"),
+    ],
+)
+def test_search_refuses_a_knob_the_family_lacks(tmp_path, data_path, capsys, family,
+                                                flags, named):
+    """A knob the stored family's `search` does not take fails with `error:`
+    and exit 1, not a TypeError, in both query forms."""
+    index_path = tmp_path / "index.vidx"
+    assert main(["build", "--data", str(data_path), "--family", family,
+                 "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    for query in (["--vector", "0,0,0,0,0,0,0,1"], ["--data", str(data_path), "--id", "7"]):
+        assert main(["search", "--index", str(index_path), *query, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {family} search takes no {named}\n"
 
 
 def test_unknown_subcommand_fails():

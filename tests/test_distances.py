@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from annkit.base import SearchResult, make_result
 from annkit.data import EmbeddingSet
 from annkit.distances import Metric, batch_scores, rank_order
 
@@ -141,3 +142,24 @@ def test_rank_order_breaks_ties_by_ascending_id():
     assert [int(ids[i]) for i in order] == [7, 19, 42]
     order = rank_order(Metric.INNER_PRODUCT, ids, scores)
     assert [int(ids[i]) for i in order] == [7, 19, 42]
+
+
+@pytest.mark.parametrize("metric", list(Metric))
+@pytest.mark.parametrize("k", [1, 10, 400])
+def test_make_result_equals_the_per_item_form(metric, k):
+    """The list made in bulk holds the same Python ints and floats, bit for
+    bit, as one `int(ids[i])` and `float(np.float32(scores[i]))` per item:
+    ids above 2**53 stay exact, and float64 scores that narrow to one
+    float32 (ties after the cast, subnormals, -0.0) narrow alike."""
+    rng = np.random.default_rng(21)
+    ids = rng.integers(0, 2**64 - 1, 300, dtype=np.uint64, endpoint=True)
+    ids[:4] = [2**53 + 1, 2**64 - 1, 2**63 + 3, 0]
+    scores = rng.standard_normal(300) * 10.0 ** rng.integers(-45, 30, 300)
+    scores[:6] = [1.0, 1.0 + 2.0**-30, 1.0 - 2.0**-40, -0.0, 1e-42, 3e-39]
+    got = make_result(metric, ids, scores, k)
+    want = SearchResult(
+        [(int(ids[i]), float(np.float32(scores[i]))) for i in rank_order(metric, ids, scores, k)]
+    )
+    assert repr(got.neighbors) == repr(want.neighbors)
+    assert all(type(nid) is int and type(score) is float for nid, score in got.neighbors)
+    assert len(got) == min(k, len(ids))

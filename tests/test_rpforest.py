@@ -149,6 +149,12 @@ def test_config_reports_knobs(small_set):
     assert cfg["metric"] == "angular"
 
 
+def test_defaults_are_six_trees_of_48_row_leaves(small_set):
+    """The defaults tools/forest_sweep.py chose; the budget stays n_trees * k leaves."""
+    assert rp_build(small_set).config() == {
+        "n_trees": 6, "leaf_size": 48, "metric": "angular", "search_k": None}
+
+
 # ------------------------------------------------------------ pinned bytes
 
 
@@ -189,6 +195,19 @@ def test_forest_bytes_and_results_are_pinned(small_set, metric, vidx, results):
     forest = rp_build(small_set, n_trees=5, leaf_size=8, metric=metric, seed=3)
     blob = dump_index(forest)
     assert hashlib.sha256(blob).hexdigest() == vidx
+    assert _results_digest(forest, queries) == results
+    assert _results_digest(load_index_bytes(blob), queries) == results
+
+
+def test_the_former_defaults_keep_their_bytes_and_results(small_set):
+    """Digests of `rp_build(small_set, seed=0)` while the defaults were 10
+    trees of 16-row leaves: passing those two knobs gives the same forest."""
+    queries = list(np.random.default_rng(29).standard_normal((16, 16))) + list(small_set.vectors[:4])
+    forest = rp_build(small_set, n_trees=10, leaf_size=16, seed=0)
+    blob = dump_index(forest)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "6555d99926d193f2ed6a8ee5b5108404784a00e1cd3ea87a47663ab706e3250d")
+    results = "950d86cfbd8f2d3b0ca5be6aec52401f4d46b21bcf3e4d83b5007ec39f92bffa"
     assert _results_digest(forest, queries) == results
     assert _results_digest(load_index_bytes(blob), queries) == results
 
