@@ -41,7 +41,7 @@ class Family:
 
 _PQ = {"m": "m", "nbits": "nbits"}
 _IVF = {"nlist": "nlist", "nprobe": "nprobe"}
-_FOREST = {"n_trees": "trees", "leaf_size": "leaf_size", "search_k": "search_k"}
+_FOREST = {"n_trees": "trees", "leaf_size": "leaf_size"}
 
 
 def _ivf(encoding: str, tag: int, knobs: dict[str, str], benched: bool = True) -> Family:

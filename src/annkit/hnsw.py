@@ -12,7 +12,7 @@ same-cluster back-edges evict every cross-cluster bridge, the bottom layer
 disintegrates into per-cluster islands, and queries that descend into the
 wrong cluster can never leave it (measured here: recall collapses from ~0.99
 to ~0.8 on well-separated blobs). Search descends the same way and runs a
-best-first scan with an ef_search-sized result pool at level 0.
+best-first scan with a max(ef_search, k)-sized result pool at level 0.
 
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
@@ -306,15 +306,15 @@ class HnswIndex(VectorIndex):
     ) -> SearchResult:
         """k nearest stored vectors by exact L2, id tie-break.
 
-        An explicit ef_search below k is an error; when omitted, the default
-        pool is widened to max(configured ef_search, k) so large-k sweeps work.
+        The level-0 pool holds max(ef_search, k) nodes, ef_search being the
+        configured one unless the query sets it, as in hnswlib.
         """
         q64 = check_query(query, k, self.dim)
-        if ef_search is not None and ef_search < k:
-            raise ValueError(f"ef_search={ef_search} must be >= k={k}")
+        if ef_search is not None and ef_search < 1:
+            raise ValueError(f"ef_search must be >= 1, got {ef_search}")
         if self._entry < 0:
             return SearchResult()
-        ef = max(self.params.ef_search, k) if ef_search is None else ef_search
+        ef = max(self.params.ef_search if ef_search is None else ef_search, k)
         entries = [self._entry]
         for layer in range(int(self._levels[self._entry]), 0, -1):
             best = self._search_layer(q64, entries, 1, layer)

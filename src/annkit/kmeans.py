@@ -213,7 +213,6 @@ def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
 def kmeans_fit(
     data: np.ndarray,
     k: int,
-    max_iters: int = DEFAULT_MAX_ITERS,
     seed: int | np.random.SeedSequence = 0,
 ) -> Centroids:
     """Train k centroids with Lloyd iterations until movement < 1e-6.
@@ -255,7 +254,7 @@ def kmeans_fit(
     assign, sqdist = assign_to_centroids(data, centroids, point_norms=norms)
     record(float(sqdist.mean()))
 
-    for _ in range(max_iters):
+    for _ in range(DEFAULT_MAX_ITERS):
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=k)
         # bincount adds each column's rows in row order, as np.add.at does.

@@ -82,7 +82,6 @@ class RpForestIndex(VectorIndex):
         offsets: np.ndarray,
         cuts: np.ndarray,
         rows: np.ndarray,
-        search_k: int | None = None,
     ):
         if metric not in _METRIC_TAGS:
             raise ValueError(f"forest metric must be angular, l2 or manhattan; got {metric}")
@@ -103,7 +102,6 @@ class RpForestIndex(VectorIndex):
         after[order[:-1]] = order[1:]
         self._right = np.where(is_split, after[:-1], -1).astype(np.int32)
         self._roots = order[np.searchsorted(level[order], -np.arange(-level[-1]))]
-        self.search_k = search_k  # None -> n_trees * k at query time
 
     @property
     def family(self) -> str:
@@ -153,9 +151,7 @@ class RpForestIndex(VectorIndex):
 
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)
-        if search_k is None:
-            search_k = self.search_k if self.search_k is not None else self.n_trees * k
-        rows = self.candidate_rows(q, search_k)
+        rows = self.candidate_rows(q, self.n_trees * k if search_k is None else search_k)
         scores = batch_scores(self.metric, q, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
@@ -164,7 +160,6 @@ class RpForestIndex(VectorIndex):
             "n_trees": self.n_trees,
             "leaf_size": self.leaf_size,
             "metric": self.metric.value,
-            "search_k": self.search_k,
         }
 
     # ------------------------------------------------------------ persistence
@@ -236,7 +231,6 @@ def rp_build(
     leaf_size: int = DEFAULT_LEAF_SIZE,
     metric: Metric = Metric.ANGULAR,
     seed: int = 0,
-    search_k: int | None = None,
 ) -> RpForestIndex:
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
     if len(emb_set) == 0:
@@ -261,4 +255,4 @@ def rp_build(
                 stack += [rows[right], rows[~right]]
     cuts = np.cumsum([0] + [len(rows) for rows in leaves])
     return RpForestIndex(metric, leaf_size, emb_set.ids.copy(), emb_set.vectors.copy(),
-                         is_split, normals, offsets, cuts, np.concatenate(leaves), search_k)
+                         is_split, normals, offsets, cuts, np.concatenate(leaves))

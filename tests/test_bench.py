@@ -124,6 +124,7 @@ def test_build_index_rejects_unknown(small_set):
         ("pq", "nprobe"),
         ("lsh", "M"),
         ("rpforest-l2", "metric"),  # the row fixes its metric
+        ("rpforest-angular", "search_k"),  # a query-time knob, passed to search
     ]
     for family, knob in foreign:
         with pytest.raises(ValueError):

@@ -139,14 +139,18 @@ def test_build_respects_knobs(tmp_path, data_path):
 
 
 def test_build_refuses_a_knob_vidx_cannot_store(tmp_path, data_path, capsys):
-    """VIDX v1 has no field for the forest's search_k: a reloaded forest
-    reported None and answered with its default budget. The build now fails
-    and writes nothing."""
+    """The forest's search_k is a query-time knob: `build` and `bench` take no
+    --search-k (argparse exits 2) and write nothing; `search` takes it."""
     index_path = tmp_path / "forest.vidx"
     assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
-                 "--search-k", "2", "--out", str(index_path)]) == 1
-    assert "search_k" in capsys.readouterr().err
+                 "--search-k", "2", "--out", str(index_path)]) == 2
+    assert "unrecognized arguments: --search-k 2" in capsys.readouterr().err
     assert not index_path.exists()
+    report_path = tmp_path / "report.json"
+    assert main(["bench", "--data", str(data_path), "--family", "rpforest-angular",
+                 "--search-k", "2", "--out", str(report_path)]) == 2
+    assert "unrecognized arguments: --search-k 2" in capsys.readouterr().err
+    assert not report_path.exists()
     assert main(["build", "--data", str(data_path), "--family", "rpforest-angular",
                  "--trees", "3", "--out", str(index_path)]) == 0
     assert load_index(index_path).n_trees == 3
@@ -186,10 +190,13 @@ def test_search_passes_ef_search_to_hnsw(tmp_path, data_path, capsys):
                  "--out", str(index_path)]) == 0
     capsys.readouterr()
     base = ["search", "--index", str(index_path), "--data", str(data_path), "--id", "7"]
-    assert main([*base, "--k", "4", "--ef-search", "4"]) == 1  # --id searches k + 1
-    assert "ef_search=4 must be >= k=5" in capsys.readouterr().err
-    assert main([*base, "--k", "4", "--ef-search", "5"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 4
+    # --id searches k + 1; the pool is max(ef_search, k + 1), so ef_search = k works
+    assert main([*base, "--k", "4", "--ef-search", "4"]) == 0
+    index, query = load_index(index_path), load_vemb(data_path).vector_of(7)
+    want = search_excluding(index, query, 4, 7, ef_search=4)
+    assert len(want) == 4
+    assert capsys.readouterr().out.splitlines() == [
+        f"{nid}\t{score:.6f}" for nid, score in want.neighbors]
 
 
 def test_search_by_id_passes_knobs_through(tmp_path, data_path):

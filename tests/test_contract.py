@@ -1,6 +1,7 @@
 """The uniform search contract: one query gate for every family, and the
 public namespace it is exported through."""
 
+import inspect
 import re
 
 import numpy as np
@@ -32,8 +33,7 @@ def indexes(small_set):
     return out
 
 
-# One non-default value per knob, by the CLI flag that sets it. The forest's
-# search_k is left out: VIDX v1 does not store it, and `annkit build` refuses it.
+# One non-default value per knob, by the CLI flag that sets it.
 _NON_DEFAULT = {
     "nlist": 9, "nprobe": 3, "m": 4, "nbits": 4, "trees": 3, "leaf_size": 7,
     "hnsw_m": 5, "ef_construction": 21, "ef_search": 13, "lsh_bits": 24, "rerank": False,
@@ -42,8 +42,7 @@ _NON_DEFAULT = {
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_config_survives_a_vidx_round_trip(small_set, name):
-    knobs = {kw: _NON_DEFAULT[dest] for kw, dest in FAMILIES[name].knobs.items()
-             if dest != "search_k"}
+    knobs = {kw: _NON_DEFAULT[dest] for kw, dest in FAMILIES[name].knobs.items()}
     index = build_index(small_set, name, seed=0, **knobs)
     config = index.config()
     for value in knobs.values():
@@ -60,6 +59,34 @@ def test_every_family_is_named_and_stored_by_its_row(indexes, name):
     assert built.family == loaded.family == name
     assert blob[5] == FAMILIES[name].tag
     assert dump_index(loaded) == blob
+
+
+# Each query-time knob of `search` at a value other than its default, for k.
+_QUERY_KNOBS = {
+    "search_k": lambda index, k: 1,
+    "nprobe": lambda index, k: 1,
+    "ef_search": lambda index, k: k,
+    "rerank": lambda index, k: not index.rerank,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_loaded_index_answers_like_the_built_one_with_query_knobs_set(indexes, small_set, name):
+    """Query-time knobs are `search` arguments, so a VIDX reload answers as
+    the built index does with every knob set, not only at the defaults. Where
+    the family has a knob, it changes some answer, so it reached `search`."""
+    built, loaded = indexes[name]["built"], indexes[name]["loaded"]
+    params = list(inspect.signature(built.search).parameters)[2:]  # after query, k
+    assert set(params) - {"visited_out"} <= set(_QUERY_KNOBS)
+    queries = [*small_set.vectors[::60], *np.random.default_rng(3).standard_normal((3, small_set.dim))]
+    changed = False
+    for k in (1, 5, 10):
+        knobs = {kw: _QUERY_KNOBS[kw](built, k) for kw in params if kw in _QUERY_KNOBS}
+        for q in queries:
+            got = built.search(q, k, **knobs)
+            assert loaded.search(q, k, **knobs) == got
+            changed |= got != built.search(q, k)
+    assert changed == any(kw in _QUERY_KNOBS for kw in params)
 
 
 def test_a_family_name_is_one_row():

@@ -148,8 +148,10 @@ def test_search_validation(built, small_set):
     q = small_set.vectors[0]
     with pytest.raises(ValueError):
         built.search(q, 0)
-    with pytest.raises(ValueError):
-        built.search(q, 10, ef_search=5)  # ef below k
+    # the pool is max(ef_search, k), as in hnswlib
+    assert built.search(q, 10, ef_search=5) == built.search(q, 10, ef_search=10)
+    with pytest.raises(ValueError, match="ef_search must be >= 1"):
+        built.search(q, 10, ef_search=0)
 
 
 def test_ef_defaults_cover_large_k(built, small_set):

@@ -19,10 +19,12 @@ def _row(tag: str) -> dict:
 
 def test_differences_name_each_changed_field_and_missing_row():
     parent = {"flat-l2": _row("a"), "hnsw": _row("a"), "lsh": _row("a")}
-    change = {"flat-l2": _row("a"), "hnsw": {**_row("a"), "loaded_memory_bytes": 7}, "pq": _row("a")}
+    change = {"flat-l2": _row("a"), "pq": _row("a"),
+              "hnsw": {**_row("a"), "loaded_memory_bytes": 7, "knobs": "build(M) search()"}}
     assert identity.differences(parent, parent) == []
     assert identity.differences(parent, change) == [
         "hnsw: loaded_memory_bytes a-loaded_memory_bytes -> 7",
+        "hnsw: knobs a-knobs -> build(M) search()",
         "lsh: only in the parent",
         "pq: only in the change",
     ]
@@ -38,3 +40,9 @@ def test_table_covers_every_family_and_repeats_exactly(small_set):
     for r in first.values():
         assert r["built_memory_bytes"] == r["loaded_memory_bytes"]
         assert r["built_results_sha256"] == r["loaded_results_sha256"]
+    assert first["flat-l2"]["knobs"] == "build() search()"
+    assert first["hnsw"]["knobs"] == "build(M, ef_construction, ef_search) search(ef_search, visited_out)"
+    assert first["ivf-pq"]["knobs"] == "build(m, nbits, nlist, nprobe) search(nprobe)"
+    assert first["lsh"]["knobs"] == "build(nbits, rerank) search(rerank)"
+    for metric in ("angular", "l2", "manhattan"):
+        assert first[f"rpforest-{metric}"]["knobs"] == "build(leaf_size, n_trees) search(search_k)"

@@ -150,9 +150,9 @@ def test_config_reports_knobs(small_set):
 
 
 def test_defaults_are_six_trees_of_48_row_leaves(small_set):
-    """The defaults tools/forest_sweep.py chose; the budget stays n_trees * k leaves."""
-    assert rp_build(small_set).config() == {
-        "n_trees": 6, "leaf_size": 48, "metric": "angular", "search_k": None}
+    """The defaults tools/forest_sweep.py chose. The leaf budget is a query
+    knob (n_trees * k unless `search` sets it), so the config has no search_k."""
+    assert rp_build(small_set).config() == {"n_trees": 6, "leaf_size": 48, "metric": "angular"}
 
 
 # ------------------------------------------------------------ pinned bytes

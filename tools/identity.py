@@ -9,19 +9,22 @@ unit set) and dumped to VIDX. Each row reports the sha256 of the VIDX bytes,
 ``memory_bytes()`` of the built and of the loaded index, and a sha256 of the
 built and of the loaded index's ``SearchResult``s for a fixed query set (64
 corpus rows sampled with seed 11 and 16 Gaussian vectors, k = 10, default
-knobs).
+knobs), and the row's knobs: its build keywords, sorted, and the keyword
+parameters of ``search`` after ``query, k``.
 
 With ``--parent`` the parent side is the committed tree of that revision,
 extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
 checkout's working tree. Each side runs this script against its own ``src``
 in a fresh process with BLAS pinned to one thread, and every field that
-differs is listed; the exit code is 1 if any does.
+differs is listed, a knob added or removed included; the exit code is 1 if
+any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -38,6 +41,7 @@ FIELDS = (
     "loaded_memory_bytes",
     "built_results_sha256",
     "loaded_results_sha256",
+    "knobs",
 )
 K = 10
 N_QUERIES = 64
@@ -49,6 +53,12 @@ def results_digest(index, queries) -> str:
     for q in queries:
         h.update(repr(index.search(q, K).neighbors).encode())
     return h.hexdigest()
+
+
+def knobs(build_keywords, index) -> str:
+    """`build(<sorted build keywords>) search(<search keywords after query, k>)`."""
+    search = list(inspect.signature(index.search).parameters)[2:]
+    return f"build({', '.join(sorted(build_keywords))}) search({', '.join(search)})"
 
 
 def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
@@ -71,6 +81,7 @@ def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
             "loaded_memory_bytes": loaded.memory_bytes(),
             "built_results_sha256": results_digest(built, queries),
             "loaded_results_sha256": results_digest(loaded, queries),
+            "knobs": knobs(row.knobs, built),
         }
     return out
 
@@ -110,11 +121,12 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
 
 
 def show(rows: dict[str, dict]) -> str:
-    lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  results built/loaded"]
+    lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  "
+             f"{'results built/loaded':33s}  knobs"]
     for name, r in rows.items():
         memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
         results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
-        lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}")
+        lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  {r['knobs']}")
     return "\n".join(lines)
 
 
