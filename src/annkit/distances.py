@@ -87,7 +87,7 @@ def _sq_l2(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared L2 from `q` to each row (last axis): ``rows - q``, squared in place, summed."""
     diff = rows - q
     diff *= diff
-    return diff.sum(axis=-1)
+    return np.add.reduce(diff, axis=-1)
 
 
 # Below this many candidates one full lexsort is faster than a partition plus

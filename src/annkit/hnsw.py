@@ -11,8 +11,10 @@ nearest-M selection is deliberately not used — on clustered data it lets
 same-cluster back-edges evict every cross-cluster bridge, the bottom layer
 disintegrates into per-cluster islands, and queries that descend into the
 wrong cluster can never leave it (measured here: recall collapses from ~0.99
-to ~0.8 on well-separated blobs). Search descends the same way and runs a
-best-first scan with a max(ef_search, k)-sized result pool at level 0.
+to ~0.8 on well-separated blobs). Search descends the same way: above level 0
+it walks greedily, scoring each link list in one call and moving to a strictly
+closer neighbour until none is, and at level 0 it runs a best-first scan with
+a max(ef_search, k)-sized result pool.
 
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
@@ -128,13 +130,45 @@ class HnswIndex(VectorIndex):
         u = 1.0 - self._rng.random()  # uniform in (0, 1]
         return int(math.floor(-math.log(u) * self.params.mL))
 
-    def _dists(self, q64: np.ndarray, rows: list[int]) -> np.ndarray:
+    def _dists(self, q64: np.ndarray, rows: list[int] | array) -> np.ndarray:
         """Squared L2 from the query to the given rows (float64).
 
         `q64` must be float64: the float32 rows then promote exactly, while a
-        float32 query would make the difference round in float32.
+        float32 query would make the difference round in float32. The gathered
+        rows are cast to float64 first because that cast is exact, so the
+        float64 subtract gives the bits of `_sq_l2`'s mixed one without
+        numpy's buffered casting loop.
         """
-        return _sq_l2(self._vec32[rows], q64)
+        d = self._vec32.take(rows, axis=0).astype(np.float64)
+        d -= q64
+        d *= d
+        return np.add.reduce(d, axis=-1)
+
+    def _descend(self, q64: np.ndarray, level: int) -> int:
+        """Row that the greedy walk from the entry point reaches at `level`.
+
+        On each layer from the entry's top down to `level + 1`, the current
+        row's whole link list is scored at once; the walk moves to its first
+        nearest row if that is strictly closer, and goes down a layer when no
+        neighbour is. This is what `_search_layer(q64, [row], 1, layer)`
+        returns layer by layer: a neighbour enters that scan's candidates only
+        by beating the best so far, a row it scored can never beat the best
+        again, and its left-to-right scan for a strictly better row keeps the
+        first of equal minima.
+        """
+        row = self._entry
+        best = self._dists(q64, [row])[0]
+        for layer in range(int(self._levels[row]), level, -1):
+            links = self._links[layer]
+            nbrs = links[row]
+            while nbrs:
+                d = self._dists(q64, nbrs)
+                i = int(d.argmin())
+                if d[i] >= best:
+                    break
+                best, row = d[i], nbrs[i]
+                nbrs = links[row]
+        return row
 
     def _search_layer(
         self,
@@ -262,10 +296,7 @@ class HnswIndex(VectorIndex):
 
         q64 = vector.astype(np.float64)
         top = int(self._levels[self._entry])
-        entries = [self._entry]
-        for layer in range(top, level, -1):
-            best = self._search_layer(q64, entries, 1, layer)
-            entries = [best[0][1]]
+        entries = [self._descend(q64, level)]
 
         for layer in range(min(level, top), -1, -1):
             found = self._search_layer(q64, entries, self.params.ef_construction, layer)
@@ -307,7 +338,9 @@ class HnswIndex(VectorIndex):
         """k nearest stored vectors by exact L2, id tie-break.
 
         The level-0 pool holds max(ef_search, k) nodes, ef_search being the
-        configured one unless the query sets it, as in hnswlib.
+        configured one unless the query sets it, as in hnswlib. `visited_out`
+        receives the rows that the level-0 scan scored; the greedy walk above
+        it is not counted.
         """
         q64 = check_query(query, k, self.dim)
         if ef_search is not None and ef_search < 1:
@@ -315,11 +348,7 @@ class HnswIndex(VectorIndex):
         if self._entry < 0:
             return SearchResult()
         ef = max(self.params.ef_search if ef_search is None else ef_search, k)
-        entries = [self._entry]
-        for layer in range(int(self._levels[self._entry]), 0, -1):
-            best = self._search_layer(q64, entries, 1, layer)
-            entries = [best[0][1]]
-        found = self._search_layer(q64, entries, ef, 0, visited_out=visited_out)
+        found = self._search_layer(q64, [self._descend(q64, 0)], ef, 0, visited_out=visited_out)
 
         ids = self._ids[[r for _, r in found]]
         scores = np.sqrt(np.array([d for d, _ in found], dtype=np.float64))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from annkit import gen_synthetic
+from annkit.distances import _sq_l2
 from annkit.flat import exact_search, ground_truth
 from annkit.hnsw import HnswIndex, HnswParams
 from annkit.persist import dump_index, load_index_bytes
@@ -221,7 +222,11 @@ def _selection_cases(draw):
 def _select_both(vectors, base, rows, cap, fill):
     index = HnswIndex(vectors.shape[1])
     index._vec32 = np.asarray(vectors, dtype=np.float32)
-    d = index._dists(np.asarray(base, dtype=np.float64), rows)
+    base64 = np.asarray(base, dtype=np.float64)
+    d = index._dists(base64, rows)
+    mixed = _sq_l2(index._vec32[rows], base64)  # float32 rows minus a float64 base
+    assert np.array_equal(d, mixed)
+    assert np.array_equal(index._dists(base64, array("i", rows)), mixed)
     cand = list(zip(d.tolist(), rows))
     return index._select_diverse(cand, cap, fill), select_diverse_reference(
         index, cand, cap, fill
@@ -252,6 +257,54 @@ def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
     fast = dump_index(HnswIndex.build(small_set, params, seed=0))
     monkeypatch.setattr(HnswIndex, "_select_diverse", select_diverse_reference)
     assert dump_index(HnswIndex.build(small_set, params, seed=0)) == fast
+
+
+# ------------------------------------------------------ upper-layer descent
+
+
+def descend_reference(self, q64, level):
+    """The loop `_descend` replaced: a best-first scan with a pool of one on
+    each layer above `level`, chained down from the entry point. Kept as the
+    oracle the greedy walk must match exactly."""
+    row = self._entry
+    for layer in range(int(self._levels[row]), level, -1):
+        row = self._search_layer(q64, [row], 1, layer)[0][1]
+    return row
+
+
+class _ReferenceDescentIndex(HnswIndex):
+    _descend = descend_reference
+
+
+@st.composite
+def _descent_cases(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 4))
+    vectors = draw(hnp.arrays(np.float32, (n, dim), elements=_coords))
+    queries = draw(hnp.arrays(np.float32, (draw(st.integers(1, 4)), dim), elements=_coords))
+    M = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**16))
+    return vectors, queries, M, seed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_descent_cases())
+def test_descend_matches_reference(case):
+    vectors, queries, M, seed = case
+    params = HnswParams(M=M, ef_construction=8)
+    index = HnswIndex(vectors.shape[1], params, seed)
+    reference = _ReferenceDescentIndex(vectors.shape[1], params, seed)
+    for i, v in enumerate(vectors):
+        index.insert(i, v)
+        reference.insert(i, v)
+    assert np.array_equal(index._link_words(), reference._link_words())
+    assert index._entry == reference._entry
+    top = int(index._levels[index._entry])
+    # Stored rows as queries make exact distance ties along the walk.
+    for q in [*queries, *vectors]:
+        q64 = q.astype(np.float64)
+        for level in range(top):
+            assert index._descend(q64, level) == descend_reference(index, q64, level)
 
 
 # ---------------------------------------------------------- hostile input
