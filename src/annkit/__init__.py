@@ -9,13 +9,10 @@ from .base import SearchResult, VectorIndex, search_excluding
 from .bench import (
     BenchReport,
     ProtocolConfig,
-    read_report,
     run_benchmark,
-    run_protocol,
     write_report,
 )
 from .data import (
-    EmbeddingRecord,
     EmbeddingSet,
     dump_vemb,
     gen_synthetic,
@@ -28,10 +25,8 @@ from .distances import Metric, batch_scores
 from .evaluation import (
     ConfusionCounts,
     LabelMetrics,
-    f1_score,
     label_metrics,
     precision_at_k,
-    predict_label,
     recall_at_n,
 )
 from .families import ALL_FAMILIES, build_index
@@ -52,7 +47,6 @@ __all__ = [
     "BenchReport",
     "Centroids",
     "ConfusionCounts",
-    "EmbeddingRecord",
     "EmbeddingSet",
     "FlatIPIndex",
     "FlatL2Index",
@@ -74,7 +68,6 @@ __all__ = [
     "dump_index",
     "dump_vemb",
     "exact_search",
-    "f1_score",
     "gen_synthetic",
     "ground_truth",
     "ivf_build",
@@ -88,12 +81,9 @@ __all__ = [
     "lsh_build",
     "pq_train",
     "precision_at_k",
-    "predict_label",
-    "read_report",
     "recall_at_n",
     "rp_build",
     "run_benchmark",
-    "run_protocol",
     "save_index",
     "save_vemb",
     "search_excluding",

@@ -32,9 +32,6 @@ class SearchResult:
     def __len__(self) -> int:
         return len(self.neighbors)
 
-    def __iter__(self):
-        return iter(self.neighbors)
-
 
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Return the query as a flat float64 vector after checking it and k.

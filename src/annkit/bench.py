@@ -195,9 +195,3 @@ def write_report(reports: Sequence[BenchReport], path: str | Path, fmt: str = "j
                 )
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-
-
-def read_report(path: str | Path) -> list[dict]:
-    """Load a JSON report file back into dictionaries."""
-    with open(path) as fh:
-        return json.load(fh)

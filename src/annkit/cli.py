@@ -184,7 +184,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_truth(args) -> int:
     emb_set = _load_any(args.data)
-    ids = np.array(args.id, dtype=np.uint64) if args.id else emb_set.ids
+    ids = args.id or emb_set.ids  # uncast: ground_truth's KeyError names any id the set lacks
     table = ground_truth(emb_set, ids, args.k, Metric(args.metric))
     payload = {str(qid): table[int(qid)] for qid in ids}
     text = json.dumps(payload, indent=2) + "\n"

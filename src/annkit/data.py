@@ -1,13 +1,11 @@
-"""Embedding records, synthetic data generation, and the VEMB/CSV formats."""
+"""Embedding sets, synthetic data generation, and the VEMB/CSV formats."""
 
 from __future__ import annotations
 
 import csv
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,15 +39,6 @@ def check_unique_ids(ids: np.ndarray) -> None:
             raise ValueError("stored ids must be unique")
 
 
-@dataclass(frozen=True)
-class EmbeddingRecord:
-    """A single embedding: unique 64-bit id, 32-bit class label, float32 vector."""
-
-    id: int
-    label: int
-    vector: np.ndarray
-
-
 class EmbeddingSet:
     """An ordered collection of embeddings with a fixed dimension.
 
@@ -78,16 +67,6 @@ class EmbeddingSet:
         holds it (about 85 B per row)."""
         return {int(i): row for row, i in enumerate(self._ids)}
 
-    @classmethod
-    def from_records(cls, records: Iterable[EmbeddingRecord]) -> "EmbeddingSet":
-        records = list(records)
-        if not records:
-            raise ValueError("cannot build a set from zero records")
-        ids = np.array([r.id for r in records], dtype=np.uint64)
-        labels = np.array([r.label for r in records], dtype=np.uint32)
-        vectors = np.stack([np.asarray(r.vector, dtype=np.float32) for r in records])
-        return cls(ids, labels, vectors)
-
     @property
     def ids(self) -> np.ndarray:
         return self._ids
@@ -106,14 +85,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return len(self._ids)
-
-    def __getitem__(self, row: int) -> EmbeddingRecord:
-        return EmbeddingRecord(
-            int(self._ids[row]), int(self._labels[row]), self._vectors[row]
-        )
-
-    def __iter__(self) -> Iterator[EmbeddingRecord]:
-        return (self[i] for i in range(len(self)))
 
     def row_of(self, record_id: int) -> int:
         try:
@@ -228,6 +199,10 @@ def load_csv(path: str | Path) -> EmbeddingSet:
             rows.append([float(x) for x in line[2:]])
     if not ids:
         raise ValueError("CSV file contains no records")
+    for name, values, bits in (("id", ids, 64), ("label", labels, 32)):
+        bad = [v for v in values if not 0 <= v < 1 << bits]
+        if bad:
+            raise ValueError(f"CSV {name} {bad[0]} is outside [0, 2**{bits})")
     return EmbeddingSet(
         np.array(ids, dtype=np.uint64),
         np.array(labels, dtype=np.uint32),

@@ -25,10 +25,6 @@ class ConfusionCounts:
     fn: int = 0
     tn: int = 0
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
     def precision(self) -> float:
         denom = self.tp + self.fp
         return self.tp / denom if denom else 0.0

@@ -17,14 +17,24 @@ class Writer:
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
 
+    # Each integer field raises ValueError for a value its width cannot hold.
     def u8(self, value: int) -> None:
-        self._chunks.append(struct.pack("<B", value))
+        try:
+            self._chunks.append(struct.pack("<B", value))
+        except struct.error:
+            raise ValueError(f"{value!r} does not fit a u8 field") from None
 
     def u32(self, value: int) -> None:
-        self._chunks.append(struct.pack("<I", value))
+        try:
+            self._chunks.append(struct.pack("<I", value))
+        except struct.error:
+            raise ValueError(f"{value!r} does not fit a u32 field") from None
 
     def u64(self, value: int) -> None:
-        self._chunks.append(struct.pack("<Q", value))
+        try:
+            self._chunks.append(struct.pack("<Q", value))
+        except struct.error:
+            raise ValueError(f"{value!r} does not fit a u64 field") from None
 
     def f64(self, value: float) -> None:
         self._chunks.append(struct.pack("<d", value))

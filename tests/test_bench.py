@@ -10,7 +10,6 @@ from annkit.bench import (
     BenchReport,
     ProtocolConfig,
     build_index,
-    read_report,
     run_benchmark,
     run_protocol,
     sample_query_rows,
@@ -206,7 +205,7 @@ def test_write_report_json_round_trip(tmp_path, flat, small_set):
     report = run_protocol(flat, small_set, protocol())
     path = tmp_path / "report.json"
     write_report([report], path, fmt="json")
-    rows = read_report(path)
+    rows = json.loads(path.read_text())
     assert rows == [report.to_dict()]
     # writing what was read back produces identical bytes
     blob = path.read_bytes()

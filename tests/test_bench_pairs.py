@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py: the pair summary and its claim rule, on synthetic runs."""
+"""tools/bench_pairs.py: the pair summary, its claim rule and its no-regression
+verdict, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -88,6 +89,44 @@ def test_a_metric_one_side_lacks_is_skipped():
     for pair in pairs:
         pair["parent"]["metrics"].pop("load_ms")
     assert "load_ms" not in bench_pairs.summarise(pairs, BETTER)
+
+
+BOUNDS = {"load_ms": 0.25, "qps": 0.25}
+NOISY = [40.0, 80.0, 45.0, 75.0, 50.0, 70.0, 55.0, 65.0, 42.0, 78.0]  # IQR / median 0.46
+
+
+def test_a_median_past_its_bound_is_worse():
+    table = bench_pairs.summarise(_pairs(PARENT, [p * 1.3 for p in PARENT], qps=(100.0, 70.0)),
+                                  BETTER, BOUNDS)
+    assert table["load_ms"]["bound"] == 0.25
+    assert table["load_ms"]["regression"] == "worse"
+    assert table["qps"]["regression"] == "worse"  # higher is better: 30% fewer
+    assert "regression" not in table["raw_load_ms"]  # no bound given
+
+
+def test_a_median_inside_its_bound_is_no_regression():
+    table = bench_pairs.summarise(_pairs(PARENT, [p * 1.2 for p in PARENT], qps=(100.0, 80.0)),
+                                  BETTER, BOUNDS)
+    assert table["load_ms"]["change_wins"] == 0
+    assert table["load_ms"]["regression"] == "none"
+    assert table["qps"]["regression"] == "none"
+
+
+def test_a_parent_spread_past_the_bound_is_unresolved():
+    """Medians inside the bound prove nothing when the parent's own runs
+    spread wider than it: the verdict is unresolved, not unchanged."""
+    row = bench_pairs.summarise(_pairs(NOISY, [p + 1.0 for p in NOISY]), BETTER, BOUNDS)["load_ms"]
+    assert row["parent_iqr"] > 0.25 * row["parent"]["median"]
+    assert row["regression"] == "unresolved"
+    row = bench_pairs.summarise(_pairs(NOISY, [p - 1.0 for p in NOISY]), BETTER, BOUNDS)["load_ms"]
+    assert row["change_wins"] == 10 and row["regression"] == "unresolved"  # overlapping runs
+
+
+def test_every_change_run_beating_every_parent_run_resolves_a_wide_spread():
+    row = bench_pairs.summarise(_pairs(NOISY, [39.0] * 10), BETTER, BOUNDS)["load_ms"]
+    assert row["regression"] == "none"
+    row = bench_pairs.summarise(_pairs(NOISY, [40.0] * 10), BETTER, BOUNDS)["load_ms"]
+    assert row["regression"] == "unresolved"  # ties the parent's best run
 
 
 def test_families_compare_raw_load_and_resident_bytes():

@@ -268,6 +268,41 @@ def test_search_by_id_rejects_k_zero(tmp_path, data_path, capsys):
     assert "k must be" in captured.err
 
 
+def _assert_one_error_line(capsys, match):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and match in err
+    assert "Traceback" not in err
+
+
+def test_truth_rejects_an_id_no_set_holds(data_path, capsys):
+    """`truth --id -1` once died in the uint64 cast with an OverflowError."""
+    assert main(["truth", "--data", str(data_path), "--id", "-1"]) == 1
+    _assert_one_error_line(capsys, "unknown record id -1")
+
+
+@pytest.mark.parametrize("row", ["-1,0", f"{2**64},0", "3,-3"])
+def test_build_rejects_a_csv_id_or_label_out_of_range(tmp_path, capsys, row):
+    csv_path = tmp_path / "hostile.csv"
+    csv_path.write_text(f"id,label,f0,f1\n0,0,0.0,0.0\n{row},0.1,0.0\n")
+    index_path = tmp_path / "flat.vidx"
+    assert main(["build", "--data", str(csv_path), "--family", "flat-l2",
+                 "--out", str(index_path)]) == 1
+    _assert_one_error_line(capsys, "is outside [0, 2**")
+    assert not index_path.exists()
+
+
+@pytest.mark.parametrize("family, flags", [("hnsw", ["--ef-search", str(2**32)]),
+                                           ("rpforest-angular", ["--leaf-size", str(2**32)])])
+def test_build_rejects_a_knob_too_large_for_its_field(tmp_path, data_path, capsys,
+                                                      family, flags):
+    """The index builds; its dump refuses the knob and nothing is written."""
+    index_path = tmp_path / "big.vidx"
+    assert main(["build", "--data", str(data_path), "--family", family, *flags,
+                 "--out", str(index_path)]) == 1
+    _assert_one_error_line(capsys, f"{2**32} does not fit a u32 field")
+    assert not index_path.exists()
+
+
 def test_csv_input_accepted(tmp_path):
     csv_path = tmp_path / "demo.csv"
     csv_path.write_text(

@@ -9,7 +9,6 @@ import pytest
 from annkit.data import (
     VEMB_MAGIC,
     VEMB_VERSION,
-    EmbeddingRecord,
     EmbeddingSet,
     check_unique_ids,
     dump_vemb,
@@ -61,24 +60,6 @@ def test_id_lookup_table_is_made_on_first_lookup():
     assert s.row_of(10 + n - 1) == n - 1
     with pytest.raises(KeyError, match="unknown record id 5"):
         s.row_of(5)
-
-
-def test_set_iteration_yields_records():
-    s = gen_synthetic(2, 3, 4, 0.1, 0)
-    records = list(s)
-    assert len(records) == 6
-    first = records[0]
-    assert isinstance(first, EmbeddingRecord)
-    assert first.id == int(s.ids[0])
-    assert first.label == int(s.labels[0])
-    np.testing.assert_array_equal(first.vector, s.vectors[0])
-
-
-def test_from_records_round_trip(small_set):
-    rebuilt = EmbeddingSet.from_records(list(small_set))
-    np.testing.assert_array_equal(rebuilt.ids, small_set.ids)
-    np.testing.assert_array_equal(rebuilt.labels, small_set.labels)
-    np.testing.assert_array_equal(rebuilt.vectors, small_set.vectors)
 
 
 @pytest.mark.parametrize("ids, unique", [([5, 1, 3], True), ([1, 3, 5], True),
@@ -304,12 +285,21 @@ def test_load_csv_rejects_bad_header(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("row, match", [("-1,0", "CSV id -1 "), (f"{2**64},0", f"CSV id {2**64} "),
+                                        ("0,-1", "CSV label -1 "), (f"0,{2**32}", "CSV label")])
+def test_load_csv_rejects_ids_and_labels_out_of_range(tmp_path, row, match):
+    """An id outside uint64 or a label outside uint32 is a ValueError naming
+    the field, not the OverflowError of the array cast."""
+    path = tmp_path / "hostile.csv"
+    path.write_text(f"id,label,f0\n5,1,0.5\n{row},0.25\n")
+    with pytest.raises(ValueError, match=match):
+        load_csv(path)
+
+
 def test_csv_and_vemb_agree(tmp_path, tiny_set):
     lines = ["id,label," + ",".join(f"f{i}" for i in range(tiny_set.dim))]
-    for rec in tiny_set:
-        lines.append(
-            f"{rec.id},{rec.label}," + ",".join(repr(float(x)) for x in rec.vector)
-        )
+    for rid, label, vector in zip(tiny_set.ids.tolist(), tiny_set.labels.tolist(), tiny_set.vectors):
+        lines.append(f"{rid},{label}," + ",".join(repr(float(x)) for x in vector))
     path = tmp_path / "tiny.csv"
     path.write_text("\n".join(lines) + "\n")
     s = load_csv(path)

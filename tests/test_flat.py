@@ -12,11 +12,11 @@ from annkit.flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 def brute_force(emb_set, query, k, metric, exclude=None):
     """Reference ranking: score every row, sort by (score, id) in python."""
     scored = []
-    for rec in emb_set:
-        if exclude is not None and rec.id == exclude:
+    for rid, vector in zip(emb_set.ids.tolist(), emb_set.vectors):
+        if exclude is not None and rid == exclude:
             continue
-        score = float(batch_scores(metric, query, rec.vector[np.newaxis, :])[0])
-        scored.append((score, rec.id))
+        score = float(batch_scores(metric, query, vector[np.newaxis, :])[0])
+        scored.append((score, rid))
     reverse = metric.higher_is_closer
     scored.sort(key=lambda t: (-t[0] if reverse else t[0], t[1]))
     return [rid for _, rid in scored[:k]]
@@ -132,7 +132,7 @@ def test_flat_index_reports_memory_and_config(small_set):
 def test_search_result_shape(small_set):
     res = FlatL2Index.build(small_set).search(small_set.vectors[0], 3)
     assert len(res) == 3
-    for rid, score in res:
+    for rid, score in res.neighbors:
         assert isinstance(rid, int)
         assert isinstance(score, float)
     assert res.ids == [rid for rid, _ in res.neighbors]

@@ -305,6 +305,17 @@ def test_codebook_loaders_reject_a_non_finite_distortion(small_set, family, valu
         load_index_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("width, bits", [("u8", 8), ("u32", 32), ("u64", 64)])
+def test_writer_rejects_a_value_its_field_cannot_hold(width, bits):
+    """A knob too large for its field is a ValueError at dump, not struct.error."""
+    w = Writer()
+    getattr(w, width)(2**bits - 1)
+    for value in (2**bits, -1):
+        with pytest.raises(ValueError, match=f"{value} does not fit a {width} field"):
+            getattr(w, width)(value)
+    assert w.getvalue() == b"\xff" * (bits // 8)
+
+
 def _pq_blob(m: int, nbits: int, sub_dim: int = 4, n: int = 5) -> bytes:
     """A pq blob written field by field; past nbits 15 it stops after the
     codebook header."""

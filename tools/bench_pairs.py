@@ -13,7 +13,13 @@ workload and metric, both sides' quartiles, the ratio of medians, the
 parent's interquartile range, how many pairs the change won and
 ``claim_rule_met``: the change won at least 9 in 10 of at least 10 pairs (a
 tie is no win) and its median beats the parent's by more than the parent's
-interquartile range. Beside them, ``families`` gives the same comparison of
+interquartile range. Each end-to-end metric (and its ``raw_*`` twin) also
+carries its ``bound`` from BENCHMARK.json and ``regression``, the
+no-regression rule: ``"worse"`` when the change's median is worse than the
+parent's by more than ``bound`` of the parent's median; ``"unresolved"``
+when the parent's interquartile range exceeds ``bound`` of its median and
+not every change run beats every parent run; ``"none"`` otherwise. Beside
+them, ``families`` gives the same comparison of
 each family's raw (wall clock, not normalized) ``build_s``, ``query_p50_us``
 and ``load_ms`` and its ``resident_bytes``, so a claim shows which family
 moved: a ``setup_s`` claim, for one, shows each family's build.
@@ -105,8 +111,11 @@ CLAIM_PAIRS = 10  # fewest pairs that can back a claim; the change must win 9 in
 FAMILY_METRICS = ("build_s", "query_p50_us", "load_ms", "resident_bytes")  # raw; lower is better
 
 
-def compare(parent: list[float], change: list[float], direction: str) -> dict:
-    """Quartiles of each side, ratio of medians, parent IQR, wins and the claim rule."""
+def compare(parent: list[float], change: list[float], direction: str,
+            bound: float | None = None) -> dict:
+    """Quartiles of each side, ratio of medians, parent IQR, wins, the claim
+    rule and, given the metric's bound, the no-regression verdict of the
+    module docstring."""
     wins = sum(c < p if direction == "lower" else c > p for p, c in zip(parent, change))
     stats = {"parent": quartiles(parent), "change": quartiles(change)}
     base = stats["parent"]["median"]
@@ -114,7 +123,7 @@ def compare(parent: list[float], change: list[float], direction: str) -> dict:
     gain = base - stats["change"]["median"]
     if direction != "lower":
         gain = -gain
-    return {
+    row = {
         "better": direction,
         "pairs": len(parent),
         "change_wins": wins,
@@ -126,10 +135,20 @@ def compare(parent: list[float], change: list[float], direction: str) -> dict:
         and 10 * wins >= 9 * len(parent)
         and gain > iqr,
     }
+    if bound is not None:
+        scale = bound * abs(base)
+        clear = max(change) < min(parent) if direction == "lower" else min(change) > max(parent)
+        row["bound"] = bound
+        row["regression"] = ("worse" if -gain > scale
+                             else "unresolved" if iqr > scale and not clear else "none")
+    return row
 
 
-def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
-    """`compare` for every metric in `better` that both sides of a pair report."""
+def summarise(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """`compare` for every metric in `better` that both sides of a pair report,
+    with its bound where `bounds` names one."""
+    bounds = bounds or {}
     table = {}
     for name, direction in better.items():
         values = {side: [] for side in SIDES}
@@ -140,7 +159,7 @@ def summarise(pairs: list[dict], better: dict[str, str]) -> dict:
             values["parent"].append(p)
             values["change"].append(c)
         if values["parent"]:
-            table[name] = compare(values["parent"], values["change"], direction)
+            table[name] = compare(values["parent"], values["change"], direction, bounds.get(name))
     return table
 
 
@@ -177,8 +196,9 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    better.update({f"raw_{name}": d for name, d in better.items()
-                   if name in ("setup_s", "query_p50_us", "qps", "load_ms")})
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    for name in ("setup_s", "query_p50_us", "qps", "load_ms"):
+        better[f"raw_{name}"], bounds[f"raw_{name}"] = better[name], bounds[name]
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         commit = extract(args.parent, trees["parent"])
@@ -212,7 +232,7 @@ def main(argv=None) -> int:
         result["summary"][workload] = {
             "failed_ops": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
             "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
-            **summarise(runs, better),
+            **summarise(runs, better, bounds),
             "families": summarise_families(runs),
         }
     if result["pairs"]:
