@@ -33,14 +33,21 @@ class SearchResult:
         return len(self.neighbors)
 
 
+def check_count(name: str, value: int) -> None:
+    """ValueError unless `value` is an int >= 1 (a numpy integer too, not a
+    bool): the rule for k and for the integer query knobs (`search_k`,
+    `nprobe`, `ef_search`)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+
+
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Return the query as a flat float64 vector after checking it and k.
 
-    ValueError unless k is an int >= 1 (not a bool) and the query has `dim`
-    finite components. Every search and the exact oracle go through it.
+    ValueError unless k passes `check_count` and the query has `dim` finite
+    components. Every search and the exact oracle go through it.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    check_count("k", k)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != dim:
         raise ValueError(f"query has dim {q.shape[0]}, index expects {dim}")

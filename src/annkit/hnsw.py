@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, _sq_l2
 from .wire import Reader, Writer
@@ -343,8 +343,8 @@ class HnswIndex(VectorIndex):
         it is not counted.
         """
         q64 = check_query(query, k, self.dim)
-        if ef_search is not None and ef_search < 1:
-            raise ValueError(f"ef_search must be >= 1, got {ef_search}")
+        if ef_search is not None:
+            check_count("ef_search", ef_search)
         if self._entry < 0:
             return SearchResult()
         ef = max(self.params.ef_search if ef_search is None else ef_search, k)

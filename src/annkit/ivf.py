@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -120,8 +120,10 @@ class IvfIndex(VectorIndex):
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)
-        nprobe = self.nprobe if nprobe is None else nprobe
-        if not 1 <= nprobe <= self.nlist:
+        if nprobe is None:
+            nprobe = self.nprobe
+        check_count("nprobe", nprobe)
+        if nprobe > self.nlist:
             raise ValueError(f"nprobe must be in 1..{self.nlist}")
         ids, payload = self._probed(self.probe_order(q)[:nprobe], self._ids, self.payload)
         if self.encoding == "pq":

@@ -155,6 +155,15 @@ def test_search_validation(built, small_set):
         built.search(q, 10, ef_search=0)
 
 
+@pytest.mark.parametrize("ef_search", [2.5, True, "3", -1])
+def test_ef_search_must_be_an_integer_of_at_least_one(built, small_set, ef_search):
+    """ef_search=2.5 and ef_search=True once answered."""
+    q = small_set.vectors[0]
+    with pytest.raises(ValueError, match="ef_search must be"):
+        built.search(q, 10, ef_search=ef_search)
+    assert built.search(q, 10, ef_search=np.int64(20)) == built.search(q, 10, ef_search=20)
+
+
 def test_ef_defaults_cover_large_k(built, small_set):
     """Omitting ef must still satisfy k above the configured ef_search."""
     res = built.search(small_set.vectors[0], 150)

@@ -138,6 +138,17 @@ def test_defaults_scale_with_set_size():
         assert 1 <= default_nprobe(nlist) <= nlist
 
 
+@pytest.mark.parametrize("encoding", ["flat", "sq"])
+@pytest.mark.parametrize("nprobe", [2.5, True, "3", 0, 11])
+def test_search_nprobe_must_be_an_integer_in_range(small_set, encoding, nprobe):
+    """nprobe=2.5 once raised TypeError (a float slice index) and nprobe=True probed one list."""
+    index = ivf_build(small_set, nlist=10, encoding=encoding, nprobe=10, seed=0)
+    with pytest.raises(ValueError, match="nprobe must be"):
+        index.search(small_set.vectors[0], 5, nprobe=nprobe)
+    q = small_set.vectors[0]
+    assert index.search(q, 5, nprobe=np.int64(3)) == index.search(q, 5, nprobe=3)
+
+
 def test_build_validation(small_set):
     with pytest.raises(ValueError):
         ivf_build(small_set, nlist=0)

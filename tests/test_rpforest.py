@@ -1,7 +1,8 @@
-"""Random-projection forest: leaf exactness, budgets, metric variants,
-pinned bytes and load-time checks."""
+"""Random-projection forest: leaf exactness, budgets, metric variants, the
+heap walk as the frontier's oracle, pinned bytes and load-time checks."""
 
 import hashlib
+import heapq
 import struct
 
 import numpy as np
@@ -117,6 +118,16 @@ def test_search_k_validation(small_set):
         forest.search(small_set.vectors[0], 0)
 
 
+@pytest.mark.parametrize("search_k", [2.5, True, "3", 0, -1])
+def test_search_k_must_be_an_integer_of_at_least_one(small_set, search_k):
+    """search_k=2.5 and search_k=True once answered (2.5 inspected 3 leaves)."""
+    forest = rp_build(small_set, seed=0)
+    with pytest.raises(ValueError, match="search_k must be"):
+        forest.search(small_set.vectors[0], 4, search_k=search_k)
+    assert forest.search(small_set.vectors[0], 4, search_k=np.int64(3)) == forest.search(
+        small_set.vectors[0], 4, search_k=3)
+
+
 def test_build_validation(small_set):
     with pytest.raises(ValueError):
         rp_build(small_set, n_trees=0)
@@ -153,6 +164,105 @@ def test_defaults_are_six_trees_of_48_row_leaves(small_set):
     """The defaults tools/forest_sweep.py chose. The leaf budget is a query
     knob (n_trees * k unless `search` sets it), so the config has no search_k."""
     assert rp_build(small_set).config() == {"n_trees": 6, "leaf_size": 48, "metric": "angular"}
+
+
+# ------------------------------------------------------------ the heap walk
+
+
+def candidate_rows_reference(forest, query, search_k):
+    """The frontier as a heap walk over the nodes, as `candidate_rows` once
+    computed it: pop the highest priority (the earliest push on a tie), push
+    a split's right child, then its left, each with the minimum of the
+    split's priority and the query's signed margin, and collect each popped
+    leaf's rows until search_k leaves are inspected."""
+    q64 = np.asarray(query, dtype=np.float64).reshape(-1)
+    splits = forest._splits.tolist()
+    cuts, leaf = forest._leaf_cuts.tolist(), 0
+    right, leaf_rows, pending, roots = {}, {}, [], []
+    for node, split in enumerate(splits):  # pre-order: after a leaf comes a right child or a root
+        if node == 0 or splits[node - 1] < 0:
+            if pending:
+                right[pending.pop()] = node
+            else:
+                roots.append(node)
+        if split >= 0:
+            pending.append(node)
+        else:
+            leaf_rows[node] = forest._rows[cuts[leaf] : cuts[leaf + 1]]
+            leaf += 1
+    frontier = [(-np.inf, t, root) for t, root in enumerate(roots)]
+    counter = len(frontier)
+    collected = []
+    while frontier and len(collected) < search_k:
+        neg_priority, _, node = heapq.heappop(frontier)
+        split = splits[node]
+        if split < 0:
+            collected.append(leaf_rows[node])
+            continue
+        margin = float(q64.dot(forest._normals[split]) - forest._offsets[split])
+        heapq.heappush(frontier, (max(neg_priority, -margin), counter, right[node]))
+        heapq.heappush(frontier, (max(neg_priority, margin), counter + 1, node + 1))
+        counter += 2
+    return np.unique(np.concatenate(collected))
+
+
+@st.composite
+def _forest_cases(draw):
+    """A small forest, built or loaded, and a query: near a row, on the plane
+    between two rows (so margins round either way), at a row, or with 1e39
+    components, beyond float32's range."""
+    metric = draw(st.sampled_from([Metric.ANGULAR, Metric.L2, Metric.MANHATTAN]))
+    n, dim = draw(st.integers(4, 40)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    vectors = rng.standard_normal((n, dim))
+    if draw(st.booleans()):  # duplicate rows: equal planes and margins, exact ties
+        vectors[rng.integers(0, n, n // 2)] = vectors[rng.integers(0, n, n // 2)]
+    vectors += draw(st.sampled_from([0.0, 1.0, 10.0, 1e3]))
+    vectors = vectors.astype(np.float32)
+    forest = rp_build(
+        EmbeddingSet(ids=np.arange(n, dtype=np.uint64), labels=np.zeros(n, dtype=np.uint32), vectors=vectors),
+        n_trees=draw(st.integers(1, 4)), leaf_size=draw(st.integers(1, 4)), metric=metric,
+        seed=draw(st.integers(0, 99)),
+    )
+    if draw(st.booleans()):
+        forest = load_index_bytes(dump_index(forest))
+    a, b = vectors[rng.integers(0, n, 2)].astype(np.float64)
+    kind = draw(st.sampled_from(["near", "plane", "row", "huge"]))
+    if kind == "near":
+        query = a + rng.standard_normal(dim) * 0.1
+    elif kind == "plane":
+        query = a / np.linalg.norm(a) + b / np.linalg.norm(b) if metric is Metric.ANGULAR else (a + b) / 2
+    elif kind == "row":
+        query = a
+    else:
+        query = np.where(rng.standard_normal(dim) < 0, -1e39, 1e39)
+    return forest, query
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_forest_cases())
+def test_candidate_rows_equal_the_heap_walk_at_every_budget(case):
+    """The same rows as the heap walk for every budget up to one past the
+    leaf count: every metric, built and loaded, ties from duplicate rows,
+    offsets that widen the band, and queries that skip the float32 keys."""
+    forest, query = case
+    n_leaves = len(forest._leaf_cuts) - 1
+    for search_k in range(1, n_leaves + 2):
+        got = forest.candidate_rows(query, search_k)
+        np.testing.assert_array_equal(got, candidate_rows_reference(forest, query, search_k))
+
+
+def test_candidate_rows_equal_the_heap_walk_on_a_default_forest(small_set):
+    """The default 6 x 48 forest of a larger set, at the budgets a search uses."""
+    rng = np.random.default_rng(31)
+    sets = (small_set, small_set.normalized())
+    for emb_set, metric in zip(sets, (Metric.L2, Metric.ANGULAR)):
+        forest = rp_build(emb_set, n_trees=6, leaf_size=4, metric=metric, seed=7)
+        for q in [*emb_set.vectors[:8], *rng.standard_normal((8, emb_set.dim))]:
+            for search_k in (1, 2, 3, 6, 10, 30, 60, 120):
+                np.testing.assert_array_equal(
+                    forest.candidate_rows(q, search_k), candidate_rows_reference(forest, q, search_k)
+                )
 
 
 # ------------------------------------------------------------ pinned bytes

@@ -9,8 +9,11 @@ unit set) and dumped to VIDX. Each row reports the sha256 of the VIDX bytes,
 ``memory_bytes()`` of the built and of the loaded index, and a sha256 of the
 built and of the loaded index's ``SearchResult``s for a fixed query set (64
 corpus rows sampled with seed 11 and 16 Gaussian vectors, k = 10, default
-knobs), and the row's knobs: its build keywords, sorted, and the keyword
-parameters of ``search`` after ``query, k``.
+knobs), a sha256 of both indexes' ``SearchResult``s with each integer
+query-time knob that ``search`` takes (``search_k``, ``nprobe``,
+``ef_search``) set to 1 and to 3 (``-`` for a row without one), where small
+budgets break ties, and the row's knobs: its build keywords, sorted, and the
+keyword parameters of ``search`` after ``query, k``.
 
 With ``--parent`` the parent side is the committed tree of that revision,
 extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
@@ -41,9 +44,12 @@ FIELDS = (
     "loaded_memory_bytes",
     "built_results_sha256",
     "loaded_results_sha256",
+    "knob_results_sha256",
     "knobs",
 )
 K = 10
+INTEGER_KNOBS = ("search_k", "nprobe", "ef_search")
+KNOB_VALUES = (1, 3)
 N_QUERIES = 64
 BLAS_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -52,6 +58,21 @@ def results_digest(index, queries) -> str:
     h = hashlib.sha256()
     for q in queries:
         h.update(repr(index.search(q, K).neighbors).encode())
+    return h.hexdigest()
+
+
+def knob_results_digest(indexes, queries) -> str:
+    """sha256 of each index's results with each of its integer query-time
+    knobs set to each of KNOB_VALUES; "-" when `search` takes none."""
+    taken = [knob for knob in INTEGER_KNOBS if knob in inspect.signature(indexes[0].search).parameters]
+    if not taken:
+        return "-"
+    h = hashlib.sha256()
+    for index in indexes:
+        for knob in taken:
+            for value in KNOB_VALUES:
+                for q in queries:
+                    h.update(repr(index.search(q, K, **{knob: value}).neighbors).encode())
     return h.hexdigest()
 
 
@@ -81,6 +102,7 @@ def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
             "loaded_memory_bytes": loaded.memory_bytes(),
             "built_results_sha256": results_digest(built, queries),
             "loaded_results_sha256": results_digest(loaded, queries),
+            "knob_results_sha256": knob_results_digest([built, loaded], queries),
             "knobs": knobs(row.knobs, built),
         }
     return out
@@ -122,11 +144,12 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
 
 def show(rows: dict[str, dict]) -> str:
     lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  "
-             f"{'results built/loaded':33s}  knobs"]
+             f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  knobs"]
     for name, r in rows.items():
         memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
         results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
-        lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  {r['knobs']}")
+        lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  "
+                     f"{r['knob_results_sha256'][:16]:16s}  {r['knobs']}")
     return "\n".join(lines)
 
 
