@@ -33,12 +33,18 @@ class SearchResult:
         return len(self.neighbors)
 
 
-def check_count(name: str, value: int) -> None:
-    """ValueError unless `value` is an int >= 1 (a numpy integer too, not a
-    bool): the rule for k and for the integer query knobs (`search_k`,
-    `nprobe`, `ef_search`)."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be >= 1 and an integer, got {value!r}")
+def check_count(name: str, value: int, most: int | None = None) -> None:
+    """ValueError unless `value` is an int in 1..`most` (a numpy integer too,
+    not a bool; no upper bound when `most` is None): the rule for k, for every
+    integer build and query knob and for the protocol's counts."""
+    if (
+        not isinstance(value, (int, np.integer))
+        or isinstance(value, bool)
+        or value < 1
+        or (most is not None and value > most)
+    ):
+        span = ">= 1" if most is None else f"in 1..{most}"
+        raise ValueError(f"{name} must be {span} and an integer, got {value!r}")
 
 
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import VectorIndex, search_excluding
+from .base import VectorIndex, check_count, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric
 from .evaluation import label_metrics, precision_at_k, recall_at_n
@@ -42,8 +42,8 @@ class ProtocolConfig:
     params: dict[str, dict] = field(default_factory=dict)  # per-family overrides
 
     def __post_init__(self) -> None:
-        if self.n_queries < 1 or self.k < 1 or self.recall_n < 1:
-            raise ValueError("n_queries, k and recall_n must be >= 1")
+        for name in ("n_queries", "k", "recall_n"):
+            check_count(name, getattr(self, name))
 
 
 @dataclass

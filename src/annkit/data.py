@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .base import check_count
+
 VEMB_MAGIC = b"VEMB"
 VEMB_VERSION = 1
 
@@ -39,6 +41,27 @@ def check_unique_ids(ids: np.ndarray) -> None:
             raise ValueError("stored ids must be unique")
 
 
+def _as_uint(name: str, values: np.ndarray, bits: int) -> np.ndarray:
+    """`values` as a uint`bits` array; ValueError naming `name` unless every
+    value is an integer in [0, 2**bits). An array of that dtype is taken as it
+    is, without a scan; a non-array is read item by item, so no big or
+    negative int is rounded through float64 or wrapped."""
+    dtype = np.dtype(f"uint{bits}")
+    a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if a.dtype == dtype:
+        return a
+    if a.dtype == object:
+        ok = all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 1 << bits
+            for v in a.flat
+        )
+    else:
+        ok = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= 0 and a.max() < 1 << bits))
+    if not ok:
+        raise ValueError(f"{name} must be integers in [0, 2**{bits})")
+    return a.astype(dtype)
+
+
 class EmbeddingSet:
     """An ordered collection of embeddings with a fixed dimension.
 
@@ -50,8 +73,8 @@ class EmbeddingSet:
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim != 2 or vectors.shape[1] < 1:
             raise ValueError("vectors must be a 2-d float array with dim >= 1")
-        ids = np.asarray(ids, dtype=np.uint64)
-        labels = np.asarray(labels, dtype=np.uint32)
+        ids = _as_uint("ids", ids, 64)
+        labels = _as_uint("labels", labels, 32)
         if not (len(ids) == len(labels) == len(vectors)):
             raise ValueError("ids, labels and vectors must have equal length")
         check_unique_ids(ids)
@@ -120,8 +143,9 @@ def gen_synthetic(
     points per centroid from an isotropic Gaussian with standard deviation
     `spread`. Labels are the class index; ids run sequentially from 0.
     """
-    if n_classes < 1 or per_class < 1 or dim < 1:
-        raise ValueError("n_classes, per_class and dim must be positive")
+    check_count("n_classes", n_classes)
+    check_count("per_class", per_class)
+    check_count("dim", dim)
     if not spread > 0:
         raise ValueError("spread must be positive")
     rng = np.random.default_rng(seed)

@@ -127,5 +127,5 @@ class _Oracle(_FlatIndex):
     """A flat scan of a whole set in any metric, sharing the set's arrays."""
 
     def __init__(self, emb_set: EmbeddingSet, metric: Metric):
-        self.metric = metric
+        self.metric = Metric(metric)
         _FlatIndex.__init__(self, emb_set.ids, emb_set.vectors)

@@ -14,7 +14,9 @@ wrong cluster can never leave it (measured here: recall collapses from ~0.99
 to ~0.8 on well-separated blobs). Search descends the same way: above level 0
 it walks greedily, scoring each link list in one call and moving to a strictly
 closer neighbour until none is, and at level 0 it runs a best-first scan with
-a max(ef_search, k)-sized result pool.
+a max(ef_search, k)-sized result pool. Every distance, in search and in link
+selection, is the squared L2 of `distances._sq_l2` on gathered float32 rows
+against a float64 point; a selection gathers and scores its candidates once.
 
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
@@ -62,8 +64,8 @@ class HnswParams:
     ef_search: int = 64
 
     def __post_init__(self) -> None:
-        if self.M < 1 or self.ef_construction < 1 or self.ef_search < 1:
-            raise ValueError("HNSW parameters must be strictly positive")
+        for name in ("M", "ef_construction", "ef_search"):
+            check_count(name, getattr(self, name))
 
     @property
     def M_max0(self) -> int:
@@ -134,15 +136,9 @@ class HnswIndex(VectorIndex):
         """Squared L2 from the query to the given rows (float64).
 
         `q64` must be float64: the float32 rows then promote exactly, while a
-        float32 query would make the difference round in float32. The gathered
-        rows are cast to float64 first because that cast is exact, so the
-        float64 subtract gives the bits of `_sq_l2`'s mixed one without
-        numpy's buffered casting loop.
+        float32 query would make the difference round in float32.
         """
-        d = self._vec32.take(rows, axis=0).astype(np.float64)
-        d -= q64
-        d *= d
-        return np.add.reduce(d, axis=-1)
+        return _sq_l2(self._vec32.take(rows, axis=0), q64)
 
     def _descend(self, q64: np.ndarray, level: int) -> int:
         """Row that the greedy walk from the entry point reaches at `level`.
@@ -186,13 +182,9 @@ class HnswIndex(VectorIndex):
         """
         links = self._links[level]
         visited = set(entries)
-        entry_d = self._dists(q64, entries)
-        candidates = sorted(zip(entry_d.tolist(), entries))
-        pool = [(-d, -r) for d, r in candidates]
+        candidates = sorted(zip(self._dists(q64, entries).tolist(), entries))  # a heap already
+        pool = [(-d, -r) for d, r in candidates[:ef]]
         heapq.heapify(pool)
-        while len(pool) > ef:
-            heapq.heappop(pool)
-        heapq.heapify(candidates)
 
         while candidates:
             d, row = heapq.heappop(candidates)
@@ -215,9 +207,9 @@ class HnswIndex(VectorIndex):
         return sorted((-d, -r) for d, r in pool)
 
     def _select_diverse(
-        self, cand: list[tuple[float, int]], cap: int, fill: bool = False
+        self, base: np.ndarray, rows: list[int] | array, cap: int, fill: bool = False
     ) -> list[int]:
-        """Pick up to `cap` rows from (squared dist to base, row) candidates.
+        """Pick up to `cap` of the candidate `rows` for the float64 point `base`.
 
         Nearest-first greedy: a candidate joins the core only if it is closer
         to the base point than to every row already chosen, which spreads the
@@ -230,14 +222,18 @@ class HnswIndex(VectorIndex):
         chosen so far, updated once per chosen row, so only chosen rows cost
         a pass over the candidates. The result equals scoring each candidate
         against the chosen set: each difference is the exact negation of that
-        form's, and every row sums in the same order.
+        form's, and every row sums in the same order. The rows are gathered
+        once: their float64 copy is exact, so its `_sq_l2` to the base has the
+        bits of `_dists`.
         """
-        cand = sorted(cand)
-        vecs = self._vec32[[row for _, row in cand]].astype(np.float64)
-        nearest = np.full(len(cand), np.inf)
+        vecs = self._vec32.take(rows, axis=0).astype(np.float64)
+        d = _sq_l2(vecs, base)
+        order = np.lexsort((rows, d))  # nearest first, row tie-break
+        vecs = vecs[order]
+        nearest = np.full(len(order), np.inf)
         chosen: list[int] = []
         rejected: list[int] = []
-        for i, (d_base, row) in enumerate(cand):
+        for i, (d_base, row) in enumerate(zip(d[order].tolist(), np.take(rows, order).tolist())):
             if len(chosen) == cap:
                 return chosen
             if nearest[i] < d_base:
@@ -249,21 +245,12 @@ class HnswIndex(VectorIndex):
         chosen.extend(rejected[: cap - len(chosen)])
         return chosen
 
-    def _extended(
-        self,
-        found: list[tuple[float, int]],
-        q64: np.ndarray,
-        layer: int,
-        exclude: int | None = None,
-    ) -> list[tuple[float, int]]:
-        """Candidates plus their graph neighbors at `layer`, re-scored."""
+    def _extended(self, rows: list[int] | array, layer: int, exclude: int = -1) -> list[int]:
+        """`rows` and their graph neighbors at `layer`, ascending, `exclude` left out."""
         links = self._links[layer]
-        rows = {r for _, r in found}
-        for _, r in found:
-            rows.update(links[r])
-        rows.discard(exclude)
-        rows = sorted(rows)
-        return list(zip(self._dists(q64, rows).tolist(), rows))
+        ext = set(rows).union(*(links[r] for r in rows))
+        ext.discard(exclude)
+        return sorted(ext)
 
     def insert(self, record_id: int, vector: np.ndarray) -> None:
         """Add one vector; its level is drawn from the index's seeded stream."""
@@ -300,14 +287,15 @@ class HnswIndex(VectorIndex):
 
         for layer in range(min(level, top), -1, -1):
             found = self._search_layer(q64, entries, self.params.ef_construction, layer)
+            entries = [r for _, r in found]
             # The thin upper layers decide which region a query descends into,
             # so their links get the expensive treatment: candidates extended
             # by their graph neighbors, and pruned lists refilled to the cap.
             # Level 0 keeps the plain diverse core, which is both faster and
             # denser in escape edges than nearest-first truncation.
             upper = layer >= 1
-            cand = self._extended(found, q64, layer) if upper else found
-            neighbors = self._select_diverse(cand, self.params.M, fill=True)
+            cand = self._extended(entries, layer) if upper else entries
+            neighbors = self._select_diverse(q64, cand, self.params.M, fill=True)
             at_layer = self._links[layer]
             at_layer[row] = array("i", neighbors)
             cap = self.params.M_max0 if layer == 0 else self.params.M
@@ -315,13 +303,9 @@ class HnswIndex(VectorIndex):
                 links = at_layer[nb]
                 links.append(row)
                 if len(links) > cap:
+                    cand = self._extended(links, layer, exclude=nb) if upper else links
                     nb64 = self._vec32[nb].astype(np.float64)
-                    nd = self._dists(nb64, links)
-                    pairs = sorted(zip(nd.tolist(), links))
-                    if upper:
-                        pairs = self._extended(pairs, nb64, layer, exclude=nb)
-                    at_layer[nb] = array("i", self._select_diverse(pairs, cap, fill=upper))
-            entries = [r for _, r in found]
+                    at_layer[nb] = array("i", self._select_diverse(nb64, cand, cap, fill=upper))
 
         if level > top:
             self._entry = row

@@ -122,9 +122,7 @@ class IvfIndex(VectorIndex):
         q = check_query(query, k, self.dim)
         if nprobe is None:
             nprobe = self.nprobe
-        check_count("nprobe", nprobe)
-        if nprobe > self.nlist:
-            raise ValueError(f"nprobe must be in 1..{self.nlist}")
+        check_count("nprobe", nprobe, self.nlist)
         ids, payload = self._probed(self.probe_order(q)[:nprobe], self._ids, self.payload)
         if self.encoding == "pq":
             return make_result(Metric.L2, ids, adc_scores(self.codec, payload, q), k)
@@ -213,11 +211,9 @@ def ivf_build(
         raise ValueError(f"unknown encoding {encoding!r}")
     n = len(emb_set)
     nlist = default_nlist(n) if nlist is None else nlist
-    if nlist < 1 or nlist > n:
-        raise ValueError(f"nlist must be in 1..{n}")
+    check_count("nlist", nlist, n)
     nprobe = default_nprobe(nlist) if nprobe is None else nprobe
-    if not 1 <= nprobe <= nlist:
-        raise ValueError(f"nprobe must be in 1..{nlist}")
+    check_count("nprobe", nprobe, nlist)
 
     coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
     assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order
 from .wire import Reader, Writer
@@ -85,7 +85,7 @@ class LshIndex(VectorIndex):
 
     def search(self, query: np.ndarray, k: int, rerank: bool | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)
-        rerank = self.rerank if rerank is None else rerank
+        rerank = self.rerank if rerank is None else _check_rerank(rerank)
         hamming = self.hamming_to(self.encode_batch(q[np.newaxis, :])[0])
         if not rerank:
             return make_result(Metric.L2, self._ids, hamming.astype(np.float64), k)
@@ -128,6 +128,13 @@ class LshIndex(VectorIndex):
         return cls(hyperplanes, ids, codes, vectors, bool(rerank))
 
 
+def _check_rerank(rerank: bool) -> bool:
+    """`rerank`, after a ValueError unless it is a bool."""
+    if not isinstance(rerank, bool):
+        raise ValueError(f"rerank must be a bool, got {rerank!r}")
+    return rerank
+
+
 def lsh_build(
     emb_set: EmbeddingSet,
     nbits: int = DEFAULT_NBITS,
@@ -140,8 +147,8 @@ def lsh_build(
     """
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    if nbits < 1:
-        raise ValueError("nbits must be >= 1")
+    check_count("nbits", nbits)
+    _check_rerank(rerank)
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((nbits, emb_set.dim)).astype(np.float32)
     index = LshIndex(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .kmeans import _column_sums, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -31,11 +31,10 @@ from .wire import Reader, Writer
 
 
 def _check_shape(m: int, nbits: int) -> None:
-    """ValueError unless m >= 1 and nbits is in 1..8: the shapes `pq_train` makes."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if not 1 <= nbits <= 8:
-        raise ValueError(f"nbits must be in 1..8 (codes are stored as single bytes), got {nbits}")
+    """ValueError unless m >= 1 and nbits is in 1..8 (codes are stored as
+    single bytes): the shapes `pq_train` makes."""
+    check_count("m", m)
+    check_count("nbits", nbits, 8)
 
 
 def default_m(dim: int) -> int:

@@ -104,7 +104,7 @@ class RpForestIndex(VectorIndex):
     ):
         if metric not in _METRIC_TAGS:
             raise ValueError(f"forest metric must be angular, l2 or manhattan; got {metric}")
-        self.metric = metric
+        self.metric = Metric(metric)
         self.leaf_size = leaf_size
         self._ids = np.asarray(ids, dtype=np.uint64)
         self._vectors = np.asarray(vectors, dtype=np.float32)
@@ -400,8 +400,9 @@ def rp_build(
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    if n_trees < 1 or leaf_size < 1:
-        raise ValueError("n_trees and leaf_size must be >= 1")
+    check_count("n_trees", n_trees)
+    check_count("leaf_size", leaf_size)
+    metric = Metric(metric)
     vectors64 = emb_set.vectors.astype(np.float64)
     angular = metric is Metric.ANGULAR
     is_split, normals, offsets, leaves = [], [], [], []  # leaves: a node's rows (none at a split)

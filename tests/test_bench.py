@@ -98,6 +98,15 @@ def test_protocol_config_validation():
         ProtocolConfig(recall_n=0)
 
 
+@pytest.mark.parametrize("field", ["n_queries", "k", "recall_n"])
+@pytest.mark.parametrize("value", [2.5, True, "3"])
+def test_protocol_counts_are_integers(field, value):
+    """ProtocolConfig(k=2.5) and (n_queries=True) once constructed, and
+    n_queries=2.5 raised TypeError inside the query sampling."""
+    with pytest.raises(ValueError, match=f"{field} must be >= 1 and an integer"):
+        ProtocolConfig(**{field: value})
+
+
 def test_config_echo_includes_index_knobs(small_set):
     index = build_index(small_set, "lsh", seed=0, nbits=32)
     report = run_protocol(index, small_set, protocol())

@@ -89,6 +89,20 @@ def test_loaded_index_answers_like_the_built_one_with_query_knobs_set(indexes, s
     assert changed == any(kw in _QUERY_KNOBS for kw in params)
 
 
+_COUNT_KNOBS = sorted(
+    (name, kw) for name, row in FAMILIES.items() for kw in row.knobs if kw != "rerank"
+)
+
+
+@pytest.mark.parametrize("name, knob", _COUNT_KNOBS)
+@pytest.mark.parametrize("value", [2.5, True])
+def test_every_integer_build_knob_is_a_count(small_set, name, knob, value):
+    """ivf-flat nprobe=2.5 once built and failed at its first search and dump,
+    hnsw M=True built a graph of M 1, and pq nbits=2.5 raised TypeError."""
+    with pytest.raises(ValueError, match=f"{knob} must be .*an integer"):
+        build_index(small_set, name, seed=0, **{knob: value})
+
+
 def test_a_family_name_is_one_row():
     with pytest.raises(ValueError, match="unknown index family 'rpforest'"):
         build_index(gen_synthetic(2, 10, 4, 0.1, seed=0), "rpforest")

@@ -62,6 +62,33 @@ def test_id_lookup_table_is_made_on_first_lookup():
         s.row_of(5)
 
 
+@pytest.mark.parametrize(
+    "ids, labels, field",
+    [
+        (np.array([-1, 2]), [0, 0], "ids"),  # once stored 18446744073709551615
+        (np.array([1.5, 2.0]), [0, 0], "ids"),  # once truncated to 1
+        ([2**64, 1], [0, 0], "ids"),  # once OverflowError
+        ([True, False], [0, 0], "ids"),
+        ([0, 1], np.array([-3, 0]), "labels"),  # once 4294967293
+        ([0, 1], np.array([2**32, 0]), "labels"),  # once 0
+        ([0, 1], [-3, 0], "labels"),  # once OverflowError
+        ([0, 1], np.array([2**32, 0], dtype=np.uint64), "labels"),
+        ([0, 1], ["1", 0], "labels"),
+    ],
+)
+def test_set_rejects_ids_and_labels_outside_their_fields(ids, labels, field):
+    with pytest.raises(ValueError, match=f"{field} must be integers in"):
+        EmbeddingSet(ids, labels, np.zeros((2, 3), dtype=np.float32))
+
+
+def test_set_keeps_every_value_its_fields_hold():
+    s = EmbeddingSet([2**64 - 1, 0], np.array([2**32 - 1, 0], dtype=np.int64),
+                     np.zeros((2, 3), dtype=np.float32))
+    assert s.ids.dtype == np.uint64 and s.ids.tolist() == [2**64 - 1, 0]
+    assert s.labels.dtype == np.uint32 and s.labels.tolist() == [2**32 - 1, 0]
+    assert len(EmbeddingSet([], [], np.zeros((0, 3), dtype=np.float32))) == 0
+
+
 @pytest.mark.parametrize("ids, unique", [([5, 1, 3], True), ([1, 3, 5], True),
                                          ([5, 1, 5], False), ([1, 3, 3], False)])
 def test_set_checks_ids_in_any_order(ids, unique):
@@ -162,6 +189,17 @@ def test_gen_synthetic_clusters_are_tight():
     )
     d = np.linalg.norm(s.vectors.astype(np.float64)[:, np.newaxis, :] - means, axis=2)
     assert np.array_equal(np.argmin(d, axis=1), s.labels)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_gen_synthetic_counts_are_integers(at, value):
+    """gen_synthetic(2.5, ...) once raised TypeError."""
+    counts = [3, 4, 5]
+    counts[at] = value
+    name = ("n_classes", "per_class", "dim")[at]
+    with pytest.raises(ValueError, match=f"{name} must be >= 1 and an integer"):
+        gen_synthetic(*counts, 0.1, 0)
 
 
 def test_gen_synthetic_validates_arguments():

@@ -9,6 +9,18 @@ from annkit.distances import Metric, batch_scores
 from annkit.flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 
 
+@pytest.mark.parametrize("metric", list(Metric))
+def test_the_oracle_takes_a_plain_string_metric(small_set, metric):
+    """exact_search(metric="l2") once died with UFuncTypeError, and "angular"
+    raised "unknown metric"."""
+    q = small_set.vectors[7]
+    assert exact_search(small_set, q, 5, metric=metric.value) == exact_search(small_set, q, 5, metric)
+    ids = small_set.ids[:3]
+    assert ground_truth(small_set, ids, 4, metric.value) == ground_truth(small_set, ids, 4, metric)
+    with pytest.raises(ValueError, match="not a valid Metric"):
+        exact_search(small_set, q, 5, metric="bogus")
+
+
 def brute_force(emb_set, query, k, metric, exclude=None):
     """Reference ranking: score every row, sort by (score, id) in python."""
     scored = []

@@ -188,13 +188,13 @@ def test_memory_and_config(built):
 # ------------------------------------------------- link selection reference
 
 
-def select_diverse_reference(self, cand, cap, fill=False):
+def select_diverse_reference(self, base, rows, cap, fill=False):
     """The per-candidate form of `_select_diverse`: every candidate is scored
     against the whole chosen set. Kept as the oracle the running-minimum
     form must match exactly."""
     chosen: list[int] = []
     rejected: list[int] = []
-    for d_base, row in sorted(cand):
+    for d_base, row in sorted(zip(self._dists(base, rows).tolist(), rows)):
         if len(chosen) == cap:
             return chosen
         if chosen and bool(
@@ -236,9 +236,8 @@ def _select_both(vectors, base, rows, cap, fill):
     mixed = _sq_l2(index._vec32[rows], base64)  # float32 rows minus a float64 base
     assert np.array_equal(d, mixed)
     assert np.array_equal(index._dists(base64, array("i", rows)), mixed)
-    cand = list(zip(d.tolist(), rows))
-    return index._select_diverse(cand, cap, fill), select_diverse_reference(
-        index, cand, cap, fill
+    return index._select_diverse(base64, rows, cap, fill), select_diverse_reference(
+        index, base64, rows, cap, fill
     )
 
 

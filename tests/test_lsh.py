@@ -9,6 +9,17 @@ from annkit.lsh import DEFAULT_NBITS, RERANK_POOL_FACTOR, LshIndex, lsh_build
 from annkit.persist import dump_index, load_index_bytes
 
 
+@pytest.mark.parametrize("rerank", ["no", 0, None])
+def test_rerank_must_be_a_bool(small_set, rerank):
+    """rerank="no" once built an index that reranked."""
+    with pytest.raises(ValueError, match="rerank must be a bool"):
+        lsh_build(small_set, nbits=16, rerank=rerank)
+    index = lsh_build(small_set, nbits=16)
+    if rerank is not None:  # None is search's "the built setting"
+        with pytest.raises(ValueError, match="rerank must be a bool"):
+            index.search(small_set.vectors[0], 3, rerank=rerank)
+
+
 def unpack(code: np.ndarray, nbits: int) -> np.ndarray:
     return np.unpackbits(np.asarray(code, dtype=np.uint8))[:nbits]
 

@@ -18,6 +18,18 @@ from annkit.rpforest import rp_build
 from annkit.wire import Writer
 
 
+@pytest.mark.parametrize("metric", ["angular", "l2", "manhattan"])
+def test_a_plain_string_metric_builds_the_enum_forest(small_set, metric):
+    """metric="l2" once built a forest whose family and search then failed,
+    and "angular" split its nodes as an l2 forest does."""
+    forest = rp_build(small_set, n_trees=2, metric=metric)
+    assert forest.metric is Metric(metric)
+    assert forest.family == f"rpforest-{metric}"
+    assert dump_index(forest) == dump_index(rp_build(small_set, n_trees=2, metric=Metric(metric)))
+    with pytest.raises(ValueError, match="not a valid Metric"):
+        rp_build(small_set, metric="bogus")
+
+
 def test_single_giant_leaf_is_exact(small_set, rng):
     """leaf_size >= n leaves every tree a single leaf: search is exhaustive."""
     forest = rp_build(small_set, n_trees=1, leaf_size=len(small_set) + 1, seed=0)

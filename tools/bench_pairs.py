@@ -24,8 +24,10 @@ each family's raw (wall clock, not normalized) ``build_s``, ``query_p50_us``
 and ``load_ms`` and its ``resident_bytes``, so a claim shows which family
 moved: a ``setup_s`` claim, for one, shows each family's build.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
-side. ``code`` gives each side's src line count (``src/annkit/*.py``) and
-the number of names in ``annkit.__all__``.
+side. ``code`` gives each side's src line count (``src/annkit/*.py``), the
+part of it that is code (``src_code_lines``: not blank, not comment-only, not
+in a module, class or function docstring) and the number of names in
+``annkit.__all__``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,17 +60,39 @@ def extract(rev: str, dest: Path) -> str:
     return commit
 
 
+# Tokens that make no line code: comments, line ends and indentation.
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold a token of code, less the lines of every
+    module, class and function docstring."""
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _NOT_CODE:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, _DOCUMENTED) and ast.get_docstring(node, clean=False) is not None:
+            lines.difference_update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
 def code_size(tree: Path) -> dict:
-    """Lines in src/annkit/*.py (as `wc -l` counts them) and len(annkit.__all__)."""
+    """Lines in src/annkit/*.py (as `wc -l` counts them), those of them that
+    are code (`code_lines`) and len(annkit.__all__)."""
     package = tree / "src" / "annkit"
-    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    paths = sorted(package.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    code = sum(code_lines(path.read_text()) for path in paths)
     init = ast.parse((package / "__init__.py").read_text())
     names = next(
         ast.literal_eval(node.value)
         for node in init.body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
     )
-    return {"src_lines": lines, "all_names": len(names)}
+    return {"src_lines": lines, "src_code_lines": code, "all_names": len(names)}
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int, trace: bool) -> dict:
