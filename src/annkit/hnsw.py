@@ -47,7 +47,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, _sq_l2
-from .wire import Reader, Writer
+from .wire import U32_MAX, Reader, Writer
 
 # Fixed bytes of one neighbour list (the array object, its items apart) and
 # of a list of them (the list object, its slots apart).
@@ -65,7 +65,7 @@ class HnswParams:
 
     def __post_init__(self) -> None:
         for name in ("M", "ef_construction", "ef_search"):
-            check_count(name, getattr(self, name))
+            check_count(name, getattr(self, name), U32_MAX)
 
     @property
     def M_max0(self) -> int:

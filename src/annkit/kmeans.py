@@ -8,8 +8,15 @@ all of which are part of the training contract here.
 `kmeans_fit` keeps two things per fit rather than per pass: a column-major
 (dim, n) copy of the data, which every k-means++ distance pass sums with
 `_column_sums` and every Lloyd update sums per column with `np.bincount`, and
-the squared point norms, which every `assign_to_centroids` call reuses. Both
-give the bits of the row-major, per-call forms.
+the lifted (n, dim + 2) rows ``[p | ||p||^2 | 1]``, of which the row-major
+data is a view. Both give the bits of the row-major, per-call forms.
+
+`assign_to_centroids` computes each block of distances as one product of the
+lifted points and the lifted centroids ``[-2c^T ; 1 ; ||c||^2]``, as FAISS
+computes ||x||^2 + ||y||^2 - 2<x, y> around one GEMM, with the two norm adds
+inside the product. Its bits are those of ``p @ (-2c).T`` followed by the two
+norm adds, except in shapes where OpenBLAS sums in another order: k = 1, and
+k % 8 in 1..4 at 16 or 64 dims.
 
 VIDX stores a run of centroid sets, 1 for the IVF coarse quantizer and m for
 a PQ codebook, each as its k x dim float32 vectors, then its f64 distortion;
@@ -25,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import check_count
 from .wire import Reader, Writer
 
 MOVEMENT_TOL = 1e-6
@@ -72,47 +80,66 @@ def _column_sums(t: np.ndarray) -> np.ndarray:
     return t[0]
 
 
+def _lift(points: np.ndarray) -> np.ndarray:
+    """The (n, dim + 2) float64 rows ``[p | ||p||^2 | 1]`` of `points`, the
+    left factor of `assign_to_centroids`' product. The norms are
+    ``np.sum(p * p, axis=1)`` of the float64 points."""
+    p = np.asarray(points, dtype=np.float64)
+    n, dim = p.shape
+    lifted = np.empty((n, dim + 2), dtype=np.float64)
+    lifted[:, :dim] = p
+    lifted[:, dim] = np.sum(p * p, axis=1)
+    lifted[:, dim + 1] = 1.0
+    return lifted
+
+
 def assign_to_centroids(
-    points: np.ndarray, centroids: np.ndarray, *, point_norms: np.ndarray | None = None
+    points: np.ndarray, centroids: np.ndarray, *, lifted: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid per point under squared L2.
 
     Returns (assignment indices, squared distances). Ties go to the lowest
     centroid index. Used both by training and by inverted-list construction so
-    the two always agree. `point_norms`, when given, must be
-    ``np.sum(p * p, axis=1)`` of the float64 points: `kmeans_fit` computes it
-    once per fit instead of once per call.
+    the two always agree. `lifted`, when given, must be ``_lift(points)``:
+    `kmeans_fit` makes it once per fit instead of once per call.
+
+    Each block of distances is one product of lifted matrices,
+    ``[p | ||p||^2 | 1] @ [-2c^T ; 1 ; ||c||^2]``. BLAS sums its dim + 2
+    terms in order, so an entry is ((p . (-2c) + ||p||^2) + ||c||^2), the bits
+    of the product ``p @ (-2c).T`` followed by the two broadcast norm adds,
+    with no pass over the block for the adds. Scaling by -2 and multiplying
+    by 1 are exact. OpenBLAS sums some small shapes in another order, where
+    the bits can differ from that three-step form: k = 1 (numpy takes its
+    GEMV path), and, with 16 or 64 dims, k % 8 in 1..4 (a small-matrix tail
+    kernel).
     """
-    p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
-    n, k = len(p), len(c)
-    # ||p - c||^2 expanded via a matmul, one block of rows at a time so the
-    # distance block stays in cache. Scaling by -2 is exact, so p @ ct2 equals
-    # -(2 * (p @ c.T)) bit for bit.
-    pp = np.sum(p * p, axis=1) if point_norms is None else point_norms
-    cc = np.sum(c * c, axis=1)
-    ct2 = (-2.0 * c).T
-    # BLAS may sum a product of one or a few rows in another order than a tall
-    # one (GEMV or a small-matrix kernel), so no block is thinner than `rows`:
-    # the last block takes the remainder. tests/test_kmeans.py pins the result
-    # bitwise to the unblocked form. That holds with one BLAS thread; threaded
-    # OpenBLAS can round a block's rows unlike the same rows of the whole product.
+    if lifted is None:
+        lifted = _lift(points)
+    n, k = len(lifted), len(c)
+    dim = lifted.shape[1] - 2
+    right = np.empty((dim + 2, k), dtype=np.float64)
+    np.multiply(c.T, -2.0, out=right[:dim])
+    right[dim] = 1.0
+    right[dim + 1] = np.sum(c * c, axis=1)
+    # One block of rows at a time so the distance block stays in cache. BLAS
+    # may sum a product of one or a few rows in another order than a tall one
+    # (GEMV or a small-matrix kernel), so no block is thinner than `rows`: the
+    # last block takes the remainder. tests/test_kmeans.py pins the result
+    # bitwise to the unblocked product. That holds with one BLAS thread;
+    # threaded OpenBLAS can round a block's rows unlike the same rows of the
+    # whole product.
     rows = max(2, _BLOCK_ELEMS // max(k, 1))
     blocks = max(1, n // rows)
     assign = np.empty(n, dtype=np.intp)
     sqdist = np.empty(n, dtype=np.float64)
     buf = np.empty((n - (blocks - 1) * rows, k), dtype=np.float64)
-    # The centroid norms tiled to the block's shape once: a same-shape add is
-    # cheaper than broadcasting one row over every block, with the same sums.
-    cc_rows = np.tile(cc, (len(buf), 1))
     row_idx = np.arange(len(buf))
     for b in range(blocks):
         s = b * rows
         e = n if b == blocks - 1 else s + rows
         sq = buf[: e - s]
-        np.matmul(p[s:e], ct2, out=sq)
-        sq += pp[s:e, np.newaxis]
-        sq += cc_rows[: e - s]
+        np.matmul(lifted[s:e], right, out=sq)
         a = np.argmin(sq, axis=1, out=assign[s:e])
         d = sqdist[s:e]
         d[:] = sq[row_idx[: e - s], a]
@@ -222,9 +249,7 @@ def kmeans_fit(
     (mean squared point-to-centroid distance) is asserted non-increasing
     across iterations.
     """
-    # Contiguous rows: callers such as pq_train pass column slices, and every
-    # assignment reads the whole matrix.
-    data = np.ascontiguousarray(data, dtype=np.float64)
+    data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
     # Centroids come back as float32, and within its range no distance or
@@ -232,14 +257,16 @@ def kmeans_fit(
     # NaN and inf are rejected too.
     if not (data.max(initial=0.0) <= _FLOAT32_MAX and data.min(initial=0.0) >= -_FLOAT32_MAX):
         raise ValueError(f"data must be finite, each |value| <= float32 max {_FLOAT32_MAX:.6g}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k)
     if k > len(data):
         raise ValueError(f"k={k} exceeds the number of training points ({len(data)})")
 
     rng = np.random.default_rng(seed)
     cols = np.array(data.T, order="C")
-    norms = np.sum(data * data, axis=1)
+    # Contiguous lifted rows, which every assignment reads whole; callers such
+    # as pq_train pass column slices. The data becomes a view of them.
+    lifted = _lift(data)
+    data = lifted[:, : data.shape[1]]
     centroids = _seed_plus_plus(cols, k, rng)
     history: list[float] = []
 
@@ -251,7 +278,7 @@ def kmeans_fit(
             )
         history.append(value)
 
-    assign, sqdist = assign_to_centroids(data, centroids, point_norms=norms)
+    assign, sqdist = assign_to_centroids(data, centroids, lifted=lifted)
     record(float(sqdist.mean()))
 
     for _ in range(DEFAULT_MAX_ITERS):
@@ -274,7 +301,7 @@ def kmeans_fit(
 
         movement = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
         centroids = new_centroids
-        assign, sqdist = assign_to_centroids(data, centroids, point_norms=norms)
+        assign, sqdist = assign_to_centroids(data, centroids, lifted=lifted)
         record(float(sqdist.mean()))
         if movement < MOVEMENT_TOL:
             break

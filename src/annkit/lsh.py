@@ -13,7 +13,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order
-from .wire import Reader, Writer
+from .wire import U32_MAX, Reader, Writer
 
 DEFAULT_NBITS = 128
 RERANK_POOL_FACTOR = 4
@@ -147,7 +147,7 @@ def lsh_build(
     """
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    check_count("nbits", nbits)
+    check_count("nbits", nbits, U32_MAX)
     _check_rerank(rerank)
     rng = np.random.default_rng(seed)
     planes = rng.standard_normal((nbits, emb_set.dim)).astype(np.float32)

@@ -44,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import _ETA32, _LIMIT, _MAX_DIM, _U32, _U64, Metric, batch_scores, sq_row_norms
-from .wire import Reader, Writer
+from .wire import U32_MAX, Reader, Writer
 
 # tools/forest_sweep.py: of the pairs with at least the recall@10 of 10 trees of
 # 16-row leaves on every swept corpus and metric, the fastest by median search time.
@@ -400,8 +400,8 @@ def rp_build(
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    check_count("n_trees", n_trees)
-    check_count("leaf_size", leaf_size)
+    check_count("n_trees", n_trees, U32_MAX)
+    check_count("leaf_size", leaf_size, U32_MAX)
     metric = Metric(metric)
     vectors64 = emb_set.vectors.astype(np.float64)
     angular = metric is Metric.ANGULAR

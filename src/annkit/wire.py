@@ -10,6 +10,10 @@ import struct
 
 import numpy as np
 
+# The largest value a u32 field holds: build knobs stored as u32 are checked
+# against it at build time, not first at dump.
+U32_MAX = 2**32 - 1
+
 
 class Writer:
     """Accumulates little-endian encoded fields into a byte buffer."""

@@ -295,11 +295,12 @@ def test_build_rejects_a_csv_id_or_label_out_of_range(tmp_path, capsys, row):
                                            ("rpforest-angular", ["--leaf-size", str(2**32)])])
 def test_build_rejects_a_knob_too_large_for_its_field(tmp_path, data_path, capsys,
                                                       family, flags):
-    """The index builds; its dump refuses the knob and nothing is written."""
+    """The build refuses the knob before any work and nothing is written (the
+    index once built, and only its dump refused the knob)."""
     index_path = tmp_path / "big.vidx"
     assert main(["build", "--data", str(data_path), "--family", family, *flags,
                  "--out", str(index_path)]) == 1
-    _assert_one_error_line(capsys, f"{2**32} does not fit a u32 field")
+    _assert_one_error_line(capsys, f"must be in 1..{2**32 - 1} and an integer, got {2**32}")
     assert not index_path.exists()
 
 

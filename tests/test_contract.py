@@ -103,6 +103,24 @@ def test_every_integer_build_knob_is_a_count(small_set, name, knob, value):
         build_index(small_set, name, seed=0, **{knob: value})
 
 
+# Build knobs that VIDX stores as u32 and that no data size bounds.
+_U32_KNOBS = [
+    (name, knob)
+    for name, knob in _COUNT_KNOBS
+    if name in ("hnsw", "lsh") or name.startswith("rpforest")
+]
+
+
+@pytest.mark.parametrize("name, knob", _U32_KNOBS)
+def test_a_build_knob_past_its_u32_field_fails_before_the_build(small_set, name, knob):
+    """hnsw M and ef_search and rpforest leaf_size of 2**32 once built and
+    failed only at dump, and rpforest n_trees of 2**32 built trees without end;
+    each is now refused before any work starts."""
+    message = f"{knob} must be in 1..{2**32 - 1} and an integer, got {2**32}"
+    with pytest.raises(ValueError, match=message):
+        build_index(small_set, name, seed=0, **{knob: 2**32})
+
+
 def test_a_family_name_is_one_row():
     with pytest.raises(ValueError, match="unknown index family 'rpforest'"):
         build_index(gen_synthetic(2, 10, 4, 0.1, seed=0), "rpforest")

@@ -1,5 +1,14 @@
 """Lloyd training: recovery on separated data, repair, determinism, and the
-blocked assignment and column-major seeding kernels against their references."""
+blocked assignment and column-major seeding kernels against their references.
+
+Every test here runs with the loaded OpenBLAS at one thread, as perfbench and
+tools/identity.py run: threaded OpenBLAS can round a block's rows unlike the
+same rows of the whole product, so the bitwise identities are pinned at one
+thread."""
+
+import ctypes
+import glob
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +16,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import annkit.ivf
+import annkit.kmeans
 import annkit.pq
+from annkit import gen_synthetic
 from annkit.data import EmbeddingSet
 from annkit.distances import _sq_l2
 from annkit.families import build_index
@@ -19,6 +30,7 @@ from annkit.kmeans import (
     MOVEMENT_TOL,
     Centroids,
     _column_sums,
+    _lift,
     _seed_plus_plus,
     assign_to_centroids,
     kmeans_fit,
@@ -27,8 +39,70 @@ from annkit.persist import dump_index
 from annkit.pq import pq_train
 
 
+# The thread-count functions of the OpenBLAS builds numpy ships, by the names
+# perfbench/run.py's blas_threads() probes.
+_BLAS_THREAD_FUNCTIONS = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+def _openblas_thread_functions():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for get, set_ in _BLAS_THREAD_FUNCTIONS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+@pytest.fixture(scope="module", autouse=True)
+def one_blas_thread():
+    """OpenBLAS at one thread for this module, the old count restored after."""
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+def test_openblas_runs_one_thread_in_this_module():
+    functions = _openblas_thread_functions()
+    if functions is None:
+        pytest.skip("the loaded BLAS has no OpenBLAS thread-count functions")
+    assert functions[0]() == 1
+
+
 def assign_to_centroids_reference(points, centroids):
-    """The unblocked kernel: one n x k distance matrix from the expanded form."""
+    """The unblocked kernel: one n x k distance matrix from the lifted product
+    ``[p | ||p||^2 | 1] @ [-2c^T ; 1 ; ||c||^2]``, the right factor C-ordered as
+    the kernel holds it (BLAS can sum a transposed operand in another order)."""
+    p = np.asarray(points, dtype=np.float64)
+    c = np.asarray(centroids, dtype=np.float64)
+    left = np.hstack([p, np.sum(p * p, axis=1)[:, np.newaxis], np.ones((len(p), 1))])
+    right = np.vstack([-2.0 * c.T, np.ones((1, len(c))), np.sum(c * c, axis=1)[np.newaxis, :]])
+    right = np.ascontiguousarray(right)
+    sq = left @ right
+    np.maximum(sq, 0.0, out=sq)
+    assign = np.argmin(sq, axis=1)
+    return assign, sq[np.arange(len(p)), assign]
+
+
+def assign_to_centroids_three_step(points, centroids):
+    """The unblocked kernel as written before the lifted product: the matrix
+    product, then the two broadcast norm adds."""
     p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     sq = (
@@ -209,6 +283,18 @@ def test_validation_errors(rng):
         kmeans_fit(np.empty((0, 2)), 1)
     with pytest.raises(ValueError):
         kmeans_fit(rng.standard_normal(10), 2)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3", 0])
+def test_k_is_a_count(rng, k):
+    """k=2.5 and k=True once raised TypeError."""
+    with pytest.raises(ValueError, match="k must be >= 1 and an integer"):
+        kmeans_fit(rng.standard_normal((10, 2)), k)
+
+
+def test_k_beyond_the_points_names_them(rng):
+    with pytest.raises(ValueError, match="k=11 exceeds the number of training points"):
+        kmeans_fit(rng.standard_normal((10, 2)), 11)
 
 
 def test_default_iteration_budget():
@@ -405,17 +491,55 @@ def test_kmeans_fit_equals_reference_bitwise(n, dim, k_frac, grid, strided, seed
 @pytest.mark.parametrize("k", [1, 98, 181, 256])
 @pytest.mark.parametrize("dim", [1, 8, 64])
 def test_assign_with_kept_norms_equals_recomputed_bitwise(k, dim):
-    """`point_norms` replaces only the per-call norm pass: the same blocks, the
-    same assignment and the same bits, on strided points with repeats."""
+    """`lifted`, the points with their norms kept as `kmeans_fit` keeps them,
+    replaces only the per-call lifting: the same blocks, the same assignment
+    and the same bits, on strided points with repeats."""
     rng = np.random.default_rng(k * dim)
     n = 3 * max(2, _BLOCK_ELEMS // k) + 5
     points = rng.standard_normal((n, 2 * dim))[:, :dim]
     points[rng.integers(0, n, size=n // 3)] = points[0]
     centroids = points[rng.integers(0, n, size=k)] + rng.standard_normal((k, dim)) * 1e-3
     want = assign_to_centroids(points, centroids)
-    got = assign_to_centroids(points, centroids, point_norms=np.sum(points * points, axis=1))
+    got = assign_to_centroids(points, centroids, lifted=_lift(points))
     np.testing.assert_array_equal(got[0], want[0])
     np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
+
+
+@pytest.fixture(scope="module")
+def acceptance_vectors():
+    """The acceptance corpus (32 classes x 300 points, dim 64, seed 7)."""
+    return gen_synthetic(n_classes=32, per_class=300, dim=64, spread=0.05, seed=7).vectors
+
+
+@pytest.mark.parametrize(
+    "k,dim",
+    [(256, 8), (98, 64), (256, 1)],
+    ids=["pq-m8-subspace", "ivf-pq-coarse", "pq-m64-subspace"],
+)
+def test_lifted_product_equals_three_step_form_on_workload_shapes(
+    acceptance_vectors, monkeypatch, k, dim
+):
+    """The shapes the quantize workload trains: 256 sub-centroids of an 8-dim
+    (m 8) and a 1-dim (m 64) PQ subspace, and ivf-pq's 98 coarse centroids of
+    64 dims. A fit through the lifted product trains the codebook, history
+    included, that a fit through the three-step form trains, and assigning the
+    corpus to it gives the same bits both ways."""
+    data = acceptance_vectors[:, :dim]  # the first subspace, a strided slice as pq_train passes
+    seed = np.random.SeedSequence([0, 0])
+    got = kmeans_fit(data, k, seed=seed)
+    monkeypatch.setattr(
+        annkit.kmeans, "assign_to_centroids",
+        lambda points, centroids, lifted=None: assign_to_centroids_three_step(points, centroids),
+    )
+    want = kmeans_fit(data, k, seed=seed)
+    monkeypatch.undo()
+    assert len(got.history) >= 3
+    np.testing.assert_array_equal(got.vectors.view(np.uint32), want.vectors.view(np.uint32))
+    np.testing.assert_array_equal(_bits(got.history), _bits(want.history))
+    assign, sqdist = assign_to_centroids(data, got.vectors)
+    want_assign, want_sqdist = assign_to_centroids_three_step(data, got.vectors)
+    np.testing.assert_array_equal(assign, want_assign)
+    np.testing.assert_array_equal(_bits(sqdist), _bits(want_sqdist))
 
 
 @pytest.mark.parametrize(
