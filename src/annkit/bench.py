@@ -46,6 +46,9 @@ class ProtocolConfig:
             check_count(name, getattr(self, name))
 
 
+# Field order is the CSV column order; the leading columns mirror the classic
+# results-table layout (memory, P/R/F1, recall@n, index size, indexing time,
+# query time), the rest are extras.
 @dataclass
 class BenchReport:
     family: str
@@ -66,12 +69,6 @@ class BenchReport:
     config: dict
 
     TIMING_FIELDS = ("indexing_time_ms", "avg_query_time_us", "qps")
-
-    def to_dict(self) -> dict:
-        # Field order is the CSV column order; the leading columns mirror the
-        # classic results-table layout (memory, P/R/F1, recall@n, index size,
-        # indexing time, query time), the rest are extras.
-        return asdict(self)
 
 
 def sample_query_rows(n: int, n_queries: int, seed: int) -> np.ndarray:
@@ -180,7 +177,7 @@ def write_report(reports: Sequence[BenchReport], path: str | Path, fmt: str = "j
     """Serialize reports; JSON round-trips losslessly for non-timing fields."""
     if not reports:
         raise ValueError("cannot write an empty report list")
-    rows = [r.to_dict() for r in reports]
+    rows = [asdict(r) for r in reports]
     path = Path(path)
     if fmt == "json":
         path.write_text(json.dumps(rows, indent=2) + "\n")

@@ -57,10 +57,21 @@ def _add_knob_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _knobs(args: argparse.Namespace, name: str) -> dict:
-    """The knob flags that apply to one family, only where explicitly set."""
-    knobs = {kw: getattr(args, dest) for kw, dest in family(name).knobs.items()}
-    return {kw: value for kw, value in knobs.items() if value is not None}
+def _flags(dests: list[str]) -> str:
+    return ", ".join("--" + dest.replace("_", "-") for dest in dests)
+
+
+def _family_knobs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]:
+    """Each family's knob flags, only where explicitly set; ValueError if a
+    flag is set that none of the families takes."""
+    rows = [family(name) for name in names]
+    taken = {dest for row in rows for dest in row.knobs.values()}
+    unused = sorted({dest for row in FAMILIES.values() for dest in row.knobs.values()
+                     if dest not in taken and getattr(args, dest) is not None})
+    if unused:
+        raise ValueError(f"{args.command} --family {','.join(names)} takes no {_flags(unused)}")
+    return {row.name: {kw: getattr(args, dest) for kw, dest in row.knobs.items()
+                       if getattr(args, dest) is not None} for row in rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,8 +144,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    knobs = _family_knobs(args, [args.family])[args.family]
     emb_set = _load_any(args.data)
-    index = build_index(emb_set, args.family, seed=args.seed, **_knobs(args, args.family))
+    index = build_index(emb_set, args.family, seed=args.seed, **knobs)
     blob = dump_index(index)
     Path(args.out).write_bytes(blob)
     print(f"wrote {args.out}: {index.family}, {len(index)} vectors, {len(blob)} bytes")
@@ -159,8 +171,7 @@ def _search_knobs(args: argparse.Namespace, index) -> dict:
     knobs = {kw: getattr(args, kw) for kw in _SEARCH_KNOBS if getattr(args, kw) is not None}
     unknown = [kw for kw in knobs if kw not in inspect.signature(index.search).parameters]
     if unknown:
-        flags = ", ".join("--" + kw.replace("_", "-") for kw in unknown)
-        raise ValueError(f"{index.family} search takes no {flags}")
+        raise ValueError(f"{index.family} search takes no {_flags(unknown)}")
     return knobs
 
 
@@ -207,15 +218,16 @@ def _expand_families(raw: list[str] | None) -> list[str]:
 
 
 def _cmd_bench(args) -> int:
-    emb_set = _load_any(args.data)
     families = _expand_families(args.family)
+    params = _family_knobs(args, families)
+    emb_set = _load_any(args.data)
     n_queries = args.queries if args.queries is not None else min(1000, len(emb_set))
     config = ProtocolConfig(
         n_queries=n_queries,
         k=args.k,
         recall_n=args.recall_n,
         seed=args.seed,
-        params={fam: _knobs(args, fam) for fam in families},
+        params=params,
     )
     reports = run_benchmark(
         emb_set, families, config, progress=lambda msg: print(msg, file=sys.stderr)

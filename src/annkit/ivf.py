@@ -115,8 +115,11 @@ class IvfIndex(VectorIndex):
         return rank_order(Metric.L2, np.arange(self.nlist), scores)
 
     def probe_candidate_ids(self, query: np.ndarray, nprobe: int) -> np.ndarray:
-        """Ids reachable at a probe depth; the subset-monotonicity surface."""
-        return self._probed(self.probe_order(query)[:nprobe], self._ids)[0]
+        """Ids reachable at a probe depth; the subset-monotonicity surface.
+        The query and nprobe pass the gates `search` applies to them."""
+        q = check_query(query, 1, self.dim)
+        check_count("nprobe", nprobe, self.nlist)
+        return self._probed(self.probe_order(q)[:nprobe], self._ids)[0]
 
     def search(self, query: np.ndarray, k: int, nprobe: int | None = None) -> SearchResult:
         q = check_query(query, k, self.dim)

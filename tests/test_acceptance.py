@@ -6,6 +6,8 @@ regression trips them while benign float jitter cannot. Each test prints one
 line with the measured value (visible with ``pytest -s``).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -398,7 +400,7 @@ def test_protocol_repeats_exactly_and_qps_is_consistent(dstar):
     cfg = ProtocolConfig(n_queries=N_QUERIES, seed=0)
     (a,) = run_benchmark(dstar, ["flat-l2"], cfg)
     (b,) = run_benchmark(dstar, ["flat-l2"], cfg)
-    da, db = a.to_dict(), b.to_dict()
+    da, db = dataclasses.asdict(a), dataclasses.asdict(b)
     for field in type(a).TIMING_FIELDS:
         da.pop(field)
         db.pop(field)

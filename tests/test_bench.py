@@ -70,8 +70,8 @@ def test_protocol_accepts_precomputed_truth(flat, small_set):
 
 def test_protocol_deterministic_except_timing(flat, small_set):
     cfg = protocol()
-    a = run_protocol(flat, small_set, cfg).to_dict()
-    b = run_protocol(flat, small_set, cfg).to_dict()
+    a = dataclasses.asdict(run_protocol(flat, small_set, cfg))
+    b = dataclasses.asdict(run_protocol(flat, small_set, cfg))
     for field in BenchReport.TIMING_FIELDS:
         a.pop(field)
         b.pop(field)
@@ -215,7 +215,7 @@ def test_write_report_json_round_trip(tmp_path, flat, small_set):
     path = tmp_path / "report.json"
     write_report([report], path, fmt="json")
     rows = json.loads(path.read_text())
-    assert rows == [report.to_dict()]
+    assert rows == [dataclasses.asdict(report)]
     # writing what was read back produces identical bytes
     blob = path.read_bytes()
     write_report([report], path, fmt="json")

@@ -7,6 +7,7 @@ import pytest
 
 from annkit import gen_synthetic, ground_truth, load_vemb, save_vemb, search_excluding
 from annkit.cli import main
+from annkit.families import ALL_FAMILIES
 from annkit.persist import load_index
 
 
@@ -234,6 +235,37 @@ def test_search_refuses_a_knob_the_family_lacks(tmp_path, data_path, capsys, fam
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {family} search takes no {named}\n"
+
+
+@pytest.mark.parametrize(
+    "command, families, flags, named",
+    [
+        ("build", "flat-l2", ["--nlist", "5", "--trees", "3"], "--nlist, --trees"),
+        ("build", "ivf-flat", ["--nlist", "5", "--m", "2"], "--m"),
+        ("build", "hnsw", ["--no-rerank"], "--rerank"),
+        ("bench", "flat-l2,lsh", ["--nprobe", "2", "--lsh-bits", "8"], "--nprobe"),
+    ],
+)
+def test_build_and_bench_refuse_a_knob_no_family_takes(tmp_path, data_path, capsys,
+                                                       command, families, flags, named):
+    """A knob flag that no requested family takes fails with `error:` and exit 1
+    and nothing is written; it was once dropped silently."""
+    out_path = tmp_path / "out"
+    assert main([command, "--data", str(data_path), "--family", families, *flags,
+                 "--out", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} --family {families} takes no {named}\n"
+    assert not out_path.exists()
+
+
+def test_bench_all_sends_a_knob_only_to_the_families_that_take_it(tmp_path, data_path):
+    out_path = tmp_path / "report.json"
+    assert main(["bench", "--data", str(data_path), "--family", "all", "--nlist", "3",
+                 "--nbits", "4", "--queries", "10", "--out", str(out_path)]) == 0
+    rows = json.loads(out_path.read_text())
+    nlists = {r["family"]: r["config"]["index"].get("nlist") for r in rows}
+    assert nlists == {fam: 3 if fam.startswith("ivf-") else None for fam in ALL_FAMILIES}
 
 
 def test_unknown_subcommand_fails():

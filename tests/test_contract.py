@@ -1,6 +1,7 @@
 """The uniform search contract: one query gate for every family, and the
 public namespace it is exported through."""
 
+import importlib
 import inspect
 import re
 
@@ -253,3 +254,18 @@ def test_public_names_are_sorted_unique_and_resolve():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(annkit, name), name
+
+
+@pytest.mark.parametrize("module, names", [
+    ("kmeans", ["Centroids", "kmeans_fit"]),
+    ("pq", ["PqCodebook", "pq_train"]),
+    ("sq", ["SqParams", "sq_train"]),
+    ("distances", ["batch_scores"]),
+    ("evaluation", ["ConfusionCounts", "LabelMetrics", "label_metrics", "precision_at_k",
+                    "recall_at_n"]),
+])
+def test_training_and_scoring_internals_live_only_in_their_modules(module, names):
+    """No alias APIs: the package does not re-export what a submodule owns."""
+    owner = importlib.import_module(f"annkit.{module}")
+    for name in names:
+        assert hasattr(owner, name) and not hasattr(annkit, name), name

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from annkit.data import gen_synthetic
 from annkit.distances import Metric, batch_scores
 from annkit.flat import FlatL2Index, exact_search
 from annkit.ivf import IvfIndex, default_nlist, default_nprobe, ivf_build
@@ -48,6 +49,22 @@ def test_probe_candidates_nest_as_nprobe_grows(small_set, ivf_flat, rng):
         assert previous <= ids
         previous = ids
     assert previous == set(small_set.ids.tolist())
+
+
+@pytest.mark.parametrize(
+    "nprobe, query, match",
+    [(0, np.zeros(8), "nprobe must be in 1..4"),
+     (99, np.zeros(8), "nprobe must be in 1..4"),
+     (1, np.full(8, np.nan), "query must be finite")],
+)
+def test_probe_candidates_pass_the_search_gate(nprobe, query, match):
+    """nprobe 0 once died in np.concatenate, nprobe 99 returned every list and a
+    NaN query returned ids: the inputs `search` refuses are refused here too."""
+    index = ivf_build(gen_synthetic(4, 50, 8, 0.05, 1), nlist=4)
+    with pytest.raises(ValueError, match=match):
+        index.probe_candidate_ids(query, nprobe)
+    with pytest.raises(ValueError, match=match):
+        index.search(query, 1, nprobe=nprobe)
 
 
 def test_recall_non_decreasing_in_nprobe(small_set, ivf_flat, rng):

@@ -14,7 +14,7 @@ from annkit.data import EmbeddingSet
 from annkit.distances import Metric
 from annkit.flat import exact_search
 from annkit.persist import VIDX_MAGIC, VIDX_VERSION, dump_index, load_index_bytes
-from annkit.rpforest import rp_build
+from annkit.rpforest import RpForestIndex, rp_build
 from annkit.wire import Writer
 
 
@@ -275,6 +275,22 @@ def test_candidate_rows_equal_the_heap_walk_on_a_default_forest(small_set):
                 np.testing.assert_array_equal(
                     forest.candidate_rows(q, search_k), candidate_rows_reference(forest, q, search_k)
                 )
+
+
+def test_the_margin_error_bound_is_tight_to_a_factor_of_two():
+    """A 2-d plane whose normal is nearly parallel to the query: its float32
+    margin misses the walk's by 0.66 E whether the product sums in order or
+    through a fused multiply-add, so `_margin_error` holds and E/2 would not.
+    Random planes and queries reach at most 0.41 E."""
+    normal = np.array([0.7951313257217407, -0.45616015791893005], dtype=np.float32)
+    query = np.array([0.5192289644702041, -0.29785625636197405])
+    forest = RpForestIndex(Metric.ANGULAR, 1, np.arange(2), np.eye(2), [True, False, False],
+                           normal[np.newaxis], [0.0], [0, 0, 1, 2], [0, 1])
+    left, right = forest._leaf_priorities(query.astype(np.float32))
+    walk = float(query.dot(forest._normals[0]) - forest._offsets[0])
+    bound = forest._margin_error(query)
+    assert -left == right
+    assert bound / 2 < abs(right - walk) <= bound
 
 
 # ------------------------------------------------------------ pinned bytes
