@@ -111,7 +111,6 @@ def run_protocol(
         p_at_k.append(precision_at_k(emb_set.label_of(qid), labels) if labels else 0.0)
         r_at_n.append(recall_at_n(ids, truth[qid]))
 
-    metrics = label_metrics(outcomes)
     avg_us = float(np.mean(elapsed_ns)) / 1_000.0
     config_echo = {
         "n_queries": config.n_queries,
@@ -124,20 +123,14 @@ def run_protocol(
     return BenchReport(
         family=index.family,
         memory_estimate_mb=index.memory_bytes() / 2**20,
-        precision=metrics.precision,
-        recall=metrics.recall,
-        f1=metrics.f1,
         recall_at_n=float(np.mean(r_at_n)),
         index_size_mb=len(dump_index(index)) / 2**20,
         indexing_time_ms=indexing_time_ms,
         avg_query_time_us=avg_us,
         qps=1e6 / avg_us if avg_us > 0 else 0.0,
-        accuracy=metrics.accuracy,
         precision_at_k=float(np.mean(p_at_k)),
-        macro_precision=metrics.macro_precision,
-        macro_recall=metrics.macro_recall,
-        macro_f1=metrics.macro_f1,
         config=config_echo,
+        **asdict(label_metrics(outcomes)),
     )
 
 
@@ -147,7 +140,9 @@ def run_benchmark(
     config: ProtocolConfig,
     progress: Callable[[str], None] | None = None,
 ) -> list[BenchReport]:
-    """Build and benchmark each family; ground truth is cached per metric."""
+    """Build and benchmark each family; ground truth is cached per (metric,
+    normalized set), so families that index the same vectors in the same
+    metric share one oracle pass."""
     reports = []
     truth_cache: dict[tuple[Metric, bool], dict[int, list[int]]] = {}
     for name in families:

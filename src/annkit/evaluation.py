@@ -1,37 +1,25 @@
-"""Label-based retrieval metrics: confusion counts, precision/recall/F1, recall@n.
+"""Label-based retrieval metrics: precision/recall/F1 and recall@n.
 
 Retrieval output is scored as classification: a retrieved item is relevant iff
 its class label equals the query's. Each query gets one predicted label
 (majority vote over the retrieved labels; ties go to the tied label seen
-closest to the query), and per-class one-vs-rest confusion counts are pooled
-for micro metrics or averaged unweighted for macro metrics. For single-label
-multiclass prediction, micro precision = micro recall = accuracy, exactly.
-An empty retrieval predicts no label: it is a wrong answer and a miss for the
-query's class, but a false positive for none, so it lowers accuracy and recall
-and leaves micro precision at or above them.
+closest to the query). Three per-class counters then give every ratio, as in
+scikit-learn's `precision_recall_fscore_support`: the queries whose true class
+is c, those called c, and the hits, those both. Class c's precision is
+hits/called and its recall hits/true (0 on a zero denominator); micro metrics
+divide the sums over classes, and macro metrics average the class values
+unweighted. Every query has a true class, so micro recall is accuracy,
+hits/n. An empty retrieval calls no class: it is a wrong answer and a miss
+for the query's class, so it lowers accuracy and recall and leaves micro
+precision at or above them. Without empty retrievals micro precision = micro
+recall = accuracy, exactly.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
-
-
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    tn: int = 0
-
-    def precision(self) -> float:
-        denom = self.tp + self.fp
-        return self.tp / denom if denom else 0.0
-
-    def recall(self) -> float:
-        denom = self.tp + self.fn
-        return self.tp / denom if denom else 0.0
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -49,8 +37,6 @@ class LabelMetrics:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    per_class: dict[int, ConfusionCounts] = field(default_factory=dict)
-    aggregated: ConfusionCounts = field(default_factory=ConfusionCounts)
 
 
 def predict_label(retrieved_labels: Sequence[int]) -> int:
@@ -74,44 +60,26 @@ def label_metrics(outcomes: Sequence[tuple[int, Sequence[int]]]) -> LabelMetrics
     if not outcomes:
         raise ValueError("cannot compute metrics from zero outcomes")
     preds = [predict_label(retrieved) if len(retrieved) else None for _, retrieved in outcomes]
-    n = len(outcomes)
     truths = Counter(truth for truth, _ in outcomes)
-    predicted = Counter(pred for pred in preds if pred is not None)
+    called = Counter(pred for pred in preds if pred is not None)
     hits = Counter(truth for (truth, _), pred in zip(outcomes, preds) if truth == pred)
-    # One-vs-rest per class: of the n queries, truths[c] are c and predicted[c]
-    # are called c, and hits[c] are both.
-    classes = sorted(truths.keys() | predicted.keys())
-    per_class = {
-        c: ConfusionCounts(tp=hits[c], fp=predicted[c] - hits[c], fn=truths[c] - hits[c],
-                           tn=n - truths[c] - predicted[c] + hits[c])
-        for c in classes
-    }
-
-    agg = ConfusionCounts(
-        tp=sum(c.tp for c in per_class.values()),
-        fp=sum(c.fp for c in per_class.values()),
-        fn=sum(c.fn for c in per_class.values()),
-        tn=sum(c.tn for c in per_class.values()),
-    )
-    micro_p = agg.precision()
-    micro_r = agg.recall()
-    accuracy = agg.tp / n
-
-    class_p = [c.precision() for c in per_class.values()]
-    class_r = [c.recall() for c in per_class.values()]
+    classes = sorted(truths.keys() | called.keys())
+    class_p = [hits[c] / called[c] if called[c] else 0.0 for c in classes]
+    class_r = [hits[c] / truths[c] if truths[c] else 0.0 for c in classes]
     class_f = [f1_score(p, r) for p, r in zip(class_p, class_r)]
+    n_hits, n_called = sum(hits.values()), sum(called.values())
+    precision = n_hits / n_called if n_called else 0.0
+    accuracy = n_hits / len(outcomes)
     n_classes = len(classes)
 
     return LabelMetrics(
-        precision=micro_p,
-        recall=micro_r,
-        f1=f1_score(micro_p, micro_r),
+        precision=precision,
+        recall=accuracy,
+        f1=f1_score(precision, accuracy),
         accuracy=accuracy,
         macro_precision=sum(class_p) / n_classes,
         macro_recall=sum(class_r) / n_classes,
         macro_f1=sum(class_f) / n_classes,
-        per_class=per_class,
-        aggregated=agg,
     )
 
 

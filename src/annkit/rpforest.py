@@ -187,9 +187,7 @@ class RpForestIndex(VectorIndex):
         one more than 2 E below it is not; the walk ranks the rest.
         """
         check_count("search_k", search_k)
-        q64 = np.asarray(query, dtype=np.float64).reshape(-1)
-        if q64.shape[0] != self.dim:
-            raise ValueError(f"query has dim {q64.shape[0]}, forest expects {self.dim}")
+        q64 = check_query(query, 1, self.dim)
         n_leaves = len(self._leaf_up)
         if search_k >= n_leaves:  # every tree holds every row once
             return np.arange(len(self._ids), dtype=self._rows.dtype)

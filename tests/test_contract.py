@@ -261,11 +261,16 @@ def test_public_names_are_sorted_unique_and_resolve():
     ("pq", ["PqCodebook", "pq_train"]),
     ("sq", ["SqParams", "sq_train"]),
     ("distances", ["batch_scores"]),
-    ("evaluation", ["ConfusionCounts", "LabelMetrics", "label_metrics", "precision_at_k",
-                    "recall_at_n"]),
+    ("evaluation", ["LabelMetrics", "label_metrics", "precision_at_k", "recall_at_n"]),
 ])
 def test_training_and_scoring_internals_live_only_in_their_modules(module, names):
     """No alias APIs: the package does not re-export what a submodule owns."""
     owner = importlib.import_module(f"annkit.{module}")
     for name in names:
         assert hasattr(owner, name) and not hasattr(annkit, name), name
+
+
+def test_label_metrics_keep_no_confusion_counts():
+    """Every label metric comes from three per-class counters (true, called,
+    hits); no per-class confusion record is kept."""
+    assert not hasattr(importlib.import_module("annkit.evaluation"), "ConfusionCounts")

@@ -1,12 +1,13 @@
 """Label metrics against an independently written counting evaluator."""
 
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from annkit.bench import BenchReport
 from annkit.evaluation import (
-    ConfusionCounts,
     LabelMetrics,
     f1_score,
     label_metrics,
@@ -27,7 +28,7 @@ def naive_predict(retrieved):
 
 
 def naive_metrics(outcomes):
-    """Plain-dict evaluator: per-class tp/fp/fn/tn, then micro and macro averages.
+    """Plain-dict evaluator: per-class tp/fp/fn, then micro and macro averages.
 
     An empty retrieval predicts nothing: a miss for its class, a false
     positive for none."""
@@ -55,9 +56,8 @@ def naive_metrics(outcomes):
     correct = sum(tp.values())
     micro_p = div(correct, correct + sum(fp.values()))
     micro_r = div(correct, correct + sum(fn.values()))
-    counts, scores = {}, []
+    scores = []
     for c in sorted(classes):
-        counts[c] = (tp[c], fp[c], fn[c], n - tp[c] - fp[c] - fn[c])
         p = div(tp[c], tp[c] + fp[c])
         r = div(tp[c], tp[c] + fn[c])
         scores.append((p, r, f1(p, r)))
@@ -69,7 +69,6 @@ def naive_metrics(outcomes):
         "macro_precision": sum(v[0] for v in scores) / len(scores),
         "macro_recall": sum(v[1] for v in scores) / len(scores),
         "macro_f1": sum(v[2] for v in scores) / len(scores),
-        "per_class": counts,
     }
 
 
@@ -85,17 +84,13 @@ def random_outcomes(rng, n_queries=30, n_classes=5, k=5, p_empty=0.0):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_label_metrics_match_naive_evaluator(seed):
-    """Every field equals the reference exactly, per-class counts included,
-    with and without empty retrievals."""
+    """Every field equals the reference exactly, without empty retrievals,
+    with some, and with only empty ones (micro precision's 0/0 is 0)."""
     rng = np.random.default_rng(seed)
-    for p_empty in (0.0, 0.2):
+    for p_empty in (0.0, 0.2, 1.0):
         outcomes = random_outcomes(rng, p_empty=p_empty)
-        got = label_metrics(outcomes)
         want = naive_metrics(outcomes)
-        per_class = want.pop("per_class")
-        assert {c: (m.tp, m.fp, m.fn, m.tn) for c, m in got.per_class.items()} == per_class
-        assert got.aggregated == ConfusionCounts(*map(sum, zip(*per_class.values())))
-        assert {name: getattr(got, name) for name in want} == want
+        assert {name: getattr(label_metrics(outcomes), name) for name in want} == want
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -140,15 +135,6 @@ def test_label_metrics_rejects_empty():
         label_metrics([])
 
 
-def test_confusion_counts_helpers():
-    c = ConfusionCounts(tp=3, fp=1, fn=2)
-    assert c.precision() == pytest.approx(0.75)
-    assert c.recall() == pytest.approx(0.6)
-    empty = ConfusionCounts()
-    assert empty.precision() == 0.0
-    assert empty.recall() == 0.0
-
-
 def test_f1_score_values():
     assert f1_score(1.0, 1.0) == 1.0
     assert f1_score(0.0, 0.0) == 0.0
@@ -167,9 +153,13 @@ def test_recall_at_n():
     assert recall_at_n([5, 6], [5, 6]) == 1.0
 
 
-def test_label_metrics_is_dataclass_with_per_class():
-    m = label_metrics([(0, [0]), (1, [1]), (1, [0])])
-    assert isinstance(m, LabelMetrics)
-    assert set(m.per_class) == {0, 1}
-    assert m.per_class[0].fp == 1  # the query with true label 1 predicted 0
-    assert m.aggregated.tp == 2
+def test_label_metrics_fields_are_the_report_label_fields():
+    """`run_protocol` passes a LabelMetrics to BenchReport as keywords, so its
+    fields are exactly the report's seven label fields."""
+    label_fields = ["precision", "recall", "f1", "accuracy",
+                    "macro_precision", "macro_recall", "macro_f1"]
+    assert [f.name for f in fields(LabelMetrics)] == label_fields
+    assert set(label_fields) <= {f.name for f in fields(BenchReport)}
+    m = label_metrics([(0, [0]), (1, [1]), (1, [0])])  # the last query is called 0
+    assert m.precision == m.accuracy == pytest.approx(2 / 3)
+    assert m.macro_precision == m.macro_recall == pytest.approx(0.75)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from annkit.data import EmbeddingSet
+from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric
 from annkit.flat import exact_search
 from annkit.persist import VIDX_MAGIC, VIDX_VERSION, dump_index, load_index_bytes
@@ -120,6 +120,18 @@ def test_angular_zero_query_raises(small_set):
     forest = rp_build(small_set, seed=0)
     with pytest.raises(ValueError):
         forest.search(np.zeros(small_set.dim, dtype=np.float32), 3)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_candidate_rows_pass_the_search_gate(value):
+    """A NaN query once drew 8 candidate rows, and an all-inf one 8 rows and a
+    RuntimeWarning: the queries `search` refuses are refused here too."""
+    forest = rp_build(gen_synthetic(4, 50, 8, 0.05, 1), n_trees=2, leaf_size=8, metric="l2")
+    query = np.full(8, value)
+    with pytest.raises(ValueError, match="finite"):
+        forest.candidate_rows(query, 3)
+    with pytest.raises(ValueError, match="finite"):
+        forest.search(query, 3, search_k=3)
 
 
 def test_search_k_validation(small_set):

@@ -12,8 +12,11 @@ corpus rows sampled with seed 11 and 16 Gaussian vectors, k = 10, default
 knobs), a sha256 of both indexes' ``SearchResult``s with each integer
 query-time knob that ``search`` takes (``search_k``, ``nprobe``,
 ``ef_search``) set to 1 and to 3 (``-`` for a row without one), where small
-budgets break ties, and the row's knobs: its build keywords, sorted, and the
-keyword parameters of ``search`` after ``query, k``.
+budgets break ties, the row's knobs: its build keywords, sorted, and the
+keyword parameters of ``search`` after ``query, k``, and a sha256 of the
+built index's ``bench.run_protocol`` report (the same 64 queries, k and
+recall_n 10, seed 11) without its timing fields, so the label metrics,
+precision@k and recall@n are compared too.
 
 With ``--parent`` the parent side is the committed tree of that revision,
 extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
@@ -33,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +50,7 @@ FIELDS = (
     "loaded_results_sha256",
     "knob_results_sha256",
     "knobs",
+    "report_sha256",
 )
 K = 10
 INTEGER_KNOBS = ("search_k", "nprobe", "ef_search")
@@ -76,6 +81,17 @@ def knob_results_digest(indexes, queries) -> str:
     return h.hexdigest()
 
 
+def report_digest(index, emb_set) -> str:
+    """sha256 of the non-timing fields of `index`'s protocol report on `emb_set`."""
+    from annkit.bench import BenchReport, ProtocolConfig, run_protocol
+
+    config = ProtocolConfig(n_queries=min(N_QUERIES, len(emb_set)), k=K, recall_n=K, seed=11)
+    report = asdict(run_protocol(index, emb_set, config))
+    for name in BenchReport.TIMING_FIELDS:
+        del report[name]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
 def knobs(build_keywords, index) -> str:
     """`build(<sorted build keywords>) search(<search keywords after query, k>)`."""
     search = list(inspect.signature(index.search).parameters)[2:]
@@ -104,6 +120,7 @@ def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
             "loaded_results_sha256": results_digest(loaded, queries),
             "knob_results_sha256": knob_results_digest([built, loaded], queries),
             "knobs": knobs(row.knobs, built),
+            "report_sha256": report_digest(built, data),
         }
     return out
 
@@ -144,12 +161,12 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
 
 def show(rows: dict[str, dict]) -> str:
     lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  "
-             f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  knobs"]
+             f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  {'report':16s}  knobs"]
     for name, r in rows.items():
         memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
         results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
         lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  "
-                     f"{r['knob_results_sha256'][:16]:16s}  {r['knobs']}")
+                     f"{r['knob_results_sha256'][:16]:16s}  {r['report_sha256'][:16]}  {r['knobs']}")
     return "\n".join(lines)
 
 
