@@ -127,8 +127,9 @@ def search_excluding(
 ) -> SearchResult:
     """Top-k with the query id excluded: search k+1, drop the query id if present.
 
-    `knobs` are passed to `index.search` (a forest's `search_k`, say)."""
-    check_query(query, k, index.dim)  # k itself passes the search gate, not only k + 1
+    `knobs` are passed to `index.search` (a forest's `search_k`, say), whose
+    `check_query` checks the query."""
+    check_count("k", k)  # k itself passes the search gate, not only k + 1
     res = index.search(query, k + 1, **knobs)
     kept = [(nid, score) for nid, score in res.neighbors if nid != exclude]
     return SearchResult(kept[:k])

@@ -6,10 +6,10 @@ distortion monotonicity assertion, and a specific empty-cluster repair rule,
 all of which are part of the training contract here.
 
 `kmeans_fit` keeps two things per fit rather than per pass: a column-major
-(dim, n) copy of the data, which every k-means++ distance pass sums with
-`_column_sums` and every Lloyd update sums per column with `np.bincount`, and
-the lifted (n, dim + 2) rows ``[p | ||p||^2 | 1]``, of which the row-major
-data is a view. Both give the bits of the row-major, per-call forms.
+(dim, n) copy of the data, whose rows every k-means++ distance pass adds with
+one `np.add.reduce` and every Lloyd update sums per column with
+`np.bincount`, and the lifted (n, dim + 2) rows ``[p | ||p||^2 | 1]``, of
+which the row-major data is a view.
 
 `assign_to_centroids` computes each block of distances as one product of the
 lifted points and the lifted centroids ``[-2c^T ; 1 ; ||c||^2]``, as FAISS
@@ -36,7 +36,7 @@ from .base import check_count
 from .wire import Reader, Writer
 
 MOVEMENT_TOL = 1e-6
-DEFAULT_MAX_ITERS = 25
+MAX_ITERS = 25
 # Relative slack for the in-loop monotonicity assertion: Lloyd's update can
 # only lower the objective mathematically, but float64 summation noise near
 # convergence needs a hair of room.
@@ -45,39 +45,6 @@ _DISTORTION_SLACK = 1e-9
 # small enough to stay in L2 while the block is summed and scanned.
 _BLOCK_ELEMS = 1 << 15
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
-
-
-def _column_sums(t: np.ndarray) -> np.ndarray:
-    """Column sums of `t`, added in the order numpy's pairwise sum adds a row.
-
-    ``_column_sums(np.array(x.T))`` equals ``x.sum(axis=1)`` bit for bit when
-    no entry is -0.0 (numpy starts from +0.0). numpy adds a row narrower than 8
-    left to right. From 8 to 128 wide it keeps eight running sums over stride-8
-    columns, combines them as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and adds the
-    ``d % 8`` trailing columns left to right. A wider row is split at half its
-    width rounded down to a multiple of 8. Here each step is one whole-row add,
-    with no per-row reduction overhead. `t` is overwritten; row 0, returned as
-    a view, holds the sums.
-    """
-    d = len(t)
-    if d == 0:
-        return np.zeros(t.shape[1:])
-    if d > 128:
-        half = d // 2 - d // 2 % 8
-        _column_sums(t[:half])
-        t[0] += _column_sums(t[half:])
-        return t[0]
-    tail = 1
-    if d >= 8:
-        tail = d - d % 8
-        for i in range(8, tail, 8):
-            t[:8] += t[i : i + 8]
-        t[0:8:2] += t[1:8:2]
-        t[0:8:4] += t[2:8:4]
-        t[0] += t[4]
-    for i in range(tail, d):
-        t[0] += t[i]
-    return t[0]
 
 
 def _lift(points: np.ndarray) -> np.ndarray:
@@ -201,11 +168,11 @@ def read_centroids(r: Reader, count: int, k: int, dim: int) -> tuple[np.ndarray,
 def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """k-means++ initialization: spread-out starting centroids.
 
-    `cols` is the data transposed, (dim, n), best C-contiguous. Picks the same
-    centroids, and leaves `rng` in the same state, as ``_sq_l2(data, c)``
-    distances with ``rng.choice(n, p=closest_sq / total)`` (tests/test_kmeans.py
-    keeps that form as the reference). Each distance pass sums the rows of
-    ``(cols - c)**2`` with `_column_sums`.
+    `cols` is the data transposed, (dim, n), best C-contiguous. Each distance
+    pass adds the rows of ``(cols - c)**2`` left to right, one whole-row add
+    per dimension, and each pick is ``rng.choice(n, p=closest_sq / total)``
+    step for step (tests/test_kmeans.py keeps that form, on ``_sq_l2(data,
+    c)`` distances, as the reference).
     """
     dim, n = cols.shape
     chosen = np.empty((k, dim), dtype=np.float64)
@@ -215,11 +182,11 @@ def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     def sq_dist(c: np.ndarray) -> np.ndarray:
         np.subtract(cols, c[:, np.newaxis], out=sq)
         np.multiply(sq, sq, out=sq)
-        return _column_sums(sq)
+        return np.add.reduce(sq, axis=0)
 
     first = int(rng.integers(n))
     chosen[0] = cols[:, first]
-    closest_sq = sq_dist(chosen[0]).copy()
+    closest_sq = sq_dist(chosen[0])
     for i in range(1, k):
         total = closest_sq.sum()
         if total > 0.0:
@@ -242,7 +209,8 @@ def kmeans_fit(
     k: int,
     seed: int | np.random.SeedSequence = 0,
 ) -> Centroids:
-    """Train k centroids with Lloyd iterations until movement < 1e-6.
+    """Train k centroids with Lloyd iterations until movement < 1e-6, or
+    for at most `MAX_ITERS` (25) iterations.
 
     Deterministic given `seed`. Empty clusters are re-seeded to the point
     currently farthest from its assigned centroid. The recorded distortion
@@ -281,7 +249,7 @@ def kmeans_fit(
     assign, sqdist = assign_to_centroids(data, centroids, lifted=lifted)
     record(float(sqdist.mean()))
 
-    for _ in range(DEFAULT_MAX_ITERS):
+    for _ in range(MAX_ITERS):
         new_centroids = centroids.copy()
         counts = np.bincount(assign, minlength=k)
         # bincount adds each column's rows in row order, as np.add.at does.

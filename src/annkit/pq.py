@@ -8,8 +8,7 @@ so one table build amortizes over the whole candidate list.
 A `PqCodebook` holds its m books as one (m, ks, sub_dim) float32 block, with
 their m distortions. `adc_table` builds the (m, ks) table dimension-major:
 the query parts are subtracted from the block's (sub_dim, m, ks) transpose,
-squared in place, and the sub_dim rows are added in numpy's pairwise order
-(`kmeans._column_sums`), so each entry has the bits of a per-book row sum.
+squared in place, and the sub_dim rows are added left to right.
 
 VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then its block and
 distortions as m centroid sets of ks x sub_dim (`kmeans.write_centroids`,
@@ -26,7 +25,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
 from .distances import Metric
-from .kmeans import _column_sums, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
+from .kmeans import assign_to_centroids, kmeans_fit, read_centroids, write_centroids
 from .wire import Reader, Writer
 
 
@@ -146,17 +145,15 @@ def adc_table(cb: PqCodebook, query: np.ndarray) -> np.ndarray:
 
     Dimension-major: the float64 query parts are subtracted from a C-ordered
     float64 copy of the codebook block's (sub_dim, m, ks) transpose, squared
-    in place, and its sub_dim rows added by `_column_sums`, which replays
-    numpy's pairwise order for a row of sub_dim terms. So every entry has the
-    bits of the row-wise ``np.sum(diff * diff, axis=1)`` of one float32 book
-    promoted against its float64 query part.
+    in place, and its sub_dim rows added left to right by one
+    `np.add.reduce`, a whole (m, ks) add per dimension.
     """
     # The exact cast first, then a float64 subtract: the bits of the mixed
     # float32 - float64 subtract, without its buffered strided loop.
     diff = cb.block.transpose(2, 0, 1).astype(np.float64, order="C")
     diff -= cb.split(query).T[:, :, np.newaxis]
     diff *= diff
-    return _column_sums(diff)
+    return np.add.reduce(diff, axis=0)
 
 
 def adc_scores(cb: PqCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Code-domain scoring kernels against the forms they replaced, bit for bit.
 
-The references are kept here: `adc_table_reference` casts one book at a time
-to float64, `adc_scores_reference` sums fancy-index gathers onto zeros,
+The references are kept here: `adc_table_reference` adds one float64
+dimension of every book at a time onto zeros, in order, `adc_scores_reference`
+sums fancy-index gathers onto zeros,
 `hamming_reference` popcounts bytes through a 256-entry table, and
 `sq_decode_reference` is the out-of-place mid-level formula. Every
 comparison is on the raw bits (`view(np.uint64)`), not on values, so a
@@ -23,10 +24,10 @@ _POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 def adc_table_reference(cb, query):
     parts = cb.split(query)
-    table = np.empty((cb.m, cb.ks), dtype=np.float64)
-    for j in range(cb.m):
-        diff = cb.block[j].astype(np.float64) - parts[j]
-        table[j] = np.sum(diff * diff, axis=1)
+    table = np.zeros((cb.m, cb.ks), dtype=np.float64)
+    for t in range(cb.sub_dim):
+        d_t = cb.block[:, :, t].astype(np.float64) - parts[:, t : t + 1]
+        table += d_t * d_t
     return table
 
 
@@ -62,8 +63,9 @@ def random_codebook(rng, m, nbits, sub_dim, scale):
     return PqCodebook(nbits, rng.standard_normal((m, 1 << nbits, sub_dim)) * scale, [0.0] * m)
 
 
-# Widths that reach `_column_sums`' other branches: whole stride-8 blocks, a
-# tail, the 128 limit either side, and the split above it (twice at 256).
+# Widths at which numpy's own pairwise row sum (eight running sums from 8 wide,
+# a split above 128) would add in another order than the table's left-to-right
+# sum: whole stride-8 blocks, a tail, the 128 limit either side, and past it.
 _WIDE_SUB_DIMS = [16, 24, 127, 128, 129, 136, 256]
 
 

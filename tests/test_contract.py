@@ -171,6 +171,17 @@ def test_search_excluding_rejects_a_bad_k(indexes, small_set, name, k):
         search_excluding(indexes[name]["built"], small_set.vectors[0], k, int(small_set.ids[0]))
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize(
+    "case, match",
+    [("nan", "query must be finite"), ("wrong-dim", "query has dim 17, index expects 16")],
+)
+def test_search_excluding_rejects_a_bad_query(indexes, small_set, name, case, match):
+    """The query is checked once, by the search's own gate, with its message."""
+    with pytest.raises(ValueError, match=match):
+        search_excluding(indexes[name]["built"], _bad_query(small_set, case), 5, int(small_set.ids[0]))
+
+
 @pytest.mark.parametrize(
     "query, k",
     [

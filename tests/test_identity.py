@@ -48,3 +48,20 @@ def test_table_covers_every_family_and_repeats_exactly(small_set):
     assert first["lsh"]["knobs"] == "build(nbits, rerank) search(rerank)"
     for metric in ("angular", "l2", "manhattan"):
         assert first[f"rpforest-{metric}"]["knobs"] == "build(leaf_size, n_trees) search(search_k)"
+
+
+def test_compare_prints_both_code_sizes_and_exits_on_the_rows_alone(capsys):
+    rows = {"flat-l2": _row("a"), "pq": _row("a")}
+    sizes = {
+        "parent": {"src_lines": 3772, "src_code_lines": 2465, "all_names": 35},
+        "change": {"src_lines": 3741, "src_code_lines": 2445, "all_names": 35},
+    }
+    line = "code: src lines 3,772 -> 3,741, code lines 2,465 -> 2,445, __all__ 35 -> 35"
+    assert identity.compare("abc", rows, rows, sizes) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == ["parent abc: all 2 rows identical", line]
+    same = {side: sizes["parent"] for side in sizes}
+    assert identity.compare("abc", rows, {**rows, "pq": _row("b")}, same) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "code: src lines 3,772 -> 3,772, code lines 2,465 -> 2,465, __all__ 35 -> 35"
+    )

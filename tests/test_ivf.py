@@ -377,6 +377,22 @@ def test_ivf_sq_bytes_and_results_are_pinned(small_set):
     assert _results_digest(load_index_bytes(blob), queries) == results
 
 
+
+def test_ivf_pq_bytes_and_results_are_pinned(small_set):
+    """Digests taken while the k-means++ distance passes and the ADC table
+    summed each row in numpy's pairwise order: the 16-dim coarse seeding,
+    where that order and a left-to-right sum differ, kept its picks, and the
+    VIDX bytes and the built and loaded SearchResults did not move."""
+    queries = list(np.random.default_rng(23).standard_normal((16, 16))) + list(small_set.vectors[:4])
+    index = ivf_build(small_set, encoding="pq", seed=3)
+    blob = dump_index(index)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b1db0e5f6a19038f097e519f8a797543d4a12b15ce17b8f25ef8719defcb2139"
+    )
+    results = "100429fba298a9e699f6c5e7e9ab70167daf7d6b62231f4f09b3f3784e903464"
+    assert _results_digest(index, queries) == results
+    assert _results_digest(load_index_bytes(blob), queries) == results
+
 def test_sq_load_rejects_non_finite_ranges(small_set):
     """A NaN min once loaded and answered every search with NaN scores; an
     infinite max passed the min <= max check."""

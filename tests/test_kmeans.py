@@ -26,10 +26,9 @@ from annkit.ivf import ivf_build
 from annkit.kmeans import (
     _BLOCK_ELEMS,
     _DISTORTION_SLACK,
-    DEFAULT_MAX_ITERS,
+    MAX_ITERS,
     MOVEMENT_TOL,
     Centroids,
-    _column_sums,
     _lift,
     _seed_plus_plus,
     assign_to_centroids,
@@ -134,7 +133,7 @@ def seed_plus_plus_reference(data, k, rng):
     return chosen
 
 
-def kmeans_fit_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
+def kmeans_fit_reference(data, k, max_iters=MAX_ITERS, seed=0):
     """Lloyd training as written before the blocked kernel: data kept as passed
     (strided column slices included), reference seeding and assignment,
     np.add.at sums."""
@@ -172,7 +171,7 @@ def kmeans_fit_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
     return Centroids(vectors=centroids.astype(np.float32), distortion=history[-1], history=history)
 
 
-def lloyd_reference(data, k, max_iters=DEFAULT_MAX_ITERS, seed=0):
+def lloyd_reference(data, k, max_iters=MAX_ITERS, seed=0):
     """Lloyd training as written before the norms were kept per fit: every
     assignment recomputes the point norms, and each centroid column is summed
     by bincount over a strided column of the row-major data."""
@@ -298,7 +297,7 @@ def test_k_beyond_the_points_names_them(rng):
 
 
 def test_default_iteration_budget():
-    assert DEFAULT_MAX_ITERS == 25
+    assert MAX_ITERS == 25
 
 
 def test_centroids_container(rng):
@@ -432,19 +431,6 @@ def test_seeding_equals_reference_bitwise(dim, n, k_frac, kind, strided, seed):
     want = seed_plus_plus_reference(data, k, want_rng)
     np.testing.assert_array_equal(_bits(got), _bits(want))
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-
-
-def test_column_sums_equal_numpy_row_sums_at_every_width():
-    rng = np.random.default_rng(12)
-    for dim in range(0, 301):
-        rows = rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-4, 5, size=(40, dim))
-        rows[:5] = rng.integers(-2, 3, size=(5, dim)) * 0.5
-        q = rows[7].copy()  # one exact zero row
-        diff = np.array((rows - q).T)
-        diff *= diff
-        np.testing.assert_array_equal(
-            _bits(_column_sums(diff)), _bits(_sq_l2(rows, q)), err_msg=f"width {dim}"
-        )
 
 
 @pytest.mark.parametrize("k", [1, 3])

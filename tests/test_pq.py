@@ -1,5 +1,6 @@
 """Product quantization: exhaustive small-space oracles, then scale checks."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -235,3 +236,27 @@ def test_codebook_load_keeps_the_block_it_reads(tiny_codebook, monkeypatch):
     monkeypatch.setattr(annkit.pq, "read_centroids", recording_read)
     back = PqCodebook.read(Reader(w.getvalue()))
     assert back.block is read[0][0] and back.block.flags.c_contiguous
+
+
+def _results_digest(index, queries) -> str:
+    h = hashlib.sha256()
+    for q in queries:
+        for k in (1, 10):
+            h.update(repr(index.search(q, k).neighbors).encode())
+    return h.hexdigest()
+
+
+def test_pq_bytes_and_results_are_pinned(small_set):
+    """Digests taken while the k-means++ distance passes and the ADC table
+    summed each row in numpy's pairwise order. At m 2 the subspaces are 8
+    wide, where that order and a left-to-right sum differ, and the VIDX
+    bytes and the built and loaded SearchResults did not move."""
+    queries = list(np.random.default_rng(23).standard_normal((16, 16))) + list(small_set.vectors[:4])
+    index = PqIndex.build(small_set, m=2, seed=3)
+    blob = dump_index(index)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "859e4df9d686d2c82aea9529fb0d22c590d85c811065b3ab4d7ca1bbcd680960"
+    )
+    results = "b974f8799f229753e705f047f457520a4942b48395f14afe452a15fb43dd190c"
+    assert _results_digest(index, queries) == results
+    assert _results_digest(load_index_bytes(blob), queries) == results

@@ -23,7 +23,9 @@ extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
 checkout's working tree. Each side runs this script against its own ``src``
 in a fresh process with BLAS pinned to one thread, and every field that
 differs is listed, a knob added or removed included; the exit code is 1 if
-any does.
+any does. Under the table it prints both sides' ``code_size`` from
+``tools/bench_pairs.py`` (src lines, code lines, ``__all__`` names), which
+does not change the exit code.
 """
 
 from __future__ import annotations
@@ -170,6 +172,21 @@ def show(rows: dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def compare(commit: str, parent: dict[str, dict], change: dict[str, dict], sizes: dict) -> int:
+    """Print the change's table, the differences from the parent's and both
+    sides' code sizes; 1 if any row differs, else 0."""
+    print(show(change))
+    lines = differences(parent, change)
+    print(f"\nparent {commit}: ", end="")
+    print("\n".join(["differs:", *lines]) if lines else f"all {len(change)} rows identical")
+    print("code: " + ", ".join(
+        f"{label} {sizes['parent'][key]:,} -> {sizes['change'][key]:,}"
+        for label, key in (("src lines", "src_lines"), ("code lines", "src_code_lines"),
+                           ("__all__", "all_names"))
+    ))
+    return 1 if lines else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="git revision to compare with")
@@ -184,17 +201,13 @@ def main(argv=None) -> int:
         return 0
 
     sys.path.insert(0, str(Path(__file__).resolve().parent))
-    from bench_pairs import extract
+    from bench_pairs import code_size, extract
 
     with tempfile.TemporaryDirectory(prefix="identity-parent-") as tmp:
         commit = extract(args.parent, Path(tmp))
         parent = side(Path(tmp) / "src")
-    change = side(ROOT / "src")
-    print(show(change))
-    lines = differences(parent, change)
-    print(f"\nparent {commit}: ", end="")
-    print("\n".join(["differs:", *lines]) if lines else f"all {len(change)} rows identical")
-    return 1 if lines else 0
+        sizes = {"parent": code_size(Path(tmp)), "change": code_size(ROOT)}
+    return compare(commit, parent, side(ROOT / "src"), sizes)
 
 
 if __name__ == "__main__":
