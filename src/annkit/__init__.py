@@ -24,7 +24,7 @@ from .data import (
 from .distances import Metric
 from .families import ALL_FAMILIES, build_index
 from .flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
-from .hnsw import HnswIndex, HnswParams
+from .hnsw import HnswIndex
 from .ivf import IvfIndex, ivf_build
 from .lsh import LshIndex, lsh_build
 from .persist import dump_index, load_index, load_index_bytes, save_index
@@ -41,7 +41,6 @@ __all__ = [
     "FlatIPIndex",
     "FlatL2Index",
     "HnswIndex",
-    "HnswParams",
     "IvfIndex",
     "LshIndex",
     "Metric",

@@ -20,7 +20,7 @@ from .base import VectorIndex
 from .data import EmbeddingSet
 from .distances import Metric
 from .flat import FlatIPIndex, FlatL2Index
-from .hnsw import HnswIndex, HnswParams
+from .hnsw import HnswIndex
 from .ivf import IvfIndex, ivf_build
 from .lsh import LshIndex, lsh_build
 from .pq import PqIndex
@@ -62,7 +62,7 @@ _ROWS = (
     Family("flat-ip", 1, lambda r: FlatIPIndex.read_payload(r),
            lambda s, seed: FlatIPIndex.build(s), {}, unit=True),
     Family("hnsw", 7, lambda r: HnswIndex.read_payload(r),
-           lambda s, seed, **kw: HnswIndex.build(s, HnswParams(**kw), seed=seed),
+           lambda s, seed, **kw: HnswIndex.build(s, seed=seed, **kw),
            {"M": "hnsw_m", "ef_construction": "ef_construction", "ef_search": "ef_search"}),
     Family("pq", 2, lambda r: PqIndex.read_payload(r),
            lambda s, seed, **kw: PqIndex.build(s, seed=seed, **kw), _PQ),

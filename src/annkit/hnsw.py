@@ -21,11 +21,11 @@ against a float64 point; a selection gathers and scores its candidates once.
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
 
-Storage: row r's vector, id and top level sit at row r of one float32
-(rows x dim) buffer, one uint64 and one uint32 array; all three grow by
-doubling on insert and are trimmed to size by `build`. Rows are found from
-ids by one vectorised compare over the id array. The links are held level
-by level: `_links[level][row]` is row's neighbour rows at that level, one
+Storage: row r's vector, id and top level sit at row r of one float32 (rows
+x dim) buffer, one uint64 and one uint32 array; `build` sizes all three to
+its set once, and an insert past their end doubles them. Rows are found from
+ids by one vectorised compare over the id array. The links are held level by
+level: `_links[level][row]` is row's neighbour rows at that level, one
 packed int32 `array.array`, so an edge costs 4 B and no Python int. Level 0
 is a list with one entry per row; each upper level is a dict holding only
 the rows that reach it (about one row in M), so a node has no list object of
@@ -40,7 +40,6 @@ import heapq
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,32 +54,24 @@ _LIST_HEADER = sys.getsizeof(array("i"))
 _SLOTS_HEADER = sys.getsizeof([])
 
 
-@dataclass
-class HnswParams:
-    """Graph shape knobs. M caps degree; the ef values size candidate pools."""
-
-    M: int = 32
-    ef_construction: int = 40
-    ef_search: int = 64
-
-    def __post_init__(self) -> None:
-        for name in ("M", "ef_construction", "ef_search"):
-            check_count(name, getattr(self, name), U32_MAX)
-
-    @property
-    def M_max0(self) -> int:
-        return 2 * self.M
-
-    @property
-    def mL(self) -> float:
-        return 1.0 / math.log(self.M) if self.M > 1 else 1.0
-
-
 class HnswIndex(VectorIndex):
+    """HNSW graph over stored vectors. Its knobs: M caps an upper level's
+    degree (2 M at level 0); the ef values size the construction and search
+    candidate pools."""
+
     family = "hnsw"
 
-    def __init__(self, dim: int, params: HnswParams | None = None, seed: int = 0):
-        self.params = params or HnswParams()
+    def __init__(
+        self, dim: int, M: int = 32, ef_construction: int = 40, ef_search: int = 64, seed: int = 0
+    ):
+        check_count("M", M, U32_MAX)
+        check_count("ef_construction", ef_construction, U32_MAX)
+        check_count("ef_search", ef_search, U32_MAX)
+        check_count("dim", dim)
+        self.M = M
+        self.ef_construction = ef_construction
+        self.ef_search = ef_search
+        self._mL = 1.0 / math.log(M) if M > 1 else 1.0  # level multiplier
         self._dim = dim
         self._rng = np.random.default_rng(seed)
         self._vec32 = np.empty((0, dim), dtype=np.float32)
@@ -93,26 +84,22 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def build(
-        cls, emb_set: EmbeddingSet, params: HnswParams | None = None, seed: int = 0
-    ) -> "HnswIndex":
-        """Insert every record in ascending-id order; deterministic in `seed`."""
+    def build(cls, emb_set: EmbeddingSet, seed: int = 0, **knobs) -> "HnswIndex":
+        """Insert every record in ascending-id order; deterministic in `seed`.
+        `knobs` are the constructor's M, ef_construction and ef_search."""
+        index = cls(emb_set.dim, seed=seed, **knobs)
         if len(emb_set) == 0:
             raise ValueError("cannot build an index over an empty set")
-        index = cls(emb_set.dim, params, seed)
+        index._grow(len(emb_set))
         for row in np.argsort(emb_set.ids, kind="stable"):
             index.insert(int(emb_set.ids[row]), emb_set.vectors[row])
-        n = len(emb_set)  # drop the doubling slack
-        index._vec32, index._ids, index._levels = (
-            a[:n].copy() for a in (index._vec32, index._ids, index._levels)
-        )
         return index
 
     def _grow(self, needed: int) -> None:
         capacity = len(self._ids)
         if needed <= capacity:
             return
-        size = max(needed, 16, 2 * capacity)
+        size = max(needed, 2 * capacity)
         grown = []
         for a in (self._vec32, self._ids, self._levels):
             b = np.empty((size, *a.shape[1:]), dtype=a.dtype)
@@ -130,7 +117,7 @@ class HnswIndex(VectorIndex):
 
     def _draw_level(self) -> int:
         u = 1.0 - self._rng.random()  # uniform in (0, 1]
-        return int(math.floor(-math.log(u) * self.params.mL))
+        return int(math.floor(-math.log(u) * self._mL))
 
     def _dists(self, q64: np.ndarray, rows: list[int] | array) -> np.ndarray:
         """Squared L2 from the query to the given rows (float64).
@@ -286,7 +273,7 @@ class HnswIndex(VectorIndex):
         entries = [self._descend(q64, level)]
 
         for layer in range(min(level, top), -1, -1):
-            found = self._search_layer(q64, entries, self.params.ef_construction, layer)
+            found = self._search_layer(q64, entries, self.ef_construction, layer)
             entries = [r for _, r in found]
             # The thin upper layers decide which region a query descends into,
             # so their links get the expensive treatment: candidates extended
@@ -295,10 +282,10 @@ class HnswIndex(VectorIndex):
             # denser in escape edges than nearest-first truncation.
             upper = layer >= 1
             cand = self._extended(entries, layer) if upper else entries
-            neighbors = self._select_diverse(q64, cand, self.params.M, fill=True)
+            neighbors = self._select_diverse(q64, cand, self.M, fill=True)
             at_layer = self._links[layer]
             at_layer[row] = array("i", neighbors)
-            cap = self.params.M_max0 if layer == 0 else self.params.M
+            cap = 2 * self.M if layer == 0 else self.M
             for nb in neighbors:
                 links = at_layer[nb]
                 links.append(row)
@@ -331,7 +318,7 @@ class HnswIndex(VectorIndex):
             check_count("ef_search", ef_search)
         if self._entry < 0:
             return SearchResult()
-        ef = max(self.params.ef_search if ef_search is None else ef_search, k)
+        ef = max(self.ef_search if ef_search is None else ef_search, k)
         found = self._search_layer(q64, [self._descend(q64, 0)], ef, 0, visited_out=visited_out)
 
         ids = self._ids[[r for _, r in found]]
@@ -393,7 +380,7 @@ class HnswIndex(VectorIndex):
                 raise ValueError(f"level {level} holds other rows than those that reach it")
         words = self._link_words()
         heads, _ = _walk_headers(words, n + int(levels.sum()))
-        _check_links(self.params, n, levels, self._entry, words, heads)
+        _check_links(self.M, n, levels, self._entry, words, heads)
 
     def memory_bytes(self) -> int:
         """Buffers as held (spare capacity included), plus the links: 4 B per
@@ -414,18 +401,18 @@ class HnswIndex(VectorIndex):
 
     def config(self) -> dict:
         return {
-            "M": self.params.M,
-            "ef_construction": self.params.ef_construction,
-            "ef_search": self.params.ef_search,
+            "M": self.M,
+            "ef_construction": self.ef_construction,
+            "ef_search": self.ef_search,
         }
 
     # ------------------------------------------------------------ persistence
 
     def write_payload(self, w: Writer) -> None:
         n = len(self)
-        w.u32(self.params.M)
-        w.u32(self.params.ef_construction)
-        w.u32(self.params.ef_search)
+        w.u32(self.M)
+        w.u32(self.ef_construction)
+        w.u32(self.ef_search)
         w.u32(self._dim)
         w.u64(n)
         w.u64(self.entry_id if n else 0)
@@ -436,8 +423,8 @@ class HnswIndex(VectorIndex):
 
     @classmethod
     def read_payload(cls, r: Reader) -> "HnswIndex":
-        params = HnswParams(M=r.u32(), ef_construction=r.u32(), ef_search=r.u32())
-        dim = r.u32()
+        M, ef_construction, ef_search, dim = r.u32(), r.u32(), r.u32(), r.u32()
+        index = cls(dim, M, ef_construction, ef_search)
         count = r.u64()
         entry_id = r.u64()
         ids = r.u64_array(count)
@@ -451,9 +438,8 @@ class HnswIndex(VectorIndex):
         words = r.u32_array(end)
         hits = np.flatnonzero(ids == np.uint64(entry_id))
         entry = int(hits[0]) if len(hits) else -1
-        _check_links(params, count, levels, entry, words, heads)
+        _check_links(M, count, levels, entry, words, heads)
 
-        index = cls(dim, params)
         index._vec32 = vectors.copy()  # owned: a reshaped view would keep two array objects
         index._ids = ids
         index._levels = levels
@@ -497,7 +483,7 @@ def _walk_headers(words: np.ndarray, lists: int) -> tuple[np.ndarray, int]:
 
 
 def _check_links(
-    params: HnswParams,
+    M: int,
     n: int,
     levels: np.ndarray,
     entry: int,
@@ -521,7 +507,7 @@ def _check_links(
     list_row = np.repeat(np.arange(n), span)
     list_level = np.arange(len(heads)) - np.repeat(np.cumsum(span) - span, span)
     deg = words[heads].astype(np.int64)
-    if np.any(deg > np.where(list_level == 0, params.M_max0, params.M)):
+    if np.any(deg > np.where(list_level == 0, 2 * M, M)):
         raise ValueError("a degree exceeds its level's cap")
     is_edge = np.ones(len(words), dtype=bool)
     is_edge[heads] = False

@@ -65,8 +65,7 @@ class IvfIndex(VectorIndex):
             raise ValueError(f"ivf-{encoding} cannot take a {type(codec).__name__} codec")
         if codec is not None and codec.dim != coarse.dim:
             raise ValueError(f"codec has dim {codec.dim}, index has dim {coarse.dim}")
-        if not 1 <= nprobe <= coarse.k:
-            raise ValueError(f"nprobe must be in 1..{coarse.k}")
+        check_count("nprobe", nprobe, coarse.k)
         self.coarse = coarse
         self.encoding = encoding
         self._ids = np.asarray(ids, dtype=np.uint64)

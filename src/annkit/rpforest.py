@@ -301,9 +301,9 @@ class RpForestIndex(VectorIndex):
         return e * (1.0 + 2.0**-20) + 2**17 * (d + 1) * _ETA32
 
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
-        q = check_query(query, k, self.dim)
-        rows = self.candidate_rows(q, self.n_trees * k if search_k is None else search_k)
-        scores = batch_scores(self.metric, q, self._vectors[rows])
+        check_count("k", k)  # candidate_rows checks the query
+        rows = self.candidate_rows(query, self.n_trees * k if search_k is None else search_k)
+        scores = batch_scores(self.metric, query, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
     def config(self) -> dict:

@@ -20,7 +20,7 @@ from annkit.bench import (
 from annkit.data import gen_synthetic
 from annkit.distances import Metric, batch_scores
 from annkit.flat import FlatL2Index, exact_search, ground_truth
-from annkit.hnsw import HnswIndex, HnswParams
+from annkit.hnsw import HnswIndex
 from annkit.ivf import ivf_build
 from annkit.kmeans import assign_to_centroids, kmeans_fit
 from annkit.lsh import RERANK_POOL_FACTOR, lsh_build
@@ -79,9 +79,7 @@ def flat_l2(dstar):
 
 @pytest.fixture(scope="module")
 def hnsw_index(dstar):
-    return HnswIndex.build(
-        dstar, HnswParams(M=32, ef_construction=40, ef_search=128), seed=0
-    )
+    return HnswIndex.build(dstar, M=32, ef_construction=40, ef_search=128, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -379,9 +377,7 @@ def test_every_family_round_trips(small_set):
         "ivf-pq": lambda s: ivf_build(s, nlist=8, encoding="pq", m=4, nbits=4, seed=0),
         "ivf-sq": lambda s: ivf_build(s, nlist=8, encoding="sq", seed=0),
         "lsh": lambda s: lsh_build(s, nbits=64, seed=0),
-        "hnsw": lambda s: HnswIndex.build(
-            s, HnswParams(M=8, ef_construction=24), seed=0
-        ),
+        "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24, seed=0),
         "rpforest": lambda s: rp_build(s, n_trees=4, seed=0),
     }
     rng = np.random.default_rng(1)

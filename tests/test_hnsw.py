@@ -14,28 +14,30 @@ from hypothesis.extra import numpy as hnp
 from annkit import gen_synthetic
 from annkit.distances import _sq_l2
 from annkit.flat import exact_search, ground_truth
-from annkit.hnsw import HnswIndex, HnswParams
+from annkit.hnsw import HnswIndex
 from annkit.persist import dump_index, load_index_bytes
 
 
 @pytest.fixture(scope="module")
 def built(small_set):
-    return HnswIndex.build(small_set, HnswParams(M=8, ef_construction=32), seed=0)
+    return HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
 
 
 def test_params_defaults():
-    p = HnswParams()
-    assert p.M == 32
-    assert p.ef_construction == 40
-    assert p.M_max0 == 64
-    assert p.mL == pytest.approx(1.0 / np.log(32))
+    index = HnswIndex(4)
+    assert index.M == 32
+    assert index.ef_construction == 40
+    assert index.ef_search == 64
+    assert index._mL == pytest.approx(1.0 / np.log(32))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        HnswParams(M=0)
+        HnswIndex(4, M=0)
     with pytest.raises(ValueError):
-        HnswParams(M=8, ef_construction=0)
+        HnswIndex(4, M=8, ef_construction=0)
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        HnswIndex(0)
 
 
 def test_structure_is_valid(built):
@@ -49,11 +51,10 @@ def test_entry_point_lives_on_top_level(built, small_set):
 
 
 def test_degrees_respect_caps(built, small_set):
-    p = built.params
     for rid in small_set.ids.tolist():
         for level in range(built.level_of(rid) + 1):
             nbrs = built.neighbors_of(rid, level)
-            cap = p.M_max0 if level == 0 else p.M
+            cap = 2 * built.M if level == 0 else built.M
             assert len(nbrs) <= cap
             assert rid not in nbrs  # no self loops
             assert len(nbrs) == len(set(nbrs))
@@ -79,8 +80,8 @@ def test_level_assignment_is_geometric(built, small_set):
 
 
 def test_build_deterministic_given_seed(small_set):
-    a = HnswIndex.build(small_set, HnswParams(M=8, ef_construction=32), seed=0)
-    b = HnswIndex.build(small_set, HnswParams(M=8, ef_construction=32), seed=0)
+    a = HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
+    b = HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
     assert dump_index(a) == dump_index(b)
 
 
@@ -99,17 +100,17 @@ def test_level0_neighbors_are_near(built, small_set):
     links, so per-node "all edges near" is the wrong invariant; measure the
     edge population instead.
     """
-    p = built.params
+    cap0 = 2 * built.M
     near_edges = 0
     total_edges = 0
     has_close_edge = 0
     for rid in small_set.ids.tolist():
         row = small_set.row_of(rid)
         near = exact_search(
-            small_set, small_set.vectors[row], 2 * p.M_max0, exclude=rid
+            small_set, small_set.vectors[row], 2 * cap0, exclude=rid
         ).ids
         near_set = set(near)
-        core = set(near[: p.M_max0])
+        core = set(near[:cap0])
         nbrs = built.neighbors_of(rid, 0)
         total_edges += len(nbrs)
         near_edges += sum(nb in near_set for nb in nbrs)
@@ -261,10 +262,9 @@ def test_select_diverse_tie_and_duplicate_examples():
 
 
 def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
-    params = HnswParams(M=8, ef_construction=24)
-    fast = dump_index(HnswIndex.build(small_set, params, seed=0))
+    fast = dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0))
     monkeypatch.setattr(HnswIndex, "_select_diverse", select_diverse_reference)
-    assert dump_index(HnswIndex.build(small_set, params, seed=0)) == fast
+    assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0)) == fast
 
 
 # ------------------------------------------------------ upper-layer descent
@@ -299,9 +299,8 @@ def _descent_cases(draw):
 @given(_descent_cases())
 def test_descend_matches_reference(case):
     vectors, queries, M, seed = case
-    params = HnswParams(M=M, ef_construction=8)
-    index = HnswIndex(vectors.shape[1], params, seed)
-    reference = _ReferenceDescentIndex(vectors.shape[1], params, seed)
+    index = HnswIndex(vectors.shape[1], M=M, ef_construction=8, seed=seed)
+    reference = _ReferenceDescentIndex(vectors.shape[1], M=M, ef_construction=8, seed=seed)
     for i, v in enumerate(vectors):
         index.insert(i, v)
         reference.insert(i, v)
@@ -321,7 +320,7 @@ def test_descend_matches_reference(case):
 @pytest.fixture(scope="module")
 def noisy_graph():
     data = gen_synthetic(4, 50, 8, 0.3, seed=1)
-    return data, HnswIndex.build(data, HnswParams(M=8, ef_construction=24), seed=0)
+    return data, HnswIndex.build(data, M=8, ef_construction=24, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -336,9 +335,8 @@ def test_search_rejects_non_finite_query(noisy_graph, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_insert_rejects_non_finite_vector(bad):
     data = gen_synthetic(4, 50, 8, 0.3, seed=1)
-    params = HnswParams(M=8, ef_construction=24)
-    graph = HnswIndex.build(data, params, seed=0)
-    clean = HnswIndex.build(data, params, seed=0)
+    graph = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
+    clean = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
     before = dump_index(graph)
     v = np.ones(8, dtype=np.float32)
     v[2] = bad
@@ -372,7 +370,7 @@ def test_load_rejects_non_finite_vector(noisy_graph, bad):
 @pytest.mark.parametrize("per_class", [300, 5])
 def test_memory_bytes_counts_the_buffer_held(per_class):
     data = gen_synthetic(2, per_class, 16, 0.05, seed=2)
-    built = HnswIndex.build(data, HnswParams(M=8, ef_construction=24), seed=0)
+    built = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
     loaded = load_index_bytes(dump_index(built))
     assert built._vec32.shape[0] == loaded._vec32.shape[0] == len(data)
     assert built.memory_bytes() == loaded.memory_bytes()
@@ -402,7 +400,7 @@ def test_graph_bytes_and_results_are_pinned():
         + list(base.vectors[:4])
         + list(extra.vectors[:4])
     )
-    graph = HnswIndex.build(base, HnswParams(M=8, ef_construction=24), seed=0)
+    graph = HnswIndex.build(base, M=8, ef_construction=24, seed=0)
     assert hashlib.sha256(dump_index(graph)).hexdigest() == (
         "c84a8f775ffc39d78660a937400303110b1057ae7babe5cabeb6b83bca029a09"
     )
@@ -425,7 +423,7 @@ def test_loaded_graph_grows_like_the_built_one():
     the built one's."""
     data = gen_synthetic(4, 60, 8, 0.3, seed=2)
     extra = gen_synthetic(3, 20, 8, 0.3, seed=3)
-    built = HnswIndex.build(data, HnswParams(M=6, ef_construction=20), seed=4)
+    built = HnswIndex.build(data, M=6, ef_construction=20, seed=4)
     loaded = load_index_bytes(dump_index(built))
     loaded._rng.bit_generator.state = built._rng.bit_generator.state
     for rid, v in zip(extra.ids.tolist(), extra.vectors):
@@ -516,7 +514,7 @@ def test_check_rejects_a_repeated_edge(noisy_graph):
 
 def test_check_rejects_a_degree_over_the_cap(noisy_graph):
     _, graph = noisy_graph
-    cap = graph.params.M_max0
+    cap = 2 * graph.M
 
     def overfill(g):
         links = g._links[0][3]
@@ -527,10 +525,10 @@ def test_check_rejects_a_degree_over_the_cap(noisy_graph):
 
     row = _upper_row(graph)
     upper = [r for r in range(len(graph)) if r != row and graph._levels[r] >= 1]
-    assert len(upper) > graph.params.M
+    assert len(upper) > graph.M
 
     def overfill_upper(g):
-        g._links[1][row] = array("i", upper[: g.params.M + 1])
+        g._links[1][row] = array("i", upper[: g.M + 1])
 
     assert "cap" in _corrupt(graph, overfill_upper)
 
@@ -591,7 +589,7 @@ def test_loaded_graph_keeps_the_built_links(noisy_graph):
 def test_loaded_graph_grows_a_new_top_level_and_round_trips():
     """A load that then inserts a node above its top level adds the level."""
     data = gen_synthetic(4, 20, 8, 0.1, seed=3)
-    graph = load_index_bytes(dump_index(HnswIndex.build(data, HnswParams(M=4), seed=1)))
+    graph = load_index_bytes(dump_index(HnswIndex.build(data, M=4, seed=1)))
     top = graph.level_of(graph.entry_id)
     graph._draw_level = lambda: top + 2
     graph.insert(10**6, np.full(8, 0.5, dtype=np.float32))

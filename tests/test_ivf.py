@@ -166,6 +166,14 @@ def test_search_nprobe_must_be_an_integer_in_range(small_set, encoding, nprobe):
     assert index.search(q, 5, nprobe=np.int64(3)) == index.search(q, 5, nprobe=3)
 
 
+@pytest.mark.parametrize("nprobe", [2.5, True, 0, 11])
+def test_constructor_nprobe_must_be_an_integer_in_range(ivf_flat, nprobe):
+    """nprobe=2.5 once built an index whose every default search raised, and
+    nprobe=True one whose config reported True."""
+    with pytest.raises(ValueError, match="nprobe must be in 1..10 and an integer"):
+        IvfIndex(ivf_flat.coarse, "flat", ivf_flat.ids, ivf_flat.payload, ivf_flat.offsets, nprobe)
+
+
 def test_build_validation(small_set):
     with pytest.raises(ValueError):
         ivf_build(small_set, nlist=0)

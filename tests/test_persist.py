@@ -13,7 +13,7 @@ from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric
 from annkit.families import FAMILIES, build_index
 from annkit.flat import FlatIPIndex, FlatL2Index
-from annkit.hnsw import HnswIndex, HnswParams
+from annkit.hnsw import HnswIndex
 from annkit.ivf import ivf_build
 from annkit.lsh import LshIndex, lsh_build
 from annkit.persist import (
@@ -36,7 +36,7 @@ BUILDERS = {
     "ivf-pq": lambda s: ivf_build(s, nlist=8, encoding="pq", m=4, nbits=4, seed=0),
     "ivf-sq": lambda s: ivf_build(s, nlist=8, encoding="sq", seed=0),
     "lsh": lambda s: lsh_build(s, nbits=64, seed=0),
-    "hnsw": lambda s: HnswIndex.build(s, HnswParams(M=8, ef_construction=24), seed=0),
+    "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24, seed=0),
     "rpforest": lambda s: rp_build(s, n_trees=4, seed=0),
 }
 
@@ -233,6 +233,18 @@ def test_loaders_reject_shapes_no_builder_writes(small_set, family):
     blob = dump_index(_NO_BUILDER_WRITES[family](small_set))
     with pytest.raises(ValueError, match="must be >= 1"):
         load_index_bytes(blob)
+
+
+def test_hnsw_loader_rejects_dim_zero(small_set):
+    """A dim-0 graph once loaded and answered an empty query with its first rows."""
+    index = BUILDERS["hnsw"](small_set)
+    blob = bytearray(dump_index(index))
+    dim_at = 6 + 3 * 4  # magic, version, tag, M, ef_construction, ef_search
+    vectors_at = dim_at + 4 + 8 + 8 + 12 * len(index)  # dim, count, entry id, ids, levels
+    struct.pack_into("<I", blob, dim_at, 0)
+    del blob[vectors_at : vectors_at + 4 * index.dim * len(index)]
+    with pytest.raises(ValueError, match="must be >= 1"):
+        load_index_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("family", ["flat-l2", "flat-ip"])

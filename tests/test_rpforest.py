@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric
+from annkit import rpforest
+from annkit.base import check_query
 from annkit.flat import exact_search
 from annkit.persist import VIDX_MAGIC, VIDX_VERSION, dump_index, load_index_bytes
 from annkit.rpforest import RpForestIndex, rp_build
@@ -132,6 +134,21 @@ def test_candidate_rows_pass_the_search_gate(value):
         forest.candidate_rows(query, 3)
     with pytest.raises(ValueError, match="finite"):
         forest.search(query, 3, search_k=3)
+
+
+def test_search_checks_the_query_once(small_set, monkeypatch):
+    """`search` and `candidate_rows` once both ran `check_query` on each query."""
+    forest = rp_build(small_set, n_trees=2, seed=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_query(*args)
+
+    monkeypatch.setattr(rpforest, "check_query", counted)
+    for q in small_set.vectors[:3]:
+        forest.search(q, 5)
+    assert len(calls) == 3
 
 
 def test_search_k_validation(small_set):
