@@ -195,9 +195,14 @@ def shortlist(
         return _proven_cut(keys, k, d, g * nq + nr, norm_q=norm * math.sqrt(float(q @ q)))
     keys *= -2.0
     keys += sq_norms
+    return _proven_cut(keys, k, d, _l2_key_error(g, norm, nq, nr), z=float(q @ q))
+
+
+def _l2_key_error(g, norm, nq, nr):
+    """E of the L2 keys in :func:`shortlist`, from gamma_d, N, N Q and N R
+    (floats, or arrays of them)."""
     n2 = norm * norm
-    e = g * n2 + 2.0 * g * nq + 2.0 * nr + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
-    return _proven_cut(keys, k, d, e, z=float(q @ q))
+    return g * n2 + 2.0 * g * nq + 2.0 * nr + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
 
 
 def _proven_cut(
@@ -261,3 +266,50 @@ def _proven_cut(
         cut = np.nextafter(cut, np.float32(np.inf))
     rows = np.flatnonzero(keys <= cut)
     return rows if 2 * len(rows) <= n else _EVERY_ROW
+
+
+# Keys per block of :func:`_nearest_rows`: a (rows, n) float32 block stays at 2 MB.
+_BLOCK_KEYS = 2**19
+
+
+def _nearest_rows(vectors: np.ndarray, k: int) -> list[list[int]]:
+    """Each row's k nearest other rows (all of them when fewer), nearest first.
+
+    `vectors` are float32 rows. Rows are ranked by `_sq_l2` of the float32
+    rows against the row in float64, ties by row: the ranking a full sort of
+    every other row gives. The keys of :func:`shortlist` for a block of rows
+    come from one float32 product with every row, a row's own key is +inf,
+    and :func:`_proven_cut` keeps only the rows that can rank among its k;
+    only they are scored. A stored row is its own float32 query, so R = 0.
+    Where the shortlist would scan every row (2 k > n, a huge dimension or
+    norm), every other row is scored.
+    """
+    n, d = vectors.shape
+    k = min(k, n - 1)
+    if k <= 0:
+        return [[] for _ in range(n)]
+    sq_norms = sq_row_norms(vectors)
+    max_sq_norm = float(sq_norms.max())
+    keyed = 2 * k <= n and d <= _MAX_DIM and max_sq_norm < _LIMIT
+    g = d * _U32 / (1.0 - d * _U32)
+    norm = math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - g))
+    every = np.arange(n)
+    nearest = []
+    step = max(1, _BLOCK_KEYS // n)
+    for lo in range(0, n, step):
+        block = vectors[lo : lo + step]
+        block64 = block.astype(np.float64)
+        z = np.einsum("ij,ij->i", block64, block64)
+        if keyed:
+            e = _l2_key_error(g, norm, norm * np.sqrt(z), 0.0).tolist()
+            keys = block @ vectors.T
+            keys *= -2.0
+            keys += sq_norms
+            keys[np.arange(len(block)), np.arange(lo, lo + len(block))] = np.inf
+        for i, x in enumerate(block64):
+            rows = _proven_cut(keys[i], k, d, e[i], z=float(z[i])) if keyed else _EVERY_ROW
+            if rows is _EVERY_ROW:
+                rows = np.delete(every, lo + i)
+            dist = _sq_l2(vectors[rows], x)
+            nearest.append(rows[np.lexsort((rows, dist))[:k]].tolist())
+    return nearest

@@ -1,20 +1,30 @@
 """Hierarchical navigable small-world graph index.
 
-Construction follows the classic recipe: each node draws a top level from a
-geometric-like distribution (floor(-ln(u) * mL), mL = 1/ln(M)), descends
-greedily through the upper layers, then links to up to M candidates found
-with an ef_construction-sized best-first search per layer. Link selection
-uses the diversity heuristic: walking candidates nearest-first, a candidate
-is linked only if it is closer to the new node than to every neighbor already
-chosen. Overflowing back-edge lists are re-pruned with the same rule. Plain
-nearest-M selection is deliberately not used — on clustered data it lets
-same-cluster back-edges evict every cross-cluster bridge, the bottom layer
-disintegrates into per-cluster islands, and queries that descend into the
-wrong cluster can never leave it (measured here: recall collapses from ~0.99
-to ~0.8 on well-separated blobs). Search descends the same way: above level 0
-it walks greedily, scoring each link list in one call and moving to a strictly
-closer neighbour until none is, and at level 0 it runs a best-first scan with
-a max(ef_search, k)-sized result pool. Every distance, in search and in link
+Every node draws a top level from a geometric-like distribution
+(floor(-ln(u) * mL), mL = 1/ln(M)). An insert follows the classic recipe: it
+descends greedily through the upper layers, then links to up to M candidates
+found with an ef_construction-sized best-first search per layer. Link
+selection uses the diversity heuristic: walking candidates nearest-first, a
+candidate is linked only if it is closer to the new node than to every
+neighbor already chosen. Overflowing back-edge lists are re-pruned with the
+same rule. Plain nearest-M selection is deliberately not used — on clustered
+data it lets same-cluster back-edges evict every cross-cluster bridge, the
+bottom layer disintegrates into per-cluster islands, and queries that descend
+into the wrong cluster can never leave it (measured here: recall collapses
+from ~0.99 to ~0.8 on well-separated blobs).
+
+A build links the upper layers by that procedure, but takes level 0 from one
+exact k-NN pass, as FAISS's `init_level_0_from_knngraph` and NSG (Fu et al.,
+VLDB 2019) do: each row's ef_construction nearest rows are its candidates,
+their diverse core its links, every link is mirrored, and a list over 2 M is
+pruned by the same rule. Such a graph splits into one island per cluster on
+well-separated data, so, as NSG does, the build then links each island to the
+part the entry reaches until a walk from the entry reaches every row.
+
+Search descends like an insert: above level 0 it walks greedily, scoring
+each link list in one call and moving to a strictly closer neighbour until
+none is, and at level 0 it runs a best-first scan with a max(ef_search,
+k)-sized result pool. Every distance, in search and in link
 selection, is the squared L2 of `distances._sq_l2` on gathered float32 rows
 against a float64 point; a selection gathers and scores its candidates once.
 
@@ -23,7 +33,7 @@ reported scores are exact Euclidean distances to the stored vectors.
 
 Storage: row r's vector, id and top level sit at row r of one float32 (rows
 x dim) buffer, one uint64 and one uint32 array; `build` sizes all three to
-its set once, and an insert past their end doubles them. Rows are found from
+its set, and an insert past their end doubles them. Rows are found from
 ids by one vectorised compare over the id array. The links are held level by
 level: `_links[level][row]` is row's neighbour rows at that level, one
 packed int32 `array.array`, so an edge costs 4 B and no Python int. Level 0
@@ -45,7 +55,7 @@ import numpy as np
 
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
-from .distances import Metric, _sq_l2
+from .distances import Metric, _nearest_rows, _sq_l2
 from .wire import U32_MAX, Reader, Writer
 
 # Fixed bytes of one neighbour list (the array object, its items apart) and
@@ -85,15 +95,100 @@ class HnswIndex(VectorIndex):
 
     @classmethod
     def build(cls, emb_set: EmbeddingSet, seed: int = 0, **knobs) -> "HnswIndex":
-        """Insert every record in ascending-id order; deterministic in `seed`.
-        `knobs` are the constructor's M, ef_construction and ef_search."""
+        """Index every record, rows in ascending-id order; deterministic in `seed`.
+        `knobs` are the constructor's M, ef_construction and ef_search.
+
+        Levels are drawn one per row in row order, as `insert` draws them.
+        The upper layers are linked by `insert`'s procedure over the rows that
+        reach level 1, in row order. Level 0 comes from an exact k-NN pass
+        instead (`_link_level0`). A row whose level is 0 writes nothing above
+        level 0 when inserted, so the upper lists, the entry, the levels and
+        the level stream are those of inserting every row in turn.
+        """
         index = cls(emb_set.dim, seed=seed, **knobs)
         if len(emb_set) == 0:
             raise ValueError("cannot build an index over an empty set")
-        index._grow(len(emb_set))
-        for row in np.argsort(emb_set.ids, kind="stable"):
-            index.insert(int(emb_set.ids[row]), emb_set.vectors[row])
+        order = np.argsort(emb_set.ids, kind="stable")
+        index._vec32 = emb_set.vectors[order]
+        index._ids = emb_set.ids[order]
+        levels = np.array([index._draw_level() for _ in order], dtype=np.uint32)
+        index._levels = levels
+        index._links = [[]]  # level 0 comes last, from _link_level0
+        for level in range(1, int(levels.max()) + 1):
+            index._links.append({r: array("i") for r in np.flatnonzero(levels >= level).tolist()})
+        for row in np.flatnonzero(levels >= 1).tolist():
+            if index._entry < 0:
+                index._entry = row
+            else:
+                index._link(row, index._vec32[row].astype(np.float64), int(levels[row]), 1)
+        index._entry = max(index._entry, 0)  # every row on level 0: row 0
+        index._link_level0()
         return index
+
+    def _link_level0(self) -> None:
+        """Level 0 of a build, from an exact k-NN pass.
+
+        Each row's ef_construction nearest other rows (`_nearest_rows`) are
+        its candidates, and it links to their diverse core, up to M, with no
+        fill (an insert fills its own list up to M). Every link is then
+        mirrored, a row's own links first and then the rows linking to it in
+        row order, and a list over 2 M is pruned by the diverse rule. On
+        clustered data these lists can split into one island per cluster,
+        which no search from the entry leaves, so `_connect_level0` bridges
+        the islands.
+        """
+        links = []
+        for row, cand in enumerate(_nearest_rows(self._vec32, self.ef_construction)):
+            links.append(self._select_diverse(self._vec32[row].astype(np.float64), cand, self.M))
+        level0 = [array("i", own) for own in links]
+        for row, own in enumerate(links):
+            for nb in own:
+                if row not in links[nb]:
+                    level0[nb].append(row)
+        cap = 2 * self.M
+        for row, nbrs in enumerate(level0):
+            if len(nbrs) > cap:
+                row64 = self._vec32[row].astype(np.float64)
+                level0[row] = array("i", self._select_diverse(row64, nbrs, cap))
+        self._links[0] = level0
+        self._connect_level0()
+
+    def _connect_level0(self) -> None:
+        """Make every row reachable at level 0 from the entry.
+
+        Walk from the entry. While a row is unreached, link the lowest
+        unreached row from its nearest reached row (row tie-break) whose list
+        is under 2 M, and back to that row if its own list is under 2 M, then
+        walk on from it. No list passes its cap, so no prune drops a bridge.
+        If every reached list were full, the walk would stop short. Before
+        the first bridge that cannot happen: a set of rows that links only
+        inside itself holds a mutual nearest-neighbour pair, and every link in
+        it comes from a selection of at most M rows per row, so together its
+        lists hold at least two links fewer than 2 M per row.
+        """
+        links, cap = self._links[0], 2 * self.M
+        reached = np.zeros(len(links), dtype=bool)
+        free = np.array([cap - len(nbrs) for nbrs in links])
+        row = self._entry
+        while True:
+            reached[row] = True
+            stack = [row]
+            while stack:
+                for nb in links[stack.pop()]:
+                    if not reached[nb]:
+                        reached[nb] = True
+                        stack.append(nb)
+            unreached = np.flatnonzero(~reached)
+            room = np.flatnonzero(reached & (free > 0))
+            if not len(unreached) or not len(room):
+                return
+            row = int(unreached[0])
+            via = int(room[self._dists(self._vec32[row].astype(np.float64), room).argmin()])
+            links[via].append(row)
+            free[via] -= 1
+            if free[row] > 0 and via not in links[row]:
+                links[row].append(via)
+                free[row] -= 1
 
     def _grow(self, needed: int) -> None:
         capacity = len(self._ids)
@@ -267,12 +362,16 @@ class HnswIndex(VectorIndex):
         if self._entry < 0:
             self._entry = row
             return
+        self._link(row, vector.astype(np.float64), level, 0)
 
-        q64 = vector.astype(np.float64)
+    def _link(self, row: int, q64: np.ndarray, level: int, bottom: int) -> None:
+        """Link the stored `row` (point `q64`, top `level`) at every level from
+        its top, or the graph's, down to `bottom`, and make it the entry if it
+        tops the graph."""
         top = int(self._levels[self._entry])
         entries = [self._descend(q64, level)]
 
-        for layer in range(min(level, top), -1, -1):
+        for layer in range(min(level, top), bottom - 1, -1):
             found = self._search_layer(q64, entries, self.ef_construction, layer)
             entries = [r for _, r in found]
             # The thin upper layers decide which region a query descends into,

@@ -212,7 +212,7 @@ def test_kmeans_distortion_never_increases(dstar):
 # ------------------------------------------------------- recall floors
 #
 # Measured at these exact seeds and query sample (500 queries, seed 11):
-#   hnsw  M=32 efc=40 efs=128 seed 0   recall@10 = 0.9902
+#   hnsw  M=32 efc=40 efs=128 seed 0   recall@10 = 1.0000
 #   rpforest angular, default knobs    recall@5  = 1.0000 (search_k=50)
 #   (6 trees of 48-row leaves) seed 0  recall@5  = 1.0000 (search_k=250)
 #                                      recall@10 = 1.0000 (default budget, n_trees x k)

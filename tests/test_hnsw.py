@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from annkit import gen_synthetic
+from annkit import EmbeddingSet, gen_synthetic
 from annkit.distances import _sq_l2
 from annkit.flat import exact_search, ground_truth
 from annkit.hnsw import HnswIndex
@@ -267,6 +267,120 @@ def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
     assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0)) == fast
 
 
+# ------------------------------------------------ level 0 from the k-NN pass
+
+
+def reached_rows(links, entry):
+    """Rows that a walk over the level-0 `links` reaches from `entry`."""
+    seen, stack = {entry}, [entry]
+    while stack:
+        for nb in links[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+def level0_reference(index):
+    """Level 0 of `build` from first principles: every other row ranked by
+    (`_dists`, row), the first ef_construction kept, `select_diverse_reference`
+    with cap M, every link mirrored, lists over 2 M pruned, then the islands
+    bridged from the entry's side. The walk is redone from scratch after each
+    bridge."""
+    n, M = len(index), index.M
+    selected = []
+    for row in range(n):
+        base = index._vec32[row].astype(np.float64)
+        others = [r for r in range(n) if r != row]
+        ranked = sorted(zip(index._dists(base, others).tolist(), others))
+        cand = [r for _, r in ranked[: index.ef_construction]]
+        selected.append(select_diverse_reference(index, base, cand, M))
+    lists = [list(own) for own in selected]
+    for row, own in enumerate(selected):
+        for nb in own:
+            if row not in selected[nb]:
+                lists[nb].append(row)
+    for row, nbrs in enumerate(lists):
+        if len(nbrs) > 2 * M:
+            base = index._vec32[row].astype(np.float64)
+            lists[row] = select_diverse_reference(index, base, nbrs, 2 * M)
+    while True:
+        seen = reached_rows(lists, index._entry)
+        unreached = [r for r in range(n) if r not in seen]
+        room = [r for r in sorted(seen) if len(lists[r]) < 2 * M]
+        if not unreached or not room:
+            return lists
+        row = unreached[0]
+        d = index._dists(index._vec32[row].astype(np.float64), room)
+        via = min(zip(d.tolist(), room))[1]
+        lists[via].append(row)
+        if len(lists[row]) < 2 * M and via not in lists[row]:
+            lists[row].append(via)
+
+
+def build_both(vectors, ids, M, ef_construction, seed):
+    """`HnswIndex.build` of the set, and the same set inserted row by row in
+    ascending-id order with its level 0 replaced by `level0_reference`."""
+    emb = EmbeddingSet(ids, np.zeros(len(ids), np.uint32), vectors)
+    built = HnswIndex.build(emb, M=M, ef_construction=ef_construction, seed=seed)
+    stepwise = HnswIndex(emb.dim, M=M, ef_construction=ef_construction, seed=seed)
+    for row in np.argsort(ids, kind="stable"):
+        stepwise.insert(int(ids[row]), vectors[row])
+    n = len(ids)
+    assert built._entry == stepwise._entry
+    assert np.array_equal(built._levels, stepwise._levels[:n])
+    assert built._links[1:] == stepwise._links[1:]
+    assert built._rng.bit_generator.state == stepwise._rng.bit_generator.state
+    stepwise._links[0] = [array("i", nbrs) for nbrs in level0_reference(stepwise)]
+    return built, stepwise
+
+
+@st.composite
+def _build_cases(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    vectors = draw(hnp.arrays(np.float32, (n, dim), elements=_coords))
+    ids = np.array(draw(st.permutations(range(n))), dtype=np.uint64) * np.uint64(3) + np.uint64(7)
+    M = draw(st.integers(2, 4))
+    ef_construction = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**16))
+    return vectors, ids, M, ef_construction, seed
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_build_cases())
+def test_build_matches_the_level0_reference(case):
+    """The upper layers, entry, levels and level stream are those of an
+    insert-by-insert build; level 0 is the reference's, byte for byte, and
+    reaches every row."""
+    built, reference = build_both(*case)
+    assert dump_index(built) == dump_index(reference)
+    assert reached_rows(built._links[0], built._entry) == set(range(len(built)))
+    built.validate_structure()
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11])
+def test_build_at_and_around_ef_construction(n):
+    """With n <= ef_construction a row has only n - 1 candidates; one row
+    makes a graph without edges whose entry is that row."""
+    data = gen_synthetic(1, n, 8, 0.3, seed=n)
+    built, reference = build_both(data.vectors, data.ids, 4, 10, 0)
+    assert dump_index(built) == dump_index(reference)
+    built.validate_structure()
+    assert reached_rows(built._links[0], built._entry) == set(range(n))
+    if n == 1:
+        assert built._entry == 0 and len(built._links[0][0]) == 0
+    for row, v in enumerate(data.vectors):
+        assert built.search(v, 1).ids == [int(data.ids[row])]
+
+
+def test_every_row_is_reachable_at_level0(built, noisy_graph):
+    """On well-separated classes the exact k-NN lists alone split into one
+    island per class; the bridges join them to the entry."""
+    for graph in (built, noisy_graph[1]):
+        assert reached_rows(graph._links[0], graph._entry) == set(range(len(graph)))
+
+
 # ------------------------------------------------------ upper-layer descent
 
 
@@ -390,9 +504,9 @@ def _results_digest(graph, queries) -> str:
 
 
 def test_graph_bytes_and_results_are_pinned():
-    """Digests taken from the list-of-lists storage that the packed int32 lists
-    replaced: the same inserts give the same VIDX bytes and SearchResults,
-    after the build and after 50 further inserts."""
+    """VIDX bytes and SearchResults after the build (level 0 from the exact
+    k-NN pass) and after 50 further inserts. The insert-by-insert build gave
+    the same results digest after the build, and other bytes."""
     base = gen_synthetic(6, 50, 16, 0.05, seed=5)
     extra = gen_synthetic(5, 10, 16, 0.08, seed=13)
     queries = (
@@ -402,7 +516,7 @@ def test_graph_bytes_and_results_are_pinned():
     )
     graph = HnswIndex.build(base, M=8, ef_construction=24, seed=0)
     assert hashlib.sha256(dump_index(graph)).hexdigest() == (
-        "c84a8f775ffc39d78660a937400303110b1057ae7babe5cabeb6b83bca029a09"
+        "bec7de23b4f51847f86a93774f11d650a062f7e506a092593b336511a7e272dc"
     )
     assert _results_digest(graph, queries) == (
         "f1825e4fb396faf5971378a5efb499b14af9b242b0bdda8c506d764811507c04"
@@ -410,10 +524,10 @@ def test_graph_bytes_and_results_are_pinned():
     for rid, v in zip(extra.ids.tolist(), extra.vectors):
         graph.insert(1000 + rid, v)
     assert hashlib.sha256(dump_index(graph)).hexdigest() == (
-        "fad563aaf1a61db6730617efd107e3eb3d94dc170b3b568dbffb61a468075966"
+        "721fd88755fe72db0e2544f3fb136f57e4c28010b1f53c33e7eaeabd2d3f92c1"
     )
     assert _results_digest(graph, queries) == (
-        "3662e4683d3ecbe05c88a109d4a313be9da91ad7b04bffc61fabe2c3991c19fb"
+        "c818f797c38c219d2be935f9b2656c2e93b5cde0e4a9511942928528c38347c5"
     )
 
 

@@ -10,6 +10,7 @@ queries that float32 cannot hold, and k from 1 to n + 1.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annkit.data import EmbeddingSet
-from annkit.distances import Metric, _proven_cut, batch_scores, rank_order, shortlist
+from annkit import distances
+from annkit.distances import (
+    Metric,
+    _nearest_rows,
+    _proven_cut,
+    _sq_l2,
+    batch_scores,
+    rank_order,
+    shortlist,
+)
 from annkit.flat import FlatIPIndex, FlatL2Index, exact_search, ground_truth
 from annkit.ivf import ivf_build
 from annkit.persist import dump_index, load_index_bytes
@@ -265,3 +275,48 @@ def test_flat_scan_on_duplicates_and_grid_ties(metric):
         for k in (1, 3, 10, 25):
             q = vectors[row].astype(np.float64)
             assert index.search(q, k).neighbors == full_scan(metric, ids, vectors, q, k)
+
+
+# ------------------------------------------------------------ k-NN graph
+
+
+def nearest_rows_reference(vectors, k):
+    """Every other row scored by `_sq_l2` against the row in float64, sorted
+    by (distance, row), the first k kept."""
+    nearest = []
+    for row, x in enumerate(vectors.astype(np.float64)):
+        others = [r for r in range(len(vectors)) if r != row]
+        ranked = sorted(zip(_sq_l2(vectors[others], x).tolist(), others))
+        nearest.append([r for _, r in ranked[:k]])
+    return nearest
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["grid", "grid", "gauss", "1e3", "1e5", "1e-20"]),
+    n=st.integers(1, 90),
+    d=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_nearest_rows_equal_a_full_sort(kind, n, d, seed, data):
+    """Grid ties and duplicate rows straddle the k-th distance; offsets make
+    the float32 keys too coarse to cut; small key blocks put block edges
+    inside the set."""
+    vectors = _vectors(kind, n, d, np.random.default_rng(seed))
+    k = data.draw(st.one_of(st.integers(1, 4), st.integers(1, n + 1)))
+    block = data.draw(st.sampled_from([n, 3 * n, distances._BLOCK_KEYS]))
+    with mock.patch.object(distances, "_BLOCK_KEYS", block):
+        assert _nearest_rows(vectors, k) == nearest_rows_reference(vectors, k)
+
+
+def test_nearest_rows_cut_on_clusters():
+    """On separated clusters each row scores few rows beyond its k (a full
+    scan would score 399)."""
+    rng = np.random.default_rng(5)
+    centers = rng.standard_normal((8, 16)) * 10
+    vectors = (np.repeat(centers, 50, axis=0) + rng.standard_normal((400, 16))).astype(np.float32)
+    with mock.patch.object(distances, "_sq_l2", wraps=distances._sq_l2) as scored:
+        got = _nearest_rows(vectors, 10)
+    assert got == nearest_rows_reference(vectors, 10)
+    assert sum(len(c.args[0]) for c in scored.call_args_list) < 400 * 20
