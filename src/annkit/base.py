@@ -47,6 +47,13 @@ def check_count(name: str, value: int, most: int | None = None) -> None:
         raise ValueError(f"{name} must be {span} and an integer, got {value!r}")
 
 
+def is_uint(value, bits: int = 64) -> bool:
+    """True when `value` is an int or numpy integer, not a bool, in
+    [0, 2**`bits`): the rule for every id (64 bits) and label (32 bits). A
+    lookup of anything else finds nothing; nothing else is stored."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 1 << bits
+
+
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Return the query as a flat float64 vector after checking it and k.
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import check_count
+from .base import check_count, is_uint
 
 VEMB_MAGIC = b"VEMB"
 VEMB_VERSION = 1
@@ -51,10 +51,7 @@ def _as_uint(name: str, values: np.ndarray, bits: int) -> np.ndarray:
     if a.dtype == dtype:
         return a
     if a.dtype == object:
-        ok = all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 1 << bits
-            for v in a.flat
-        )
+        ok = all(is_uint(v, bits) for v in a.flat)
     else:
         ok = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= 0 and a.max() < 1 << bits))
     if not ok:
@@ -110,13 +107,14 @@ class EmbeddingSet:
         return len(self._ids)
 
     def row_of(self, record_id: int) -> int:
-        try:
-            return self._row_by_id[int(record_id)]
-        except KeyError:
-            raise KeyError(f"unknown record id {record_id}") from None
+        """The row of `record_id`; KeyError when no row holds it, as for any
+        value that is not an id (`base.is_uint`)."""
+        if record_id not in self:
+            raise KeyError(f"unknown record id {record_id}")
+        return self._row_by_id[int(record_id)]
 
     def __contains__(self, record_id: int) -> bool:
-        return int(record_id) in self._row_by_id
+        return is_uint(record_id) and int(record_id) in self._row_by_id
 
     def label_of(self, record_id: int) -> int:
         return int(self._labels[self.row_of(record_id)])

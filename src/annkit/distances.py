@@ -5,21 +5,25 @@ so that equivalence between an exhaustive scan and a full-probe / full-budget
 approximate search holds bit-for-bit: same float64 accumulation, same per-row
 reduction, same ascending-id tie-break.
 
-Exact L2 and inner-product scans (flat-l2, flat-ip, ivf-flat lists, and
-`exact_search` / `ground_truth`) put a shortlist stage in front of that path:
-:func:`shortlist` ranks every row by one float32 matrix-vector product and
-keeps only the rows that a proven rounding bound cannot rule out of the best
-k. IVF-SQ does the same on keys computed from its codes (`sq._code_shortlist`).
-Both hand their float32 keys and their error bounds to one cut,
-:func:`_proven_cut`, which holds the bound's argument. The rows kept are
-scored by :func:`batch_scores` and ranked by :func:`rank_order` exactly as
-before, so scores and order are unchanged. Angular and Manhattan scans, and
-every other approximate family, score all of their candidates.
+Exact L2 and inner-product k-NN puts a shortlist stage in front of that
+path. One kernel, :func:`_cuts`, ranks every row by float32 keys from one
+float32 product of a block of queries with the rows and keeps only the rows
+that a proven rounding bound cannot rule out of each query's best k. Its
+one-query case, :func:`shortlist`, serves flat-l2, flat-ip, the ivf-flat
+lists and `exact_search` / `ground_truth`; its all-rows case,
+:func:`_nearest_rows`, builds HNSW's level 0. IVF-SQ keys its codes instead
+(`sq._code_shortlist`). Both hand their float32 keys and their error bounds
+to one cut, :func:`_proven_cut`, which holds the bound's argument. The rows
+kept are scored by :func:`batch_scores` (`_sq_l2` for the level-0 pass) and
+ranked exactly as a full scan ranks them, so scores and order are unchanged.
+Angular and Manhattan scans, and every other approximate family, score all
+of their candidates.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from enum import Enum
 
 import numpy as np
@@ -117,7 +121,7 @@ def rank_order(
 
 def sq_row_norms(vectors: np.ndarray) -> np.ndarray:
     """Squared L2 norm of every row, summed in float32: the norm column of
-    :func:`shortlist`, whose bound allows for this summation's rounding."""
+    :func:`_cuts`, whose bound allows for this summation's rounding."""
     v = np.asarray(vectors, dtype=np.float32)
     return np.einsum("ij,ij->i", v, v)
 
@@ -129,6 +133,29 @@ _F32_MAX = float(np.finfo(np.float32).max)
 _LIMIT = 2.0**60  # norms and query components below this keep float32 products finite
 _MAX_DIM = 2**20  # up to here gamma_d is finite and 2**-20 covers the float64 rounding of the bound
 _EVERY_ROW = slice(None)
+# Keys per block of :func:`_cuts`: a (queries, rows) float32 block stays at 2 MB.
+_BLOCK_KEYS = 2**19
+
+
+def _gamma(n: int, u: float) -> float:
+    """gamma_n = n u / (1 - n u): an n-term dot product rounded with unit
+    roundoff u, in any summation order, is within gamma_n times its absolute
+    sum of the exact one (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1)."""
+    return n * u / (1.0 - n * u)
+
+
+def _norm_bound(d: int, max_sq_norm: float) -> float | None:
+    """N >= the norm of every d-dimensional row whose :func:`sq_row_norms`
+    value is at most `max_sq_norm`, or None when float32 products with such
+    rows could overflow (d over 2**20, or `max_sq_norm` 2**60 or more, or NaN).
+
+    The float32 squared norm is within gamma_d ||v||^2 of ||v||^2, plus
+    d 2**-149 if products underflow.
+    """
+    if not (d <= _MAX_DIM and max_sq_norm < _LIMIT):
+        return None
+    return math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - _gamma(d, _U32)))
 
 
 def shortlist(
@@ -143,22 +170,48 @@ def shortlist(
 
     `vectors` are float32 rows. Returns an ascending index array, or
     ``slice(None)`` when every row must be scored: for Angular and Manhattan,
-    when k exceeds half the rows or the dimension 2**20, when a norm or query
-    component is 2**60 or more (or NaN) so that float32 products could
-    overflow, and where :func:`_proven_cut` returns every row. Ranking
+    and wherever :func:`_cuts` yields every row. Ranking
     ``batch_scores(metric, query, vectors[rows])`` with :func:`rank_order`
     gives exactly the best k of the full scan.
 
     `sq_norms` is :func:`sq_row_norms` of `vectors` (L2 only) and
-    `max_sq_norm` its maximum; either is computed here when not given.
+    `max_sq_norm` its maximum; both are computed here when `max_sq_norm` is
+    not given.
+    """
+    if metric not in (Metric.L2, Metric.INNER_PRODUCT) or 2 * k > len(vectors):
+        return _EVERY_ROW
+    if max_sq_norm is None:
+        sq_norms = sq_row_norms(vectors)
+        max_sq_norm = float(sq_norms.max())
+    queries = np.asarray(query, dtype=np.float64)[np.newaxis]
+    return next(_cuts(queries, vectors, k, max_sq_norm, sq_norms if metric is Metric.L2 else None))
 
-    Keys. With q32 the query rounded to float32, one float32 product
-    s = vectors @ q32 gives each row the key c = ||v||^2 - 2 s (L2, with the
-    float32 norm column) or c = -s (inner product). The exact key is
+
+def _cuts(
+    queries: np.ndarray, vectors: np.ndarray, k: int, max_sq_norm: float,
+    sq_norms: np.ndarray | None = None, own: bool = False,
+) -> Iterator[np.ndarray | slice]:
+    """For each query in turn, the rows of `vectors` that can rank among its
+    best k by :func:`batch_scores`, or ``slice(None)`` for every row.
+
+    `queries` (2-d, float64 or float32) and `vectors` (float32) have the
+    dimension d, and `max_sq_norm` is the largest :func:`sq_row_norms` of
+    `vectors`. Rows rank by L2 when `sq_norms`, that norm column, is given and
+    by inner product when it is not. With `own` the queries are `vectors`
+    themselves and no query keeps its own row. Every row is yielded when k
+    exceeds half the rows, when :func:`_norm_bound` gives no N, for each
+    query of a block that holds a component of 2**60 or more (or NaN), and
+    where :func:`_proven_cut` returns every row.
+
+    Keys. Each block of queries, rounded to float32, makes one float32
+    product with every row (at most `_BLOCK_KEYS` keys). With q32 a query so
+    rounded and s = v.q32 from that product, a row's key is
+    c = ||v||^2 - 2 s (L2, with the float32 norm column) or c = -s (inner
+    product), and +inf for a query's own row. The exact key is
     K = ||v||^2 - 2 v.q, with ||v - q||^2 = K + Z and Z = ||q||^2 (L2), resp.
-    K = -v.q. Let d be the dimension, u = 2**-24, g = d u / (1 - d u)
-    (gamma_d, Higham, Accuracy and Stability of Numerical Algorithms, section
-    3.1), N >= max ||v||, Q = ||q32|| and R = ||q - q32||. For every row:
+    K = -v.q. Let u = 2**-24, g = gamma_d for u (:func:`_gamma`),
+    N >= max ||v|| (:func:`_norm_bound`), Q = ||q32|| and R = ||q - q32||.
+    For every row:
 
     - the float32 dot product, in any summation order, is within
       g sum|v_t q32_t| <= g N Q of v.q32, plus d 2**-149 if products
@@ -170,39 +223,35 @@ def shortlist(
       u (1 + g)(N^2 + 2 N Q).
 
     So |c - K| <= E with E = g N^2 + 2 g N Q + 2 N R + u (1 + g)(N^2 + 2 N Q)
-    for L2 and E = g N Q + N R for the inner product, up to underflow terms.
-    The scored rows are the stored ones (Ed = 0).
+    for L2 and E = g N Q + N R for the inner product, up to underflow terms;
+    a stored row is its own float32 query, so R = 0 there. The scored rows
+    are the stored ones (Ed = 0).
     """
     n, d = vectors.shape
-    if metric not in (Metric.L2, Metric.INNER_PRODUCT) or 2 * k > n or d > _MAX_DIM:
-        return _EVERY_ROW
-    q = np.asarray(query, dtype=np.float64)
-    if sq_norms is None and (metric is Metric.L2 or max_sq_norm is None):
-        sq_norms = sq_row_norms(vectors)
-    if max_sq_norm is None:
-        max_sq_norm = float(sq_norms.max())
-    if not (max_sq_norm < _LIMIT and np.abs(q).max() < _LIMIT):
-        return _EVERY_ROW
-    q32 = q.astype(np.float32)
-    err = q - q32
-    g = d * _U32 / (1.0 - d * _U32)
-    norm = math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - g))  # N >= max ||v||
-    nq = norm * math.sqrt(float(q32 @ q32.astype(np.float64)))  # N Q
-    nr = norm * math.sqrt(float(err @ err))  # N R
-    keys = vectors @ q32
-    if metric is Metric.INNER_PRODUCT:
-        np.negative(keys, out=keys)
-        return _proven_cut(keys, k, d, g * nq + nr, norm_q=norm * math.sqrt(float(q @ q)))
-    keys *= -2.0
-    keys += sq_norms
-    return _proven_cut(keys, k, d, _l2_key_error(g, norm, nq, nr), z=float(q @ q))
-
-
-def _l2_key_error(g, norm, nq, nr):
-    """E of the L2 keys in :func:`shortlist`, from gamma_d, N, N Q and N R
-    (floats, or arrays of them)."""
-    n2 = norm * norm
-    return g * n2 + 2.0 * g * nq + 2.0 * nr + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
+    norm = _norm_bound(d, max_sq_norm) if 2 * k <= n else None
+    l2, g, step = sq_norms is not None, _gamma(d, _U32), max(1, _BLOCK_KEYS // max(n, 1))
+    for lo in range(0, len(queries), step):
+        q = np.asarray(queries[lo : lo + step], dtype=np.float64)
+        if norm is None or not np.abs(q).max() < _LIMIT:
+            yield from [_EVERY_ROW] * len(q)
+            continue
+        q32 = q.astype(np.float32)
+        # Z, Q^2 and R^2 of each query
+        zs, q2s, r2s = (np.vecdot(a, a, dtype=np.float64).tolist() for a in (q, q32, q - q32))
+        keys = q32 @ vectors.T
+        keys *= -2.0 if l2 else -1.0
+        if l2:
+            keys += sq_norms
+        if own:
+            keys[np.arange(len(q)), np.arange(lo, lo + len(q))] = np.inf
+        for i in range(len(q)):
+            nq, nr = norm * math.sqrt(q2s[i]), norm * math.sqrt(r2s[i])  # N Q, N R
+            e = g * nq + nr  # E of the inner product; L2 doubles it and adds the norm terms
+            if l2:
+                n2 = norm * norm
+                e = 2.0 * e + g * n2 + _U32 * (1.0 + g) * (n2 + 2.0 * nq)
+            z, norm_q = (zs[i], 0.0) if l2 else (None, norm * math.sqrt(zs[i]))
+            yield _proven_cut(keys[i], k, d, e, z, norm_q=norm_q)
 
 
 def _proven_cut(
@@ -216,7 +265,7 @@ def _proven_cut(
 ) -> np.ndarray | slice:
     """Rows whose float32 key can rank among the best k, or ``slice(None)``.
 
-    The cut of :func:`shortlist` and ``sq._code_shortlist``; lower keys rank
+    The cut of :func:`_cuts` and ``sq._code_shortlist``; lower keys rank
     closer. For L2 (`z` given) each row stands for a real point w with
     ||w - q||^2 = K + z, and its scored vector lies within `ed` of w. For the
     inner product (`z` None) K = -v.q, and `norm_q` >= N ||q|| with N >= every
@@ -245,7 +294,7 @@ def _proven_cut(
     """
     n = len(keys)
     kth = float(np.partition(keys, k - 1)[k - 1])
-    big_g = (d + 4) * _U64 / (1.0 - (d + 4) * _U64)
+    big_g = _gamma(d + 4, _U64)
     if z is None:
         f = 2.0 * big_g * norm_q
     else:
@@ -268,48 +317,24 @@ def _proven_cut(
     return rows if 2 * len(rows) <= n else _EVERY_ROW
 
 
-# Keys per block of :func:`_nearest_rows`: a (rows, n) float32 block stays at 2 MB.
-_BLOCK_KEYS = 2**19
-
-
 def _nearest_rows(vectors: np.ndarray, k: int) -> list[list[int]]:
     """Each row's k nearest other rows (all of them when fewer), nearest first.
 
     `vectors` are float32 rows. Rows are ranked by `_sq_l2` of the float32
     rows against the row in float64, ties by row: the ranking a full sort of
-    every other row gives. The keys of :func:`shortlist` for a block of rows
-    come from one float32 product with every row, a row's own key is +inf,
-    and :func:`_proven_cut` keeps only the rows that can rank among its k;
-    only they are scored. A stored row is its own float32 query, so R = 0.
-    Where the shortlist would scan every row (2 k > n, a huge dimension or
-    norm), every other row is scored.
+    every other row gives. :func:`_cuts` with every row as its own query
+    keeps the rows that can rank among its k, and only they are scored;
+    where it yields every row, every other row is scored.
     """
-    n, d = vectors.shape
+    n = len(vectors)
     k = min(k, n - 1)
     if k <= 0:
         return [[] for _ in range(n)]
     sq_norms = sq_row_norms(vectors)
-    max_sq_norm = float(sq_norms.max())
-    keyed = 2 * k <= n and d <= _MAX_DIM and max_sq_norm < _LIMIT
-    g = d * _U32 / (1.0 - d * _U32)
-    norm = math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - g))
-    every = np.arange(n)
     nearest = []
-    step = max(1, _BLOCK_KEYS // n)
-    for lo in range(0, n, step):
-        block = vectors[lo : lo + step]
-        block64 = block.astype(np.float64)
-        z = np.einsum("ij,ij->i", block64, block64)
-        if keyed:
-            e = _l2_key_error(g, norm, norm * np.sqrt(z), 0.0).tolist()
-            keys = block @ vectors.T
-            keys *= -2.0
-            keys += sq_norms
-            keys[np.arange(len(block)), np.arange(lo, lo + len(block))] = np.inf
-        for i, x in enumerate(block64):
-            rows = _proven_cut(keys[i], k, d, e[i], z=float(z[i])) if keyed else _EVERY_ROW
-            if rows is _EVERY_ROW:
-                rows = np.delete(every, lo + i)
-            dist = _sq_l2(vectors[rows], x)
-            nearest.append(rows[np.lexsort((rows, dist))[:k]].tolist())
+    for i, rows in enumerate(_cuts(vectors, vectors, k, float(sq_norms.max()), sq_norms, own=True)):
+        if rows is _EVERY_ROW:
+            rows = np.delete(np.arange(n), i)
+        dist = _sq_l2(vectors[rows], vectors[i].astype(np.float64))
+        nearest.append(rows[np.lexsort((rows, dist))[:k]].tolist())
     return nearest

@@ -49,8 +49,7 @@ def ground_truth(
     oracle = _Oracle(emb_set, metric)
     out: dict[int, list[int]] = {}
     for qid in np.asarray(query_ids).tolist():
-        qid = int(qid)
-        row = emb_set.row_of(qid)  # raises KeyError for unknown ids
+        row = emb_set.row_of(qid)  # raises KeyError for unknown ids and non-ids
         out[qid] = search_excluding(oracle, emb_set.vectors[row], n, qid).ids
     return out
 

@@ -53,7 +53,7 @@ from array import array
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, is_uint, make_result
 from .data import EmbeddingSet
 from .distances import Metric, _nearest_rows, _sq_l2
 from .wire import U32_MAX, Reader, Writer
@@ -203,11 +203,10 @@ class HnswIndex(VectorIndex):
         self._vec32, self._ids, self._levels = grown
 
     def _find(self, record_id: int) -> int:
-        """Row holding `record_id`, or -1."""
-        rid = int(record_id)
-        if not 0 <= rid < 2**64:
+        """Row holding `record_id`, or -1 (for any value that is not an id too)."""
+        if not is_uint(record_id):
             return -1
-        hits = np.flatnonzero(self._ids[: len(self)] == np.uint64(rid))
+        hits = np.flatnonzero(self._ids[: len(self)] == np.uint64(record_id))
         return int(hits[0]) if len(hits) else -1
 
     def _draw_level(self) -> int:
@@ -336,9 +335,9 @@ class HnswIndex(VectorIndex):
 
     def insert(self, record_id: int, vector: np.ndarray) -> None:
         """Add one vector; its level is drawn from the index's seeded stream."""
+        if not is_uint(record_id):
+            raise ValueError(f"id must be an integer in [0, 2**64), got {record_id!r}")
         record_id = int(record_id)
-        if not 0 <= record_id < 2**64:
-            raise ValueError(f"id {record_id} does not fit in 64 unsigned bits")
         if self._find(record_id) >= 0:
             raise ValueError(f"duplicate id {record_id}")
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)

@@ -43,7 +43,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .base import SearchResult, VectorIndex, check_count, check_query, make_result
 from .data import EmbeddingSet
-from .distances import _ETA32, _LIMIT, _MAX_DIM, _U32, _U64, Metric, batch_scores, sq_row_norms
+from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, batch_scores, sq_row_norms
 from .wire import U32_MAX, Reader, Writer
 
 # tools/forest_sweep.py: of the pairs with at least the recall@10 of 10 trees of
@@ -150,14 +150,10 @@ class RpForestIndex(VectorIndex):
         self._split_up, self._split_edge = up[by_depth], edge[by_depth]
         self._leaf_up, self._leaf_edge = up[leaf_nodes], edge[leaf_nodes]
         self._leaf_cuts = np.asarray(cuts, dtype=np.int64)[np.append(leaf_nodes, n_nodes)]
-        # N >= every normal's norm, bounded from the float32 norms as `shortlist`
-        # bounds them, and the largest |offset|: the terms of `_margin_error`
-        d = self.dim
+        # N >= every normal's norm (None when float32 margins could overflow) and
+        # the largest |offset|: the terms of `_margin_error`
         max_sq_norm = float(sq_row_norms(self._normals).max()) if n_splits else 0.0
-        self._bounded = d <= _MAX_DIM and max_sq_norm < _LIMIT  # float32 margins stay finite
-        if self._bounded:
-            g = d * _U32 / (1.0 - d * _U32)
-            self._norm_bound = math.sqrt((max_sq_norm + d * _ETA32) / (1.0 - g))
+        self._norm_bound = _norm_bound(self.dim, max_sq_norm)
         self._max_offset = float(np.abs(self._offsets).max()) if n_splits else 0.0
 
     @property
@@ -191,7 +187,7 @@ class RpForestIndex(VectorIndex):
         n_leaves = len(self._leaf_up)
         if search_k >= n_leaves:  # every tree holds every row once
             return np.arange(len(self._ids), dtype=self._rows.dtype)
-        if self._bounded and np.abs(q64).max() < _LIMIT:
+        if self._norm_bound is not None and np.abs(q64).max() < _LIMIT:
             leaf_priority = self._leaf_priorities(q64.astype(np.float32))
             kth = float(np.partition(leaf_priority, n_leaves - search_k)[n_leaves - search_k])
             # 2 E, raised to cover the float64 rounding of kth -/+ it; +inf is exact
@@ -282,20 +278,20 @@ class RpForestIndex(VectorIndex):
         The float32 margin is fl64(x - o), x the float32 product of a normal n
         with q32 (q rounded to float32) and o the offset; the walk's is
         fl64(y - o), y the float64 dot of q and n. Let d be the dimension,
-        u = 2**-24, U = 2**-53, g = gamma_d in float32 and G in float64 (as in
-        `distances.shortlist`), N >= ||n||, O >= |o| and eta = 2**-149.
+        u = 2**-24, U = 2**-53, g = gamma_d in float32 and G in float64
+        (`distances._gamma`), N >= ||n|| (`distances._norm_bound`), O >= |o|
+        and eta = 2**-149.
         Rounding q moves each component by at most u |q_t| + eta, so
         R = ||q - q32|| <= u ||q|| + d eta and Q = ||q32|| <= (1 + u) ||q|| + d eta.
         Then |x - n.q| <= g N Q + N R, |y - n.q| <= G N ||q||, and the two
         subtractions add U (|x| + O) + U (|y| + O), with |x| + |y| <= (4 + 2 u) N ||q||
         + 2 N d eta. In all, E <= N ||q|| (g (1 + u) + u + G + 6 U) + 2 U O
         + 3 N d eta, raised by 2**-20 of itself (its float64 rounding) and by
-        `shortlist`'s underflow term.
+        `distances._proven_cut`'s underflow term.
         """
         d = self.dim
         n_q = self._norm_bound * math.sqrt(float(q64 @ q64))
-        g = d * _U32 / (1.0 - d * _U32)
-        big_g = d * _U64 / (1.0 - d * _U64)
+        g, big_g = _gamma(d, _U32), _gamma(d, _U64)
         e = n_q * (g * (1.0 + _U32) + _U32 + big_g + 6.0 * _U64) + 2.0 * _U64 * self._max_offset
         e += 3.0 * self._norm_bound * d * _ETA32
         return e * (1.0 + 2.0**-20) + 2**17 * (d + 1) * _ETA32

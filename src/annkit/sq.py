@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distances import _EVERY_ROW, _MAX_DIM, _U32, _U64, _proven_cut
+from .distances import _EVERY_ROW, _MAX_DIM, _U32, _U64, _gamma, _proven_cut
 from .wire import Reader, Writer
 
 LEVELS = 256
@@ -125,7 +125,7 @@ def _code_shortlist(
     is the row's key.
 
     E. Let d be the dimension, u = 2**-24, e = 2**-53, g = d u / (1 - d u)
-    (gamma_d, as in `distances.shortlist`) and P = 255 sum|a| + 255**2 sum t
+    (gamma_d, `distances._gamma`) and P = 255 sum|a| + 255**2 sum t
     over the float64 weights. The float32 weights are at most (1 + u) times
     larger and codes are at most 255, so (1 + u) P bounds the absolute sum of
     the products in any key. For every row:
@@ -161,7 +161,7 @@ def _code_shortlist(
     reach = _TOP * float(np.abs(lin).sum()) + _TOP * _TOP * float(quad.sum())  # P
     if not reach < _KEY_LIMIT:
         return _EVERY_ROW
-    g = d * _U32 / (1.0 - d * _U32)
+    g = _gamma(d, _U32)
     e = (g + _U32 * (2.0 + g) + 4.0 * _U64) * (1.0 + _U32) * reach
     ed = _U64 * (2.0 * math.sqrt(float(mins @ mins)) + 4.0 * math.sqrt(float(spans @ spans)))
     c = codes.astype(np.float32)

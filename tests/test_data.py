@@ -35,8 +35,12 @@ def test_set_basic_accessors():
     assert s.label_of(2) == 1
     np.testing.assert_array_equal(s.vector_of(5), [0.0, 1.0])
     assert 9 in s and 77 not in s
-    with pytest.raises(KeyError):
-        s.row_of(77)
+    assert np.uint64(9) in s and s.row_of(np.int8(9)) == 1
+    # not ids: int() once truncated 9.5 to 9 and 2.9 to 2
+    for bad in (77, 9.5, 9.0, 2.9, -0.5, True, "9", None):
+        assert bad not in s
+        with pytest.raises(KeyError, match="unknown record id"):
+            s.row_of(bad)
 
 
 def test_id_lookup_table_is_made_on_first_lookup():

@@ -86,8 +86,10 @@ def test_ground_truth_excludes_query_and_matches_exact(small_set):
 
 
 def test_ground_truth_unknown_id_raises(small_set):
-    with pytest.raises(KeyError):
-        ground_truth(small_set, np.array([999_999]), 3)
+    # [1.5] once answered for id 1
+    for bad in (np.array([999_999]), [1.5], np.array([1.0]), [True]):
+        with pytest.raises(KeyError):
+            ground_truth(small_set, bad, 3)
 
 
 def test_flat_l2_index_matches_exact_search(small_set, rng):

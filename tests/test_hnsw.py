@@ -556,9 +556,26 @@ def test_insert_rejects_an_id_outside_u64(noisy_graph):
             graph.insert(rid, np.zeros(8, dtype=np.float32))
 
 
+@pytest.mark.parametrize("bad", [1000.9, 1000.0, True, "1000"])
+def test_insert_rejects_a_non_integer_id_before_drawing_a_level(noisy_graph, bad):
+    """insert(1000.9, v) once stored id 1000. The refused insert draws no
+    level, so the next insert lands as it does on an untouched graph."""
+    data, graph = noisy_graph
+    graph, clean = copy.deepcopy(graph), copy.deepcopy(graph)
+    v = np.full(8, 0.25, dtype=np.float32)
+    with pytest.raises(ValueError, match="integer"):
+        graph.insert(bad, v)
+    assert len(graph) == len(data)
+    graph.insert(np.uint64(1000), v)
+    clean.insert(1000, v)
+    assert dump_index(graph) == dump_index(clean)
+
+
 def test_unknown_id_lookups_raise_key_error(noisy_graph):
     _, graph = noisy_graph
-    for rid in (10**9, -3):
+    assert graph.level_of(np.uint64(2)) == graph.level_of(2)
+    # not ids: level_of(2.9) once answered for id 2
+    for rid in (10**9, -3, 2.9, 2.0, True):
         with pytest.raises(KeyError, match="unknown record id"):
             graph.level_of(rid)
         with pytest.raises(KeyError, match="unknown record id"):

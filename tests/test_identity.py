@@ -50,6 +50,22 @@ def test_table_covers_every_family_and_repeats_exactly(small_set):
         assert first[f"rpforest-{metric}"]["knobs"] == "build(leaf_size, n_trees) search(search_k)"
 
 
+def test_the_oracle_row_digests_exact_search_and_ground_truth(small_set):
+    """The exact-oracle row repeats exactly, fills only its three digests,
+    tells `exclude` apart and changes with the queries."""
+    rows = np.arange(0, len(small_set), 50)
+    row = identity.oracle_row(small_set, rows, n_random=2)
+    assert list(row) == list(identity.FIELDS)
+    filled = {field for field, value in row.items() if value != "-"}
+    assert filled == {"built_results_sha256", "knob_results_sha256", "report_sha256"}
+    assert all(len(row[field]) == 64 for field in filled)
+    assert row["built_results_sha256"] != row["knob_results_sha256"]
+    assert identity.oracle_row(small_set, rows, n_random=2) == row
+    fewer = identity.oracle_row(small_set, rows[:-1], n_random=2)
+    assert all(fewer[field] != row[field] for field in filled)
+    assert "-/-" in identity.show({"exact-oracle": row})
+
+
 def test_compare_prints_both_code_sizes_and_exits_on_the_rows_alone(capsys):
     rows = {"flat-l2": _row("a"), "pq": _row("a")}
     sizes = {

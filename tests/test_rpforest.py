@@ -322,6 +322,33 @@ def test_the_margin_error_bound_is_tight_to_a_factor_of_two():
     assert bound / 2 < abs(right - walk) <= bound
 
 
+def test_the_margin_error_covers_the_float64_subtraction_of_a_large_offset():
+    """Offset 1e8, query 0.00107...: the float32 product and the walk's
+    float64 dot differ by under 1e-10, but subtracting the offset rounds them
+    to neighbouring float64s, 2**-26 apart. Only E's 2 U O term covers that."""
+    query = np.array([0.0010722652655298767, 0.0])
+    forest = RpForestIndex(Metric.L2, 1, np.arange(2), np.eye(2), [True, False, False],
+                           np.array([[1.0, 0.0]]), [1e8], [0, 0, 1, 2], [0, 1])
+    _, right = forest._leaf_priorities(query.astype(np.float32))
+    walk = float(query.dot(forest._normals[0]) - forest._offsets[0])
+    assert abs(right - walk) == 2.0**-26
+    assert abs(right - walk) <= forest._margin_error(query)
+
+
+@pytest.mark.parametrize("normal, offset, norm_bound, margin_error", [
+    ([0.7951313257217407, -0.45616015791893005, 3.25], 0.0, 3.3768058661654967, 1.104615885804924e-06),
+    ([1.5, 2.0, -0.125], 12345.678, 2.5031232731093085, 8.188208318772391e-07),
+])
+def test_the_forest_bounds_keep_every_term(normal, offset, norm_bound, margin_error):
+    """N and E of one plane, pinned to 1e-12 where the smallest term of E,
+    the float64 gamma, is about 1e-9 of it."""
+    query = np.array([0.5192289644702041, -0.29785625636197405, 1.2345678901234567])
+    forest = RpForestIndex(Metric.L2, 1, np.arange(2), np.eye(2, 3), [True, False, False],
+                           np.array([normal]), [offset], [0, 0, 1, 2], [0, 1])
+    assert forest._norm_bound == pytest.approx(norm_bound, rel=1e-12, abs=0.0)
+    assert forest._margin_error(query) == pytest.approx(margin_error, rel=1e-12, abs=0.0)
+
+
 # ------------------------------------------------------------ pinned bytes
 
 

@@ -9,6 +9,7 @@ back to the full scan), 1e-20 magnitudes (float32 products underflow), float64
 queries that float32 cannot hold, and k from 1 to n + 1.
 """
 
+import inspect
 import warnings
 from unittest import mock
 
@@ -275,6 +276,62 @@ def test_flat_scan_on_duplicates_and_grid_ties(metric):
         for k in (1, 3, 10, 25):
             q = vectors[row].astype(np.float64)
             assert index.search(q, k).neighbors == full_scan(metric, ids, vectors, q, k)
+
+
+# What `shortlist` and `_nearest_rows` hand `_proven_cut`, (k, d, e, z, norm_q).
+# A change of summation order moves these by under 1e-12 of themselves; a
+# term dropped from E's sum in the `_cuts` docstring moves E by far more.
+_PINNED_CUT_INPUTS = {
+    "l2": [
+        (10, 16, 2.2978027249387113e-05, 7.286726621262864, 0.0),
+        (10, 16, 2.266468643416857e-05, 6.882730836606807, 0.0),
+        (10, 16, 2.2830761563855374e-05, 7.166359207787698, 0.0),
+    ],
+    "ip": [
+        (10, 16, 7.240504026154224e-06, None, 7.4000166591634),
+        (10, 16, 7.096235179573389e-06, None, 7.191953193311799),
+        (10, 16, 7.170529361577027e-06, None, 7.338642738980521),
+    ],
+    "nearest": [
+        (5, 16, 2.26114435141302e-05, 7.286725842078175, 0.0),
+        (5, 16, 2.178254504091036e-05, 6.503475826736999, 0.0),
+        (5, 16, 2.2147834418022338e-05, 6.843161240481193, 0.0),
+    ],
+}
+
+
+def _cut_inputs(run):
+    """(k, d, e, z, norm_q) of every `_proven_cut` call that `run()` makes."""
+    signature = inspect.signature(_proven_cut)
+    with mock.patch.object(distances, "_proven_cut", wraps=_proven_cut) as cut:
+        run()
+    inputs = []
+    for call in cut.call_args_list:
+        bound = signature.bind(*call.args, **call.kwargs)
+        bound.apply_defaults()
+        inputs.append(tuple(bound.arguments[name] for name in ("k", "d", "e", "z", "norm_q")))
+    return inputs
+
+
+def test_the_cut_inputs_keep_every_term_of_their_bounds(small_set):
+    """Float64 queries that float32 cannot hold (R > 0) for `shortlist`, and
+    stored rows (R = 0) for `_nearest_rows`: the results alone cannot show a
+    bound that is too wide or a term too few, these numbers do."""
+    v = small_set.vectors
+    noise = np.random.default_rng(3).standard_normal((3, small_set.dim)) * 1e-7
+    queries = [v[row].astype(np.float64) + noise[i] for i, row in enumerate((0, 37, 74))]
+    got = {
+        name: _cut_inputs(lambda: [shortlist(metric, q, v, 10) for q in queries])
+        for name, metric in (("l2", Metric.L2), ("ip", Metric.INNER_PRODUCT))
+    }
+    nearest = _cut_inputs(lambda: _nearest_rows(v[:60], 5))
+    assert len(nearest) == 60
+    got["nearest"] = nearest[:3]
+    for name, pinned in _PINNED_CUT_INPUTS.items():
+        assert len(got[name]) == len(pinned)
+        for (k, d, e, z, norm_q), want in zip(got[name], pinned):
+            assert (k, d, z is None) == (want[0], want[1], want[3] is None), name
+            assert (e, z, norm_q) == pytest.approx(want[2:], rel=1e-12, abs=0.0), name
 
 
 # ------------------------------------------------------------ k-NN graph

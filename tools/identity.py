@@ -18,6 +18,14 @@ built index's ``bench.run_protocol`` report (the same 64 queries, k and
 recall_n 10, seed 11) without its timing fields, so the label metrics,
 precision@k and recall@n are compared too.
 
+One more row, ``exact-oracle``, covers the exact oracle that the flat scans'
+shortlist also serves: a sha256 of ``exact_search`` on the same 80 queries
+(the corpus unnormalized) in each of the four metrics without ``exclude``
+(``built_results_sha256``) and with it (``knob_results_sha256``: a query
+row's own id, and for the i-th Gaussian query the i-th id), and a sha256 of
+``ground_truth`` for the 64 query ids in each metric (``report_sha256``).
+Its other fields read ``-``.
+
 With ``--parent`` the parent side is the committed tree of that revision,
 extracted as ``tools/bench_pairs.py`` extracts it, and the change side is this
 checkout's working tree. Each side runs this script against its own ``src``
@@ -58,6 +66,7 @@ K = 10
 INTEGER_KNOBS = ("search_k", "nprobe", "ef_search")
 KNOB_VALUES = (1, 3)
 N_QUERIES = 64
+METRICS = ("l2", "ip", "angular", "manhattan")
 BLAS_ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
@@ -100,13 +109,38 @@ def knobs(build_keywords, index) -> str:
     return f"build({', '.join(sorted(build_keywords))}) search({', '.join(search)})"
 
 
+def gaussian_queries(dim: int, n: int) -> np.ndarray:
+    return np.random.default_rng(11).standard_normal((n, dim))
+
+
+def oracle_row(emb_set, query_rows, n_random: int = 16) -> dict:
+    """FIELDS of the exact oracle on `emb_set`, queried as `table` queries
+    it; see the module docstring."""
+    from annkit.flat import exact_search, ground_truth
+
+    queries = [*emb_set.vectors[query_rows], *gaussian_queries(emb_set.dim, n_random)]
+    excluded = [*emb_set.ids[query_rows].tolist(), *emb_set.ids[:n_random].tolist()]
+    plain, excluding, truth = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for metric in METRICS:
+        for q, exclude in zip(queries, excluded):
+            plain.update(repr(exact_search(emb_set, q, K, metric).neighbors).encode())
+            excluding.update(repr(exact_search(emb_set, q, K, metric, exclude).neighbors).encode())
+        truth.update(repr(ground_truth(emb_set, emb_set.ids[query_rows], K, metric)).encode())
+    return {
+        **dict.fromkeys(FIELDS, "-"),
+        "built_results_sha256": plain.hexdigest(),
+        "knob_results_sha256": excluding.hexdigest(),
+        "report_sha256": truth.hexdigest(),
+    }
+
+
 def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
     """Family name -> FIELDS, for every FAMILIES row built on `emb_set` and
     queried with its rows `query_rows` and `n_random` Gaussian vectors."""
     from annkit.families import FAMILIES, build_index
     from annkit.persist import dump_index, load_index_bytes
 
-    gauss = np.random.default_rng(11).standard_normal((n_random, emb_set.dim))
+    gauss = gaussian_queries(emb_set.dim, n_random)
     out = {}
     for name, row in FAMILIES.items():
         data = emb_set.normalized() if row.unit else emb_set
@@ -132,7 +166,8 @@ def acceptance_table() -> dict[str, dict]:
     from annkit.data import gen_synthetic
 
     corpus = gen_synthetic(n_classes=32, per_class=300, dim=64, spread=0.05, seed=7)
-    return table(corpus, sample_query_rows(len(corpus), N_QUERIES, seed=11))
+    query_rows = sample_query_rows(len(corpus), N_QUERIES, seed=11)
+    return {**table(corpus, query_rows), "exact-oracle": oracle_row(corpus, query_rows)}
 
 
 def side(src: Path) -> dict[str, dict]:
