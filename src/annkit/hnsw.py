@@ -13,13 +13,14 @@ bottom layer disintegrates into per-cluster islands, and queries that descend
 into the wrong cluster can never leave it (measured here: recall collapses
 from ~0.99 to ~0.8 on well-separated blobs).
 
-A build links the upper layers by that procedure, but takes level 0 from one
-exact k-NN pass, as FAISS's `init_level_0_from_knngraph` and NSG (Fu et al.,
-VLDB 2019) do: each row's ef_construction nearest rows are its candidates,
-their diverse core its links, every link is mirrored, and a list over 2 M is
-pruned by the same rule. Such a graph splits into one island per cluster on
+A build draws the same levels but links every level from one exact k-NN pass
+over the rows that reach it, as FAISS's `init_level_0_from_knngraph` and NSG
+(Fu et al., VLDB 2019) build a layer: each row's ef_construction nearest rows
+of the level are its candidates, their diverse core its links (filled to M
+above level 0), every link is mirrored, and a list over the level's cap is
+pruned by the same rule. Such a layer splits into one island per cluster on
 well-separated data, so, as NSG does, the build then links each island to the
-part the entry reaches until a walk from the entry reaches every row.
+part the entry reaches.
 
 Search descends like an insert: above level 0 it walks greedily, scoring
 each link list in one call and moving to a strictly closer neighbour until
@@ -98,12 +99,10 @@ class HnswIndex(VectorIndex):
         """Index every record, rows in ascending-id order; deterministic in `seed`.
         `knobs` are the constructor's M, ef_construction and ef_search.
 
-        Levels are drawn one per row in row order, as `insert` draws them.
-        The upper layers are linked by `insert`'s procedure over the rows that
-        reach level 1, in row order. Level 0 comes from an exact k-NN pass
-        instead (`_link_level0`). A row whose level is 0 writes nothing above
-        level 0 when inserted, so the upper lists, the entry, the levels and
-        the level stream are those of inserting every row in turn.
+        Levels are drawn one per row in row order, as `insert` draws them, and
+        the entry is the first row on the top level, so the levels, the entry
+        and the level stream are those of inserting every row in turn. Each
+        level is then linked by `_link_level`.
         """
         index = cls(emb_set.dim, seed=seed, **knobs)
         if len(emb_set) == 0:
@@ -111,64 +110,61 @@ class HnswIndex(VectorIndex):
         order = np.argsort(emb_set.ids, kind="stable")
         index._vec32 = emb_set.vectors[order]
         index._ids = emb_set.ids[order]
-        levels = np.array([index._draw_level() for _ in order], dtype=np.uint32)
-        index._levels = levels
-        index._links = [[]]  # level 0 comes last, from _link_level0
-        for level in range(1, int(levels.max()) + 1):
-            index._links.append({r: array("i") for r in np.flatnonzero(levels >= level).tolist()})
-        for row in np.flatnonzero(levels >= 1).tolist():
-            if index._entry < 0:
-                index._entry = row
-            else:
-                index._link(row, index._vec32[row].astype(np.float64), int(levels[row]), 1)
-        index._entry = max(index._entry, 0)  # every row on level 0: row 0
-        index._link_level0()
+        index._levels = np.array([index._draw_level() for _ in order], dtype=np.uint32)
+        index._entry = int(index._levels.argmax())
+        index._links = [index._link_level(level) for level in range(int(index._levels.max()) + 1)]
         return index
 
-    def _link_level0(self) -> None:
-        """Level 0 of a build, from an exact k-NN pass.
+    def _link_level(self, level: int) -> list[array] | dict[int, array]:
+        """The link lists of `level` in a build, from an exact k-NN pass over
+        the rows that reach it.
 
-        Each row's ef_construction nearest other rows (`_nearest_rows`) are
-        its candidates, and it links to their diverse core, up to M, with no
-        fill (an insert fills its own list up to M). Every link is then
+        Each row's ef_construction nearest other rows of the level
+        (`_nearest_rows`) are its candidates, and it links to their diverse
+        core, up to M, filled to M above level 0 only. Every link is then
         mirrored, a row's own links first and then the rows linking to it in
-        row order, and a list over 2 M is pruned by the diverse rule. On
-        clustered data these lists can split into one island per cluster,
-        which no search from the entry leaves, so `_connect_level0` bridges
-        the islands.
+        row order, and a list over the level's cap (2 M at level 0, M above)
+        is pruned by the same rule. On clustered data these lists can split
+        into one island per cluster, which no search from the entry leaves,
+        so `_connect` bridges the islands.
         """
-        links = []
-        for row, cand in enumerate(_nearest_rows(self._vec32, self.ef_construction)):
-            links.append(self._select_diverse(self._vec32[row].astype(np.float64), cand, self.M))
-        level0 = [array("i", own) for own in links]
-        for row, own in enumerate(links):
-            for nb in own:
-                if row not in links[nb]:
-                    level0[nb].append(row)
-        cap = 2 * self.M
-        for row, nbrs in enumerate(level0):
+        rows = np.flatnonzero(self._levels >= level)
+        fill, cap = level > 0, self.M if level else 2 * self.M
+        own = {}
+        for row, near in zip(rows.tolist(), _nearest_rows(self._vec32[rows], self.ef_construction)):
+            own[row] = self._select_diverse(self._vec32[row].astype(np.float64), rows[near], self.M, fill)
+        links = {row: array("i", nbrs) for row, nbrs in own.items()}
+        for row, nbrs in own.items():
+            for nb in nbrs:
+                if row not in own[nb]:
+                    links[nb].append(row)
+        for row, nbrs in links.items():
             if len(nbrs) > cap:
                 row64 = self._vec32[row].astype(np.float64)
-                level0[row] = array("i", self._select_diverse(row64, nbrs, cap))
-        self._links[0] = level0
-        self._connect_level0()
+                links[row] = array("i", self._select_diverse(row64, nbrs, cap, fill))
+        self._connect(links, rows, cap)
+        return links if level else list(links.values())
 
-    def _connect_level0(self) -> None:
-        """Make every row reachable at level 0 from the entry.
+    def _connect(self, links: dict[int, array], rows: np.ndarray, cap: int) -> None:
+        """Bridge one level's lists (row -> neighbour rows; `rows` ascending)
+        from the entry.
 
-        Walk from the entry. While a row is unreached, link the lowest
-        unreached row from its nearest reached row (row tie-break) whose list
-        is under 2 M, and back to that row if its own list is under 2 M, then
-        walk on from it. No list passes its cap, so no prune drops a bridge.
-        If every reached list were full, the walk would stop short. Before
-        the first bridge that cannot happen: a set of rows that links only
-        inside itself holds a mutual nearest-neighbour pair, and every link in
-        it comes from a selection of at most M rows per row, so together its
-        lists hold at least two links fewer than 2 M per row.
+        Walk from the entry. While a row of the level is unreached, link the
+        lowest unreached row from its nearest reached row (row tie-break)
+        whose list is under `cap`, and back to that row if its own list is
+        under `cap`, then walk on from it. No list passes its cap, so no prune
+        drops a bridge. If every reached list is full, the walk stops short.
+        At level 0 that cannot happen before the first bridge: a set of rows
+        that links only inside itself holds a mutual nearest-neighbour pair,
+        and every link in it comes from a selection of at most M rows per row
+        with no fill, so together its lists hold at least two links fewer
+        than 2 M per row. Above level 0 the lists are filled to the cap M, so
+        some row can stay unreached there, as it can in a graph built insert
+        by insert.
         """
-        links, cap = self._links[0], 2 * self.M
-        reached = np.zeros(len(links), dtype=bool)
-        free = np.array([cap - len(nbrs) for nbrs in links])
+        reached = np.zeros(len(self._levels), dtype=bool)
+        free = np.zeros(len(self._levels), dtype=np.int64)
+        free[rows] = [cap - len(nbrs) for nbrs in links.values()]
         row = self._entry
         while True:
             reached[row] = True
@@ -178,7 +174,7 @@ class HnswIndex(VectorIndex):
                     if not reached[nb]:
                         reached[nb] = True
                         stack.append(nb)
-            unreached = np.flatnonzero(~reached)
+            unreached = rows[~reached[rows]]
             room = np.flatnonzero(reached & (free > 0))
             if not len(unreached) or not len(room):
                 return
@@ -361,16 +357,10 @@ class HnswIndex(VectorIndex):
         if self._entry < 0:
             self._entry = row
             return
-        self._link(row, vector.astype(np.float64), level, 0)
-
-    def _link(self, row: int, q64: np.ndarray, level: int, bottom: int) -> None:
-        """Link the stored `row` (point `q64`, top `level`) at every level from
-        its top, or the graph's, down to `bottom`, and make it the entry if it
-        tops the graph."""
+        q64 = vector.astype(np.float64)
         top = int(self._levels[self._entry])
         entries = [self._descend(q64, level)]
-
-        for layer in range(min(level, top), bottom - 1, -1):
+        for layer in range(min(level, top), -1, -1):
             found = self._search_layer(q64, entries, self.ef_construction, layer)
             entries = [r for _, r in found]
             # The thin upper layers decide which region a query descends into,
@@ -453,6 +443,8 @@ class HnswIndex(VectorIndex):
 
     def neighbors_of(self, record_id: int, level: int) -> list[int]:
         row = self._row_of(record_id)
+        if isinstance(level, bool) or not isinstance(level, (int, np.integer)):
+            raise ValueError(f"level must be an integer, got {level!r}")
         if not 0 <= level <= self._levels[row]:
             raise IndexError(f"record {record_id} has no level {level}")
         return self._ids[self._links[level][row]].tolist()

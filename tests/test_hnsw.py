@@ -267,11 +267,12 @@ def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
     assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0)) == fast
 
 
-# ------------------------------------------------ level 0 from the k-NN pass
+# --------------------------------------------- every level from a k-NN pass
 
 
 def reached_rows(links, entry):
-    """Rows that a walk over the level-0 `links` reaches from `entry`."""
+    """Rows that a walk over one level's `links` (indexed by row) reaches from
+    `entry`."""
     seen, stack = {entry}, [entry]
     while stack:
         for nb in links[stack.pop()]:
@@ -281,46 +282,49 @@ def reached_rows(links, entry):
     return seen
 
 
-def level0_reference(index):
-    """Level 0 of `build` from first principles: every other row ranked by
-    (`_dists`, row), the first ef_construction kept, `select_diverse_reference`
-    with cap M, every link mirrored, lists over 2 M pruned, then the islands
-    bridged from the entry's side. The walk is redone from scratch after each
-    bridge."""
-    n, M = len(index), index.M
-    selected = []
-    for row in range(n):
+def level_reference(index, level):
+    """`level` of `build` from first principles, as row -> neighbour rows: the
+    level's other rows ranked by (`_dists`, row), the first ef_construction
+    kept, `select_diverse_reference` with cap M (filled above level 0), every
+    link mirrored, lists over the level's cap (2 M at level 0, M above) pruned,
+    then the islands bridged from the entry's side. The walk is redone from
+    scratch after each bridge."""
+    M, fill = index.M, level > 0
+    cap = M if fill else 2 * M
+    rows = np.flatnonzero(index._levels[: len(index)] >= level).tolist()
+    selected = {}
+    for row in rows:
         base = index._vec32[row].astype(np.float64)
-        others = [r for r in range(n) if r != row]
+        others = [r for r in rows if r != row]
         ranked = sorted(zip(index._dists(base, others).tolist(), others))
         cand = [r for _, r in ranked[: index.ef_construction]]
-        selected.append(select_diverse_reference(index, base, cand, M))
-    lists = [list(own) for own in selected]
-    for row, own in enumerate(selected):
+        selected[row] = select_diverse_reference(index, base, cand, M, fill)
+    lists = {row: list(own) for row, own in selected.items()}
+    for row, own in selected.items():
         for nb in own:
             if row not in selected[nb]:
                 lists[nb].append(row)
-    for row, nbrs in enumerate(lists):
-        if len(nbrs) > 2 * M:
+    for row, nbrs in lists.items():
+        if len(nbrs) > cap:
             base = index._vec32[row].astype(np.float64)
-            lists[row] = select_diverse_reference(index, base, nbrs, 2 * M)
+            lists[row] = select_diverse_reference(index, base, nbrs, cap, fill)
     while True:
         seen = reached_rows(lists, index._entry)
-        unreached = [r for r in range(n) if r not in seen]
-        room = [r for r in sorted(seen) if len(lists[r]) < 2 * M]
+        unreached = [r for r in rows if r not in seen]
+        room = [r for r in sorted(seen) if len(lists[r]) < cap]
         if not unreached or not room:
             return lists
         row = unreached[0]
         d = index._dists(index._vec32[row].astype(np.float64), room)
         via = min(zip(d.tolist(), room))[1]
         lists[via].append(row)
-        if len(lists[row]) < 2 * M and via not in lists[row]:
+        if len(lists[row]) < cap and via not in lists[row]:
             lists[row].append(via)
 
 
 def build_both(vectors, ids, M, ef_construction, seed):
     """`HnswIndex.build` of the set, and the same set inserted row by row in
-    ascending-id order with its level 0 replaced by `level0_reference`."""
+    ascending-id order with every level replaced by `level_reference`."""
     emb = EmbeddingSet(ids, np.zeros(len(ids), np.uint32), vectors)
     built = HnswIndex.build(emb, M=M, ef_construction=ef_construction, seed=seed)
     stepwise = HnswIndex(emb.dim, M=M, ef_construction=ef_construction, seed=seed)
@@ -329,9 +333,10 @@ def build_both(vectors, ids, M, ef_construction, seed):
     n = len(ids)
     assert built._entry == stepwise._entry
     assert np.array_equal(built._levels, stepwise._levels[:n])
-    assert built._links[1:] == stepwise._links[1:]
     assert built._rng.bit_generator.state == stepwise._rng.bit_generator.state
-    stepwise._links[0] = [array("i", nbrs) for nbrs in level0_reference(stepwise)]
+    reference = [level_reference(stepwise, level) for level in range(len(stepwise._links))]
+    stepwise._links = [[array("i", nbrs) for nbrs in reference[0].values()]]
+    stepwise._links += [{r: array("i", nbrs) for r, nbrs in lists.items()} for lists in reference[1:]]
     return built, stepwise
 
 
@@ -349,10 +354,10 @@ def _build_cases(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_build_cases())
-def test_build_matches_the_level0_reference(case):
-    """The upper layers, entry, levels and level stream are those of an
-    insert-by-insert build; level 0 is the reference's, byte for byte, and
-    reaches every row."""
+def test_build_matches_the_level_reference(case):
+    """The entry, levels and level stream are those of an insert-by-insert
+    build; every level is the reference's, byte for byte, and level 0 reaches
+    every row."""
     built, reference = build_both(*case)
     assert dump_index(built) == dump_index(reference)
     assert reached_rows(built._links[0], built._entry) == set(range(len(built)))
@@ -503,10 +508,8 @@ def _results_digest(graph, queries) -> str:
     return h.hexdigest()
 
 
-def test_graph_bytes_and_results_are_pinned():
-    """VIDX bytes and SearchResults after the build (level 0 from the exact
-    k-NN pass) and after 50 further inserts. The insert-by-insert build gave
-    the same results digest after the build, and other bytes."""
+def _pinned_graph():
+    """The pinned graph, its 50 further rows and its queries."""
     base = gen_synthetic(6, 50, 16, 0.05, seed=5)
     extra = gen_synthetic(5, 10, 16, 0.08, seed=13)
     queries = (
@@ -514,9 +517,17 @@ def test_graph_bytes_and_results_are_pinned():
         + list(base.vectors[:4])
         + list(extra.vectors[:4])
     )
-    graph = HnswIndex.build(base, M=8, ef_construction=24, seed=0)
+    return HnswIndex.build(base, M=8, ef_construction=24, seed=0), extra, queries
+
+
+def test_graph_bytes_and_results_are_pinned():
+    """VIDX bytes and SearchResults after the build (every level from an exact
+    k-NN pass) and after 50 further inserts. A build that linked the upper
+    levels insert by insert gave the same results digest after the build, and
+    other bytes."""
+    graph, extra, queries = _pinned_graph()
     assert hashlib.sha256(dump_index(graph)).hexdigest() == (
-        "bec7de23b4f51847f86a93774f11d650a062f7e506a092593b336511a7e272dc"
+        "0ffa39509f62628eb351f537f2519aa1b0532522e7e0122f495b75dd6e3a2749"
     )
     assert _results_digest(graph, queries) == (
         "f1825e4fb396faf5971378a5efb499b14af9b242b0bdda8c506d764811507c04"
@@ -524,10 +535,24 @@ def test_graph_bytes_and_results_are_pinned():
     for rid, v in zip(extra.ids.tolist(), extra.vectors):
         graph.insert(1000 + rid, v)
     assert hashlib.sha256(dump_index(graph)).hexdigest() == (
-        "721fd88755fe72db0e2544f3fb136f57e4c28010b1f53c33e7eaeabd2d3f92c1"
+        "f8ac9ab6eedcf0223f1e1b7f1e4a8b6dad2b37473f614d1edc508f4a6ec2c1ad"
     )
     assert _results_digest(graph, queries) == (
-        "c818f797c38c219d2be935f9b2656c2e93b5cde0e4a9511942928528c38347c5"
+        "afabb24f4e4ce48d1d891146e3c38c341860172159229d23479603be2fb72a8a"
+    )
+
+
+def test_level0_of_the_pinned_graph_is_pinned():
+    """The pinned graph's level-0 lists (per row, a degree then the rows), so
+    that re-pinning the whole VIDX for an upper-level change cannot hide a
+    level-0 change."""
+    graph, _, _ = _pinned_graph()
+    words = array("i")
+    for links in graph._links[0]:
+        words.append(len(links))
+        words.extend(links)
+    assert hashlib.sha256(words).hexdigest() == (
+        "8e4e1664487ec56930629db4735d9f8397d0e4267955668566eab8c690e14040"
     )
 
 
@@ -588,6 +613,14 @@ def test_neighbors_of_a_level_the_node_lacks_raises_index_error(noisy_graph):
     for level in (-1, 1, graph.level_of(graph.entry_id) + 1):
         with pytest.raises(IndexError, match="has no level"):
             graph.neighbors_of(ground, level)
+
+
+@pytest.mark.parametrize("level", [True, False, 1.0, 0.5, "0", None])
+def test_neighbors_of_a_level_that_is_not_an_integer_raises_value_error(noisy_graph, level):
+    """neighbors_of(rid, True) once answered with the level-1 list."""
+    _, graph = noisy_graph
+    with pytest.raises(ValueError, match="level must be an integer"):
+        graph.neighbors_of(graph.entry_id, level)
 
 
 # ----------------------------------------------------- structure checks
