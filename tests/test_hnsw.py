@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import heapq
 import struct
 from array import array
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from annkit import EmbeddingSet, gen_synthetic
+from annkit import EmbeddingSet, gen_synthetic, hnsw
 from annkit.distances import _sq_l2
 from annkit.flat import exact_search, ground_truth
 from annkit.hnsw import HnswIndex
@@ -431,6 +432,101 @@ def test_descend_matches_reference(case):
         q64 = q.astype(np.float64)
         for level in range(top):
             assert index._descend(q64, level) == descend_reference(index, q64, level)
+
+
+# ------------------------------------------------------------ level scan
+
+
+def search_layer_reference(self, q64, entries, ef, level, visited_out=None):
+    """The scan the beam replaced: pop the nearest candidate, stop once the
+    pool is full and the candidate is farther than its farthest, score the
+    candidate's unvisited neighbours in one call. Kept as the oracle that
+    `_search_layer` with a beam of one must match step for step."""
+    links = self._links[level]
+    visited = set(entries)
+    candidates = sorted(zip(self._dists(q64, entries).tolist(), entries))
+    pool = [(-d, -r) for d, r in candidates[:ef]]
+    heapq.heapify(pool)
+    while candidates:
+        d, row = heapq.heappop(candidates)
+        bound = -pool[0][0]
+        if len(pool) >= ef and d > bound:
+            break
+        fresh = [r for r in links[row] if r not in visited]
+        if not fresh:
+            continue
+        visited.update(fresh)
+        for dn, rn in zip(self._dists(q64, fresh).tolist(), fresh):
+            if len(pool) < ef:
+                heapq.heappush(pool, (-dn, -rn))
+                heapq.heappush(candidates, (dn, rn))
+            elif dn < -pool[0][0]:
+                heapq.heappushpop(pool, (-dn, -rn))
+                heapq.heappush(candidates, (dn, rn))
+    if visited_out is not None:
+        visited_out.update(visited)
+    return sorted((-d, -r) for d, r in pool)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 16])
+@pytest.mark.parametrize("M", [2, 3, 5, 8])
+def test_search_layer_keeps_the_nearest_rows_it_visits(dim, M, monkeypatch):
+    """On every level of a random graph with no distance ties, the pool a scan
+    returns is the ef nearest of the rows it visited, at the default beam; and
+    with a beam of one the scan is the one-at-a-time reference."""
+    rng = np.random.default_rng(1000 * dim + M)
+    vectors = rng.standard_normal((120, dim)).astype(np.float32)
+    data = EmbeddingSet(np.arange(120), np.zeros(120, np.uint32), vectors)
+    index = HnswIndex.build(data, M=M, ef_construction=12, seed=M)
+    top = int(index._levels.max())
+    assert top >= 1
+    for q in rng.standard_normal((6, dim)):
+        d_all = index._dists(q, range(len(index)))
+        assert len(set(d_all.tolist())) == len(index)  # tie-free
+        for level in range(top + 1):
+            entries = [index._descend(q, level)]
+            for ef in (1, 2, 5, 64):
+                visited: set[int] = set()
+                pool = index._search_layer(q, entries, ef, level, visited)
+                assert pool == sorted((d_all[r], r) for r in visited)[:ef]
+                assert visited <= set(np.flatnonzero(index._levels >= level).tolist())
+                with monkeypatch.context() as m:
+                    m.setattr(hnsw, "_BEAM", 1)
+                    one: set[int] = set()
+                    ref: set[int] = set()
+                    got = index._search_layer(q, entries, ef, level, one)
+                    assert got == search_layer_reference(index, q, entries, ef, level, ref)
+                    assert one == ref
+
+
+def test_a_search_scores_its_beam_in_one_call(built, small_set, monkeypatch):
+    """The beam's point is fewer `_dists` calls: at the default ef_search a
+    search makes at most half the calls it makes with a beam of one, and at
+    ef_search 16 its recall@10 is no lower."""
+    rng = np.random.default_rng(38)
+    queries = small_set.vectors[::10] + rng.normal(0, 0.1, (30, small_set.dim)).astype(np.float32)
+    truth = [set(exact_search(small_set, q, 10).ids) for q in queries]
+    dists = HnswIndex._dists
+    calls = 0
+
+    def counted(self, q64, rows):
+        nonlocal calls
+        calls += 1
+        return dists(self, q64, rows)
+
+    monkeypatch.setattr(HnswIndex, "_dists", counted)
+    per_search, recall = {}, {}
+    default = hnsw._BEAM
+    for beam in (default, 1):
+        monkeypatch.setattr(hnsw, "_BEAM", beam)
+        calls = 0
+        for q in queries:
+            built.search(q, 10)
+        per_search[beam] = calls / len(queries)
+        hits = sum(len(set(built.search(q, 10, ef_search=16).ids) & t) for q, t in zip(queries, truth))
+        recall[beam] = hits / (10 * len(queries))
+    assert per_search[default] <= per_search[1] / 2
+    assert recall[default] >= recall[1]
 
 
 # ---------------------------------------------------------- hostile input
