@@ -262,9 +262,53 @@ def test_select_diverse_tie_and_duplicate_examples():
     assert _select_both(dup, base, [0, 1, 2], 1, True) == ([0], [0])
 
 
+def select_diverse_rows_reference(self, rows, cands, cap, fill):
+    """`_select_diverse_rows` as one `select_diverse_reference` per row."""
+    return [
+        select_diverse_reference(self, self._vec32[row].astype(np.float64), cand, cap, fill)
+        for row, cand in zip(rows.tolist(), cands.tolist())
+    ]
+
+
+@st.composite
+def _block_selection_cases(draw):
+    """Several base rows sharing one candidate width C (0 when the level has
+    one row), each row's candidates ranked as `_nearest_rows` ranks them, on
+    `_selection_cases`' coordinates."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 5))
+    vectors = draw(hnp.arrays(np.float32, (n, dim), elements=_coords))
+    width = draw(st.integers(0, n - 1))
+    bases = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    cands = []
+    for base in bases:
+        others = draw(st.permutations([r for r in range(n) if r != base]))[:width]
+        d = _sq_l2(vectors[others], vectors[base].astype(np.float64))
+        cands.append([r for _, r in sorted(zip(d.tolist(), others))])
+    cap = draw(st.integers(1, width + 3))
+    fill = draw(st.booleans())
+    block = draw(st.integers(1, 3))
+    return vectors, np.array(bases), np.array(cands, dtype=np.intp).reshape(len(bases), width), cap, fill, block
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_block_selection_cases())
+def test_select_diverse_rows_matches_reference_row_by_row(case):
+    """The lockstep kernel picks, row for row, what the per-candidate oracle
+    picks, with blocks small enough that the rows cross block boundaries."""
+    vectors, bases, cands, cap, fill, block = case
+    index = HnswIndex(vectors.shape[1])
+    index._vec32 = vectors
+    want = select_diverse_rows_reference(index, bases, cands, cap, fill)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hnsw, "_SELECT_ROWS", block)
+        assert index._select_diverse_rows(bases, cands, cap, fill) == want
+
+
 def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
     fast = dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0))
     monkeypatch.setattr(HnswIndex, "_select_diverse", select_diverse_reference)
+    monkeypatch.setattr(HnswIndex, "_select_diverse_rows", select_diverse_rows_reference)
     assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0)) == fast
 
 
