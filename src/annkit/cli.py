@@ -74,6 +74,10 @@ def _family_knobs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]
                        if getattr(args, dest) is not None} for row in rows}
 
 
+# The builds that a --seed reaches.
+_SEEDED = "pq, ivf, lsh and rpforest builds (flat and hnsw take none)"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="annkit", description="Approximate nearest-neighbor index toolkit."
@@ -91,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index over an embedding file")
     p.add_argument("--data", required=True, help="VEMB or CSV input")
     p.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=f"seeds the {_SEEDED}")
     p.add_argument("--out", required=True, help="VIDX output path")
     _add_knob_flags(p)
 
@@ -129,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries", type=int, help="query count (default min(1000, n))")
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--recall-n", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=f"seeds the query sample and the {_SEEDED}")
     p.add_argument("--out", help="report output path")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_knob_flags(p)

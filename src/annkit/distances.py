@@ -11,10 +11,10 @@ float32 product of a block of queries with the rows and keeps only the rows
 that a proven rounding bound cannot rule out of each query's best k. Its
 one-query case, :func:`shortlist`, serves flat-l2, flat-ip, the ivf-flat
 lists and `exact_search` / `ground_truth`; its all-rows case,
-:func:`_nearest_rows`, builds HNSW's level 0. IVF-SQ keys its codes instead
+:func:`_nearest_rows`, builds every HNSW level. IVF-SQ keys its codes instead
 (`sq._code_shortlist`). Both hand their float32 keys and their error bounds
 to one cut, :func:`_proven_cut`, which holds the bound's argument. The rows
-kept are scored by :func:`batch_scores` (`_sq_l2` for the level-0 pass) and
+kept are scored by :func:`batch_scores` (`_sq_l2` for the HNSW pass) and
 ranked exactly as a full scan ranks them, so scores and order are unchanged.
 Angular and Manhattan scans, and every other approximate family, score all
 of their candidates.
@@ -317,8 +317,10 @@ def _proven_cut(
     return rows if 2 * len(rows) <= n else _EVERY_ROW
 
 
-def _nearest_rows(vectors: np.ndarray, k: int) -> list[list[int]]:
-    """Each row's k nearest other rows (all of them when fewer), nearest first.
+def _nearest_rows(vectors: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest other rows (all of them when fewer), nearest
+    first, and their distances: two (n, min(k, n - 1)) arrays, the rows as
+    intp and the distances as float64.
 
     `vectors` are float32 rows. Rows are ranked by `_sq_l2` of the float32
     rows against the row in float64, ties by row: the ranking a full sort of
@@ -327,14 +329,15 @@ def _nearest_rows(vectors: np.ndarray, k: int) -> list[list[int]]:
     where it yields every row, every other row is scored.
     """
     n = len(vectors)
-    k = min(k, n - 1)
-    if k <= 0:
-        return [[] for _ in range(n)]
+    k = max(min(k, n - 1), 0)
+    nearest, dists = np.empty((n, k), dtype=np.intp), np.empty((n, k))
+    if k == 0:
+        return nearest, dists
     sq_norms = sq_row_norms(vectors)
-    nearest = []
     for i, rows in enumerate(_cuts(vectors, vectors, k, float(sq_norms.max()), sq_norms, own=True)):
         if rows is _EVERY_ROW:
             rows = np.delete(np.arange(n), i)
         dist = _sq_l2(vectors[rows], vectors[i].astype(np.float64))
-        nearest.append(rows[np.lexsort((rows, dist))[:k]].tolist())
-    return nearest
+        kept = np.lexsort((rows, dist))[:k]
+        nearest[i], dists[i] = rows[kept], dist[kept]
+    return nearest, dists

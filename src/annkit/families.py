@@ -62,7 +62,7 @@ _ROWS = (
     Family("flat-ip", 1, lambda r: FlatIPIndex.read_payload(r),
            lambda s, seed: FlatIPIndex.build(s), {}, unit=True),
     Family("hnsw", 7, lambda r: HnswIndex.read_payload(r),
-           lambda s, seed, **kw: HnswIndex.build(s, seed=seed, **kw),
+           lambda s, seed, **kw: HnswIndex.build(s, **kw),
            {"M": "hnsw_m", "ef_construction": "ef_construction", "ef_search": "ef_search"}),
     Family("pq", 2, lambda r: PqIndex.read_payload(r),
            lambda s, seed, **kw: PqIndex.build(s, seed=seed, **kw), _PQ),

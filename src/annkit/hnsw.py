@@ -1,17 +1,23 @@
 """Hierarchical navigable small-world graph index.
 
 Every node draws a top level from a geometric-like distribution
-(floor(-ln(u) * mL), mL = 1/ln(M)). An insert follows the classic recipe: it
-descends greedily through the upper layers, then links to up to M candidates
-found with an ef_construction-sized best-first search per layer. Link
-selection uses the diversity heuristic: walking candidates nearest-first, a
-candidate is linked only if it is closer to the new node than to every
-neighbor already chosen. Overflowing back-edge lists are re-pruned with the
-same rule. Plain nearest-M selection is deliberately not used — on clustered
-data it lets same-cluster back-edges evict every cross-cluster bridge, the
-bottom layer disintegrates into per-cluster islands, and queries that descend
-into the wrong cluster can never leave it (measured here: recall collapses
-from ~0.99 to ~0.8 on well-separated blobs).
+(floor(-ln(u) * mL), mL = 1/ln(M)), u from one fixed stream,
+`np.random.default_rng(0)`: row i's level is draw i. A build draws its rows'
+levels in row order and a load moves the stream past its stored rows, so the
+stream always stands at the row count, and a loaded graph takes further
+inserts to the bytes that the graph it was saved from reaches.
+
+An insert follows the classic recipe: it descends greedily through the upper
+layers, then links to up to M candidates found with an ef_construction-sized
+best-first search per layer. Link selection uses the diversity heuristic:
+walking candidates nearest-first, a candidate is linked only if it is closer
+to the new node than to every neighbor already chosen. Overflowing back-edge
+lists are re-pruned with the same rule. Plain nearest-M selection is
+deliberately not used — on clustered data it lets same-cluster back-edges
+evict every cross-cluster bridge, the bottom layer disintegrates into
+per-cluster islands, and queries that descend into the wrong cluster can
+never leave it (measured here: recall collapses from ~0.99 to ~0.8 on
+well-separated blobs).
 
 A build draws the same levels but links every level from one exact k-NN pass
 over the rows that reach it, as FAISS's `init_level_0_from_knngraph` and NSG
@@ -35,13 +41,14 @@ distance, in search and in link selection, is the squared L2 of
 `distances._sq_l2` on gathered float32 rows against a float64 point.
 
 A build selects each level's own links in lockstep blocks of rows
-(`_select_diverse_rows`): every row's candidates are known up front and are
-equally many, so one numpy pass decides candidate position i of every row in
-a block. `insert` and the build's prunes of lists over their cap keep the
-one-row `_select_diverse`, which scores each chosen row against the
-remaining candidates in one call: those candidate lists come one at a time
-and differ in length, and a lockstep block of one row took about 700 µs a
-selection against about 80 µs for the one-row form (40 candidates, 64-d).
+(`_select_diverse_rows`): every row's candidates and their distances come from
+the k-NN pass and are equally many, so one numpy pass decides candidate
+position i of every row in a block. `insert` and the build's prunes of lists
+over their cap keep the one-row `_select_diverse`, which scores each chosen
+row against the remaining candidates in one call: those candidate lists come
+one at a time and differ in length, and a lockstep block of one row took about
+700 µs a selection against about 80 µs for the one-row form (40 candidates,
+64-d).
 
 Vectors are stored inside the index, so searches need no external set, and
 reported scores are exact Euclidean distances to the stored vectors.
@@ -93,9 +100,7 @@ class HnswIndex(VectorIndex):
 
     family = "hnsw"
 
-    def __init__(
-        self, dim: int, M: int = 32, ef_construction: int = 40, ef_search: int = 64, seed: int = 0
-    ):
+    def __init__(self, dim: int, M: int = 32, ef_construction: int = 40, ef_search: int = 64):
         check_count("M", M, U32_MAX)
         check_count("ef_construction", ef_construction, U32_MAX)
         check_count("ef_search", ef_search, U32_MAX)
@@ -105,7 +110,7 @@ class HnswIndex(VectorIndex):
         self.ef_search = ef_search
         self._mL = 1.0 / math.log(M) if M > 1 else 1.0  # level multiplier
         self._dim = dim
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(0)  # draw i is row i's level
         self._vec32 = np.empty((0, dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.uint64)
         self._levels = np.empty(0, dtype=np.uint32)
@@ -116,16 +121,16 @@ class HnswIndex(VectorIndex):
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def build(cls, emb_set: EmbeddingSet, seed: int = 0, **knobs) -> "HnswIndex":
-        """Index every record, rows in ascending-id order; deterministic in `seed`.
-        `knobs` are the constructor's M, ef_construction and ef_search.
+    def build(cls, emb_set: EmbeddingSet, **knobs) -> "HnswIndex":
+        """Index every record, rows in ascending-id order. `knobs` are the
+        constructor's M, ef_construction and ef_search.
 
-        Levels are drawn one per row in row order, as `insert` draws them, and
+        Row i's level is draw i of the level stream, as `insert` draws it, and
         the entry is the first row on the top level, so the levels, the entry
-        and the level stream are those of inserting every row in turn. Each
-        level is then linked by `_link_level`.
+        and the stream's position are those of inserting every row in turn.
+        Each level is then linked by `_link_level`.
         """
-        index = cls(emb_set.dim, seed=seed, **knobs)
+        index = cls(emb_set.dim, **knobs)
         if len(emb_set) == 0:
             raise ValueError("cannot build an index over an empty set")
         order = np.argsort(emb_set.ids, kind="stable")
@@ -151,8 +156,8 @@ class HnswIndex(VectorIndex):
         """
         rows = np.flatnonzero(self._levels >= level)
         fill, cap = level > 0, self.M if level else 2 * self.M
-        near = np.array(_nearest_rows(self._vec32[rows], self.ef_construction), dtype=np.intp)
-        own = dict(zip(rows.tolist(), self._select_diverse_rows(rows, rows[near], self.M, fill)))
+        near, d_near = _nearest_rows(self._vec32[rows], self.ef_construction)
+        own = dict(zip(rows.tolist(), self._select_diverse_rows(rows[near], d_near, self.M, fill)))
         links = {row: array("i", nbrs) for row, nbrs in own.items()}
         for row, nbrs in own.items():
             for nb in nbrs:
@@ -364,31 +369,30 @@ class HnswIndex(VectorIndex):
         return chosen
 
     def _select_diverse_rows(
-        self, rows: np.ndarray, cands: np.ndarray, cap: int, fill: bool
+        self, cands: np.ndarray, d_cands: np.ndarray, cap: int, fill: bool
     ) -> list[list[int]]:
-        """`_select_diverse` for each of `rows` over its row of `cands`, in
+        """`_select_diverse` for each base row over its row of `cands`, in
         lockstep blocks of `_SELECT_ROWS` rows.
 
-        `cands` is (len(rows), C), each row's candidates nearest first with
-        the row as tie-break, as `_nearest_rows` ranks them. A block's base
-        distances come from one `_sq_l2` over its gathered (r, C, dim) rows.
-        Position i of every row is then decided at once: it joins the core
-        where it is still open and the row is under `cap`, and each row it
-        joined is scored against only those of its later candidates that are
-        still open, the (row, later) pairs gathered straight from the float32
-        rows. A candidate closes once some chosen row is nearer to it than
-        the base, which is when `_select_diverse`'s running minimum drops
+        `cands` and `d_cands` are (rows, C): each base row's candidates and
+        their `_sq_l2` distances to it, nearest first with the row as
+        tie-break, as `_nearest_rows` returns them, so no base distance is
+        scored again. Position i of every row is decided at once: it joins the
+        core where it is still open and the row is under `cap`, and each row
+        it joined is scored against only those of its later candidates that
+        are still open, the (row, later) pairs gathered straight from the
+        float32 rows. A candidate closes once some chosen row is nearer to it
+        than the base, which is when `_select_diverse`'s running minimum drops
         below its base distance; a closed candidate is never chosen, so its
-        distances are never needed again and only the open flag is kept.
-        Each distance is the same float64 difference, squared and summed over
-        the same contiguous last axis, as `_select_diverse`'s, so the picks
-        are the same. The fill is the first rejected candidates in order.
+        distances are never needed again and only the open flag is kept. Each
+        distance is the same float64 difference, squared and summed over the
+        same contiguous last axis, as `_select_diverse`'s, so the picks are
+        the same. The fill is the first rejected candidates in order.
         """
         picks: list[list[int]] = []
-        for start in range(0, len(rows), _SELECT_ROWS):
+        for start in range(0, len(cands), _SELECT_ROWS):
             block = cands[start : start + _SELECT_ROWS]
-            base = self._vec32[rows[start : start + _SELECT_ROWS], None].astype(np.float64)
-            d_base = _sq_l2(self._vec32.take(block, axis=0), base)
+            d_base = d_cands[start : start + _SELECT_ROWS]
             open_ = np.ones(block.shape, dtype=bool)
             chosen = np.zeros(block.shape, dtype=bool)
             count = np.zeros(len(block), dtype=np.intp)
@@ -416,7 +420,9 @@ class HnswIndex(VectorIndex):
         return sorted(ext)
 
     def insert(self, record_id: int, vector: np.ndarray) -> None:
-        """Add one vector; its level is drawn from the index's seeded stream."""
+        """Add one vector as row len(self); its level is the stream's next
+        draw, drawn only once every check has passed, so a refused insert
+        leaves the stream where it was."""
         if not is_uint(record_id):
             raise ValueError(f"id must be an integer in [0, 2**64), got {record_id!r}")
         record_id = int(record_id)
@@ -449,11 +455,17 @@ class HnswIndex(VectorIndex):
         for layer in range(min(level, top), -1, -1):
             found = self._search_layer(q64, entries, self.ef_construction, layer)
             entries = [r for _, r in found]
-            # The thin upper layers decide which region a query descends into,
-            # so their links get the expensive treatment: candidates extended
-            # by their graph neighbors, and pruned lists refilled to the cap.
-            # Level 0 keeps the plain diverse core, which is both faster and
-            # denser in escape edges than nearest-first truncation.
+            # Two treatments are an insert's own; a build has neither. The new
+            # row's links are the diverse core filled to M at every level, level
+            # 0 included: inserted one by one, the acceptance rows read
+            # recall@10 0.994 with the level-0 fill against 0.988 without it
+            # (ef_search 64; 0.993 against 0.986 at spread 1.0). The thin upper
+            # layers decide which region a query descends into, so there the
+            # candidates and the over-cap prunes are extended by their graph
+            # neighbours and the prunes refilled to the cap; a level-0 prune
+            # keeps the plain diverse core. Without the prunes' extension,
+            # graph-churn insert p99 fell from 6-9 ms to 2.5-4 ms, but
+            # recall_at_10 fell from 1.0 to 0.995 on one seed of 30.
             upper = layer >= 1
             cand = self._extended(entries, layer) if upper else entries
             neighbors = self._select_diverse(q64, cand, self.M, fill=True)
@@ -602,6 +614,7 @@ class HnswIndex(VectorIndex):
         M, ef_construction, ef_search, dim = r.u32(), r.u32(), r.u32(), r.u32()
         index = cls(dim, M, ef_construction, ef_search)
         count = r.u64()
+        index._rng.bit_generator.advance(count)  # one step per draw: next is row `count`'s level
         entry_id = r.u64()
         ids = r.u64_array(count)
         levels = r.u32_array(count)

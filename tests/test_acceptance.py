@@ -79,7 +79,7 @@ def flat_l2(dstar):
 
 @pytest.fixture(scope="module")
 def hnsw_index(dstar):
-    return HnswIndex.build(dstar, M=32, ef_construction=40, ef_search=128, seed=0)
+    return HnswIndex.build(dstar, M=32, ef_construction=40, ef_search=128)
 
 
 @pytest.fixture(scope="module")
@@ -377,7 +377,7 @@ def test_every_family_round_trips(small_set):
         "ivf-pq": lambda s: ivf_build(s, nlist=8, encoding="pq", m=4, nbits=4, seed=0),
         "ivf-sq": lambda s: ivf_build(s, nlist=8, encoding="sq", seed=0),
         "lsh": lambda s: lsh_build(s, nbits=64, seed=0),
-        "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24, seed=0),
+        "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24),
         "rpforest": lambda s: rp_build(s, n_trees=4, seed=0),
     }
     rng = np.random.default_rng(1)

@@ -2,6 +2,7 @@
 verdict, on synthetic runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -200,3 +201,22 @@ def test_code_size_of_this_checkout_matches_the_package():
     assert size["all_names"] == len(annkit.__all__)
     package = bench_pairs.ROOT / "src" / "annkit"
     assert size["src_lines"] == sum(len(p.read_text().splitlines()) for p in package.glob("*.py"))
+
+
+def test_insert_latency_is_compared_lower_better_without_a_bound():
+    """graph-churn's insert_p50_us and insert_p99_us extras get a row, lower
+    being better and no regression verdict; a workload without them gets none."""
+    bench = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    better, bounds = bench_pairs.directions(bench)
+    for name in ("insert_p50_us", "insert_p99_us"):
+        assert better[name] == "lower" and name not in bounds
+    assert bounds["raw_setup_s"] == bounds["setup_s"] and better["raw_qps"] == "higher"
+    churn = _pairs(PARENT, PARENT)
+    for pair in churn:
+        for side, scale in (("parent", 1.0), ("change", 0.5)):
+            pair[side]["extras"].update(insert_p50_us=scale * 4000.0, insert_p99_us=scale * 8000.0)
+    table = bench_pairs.summarise(churn, better, bounds)
+    for name in ("insert_p50_us", "insert_p99_us"):
+        assert table[name]["change_wins"] == 10 and "regression" not in table[name]
+    assert table["insert_p99_us"]["change_over_parent"] == pytest.approx(0.5)
+    assert "insert_p50_us" not in bench_pairs.summarise(_pairs(PARENT, PARENT), better, bounds)

@@ -1,5 +1,6 @@
 """Graph index: structure invariants, self-retrieval, recall trends."""
 
+import contextlib
 import copy
 import hashlib
 import heapq
@@ -21,7 +22,7 @@ from annkit.persist import dump_index, load_index_bytes
 
 @pytest.fixture(scope="module")
 def built(small_set):
-    return HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
+    return HnswIndex.build(small_set, M=8, ef_construction=32)
 
 
 def test_params_defaults():
@@ -80,9 +81,9 @@ def test_level_assignment_is_geometric(built, small_set):
     assert counts[0] > counts[1:].sum()  # most nodes only on the base layer
 
 
-def test_build_deterministic_given_seed(small_set):
-    a = HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
-    b = HnswIndex.build(small_set, M=8, ef_construction=32, seed=0)
+def test_build_is_deterministic(small_set):
+    a = HnswIndex.build(small_set, M=8, ef_construction=32)
+    b = HnswIndex.build(small_set, M=8, ef_construction=32)
     assert dump_index(a) == dump_index(b)
 
 
@@ -262,11 +263,18 @@ def test_select_diverse_tie_and_duplicate_examples():
     assert _select_both(dup, base, [0, 1, 2], 1, True) == ([0], [0])
 
 
-def select_diverse_rows_reference(self, rows, cands, cap, fill):
-    """`_select_diverse_rows` as one `select_diverse_reference` per row."""
+def select_diverse_rows_reference(self, cands, d_cands, cap, fill, bases=None):
+    """`_select_diverse_rows` as one `select_diverse_reference` per base row,
+    once `d_cands` is checked against `_sq_l2` of `cands` to the bases. A
+    build passes no bases: it selects for one level's rows in row order, and
+    levels nest, so those are the len(cands) rows of highest level, ascending."""
+    if bases is None:
+        bases = np.sort(np.argsort(-self._levels.astype(np.int64), kind="stable")[: len(cands)])
+    base64 = self._vec32[bases].astype(np.float64)
+    assert np.array_equal(d_cands, _sq_l2(self._vec32[cands], base64[:, None]))
     return [
-        select_diverse_reference(self, self._vec32[row].astype(np.float64), cand, cap, fill)
-        for row, cand in zip(rows.tolist(), cands.tolist())
+        select_diverse_reference(self, base, cand, cap, fill)
+        for base, cand in zip(base64, cands.tolist())
     ]
 
 
@@ -280,15 +288,18 @@ def _block_selection_cases(draw):
     vectors = draw(hnp.arrays(np.float32, (n, dim), elements=_coords))
     width = draw(st.integers(0, n - 1))
     bases = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
-    cands = []
+    ranked = []
     for base in bases:
         others = draw(st.permutations([r for r in range(n) if r != base]))[:width]
         d = _sq_l2(vectors[others], vectors[base].astype(np.float64))
-        cands.append([r for _, r in sorted(zip(d.tolist(), others))])
+        ranked.append(sorted(zip(d.tolist(), others)))
+    cands = np.array([[r for _, r in pairs] for pairs in ranked], dtype=np.intp)
+    d_cands = np.array([[d for d, _ in pairs] for pairs in ranked], dtype=np.float64)
     cap = draw(st.integers(1, width + 3))
     fill = draw(st.booleans())
     block = draw(st.integers(1, 3))
-    return vectors, np.array(bases), np.array(cands, dtype=np.intp).reshape(len(bases), width), cap, fill, block
+    shape = (len(bases), width)
+    return vectors, np.array(bases), cands.reshape(shape), d_cands.reshape(shape), cap, fill, block
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -296,20 +307,20 @@ def _block_selection_cases(draw):
 def test_select_diverse_rows_matches_reference_row_by_row(case):
     """The lockstep kernel picks, row for row, what the per-candidate oracle
     picks, with blocks small enough that the rows cross block boundaries."""
-    vectors, bases, cands, cap, fill, block = case
+    vectors, bases, cands, d_cands, cap, fill, block = case
     index = HnswIndex(vectors.shape[1])
     index._vec32 = vectors
-    want = select_diverse_rows_reference(index, bases, cands, cap, fill)
+    want = select_diverse_rows_reference(index, cands, d_cands, cap, fill, bases)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hnsw, "_SELECT_ROWS", block)
-        assert index._select_diverse_rows(bases, cands, cap, fill) == want
+        assert index._select_diverse_rows(cands, d_cands, cap, fill) == want
 
 
 def test_build_is_byte_identical_to_reference_selection(small_set, monkeypatch):
-    fast = dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0))
+    fast = dump_index(HnswIndex.build(small_set, M=8, ef_construction=24))
     monkeypatch.setattr(HnswIndex, "_select_diverse", select_diverse_reference)
     monkeypatch.setattr(HnswIndex, "_select_diverse_rows", select_diverse_rows_reference)
-    assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24, seed=0)) == fast
+    assert dump_index(HnswIndex.build(small_set, M=8, ef_construction=24)) == fast
 
 
 # --------------------------------------------- every level from a k-NN pass
@@ -367,14 +378,33 @@ def level_reference(index, level):
             lists[row].append(via)
 
 
+@contextlib.contextmanager
+def level_stream(seed):
+    """Every graph made inside reads its levels from `default_rng(seed)` in
+    place of `default_rng(0)`, row i's level still draw i (and a load still
+    advances the stream by its row count): the variety of levels a case needs,
+    which the one fixed stream would cut to one sequence per M."""
+    init = HnswIndex.__init__
+
+    def reseeded(self, *args, **knobs):
+        init(self, *args, **knobs)
+        self._rng = np.random.default_rng(seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(HnswIndex, "__init__", reseeded)
+        yield
+
+
 def build_both(vectors, ids, M, ef_construction, seed):
     """`HnswIndex.build` of the set, and the same set inserted row by row in
-    ascending-id order with every level replaced by `level_reference`."""
+    ascending-id order with every level replaced by `level_reference`, both
+    with the level stream `default_rng(seed)`."""
     emb = EmbeddingSet(ids, np.zeros(len(ids), np.uint32), vectors)
-    built = HnswIndex.build(emb, M=M, ef_construction=ef_construction, seed=seed)
-    stepwise = HnswIndex(emb.dim, M=M, ef_construction=ef_construction, seed=seed)
-    for row in np.argsort(ids, kind="stable"):
-        stepwise.insert(int(ids[row]), vectors[row])
+    with level_stream(seed):
+        built = HnswIndex.build(emb, M=M, ef_construction=ef_construction)
+        stepwise = HnswIndex(emb.dim, M=M, ef_construction=ef_construction)
+        for row in np.argsort(ids, kind="stable"):
+            stepwise.insert(int(ids[row]), vectors[row])
     n = len(ids)
     assert built._entry == stepwise._entry
     assert np.array_equal(built._levels, stepwise._levels[:n])
@@ -463,11 +493,12 @@ def _descent_cases(draw):
 @given(_descent_cases())
 def test_descend_matches_reference(case):
     vectors, queries, M, seed = case
-    index = HnswIndex(vectors.shape[1], M=M, ef_construction=8, seed=seed)
-    reference = _ReferenceDescentIndex(vectors.shape[1], M=M, ef_construction=8, seed=seed)
-    for i, v in enumerate(vectors):
-        index.insert(i, v)
-        reference.insert(i, v)
+    with level_stream(seed):
+        index = HnswIndex(vectors.shape[1], M=M, ef_construction=8)
+        reference = _ReferenceDescentIndex(vectors.shape[1], M=M, ef_construction=8)
+        for i, v in enumerate(vectors):
+            index.insert(i, v)
+            reference.insert(i, v)
     assert np.array_equal(index._link_words(), reference._link_words())
     assert index._entry == reference._entry
     top = int(index._levels[index._entry])
@@ -521,7 +552,7 @@ def test_search_layer_keeps_the_nearest_rows_it_visits(dim, M, monkeypatch):
     rng = np.random.default_rng(1000 * dim + M)
     vectors = rng.standard_normal((120, dim)).astype(np.float32)
     data = EmbeddingSet(np.arange(120), np.zeros(120, np.uint32), vectors)
-    index = HnswIndex.build(data, M=M, ef_construction=12, seed=M)
+    index = HnswIndex.build(data, M=M, ef_construction=12)
     top = int(index._levels.max())
     assert top >= 1
     for q in rng.standard_normal((6, dim)):
@@ -579,7 +610,7 @@ def test_a_search_scores_its_beam_in_one_call(built, small_set, monkeypatch):
 @pytest.fixture(scope="module")
 def noisy_graph():
     data = gen_synthetic(4, 50, 8, 0.3, seed=1)
-    return data, HnswIndex.build(data, M=8, ef_construction=24, seed=0)
+    return data, HnswIndex.build(data, M=8, ef_construction=24)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -594,8 +625,8 @@ def test_search_rejects_non_finite_query(noisy_graph, bad):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_insert_rejects_non_finite_vector(bad):
     data = gen_synthetic(4, 50, 8, 0.3, seed=1)
-    graph = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
-    clean = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
+    graph = HnswIndex.build(data, M=8, ef_construction=24)
+    clean = HnswIndex.build(data, M=8, ef_construction=24)
     before = dump_index(graph)
     v = np.ones(8, dtype=np.float32)
     v[2] = bad
@@ -629,7 +660,7 @@ def test_load_rejects_non_finite_vector(noisy_graph, bad):
 @pytest.mark.parametrize("per_class", [300, 5])
 def test_memory_bytes_counts_the_buffer_held(per_class):
     data = gen_synthetic(2, per_class, 16, 0.05, seed=2)
-    built = HnswIndex.build(data, M=8, ef_construction=24, seed=0)
+    built = HnswIndex.build(data, M=8, ef_construction=24)
     loaded = load_index_bytes(dump_index(built))
     assert built._vec32.shape[0] == loaded._vec32.shape[0] == len(data)
     assert built.memory_bytes() == loaded.memory_bytes()
@@ -657,7 +688,7 @@ def _pinned_graph():
         + list(base.vectors[:4])
         + list(extra.vectors[:4])
     )
-    return HnswIndex.build(base, M=8, ef_construction=24, seed=0), extra, queries
+    return HnswIndex.build(base, M=8, ef_construction=24), extra, queries
 
 
 def test_graph_bytes_and_results_are_pinned():
@@ -698,13 +729,11 @@ def test_level0_of_the_pinned_graph_is_pinned():
 
 def test_loaded_graph_grows_like_the_built_one():
     """A loaded graph takes the same inserts to the same bytes as the graph it
-    was dumped from. VIDX keeps no level stream, so the loaded graph is handed
-    the built one's."""
+    was dumped from: the load moves the level stream past the stored rows."""
     data = gen_synthetic(4, 60, 8, 0.3, seed=2)
     extra = gen_synthetic(3, 20, 8, 0.3, seed=3)
-    built = HnswIndex.build(data, M=6, ef_construction=20, seed=4)
+    built = HnswIndex.build(data, M=6, ef_construction=20)
     loaded = load_index_bytes(dump_index(built))
-    loaded._rng.bit_generator.state = built._rng.bit_generator.state
     for rid, v in zip(extra.ids.tolist(), extra.vectors):
         built.insert(500 + rid, v)
         loaded.insert(500 + rid, v)
@@ -712,6 +741,48 @@ def test_loaded_graph_grows_like_the_built_one():
     loaded.validate_structure()
     for q in extra.vectors[:5]:
         assert loaded.search(q, 5).neighbors == built.search(q, 5).neighbors
+
+
+@st.composite
+def _growth_cases(draw):
+    """A `_build_cases` set, 1-20 further rows on the same coordinates, the
+    number of them inserted before a second dump and load, where a refused
+    insert comes, and whether it repeats a stored id or holds a NaN."""
+    vectors, ids, M, ef_construction, seed = draw(_build_cases())
+    shape = (draw(st.integers(1, 20)), vectors.shape[1])
+    extra = draw(hnp.arrays(np.float32, shape, elements=_coords))
+    reload_after = draw(st.integers(1, len(extra)))
+    refused_at = draw(st.integers(0, len(extra) - 1))
+    duplicate = draw(st.booleans())
+    return vectors, ids, M, ef_construction, seed, extra, reload_after, refused_at, duplicate
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_growth_cases())
+def test_save_load_insert_equals_insert(case):
+    """save -> load -> insert == insert: the same rows inserted into a built
+    graph and into its load, which is dumped and loaded once more partway and
+    refuses one insert as the built graph does, give the same VIDX bytes and
+    the same SearchResults."""
+    vectors, ids, M, ef_construction, seed, extra, reload_after, refused_at, duplicate = case
+    emb = EmbeddingSet(ids, np.zeros(len(ids), np.uint32), vectors)
+    with level_stream(seed):
+        built = HnswIndex.build(emb, M=M, ef_construction=ef_construction)
+        loaded = load_index_bytes(dump_index(built))
+        for step, v in enumerate(extra):
+            rid = int(ids.max()) + 1 + step
+            if step == refused_at:
+                bad_id, bad_v = (int(ids[0]), v) if duplicate else (rid, np.full_like(v, np.nan))
+                for graph in (built, loaded):
+                    with pytest.raises(ValueError, match="duplicate" if duplicate else "finite"):
+                        graph.insert(bad_id, bad_v)
+            built.insert(rid, v)
+            loaded.insert(rid, v)
+            if step + 1 == reload_after:
+                loaded = load_index_bytes(dump_index(loaded))
+        assert dump_index(loaded) == dump_index(built)
+        for q in [*extra, *vectors[:5]]:
+            assert loaded.search(q, 5) == built.search(q, 5)
 
 
 def test_insert_rejects_an_id_outside_u64(noisy_graph):
@@ -893,7 +964,7 @@ def test_loaded_graph_keeps_the_built_links(noisy_graph):
 def test_loaded_graph_grows_a_new_top_level_and_round_trips():
     """A load that then inserts a node above its top level adds the level."""
     data = gen_synthetic(4, 20, 8, 0.1, seed=3)
-    graph = load_index_bytes(dump_index(HnswIndex.build(data, M=4, seed=1)))
+    graph = load_index_bytes(dump_index(HnswIndex.build(data, M=4)))
     top = graph.level_of(graph.entry_id)
     graph._draw_level = lambda: top + 2
     graph.insert(10**6, np.full(8, 0.5, dtype=np.float32))

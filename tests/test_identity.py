@@ -32,8 +32,9 @@ def test_differences_name_each_changed_field_and_missing_row():
 
 def test_table_covers_every_family_and_repeats_exactly(small_set):
     """Two tables of one tree are equal, every family has a row carrying a
-    protocol report digest, and each loaded index holds and answers what the
-    built one does."""
+    protocol report digest, each loaded index holds and answers what the
+    built one does, and the one family with `insert`, hnsw, grows its load to
+    the bytes it grows the built graph to."""
     rows = np.arange(0, len(small_set), 50)
     first = identity.table(small_set, rows, n_random=2)
     assert list(first) == list(FAMILIES)
@@ -42,6 +43,13 @@ def test_table_covers_every_family_and_repeats_exactly(small_set):
         assert r["built_memory_bytes"] == r["loaded_memory_bytes"]
         assert r["built_results_sha256"] == r["loaded_results_sha256"]
         assert len(r["report_sha256"]) == 64
+    for name, r in first.items():
+        grown = (r["built_grown_sha256"], r["loaded_grown_sha256"])
+        if name == "hnsw":
+            assert len(grown[0]) == 64 and grown[0] == grown[1]
+            assert grown[0] != r["vidx_sha256"]
+        else:
+            assert grown == ("-", "-")
     assert first["flat-l2"]["knobs"] == "build() search()"
     assert first["hnsw"]["knobs"] == "build(M, ef_construction, ef_search) search(ef_search, visited_out)"
     assert first["ivf-pq"]["knobs"] == "build(m, nbits, nlist, nprobe) search(nprobe)"

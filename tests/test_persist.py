@@ -36,7 +36,7 @@ BUILDERS = {
     "ivf-pq": lambda s: ivf_build(s, nlist=8, encoding="pq", m=4, nbits=4, seed=0),
     "ivf-sq": lambda s: ivf_build(s, nlist=8, encoding="sq", seed=0),
     "lsh": lambda s: lsh_build(s, nbits=64, seed=0),
-    "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24, seed=0),
+    "hnsw": lambda s: HnswIndex.build(s, M=8, ef_construction=24),
     "rpforest": lambda s: rp_build(s, n_trees=4, seed=0),
 }
 

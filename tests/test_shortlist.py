@@ -339,13 +339,24 @@ def test_the_cut_inputs_keep_every_term_of_their_bounds(small_set):
 
 def nearest_rows_reference(vectors, k):
     """Every other row scored by `_sq_l2` against the row in float64, sorted
-    by (distance, row), the first k kept."""
-    nearest = []
+    by (distance, row), the first k kept: their rows and their distances."""
+    nearest, dists = [], []
     for row, x in enumerate(vectors.astype(np.float64)):
         others = [r for r in range(len(vectors)) if r != row]
-        ranked = sorted(zip(_sq_l2(vectors[others], x).tolist(), others))
-        nearest.append([r for _, r in ranked[:k]])
-    return nearest
+        ranked = sorted(zip(_sq_l2(vectors[others], x).tolist(), others))[:k]
+        nearest.append([r for _, r in ranked])
+        dists.append([d for d, _ in ranked])
+    return nearest, dists
+
+
+def assert_nearest_rows(vectors, k, got):
+    """`got`, what `_nearest_rows(vectors, k)` returned, is the reference's
+    rows and `_sq_l2` distances, as two (n, min(k, n - 1)) arrays."""
+    near, dists = got
+    shape = (len(vectors), min(k, len(vectors) - 1))
+    assert near.shape == dists.shape == shape
+    assert near.dtype == np.intp and dists.dtype == np.float64
+    assert (near.tolist(), dists.tolist()) == nearest_rows_reference(vectors, k)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -364,7 +375,7 @@ def test_nearest_rows_equal_a_full_sort(kind, n, d, seed, data):
     k = data.draw(st.one_of(st.integers(1, 4), st.integers(1, n + 1)))
     block = data.draw(st.sampled_from([n, 3 * n, distances._BLOCK_KEYS]))
     with mock.patch.object(distances, "_BLOCK_KEYS", block):
-        assert _nearest_rows(vectors, k) == nearest_rows_reference(vectors, k)
+        assert_nearest_rows(vectors, k, _nearest_rows(vectors, k))
 
 
 def test_nearest_rows_cut_on_clusters():
@@ -375,5 +386,5 @@ def test_nearest_rows_cut_on_clusters():
     vectors = (np.repeat(centers, 50, axis=0) + rng.standard_normal((400, 16))).astype(np.float32)
     with mock.patch.object(distances, "_sq_l2", wraps=distances._sq_l2) as scored:
         got = _nearest_rows(vectors, 10)
-    assert got == nearest_rows_reference(vectors, 10)
+    assert_nearest_rows(vectors, 10, got)
     assert sum(len(c.args[0]) for c in scored.call_args_list) < 400 * 20

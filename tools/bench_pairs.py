@@ -18,11 +18,13 @@ carries its ``bound`` from BENCHMARK.json and ``regression``, the
 no-regression rule: ``"worse"`` when the change's median is worse than the
 parent's by more than ``bound`` of the parent's median; ``"unresolved"``
 when the parent's interquartile range exceeds ``bound`` of its median and
-not every change run beats every parent run; ``"none"`` otherwise. Beside
-them, ``families`` gives the same comparison of
-each family's raw (wall clock, not normalized) ``build_s``, ``query_p50_us``
-and ``load_ms`` and its ``resident_bytes``, so a claim shows which family
-moved: a ``setup_s`` claim, for one, shows each family's build.
+not every change run beats every parent run; ``"none"`` otherwise. perfbench's
+``insert_p50_us`` and ``insert_p99_us`` extras (graph-churn's insert latency)
+are compared too, lower being better, without a bound: they are not end-to-end
+metrics. Beside them, ``families`` gives the same comparison of each family's
+raw (wall clock, not normalized) ``build_s``, ``query_p50_us`` and ``load_ms``
+and its ``resident_bytes``, so a claim shows which family moved: a ``setup_s``
+claim, for one, shows each family's build.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
 side. ``code`` gives each side's src line count (``src/annkit/*.py``), the
 part of it that is code (``src_code_lines``: not blank, not comment-only, not
@@ -132,6 +134,8 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+# perfbench extras compared beside the end-to-end metrics, with no bound.
+EXTRAS = {"insert_p50_us": "lower", "insert_p99_us": "lower"}
 CLAIM_PAIRS = 10  # fewest pairs that can back a claim; the change must win 9 in 10
 FAMILY_METRICS = ("build_s", "query_p50_us", "load_ms", "resident_bytes")  # raw; lower is better
 
@@ -202,6 +206,17 @@ def summarise_families(pairs: list[dict]) -> dict:
     }
 
 
+def directions(bench: dict) -> tuple[dict[str, str], dict[str, float]]:
+    """Which way is better for every metric `summarise` compares, and the
+    bound of each end-to-end metric of `bench` (BENCHMARK.json) and of its
+    ``raw_*`` twin; EXTRAS get none."""
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    for name in ("setup_s", "query_p50_us", "qps", "load_ms"):
+        better[f"raw_{name}"], bounds[f"raw_{name}"] = better[name], bounds[name]
+    return {**better, **EXTRAS}, bounds
+
+
 def seed_range(text: str) -> tuple[str, list[int]]:
     workload, _, seeds = text.partition("=")
     first, _, last = seeds.partition("-")
@@ -220,10 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    for name in ("setup_s", "query_p50_us", "qps", "load_ms"):
-        better[f"raw_{name}"], bounds[f"raw_{name}"] = better[name], bounds[name]
+    better, bounds = directions(bench)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         trees = {"parent": Path(tmp), "change": ROOT}
         commit = extract(args.parent, trees["parent"])

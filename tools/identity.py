@@ -16,7 +16,15 @@ budgets break ties, the row's knobs: its build keywords, sorted, and the
 keyword parameters of ``search`` after ``query, k``, and a sha256 of the
 built index's ``bench.run_protocol`` report (the same 64 queries, k and
 recall_n 10, seed 11) without its timing fields, so the label metrics,
-precision@k and recall@n are compared too.
+precision@k and recall@n are compared too. Last, for a family with
+``insert``, the 80 queries are inserted, with ids from the largest stored
+id + 1 on, into the built index and into its load, and each reports the
+sha256 of its VIDX bytes after them (``built_grown_sha256``,
+``loaded_grown_sha256``; ``-`` without ``insert``), so save, load, insert
+is compared with insert. All 80 are inserted because an hnsw node reaches
+level 1 with probability 1/M: the first 16 level draws of ``default_rng(0)``
+and the 16 after the corpus's 9,600 are all level 0 at M = 32, so 16 inserts
+would not tell a load that restarts the level stream from one that does not.
 
 One more row, ``exact-oracle``, covers the exact oracle that the flat scans'
 shortlist also serves: a sha256 of ``exact_search`` on the same 80 queries
@@ -61,6 +69,8 @@ FIELDS = (
     "knob_results_sha256",
     "knobs",
     "report_sha256",
+    "built_grown_sha256",
+    "loaded_grown_sha256",
 )
 K = 10
 INTEGER_KNOBS = ("search_k", "nprobe", "ef_search")
@@ -101,6 +111,19 @@ def report_digest(index, emb_set) -> str:
     for name in BenchReport.TIMING_FIELDS:
         del report[name]
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def grown_digest(index, vectors) -> str:
+    """sha256 of `index`'s VIDX bytes once `vectors` are inserted, ids from
+    the largest stored id + 1 on; "-" when the family has no `insert`."""
+    from annkit.persist import dump_index
+
+    if not hasattr(index, "insert"):
+        return "-"
+    first = int(index.ids.max()) + 1
+    for i, v in enumerate(vectors):
+        index.insert(first + i, v)
+    return hashlib.sha256(dump_index(index)).hexdigest()
 
 
 def knobs(build_keywords, index) -> str:
@@ -157,6 +180,9 @@ def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
             "knob_results_sha256": knob_results_digest([built, loaded], queries),
             "knobs": knobs(row.knobs, built),
             "report_sha256": report_digest(built, data),
+            # Last: these grow both indexes.
+            "built_grown_sha256": grown_digest(built, queries),
+            "loaded_grown_sha256": grown_digest(loaded, queries),
         }
     return out
 
@@ -198,12 +224,15 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
 
 def show(rows: dict[str, dict]) -> str:
     lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  "
-             f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  {'report':16s}  knobs"]
+             f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  {'report':16s}  "
+             f"{'grown built/loaded':33s}  knobs"]
     for name, r in rows.items():
         memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
         results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
+        grown = f"{r['built_grown_sha256'][:16]}/{r['loaded_grown_sha256'][:16]}"
         lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  "
-                     f"{r['knob_results_sha256'][:16]:16s}  {r['report_sha256'][:16]}  {r['knobs']}")
+                     f"{r['knob_results_sha256'][:16]:16s}  {r['report_sha256'][:16]}  "
+                     f"{grown:33s}  {r['knobs']}")
     return "\n".join(lines)
 
 
