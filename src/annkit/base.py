@@ -33,10 +33,11 @@ class SearchResult:
         return len(self.neighbors)
 
 
-def check_count(name: str, value: int, most: int | None = None) -> None:
-    """ValueError unless `value` is an int in 1..`most` (a numpy integer too,
-    not a bool; no upper bound when `most` is None): the rule for k, for every
-    integer build and query knob and for the protocol's counts."""
+def check_count(name: str, value: int, most: int | None = None) -> int:
+    """`value` as an int, after a ValueError unless it is an int in 1..`most`
+    (a numpy integer too, not a bool; no upper bound when `most` is None): the
+    rule for k, for every integer build and query knob and for the protocol's
+    counts. Whatever stores a checked count stores this return."""
     if (
         not isinstance(value, (int, np.integer))
         or isinstance(value, bool)
@@ -45,6 +46,7 @@ def check_count(name: str, value: int, most: int | None = None) -> None:
     ):
         span = ">= 1" if most is None else f"in 1..{most}"
         raise ValueError(f"{name} must be {span} and an integer, got {value!r}")
+    return int(value)
 
 
 def is_uint(value, bits: int = 64) -> bool:
@@ -124,9 +126,15 @@ class VectorIndex(abc.ABC):
                 items += vars(item).values()
         return total
 
-    @abc.abstractmethod
     def config(self) -> dict:
-        """Build parameters, echoed into benchmark reports."""
+        """The family's build knobs, as `families.build_index` takes them and
+        benchmark reports echo them: each keyword of its `FAMILIES` row, read
+        from the attribute of that name. Given the index's data and seed,
+        `build_index(data, index.family, seed, **index.config())` builds it
+        again."""
+        from .families import family  # the table imports every index module
+
+        return {kw: getattr(self, kw) for kw in family(self.family).knobs}
 
 
 def search_excluding(

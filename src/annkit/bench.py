@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv as _csv
 import json
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,7 +44,8 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         for name in ("n_queries", "k", "recall_n"):
-            check_count(name, getattr(self, name))
+            setattr(self, name, check_count(name, getattr(self, name)))
+        self.seed = operator.index(self.seed)  # an int, as a report's JSON needs
 
 
 # Field order is the CSV column order; the leading columns mirror the classic

@@ -88,9 +88,6 @@ class _FlatIndex(VectorIndex):
         scores = batch_scores(self.metric, q, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
-    def config(self) -> dict:
-        return {}
-
     # VIDX payload: dim, count, ids, vectors.
     def write_payload(self, w: Writer) -> None:
         w.u32(self.dim)

@@ -101,15 +101,11 @@ class HnswIndex(VectorIndex):
     family = "hnsw"
 
     def __init__(self, dim: int, M: int = 32, ef_construction: int = 40, ef_search: int = 64):
-        check_count("M", M, U32_MAX)
-        check_count("ef_construction", ef_construction, U32_MAX)
-        check_count("ef_search", ef_search, U32_MAX)
-        check_count("dim", dim)
-        self.M = M
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self._mL = 1.0 / math.log(M) if M > 1 else 1.0  # level multiplier
-        self._dim = dim
+        self.M = check_count("M", M, U32_MAX)
+        self.ef_construction = check_count("ef_construction", ef_construction, U32_MAX)
+        self.ef_search = check_count("ef_search", ef_search, U32_MAX)
+        self._mL = 1.0 / math.log(self.M) if self.M > 1 else 1.0  # level multiplier
+        self._dim = check_count("dim", dim)
         self._rng = np.random.default_rng(0)  # draw i is row i's level
         self._vec32 = np.empty((0, dim), dtype=np.float32)
         self._ids = np.empty(0, dtype=np.uint64)
@@ -586,13 +582,6 @@ class HnswIndex(VectorIndex):
             + 8 * (len(self._links) + len(level0))
             + sum(map(sys.getsizeof, upper))
         )
-
-    def config(self) -> dict:
-        return {
-            "M": self.M,
-            "ef_construction": self.ef_construction,
-            "ef_search": self.ef_search,
-        }
 
     # ------------------------------------------------------------ persistence
 

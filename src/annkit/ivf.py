@@ -65,13 +65,12 @@ class IvfIndex(VectorIndex):
             raise ValueError(f"ivf-{encoding} cannot take a {type(codec).__name__} codec")
         if codec is not None and codec.dim != coarse.dim:
             raise ValueError(f"codec has dim {codec.dim}, index has dim {coarse.dim}")
-        check_count("nprobe", nprobe, coarse.k)
+        self.nprobe = check_count("nprobe", nprobe, coarse.k)
         self.coarse = coarse
         self.encoding = encoding
         self._ids = np.asarray(ids, dtype=np.uint64)
         self.payload = payload  # one row per id: float32 vectors or uint8 codes
         self.offsets = np.asarray(offsets, dtype=np.int64)
-        self.nprobe = nprobe
         self.codec = codec
 
     @property
@@ -90,6 +89,10 @@ class IvfIndex(VectorIndex):
     # annkit reads these: perfbench's `rescore` does, as it reads `list_ids`.
     codebook = property(lambda self: self.codec if self.encoding == "pq" else None)
     sq_params = property(lambda self: self.codec if self.encoding == "sq" else None)
+    # The PQ codebook's shape, which the ivf-pq row's build knobs name; only
+    # an ivf-pq index has them.
+    m = property(lambda self: self.codec.m)
+    nbits = property(lambda self: self.codec.nbits)
 
     @property
     def list_ids(self) -> list[np.ndarray]:
@@ -135,17 +138,6 @@ class IvfIndex(VectorIndex):
             rows = _code_shortlist(self.codec, payload, q, k)
             scores = batch_scores(Metric.L2, q, sq_decode_batch(self.codec, payload[rows]))
         return make_result(Metric.L2, ids[rows], scores, k)
-
-    def config(self) -> dict:
-        cfg: dict = {
-            "nlist": self.nlist,
-            "nprobe": self.nprobe,
-            "encoding": self.encoding,
-        }
-        if isinstance(self.codec, PqCodebook):
-            cfg["m"] = self.codec.m
-            cfg["nbits"] = self.codec.nbits
-        return cfg
 
     def write_payload(self, w: Writer) -> None:
         w.u32(self.dim)
@@ -212,10 +204,8 @@ def ivf_build(
     if encoding not in _CODECS:
         raise ValueError(f"unknown encoding {encoding!r}")
     n = len(emb_set)
-    nlist = default_nlist(n) if nlist is None else nlist
-    check_count("nlist", nlist, n)
-    nprobe = default_nprobe(nlist) if nprobe is None else nprobe
-    check_count("nprobe", nprobe, nlist)
+    nlist = check_count("nlist", default_nlist(n) if nlist is None else nlist, n)
+    nprobe = check_count("nprobe", default_nprobe(nlist) if nprobe is None else nprobe, nlist)
 
     coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
     assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)

@@ -93,9 +93,6 @@ class LshIndex(VectorIndex):
         scores = batch_scores(Metric.L2, q, self._vectors[pool])
         return make_result(Metric.L2, self._ids[pool], scores, k)
 
-    def config(self) -> dict:
-        return {"nbits": self.nbits, "rerank": self.rerank}
-
     # ------------------------------------------------------------ persistence
 
     def write_payload(self, w: Writer) -> None:

@@ -29,11 +29,10 @@ from .kmeans import assign_to_centroids, kmeans_fit, read_centroids, write_centr
 from .wire import Reader, Writer
 
 
-def _check_shape(m: int, nbits: int) -> None:
-    """ValueError unless m >= 1 and nbits is in 1..8 (codes are stored as
-    single bytes): the shapes `pq_train` makes."""
-    check_count("m", m)
-    check_count("nbits", nbits, 8)
+def _check_shape(m: int, nbits: int) -> tuple[int, int]:
+    """(m, nbits) as ints, after a ValueError unless m >= 1 and nbits is in
+    1..8 (codes are stored as single bytes): the shapes `pq_train` makes."""
+    return check_count("m", m), check_count("nbits", nbits, 8)
 
 
 def default_m(dim: int) -> int:
@@ -113,7 +112,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     if data.ndim != 2 or len(data) == 0:
         raise ValueError("data must be a non-empty 2-d array")
     dim = data.shape[1]
-    _check_shape(m, nbits)
+    m, nbits = _check_shape(m, nbits)
     if dim % m != 0:
         raise ValueError(f"m={m} must divide dim={dim}")
     ks = 1 << nbits
@@ -194,6 +193,10 @@ class PqIndex(VectorIndex):
         cb = pq_train(emb_set.vectors, m, nbits, seed)
         return cls(cb, emb_set.ids.copy(), pq_encode_batch(cb, emb_set.vectors))
 
+    # The codebook's shape, which the pq row's build knobs name.
+    m = property(lambda self: self.codebook.m)
+    nbits = property(lambda self: self.codebook.nbits)
+
     @property
     def dim(self) -> int:
         return self.codebook.dim
@@ -206,9 +209,6 @@ class PqIndex(VectorIndex):
         """Rank every stored code by asymmetric distance; ascending-id tie-break."""
         q = check_query(query, k, self.dim)
         return make_result(Metric.L2, self._ids, adc_scores(self.codebook, self._codes, q), k)
-
-    def config(self) -> dict:
-        return {"m": self.codebook.m, "nbits": self.codebook.nbits}
 
     def write_payload(self, w: Writer) -> None:
         self.codebook.write(w)

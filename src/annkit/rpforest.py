@@ -302,13 +302,6 @@ class RpForestIndex(VectorIndex):
         scores = batch_scores(self.metric, query, self._vectors[rows])
         return make_result(self.metric, self._ids[rows], scores, k)
 
-    def config(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "leaf_size": self.leaf_size,
-            "metric": self.metric.value,
-        }
-
     # ------------------------------------------------------------ persistence
 
     def write_payload(self, w: Writer) -> None:
@@ -394,8 +387,8 @@ def rp_build(
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
     if len(emb_set) == 0:
         raise ValueError("cannot build an index over an empty set")
-    check_count("n_trees", n_trees, U32_MAX)
-    check_count("leaf_size", leaf_size, U32_MAX)
+    n_trees = check_count("n_trees", n_trees, U32_MAX)
+    leaf_size = check_count("leaf_size", leaf_size, U32_MAX)
     metric = Metric(metric)
     vectors64 = emb_set.vectors.astype(np.float64)
     angular = metric is Metric.ANGULAR

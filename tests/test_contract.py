@@ -3,7 +3,9 @@ public namespace it is exported through."""
 
 import importlib
 import inspect
+import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import annkit
-from annkit.bench import search_excluding
+from annkit.bench import BenchReport, ProtocolConfig, run_benchmark, search_excluding, write_report
 from annkit.families import FAMILIES, build_index
 from annkit.data import gen_synthetic
 from annkit.flat import FlatL2Index, exact_search, ground_truth
@@ -41,14 +43,69 @@ _NON_DEFAULT = {
 }
 
 
+def _non_default(name: str) -> dict:
+    """The row's build knobs, each at its `_NON_DEFAULT` value."""
+    return {kw: _NON_DEFAULT[dest] for kw, dest in FAMILIES[name].knobs.items()}
+
+
+def _typed(config: dict) -> dict:
+    """Each value with its type, so that 4 and np.int64(4), or 1 and True, differ."""
+    return {kw: (value, type(value)) for kw, value in config.items()}
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_config_survives_a_vidx_round_trip(small_set, name):
-    knobs = {kw: _NON_DEFAULT[dest] for kw, dest in FAMILIES[name].knobs.items()}
+    """`config()` is the knobs the index was built with, in value and type,
+    before and after a VIDX round trip, and `build_index` given it builds
+    the same bytes again."""
+    knobs = _non_default(name)
     index = build_index(small_set, name, seed=0, **knobs)
-    config = index.config()
-    for value in knobs.values():
-        assert value in config.values()
-    assert load_index_bytes(dump_index(index)).config() == config
+    blob = dump_index(index)
+    for config in (index.config(), load_index_bytes(blob).config()):
+        assert _typed(config) == _typed(knobs)
+        assert dump_index(build_index(small_set, name, seed=0, **config)) == blob
+
+
+def test_numpy_integer_knobs_and_counts_are_stored_as_ints(small_set, tmp_path):
+    """Every row benchmarked with numpy-integer knobs and protocol counts:
+    both report formats are written, the counts are echoed as ints, and each
+    report's index config equals the loaded index's, an int (or a bool) per
+    knob."""
+    params = {name: {kw: v if isinstance(v, bool) else np.int64(v)
+                     for kw, v in _non_default(name).items()} for name in FAMILIES}
+    config = ProtocolConfig(n_queries=np.int64(20), k=np.int32(5), recall_n=np.uint8(4),
+                            seed=np.int64(3), params=params)
+    reports = run_benchmark(small_set, list(FAMILIES), config)
+    write_report(reports, tmp_path / "reports.csv", fmt="csv")
+    write_report(reports, tmp_path / "reports.json", fmt="json")
+    assert json.loads((tmp_path / "reports.json").read_text()) == [asdict(r) for r in reports]
+    for report in reports:
+        echo = report.config
+        assert _typed({c: echo[c] for c in ("n_queries", "k", "recall_n", "seed")}) == _typed(
+            {"n_queries": 20, "k": 5, "recall_n": 4, "seed": 3})
+        built = build_index(small_set, report.family, seed=3, **params[report.family])
+        loaded = load_index_bytes(dump_index(built))
+        assert _typed(echo["index"]) == _typed(loaded.config()) == _typed(_non_default(report.family))
+
+
+def test_a_report_replays_from_its_stored_config(small_set, tmp_path):
+    """A JSON report's config, fed back as `ProtocolConfig` counts, seed and
+    `params`, repeats every non-timing field. ivf-pq and rpforest-l2 are the
+    shapes whose configs once also held the encoding or the metric, which
+    `build_index` refuses as knobs."""
+    names = ["ivf-pq", "rpforest-l2"]
+    first = ProtocolConfig(n_queries=40, k=5, recall_n=5, seed=9,
+                           params={name: _non_default(name) for name in names})
+    write_report(run_benchmark(small_set, names, first), tmp_path / "first.json")
+    stored = json.loads((tmp_path / "first.json").read_text())
+    echo = stored[0]["config"]
+    replay = ProtocolConfig(n_queries=echo["n_queries"], k=echo["k"], recall_n=echo["recall_n"],
+                            seed=echo["seed"], params={r["family"]: r["config"]["index"] for r in stored})
+    again = [asdict(r) for r in run_benchmark(small_set, [r["family"] for r in stored], replay)]
+    for row in stored + again:
+        for name in BenchReport.TIMING_FIELDS:
+            del row[name]
+    assert again == stored
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

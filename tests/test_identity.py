@@ -1,11 +1,13 @@
 """tools/identity.py: the per-family digest table and its comparison."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 
-from annkit.families import FAMILIES
+from annkit.families import FAMILIES, build_index
+from annkit.flat import FlatL2Index
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "identity.py"
 _SPEC = importlib.util.spec_from_file_location("identity", _PATH)
@@ -56,6 +58,22 @@ def test_table_covers_every_family_and_repeats_exactly(small_set):
     assert first["lsh"]["knobs"] == "build(nbits, rerank) search(rerank)"
     for metric in ("angular", "l2", "manhattan"):
         assert first[f"rpforest-{metric}"]["knobs"] == "build(leaf_size, n_trees) search(search_k)"
+    for name, r in first.items():
+        assert json.loads(r["config"]) == build_index(small_set, name, seed=0).config()
+    assert first["flat-l2"]["config"] == "{}"
+    assert first["hnsw"]["config"] == '{"M": 32, "ef_construction": 40, "ef_search": 64}'
+    assert '{"M": 32, "ef_construction": 40, "ef_search": 64}' in identity.show(first)
+
+
+def test_a_config_change_moves_the_config_field_alone(small_set, monkeypatch):
+    """The report digest leaves `config()` out, so a change to what it
+    returns differs in the `config` field only."""
+    rows = np.arange(0, len(small_set), 50)
+    before = identity.table(small_set, rows, n_random=2)
+    monkeypatch.setattr(FlatL2Index, "config", lambda self: {"metric": "l2"})
+    assert identity.differences(before, identity.table(small_set, rows, n_random=2)) == [
+        'flat-l2: config {} -> {"metric": "l2"}'
+    ]
 
 
 def test_the_oracle_row_digests_exact_search_and_ground_truth(small_set):

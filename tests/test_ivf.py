@@ -201,14 +201,14 @@ def test_load_rejects_nprobe_outside_the_lists(small_set, nprobe):
 
 
 def test_config_reports_encoding_and_knobs(small_set, ivf_flat):
-    cfg = ivf_flat.config()
-    assert cfg["nlist"] == 10
-    assert cfg["nprobe"] == 10
-    assert cfg["encoding"] == "flat"
+    """The config holds the row's build knobs; the encoding is the index's
+    own attribute and names its family."""
+    assert ivf_flat.config() == {"nlist": 10, "nprobe": 10}
+    assert ivf_flat.encoding == "flat"
     pq_index = ivf_build(small_set, nlist=4, encoding="pq", m=4, nbits=4, seed=0)
     assert pq_index.family == "ivf-pq"
     assert ivf_flat.family == "ivf-flat"
-    assert pq_index.config()["m"] == 4
+    assert pq_index.config() == {"nlist": 4, "nprobe": 1, "m": 4, "nbits": 4}
 
 
 def test_memory_smaller_with_pq_payload(small_set):

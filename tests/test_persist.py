@@ -412,16 +412,16 @@ def test_codebook_loaders_raise_only_value_error(codebook_blobs, small_set, fami
     blob = bytearray(blob)
     for _ in range(data.draw(st.integers(1, 4))):
         blob[data.draw(st.integers(_FRAME, end - 1))] = data.draw(st.integers(0, 255))
-    _raises_value_error_or_round_trips(blob, small_set)
+    _raises_value_error_or_round_trips(blob, small_set.vectors[0])
 
 
-def _raises_value_error_or_round_trips(blob: bytearray, small_set) -> None:
+def _raises_value_error_or_round_trips(blob: bytearray, query: np.ndarray) -> None:
     try:
         index = load_index_bytes(bytes(blob))
     except ValueError:
         return
     assert dump_index(index) == blob
-    ids = index.search(small_set.vectors[0], 5).ids
+    ids = index.search(query, 5).ids
     assert 1 <= len(ids) == len(set(ids)) <= 5
 
 
@@ -454,4 +454,76 @@ def test_every_other_loader_raises_only_value_error(vector_blobs, small_set, fam
     for _ in range(data.draw(st.integers(1, 4))):
         at = _FRAME + data.draw(st.integers(0, outside - 1))
         blob[at if at < start else at + end - start] = data.draw(st.integers(0, 255))
-    _raises_value_error_or_round_trips(blob, small_set)
+    _raises_value_error_or_round_trips(blob, small_set.vectors[0])
+
+
+# Knobs that fit the 60-row, 8-dim tiny set and give each structure some depth.
+_TINY_KNOBS = {
+    "pq": {"m": 4, "nbits": 4}, "ivf-pq": {"m": 4, "nbits": 4},
+    "hnsw": {"M": 4, "ef_construction": 16},
+    **{f"rpforest-{m}": {"n_trees": 3, "leaf_size": 8} for m in ("angular", "l2", "manhattan")},
+}
+
+
+class _FieldLog(Writer):
+    """A Writer that notes the offset of each u32 and u64 scalar field, by width."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.fields: dict[int, list[int]] = {4: [], 8: []}
+
+    def u32(self, value: int) -> None:
+        self.fields[4].append(len(self.getvalue()))
+        super().u32(value)
+
+    def u64(self, value: int) -> None:
+        self.fields[8].append(len(self.getvalue()))
+        super().u64(value)
+
+
+@pytest.fixture(scope="module")
+def tiny_blobs(tiny_set):
+    """Family -> (VIDX blob over the tiny set, {4: u32 field offsets, 8: u64 ones})."""
+    out = {}
+    for name in FAMILIES:
+        index = build_index(tiny_set, name, seed=0, **_TINY_KNOBS.get(name, {}))
+        blob, log = dump_index(index), _FieldLog()
+        index.write_payload(log)
+        assert blob[_FRAME:] == log.getvalue()
+        out[name] = blob, {w: [_FRAME + at for at in ats] for w, ats in log.fields.items()}
+    return out
+
+
+# A value below 8 moves a field by value - 4 (a count or a size off by a
+# few); any other is written over it, reduced to the field's width.
+_FIELD_VALUES = st.one_of(st.integers(0, 7), st.sampled_from([2**31, 2**32 - 1, 2**63, 2**64 - 1]),
+                          st.integers(0, 2**64 - 1))
+
+
+@settings(derandomize=True, max_examples=1100, deadline=None)
+@given(name=st.sampled_from(sorted(FAMILIES)),
+       kind=st.sampled_from(["bytes", "u32 fields", "u64 fields", "truncate", "append"]),
+       edits=st.lists(st.tuples(st.integers(0, 2**31), _FIELD_VALUES), min_size=1, max_size=4))
+def test_every_loader_raises_only_value_error_on_a_corrupted_blob(tiny_blobs, tiny_set, name,
+                                                                  kind, edits):
+    """Bytes overwritten after the magic (the version and family tag too),
+    u32 or u64 fields overwritten, the blob cut short or bytes appended: the
+    load raises ValueError, or the blob loads, dumps back to itself and
+    answers."""
+    original, fields = tiny_blobs[name]
+    blob = bytearray(original)
+    if kind == "truncate":
+        del blob[edits[0][0] % len(blob):]
+    elif kind == "append":
+        blob += bytes(value % 256 for _, value in edits)
+    elif kind == "bytes":
+        for at, value in edits:
+            blob[4 + at % (len(blob) - 4)] = value % 256
+    else:
+        width = 4 if kind == "u32 fields" else 8
+        for at, value in edits:
+            pos = fields[width][at % len(fields[width])]
+            old = int.from_bytes(blob[pos:pos + width], "little")
+            new = old + value - 4 if value < 8 else value
+            blob[pos:pos + width] = (new % 2 ** (8 * width)).to_bytes(width, "little")
+    _raises_value_error_or_round_trips(blob, tiny_set.vectors[0])

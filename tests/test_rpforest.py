@@ -195,16 +195,16 @@ def test_family_label_carries_metric(small_set):
 
 def test_config_reports_knobs(small_set):
     forest = rp_build(small_set, n_trees=5, leaf_size=20, seed=0)
-    cfg = forest.config()
-    assert cfg["n_trees"] == 5
-    assert cfg["leaf_size"] == 20
-    assert cfg["metric"] == "angular"
+    assert forest.config() == {"n_trees": 5, "leaf_size": 20}
+    assert forest.metric is Metric.ANGULAR
 
 
 def test_defaults_are_six_trees_of_48_row_leaves(small_set):
     """The defaults tools/forest_sweep.py chose. The leaf budget is a query
     knob (n_trees * k unless `search` sets it), so the config has no search_k."""
-    assert rp_build(small_set).config() == {"n_trees": 6, "leaf_size": 48, "metric": "angular"}
+    forest = rp_build(small_set)
+    assert forest.config() == {"n_trees": 6, "leaf_size": 48}
+    assert forest.metric is Metric.ANGULAR
 
 
 # ------------------------------------------------------------ the heap walk

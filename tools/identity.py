@@ -13,10 +13,12 @@ knobs), a sha256 of both indexes' ``SearchResult``s with each integer
 query-time knob that ``search`` takes (``search_k``, ``nprobe``,
 ``ef_search``) set to 1 and to 3 (``-`` for a row without one), where small
 budgets break ties, the row's knobs: its build keywords, sorted, and the
-keyword parameters of ``search`` after ``query, k``, and a sha256 of the
-built index's ``bench.run_protocol`` report (the same 64 queries, k and
-recall_n 10, seed 11) without its timing fields, so the label metrics,
-precision@k and recall@n are compared too. Last, for a family with
+keyword parameters of ``search`` after ``query, k``, the built index's
+``config()`` as sorted JSON, and a sha256 of the built index's
+``bench.run_protocol`` report (the same 64 queries, k and recall_n 10, seed
+11) without its timing fields and its ``config``, so the label metrics,
+precision@k and recall@n are compared too, and a change to what ``config()``
+returns shows in the ``config`` field alone. Last, for a family with
 ``insert``, the 80 queries are inserted, with ids from the largest stored
 id + 1 on, into the built index and into its load, and each reports the
 sha256 of its VIDX bytes after them (``built_grown_sha256``,
@@ -68,6 +70,7 @@ FIELDS = (
     "loaded_results_sha256",
     "knob_results_sha256",
     "knobs",
+    "config",
     "report_sha256",
     "built_grown_sha256",
     "loaded_grown_sha256",
@@ -103,12 +106,13 @@ def knob_results_digest(indexes, queries) -> str:
 
 
 def report_digest(index, emb_set) -> str:
-    """sha256 of the non-timing fields of `index`'s protocol report on `emb_set`."""
+    """sha256 of `index`'s protocol report on `emb_set`, without its timing
+    fields and its config (the `config` field shows that)."""
     from annkit.bench import BenchReport, ProtocolConfig, run_protocol
 
     config = ProtocolConfig(n_queries=min(N_QUERIES, len(emb_set)), k=K, recall_n=K, seed=11)
     report = asdict(run_protocol(index, emb_set, config))
-    for name in BenchReport.TIMING_FIELDS:
+    for name in (*BenchReport.TIMING_FIELDS, "config"):
         del report[name]
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
 
@@ -179,6 +183,7 @@ def table(emb_set, query_rows, n_random: int = 16) -> dict[str, dict]:
             "loaded_results_sha256": results_digest(loaded, queries),
             "knob_results_sha256": knob_results_digest([built, loaded], queries),
             "knobs": knobs(row.knobs, built),
+            "config": json.dumps(built.config(), sort_keys=True),
             "report_sha256": report_digest(built, data),
             # Last: these grow both indexes.
             "built_grown_sha256": grown_digest(built, queries),
@@ -225,14 +230,14 @@ def differences(parent: dict[str, dict], change: dict[str, dict]) -> list[str]:
 def show(rows: dict[str, dict]) -> str:
     lines = [f"{'family':18s} {'vidx':16s} {'memory built/loaded':>23s}  "
              f"{'results built/loaded':33s}  {'knobs 1, 3':16s}  {'report':16s}  "
-             f"{'grown built/loaded':33s}  knobs"]
+             f"{'grown built/loaded':33s}  {'knobs':68s}  config"]
     for name, r in rows.items():
         memory = f"{r['built_memory_bytes']}/{r['loaded_memory_bytes']}"
         results = f"{r['built_results_sha256'][:16]}/{r['loaded_results_sha256'][:16]}"
         grown = f"{r['built_grown_sha256'][:16]}/{r['loaded_grown_sha256'][:16]}"
         lines.append(f"{name:18s} {r['vidx_sha256'][:16]} {memory:>23s}  {results}  "
                      f"{r['knob_results_sha256'][:16]:16s}  {r['report_sha256'][:16]}  "
-                     f"{grown:33s}  {r['knobs']}")
+                     f"{grown:33s}  {r['knobs']:68s}  {r['config']}")
     return "\n".join(lines)
 
 
