@@ -49,6 +49,16 @@ def check_count(name: str, value: int, most: int | None = None) -> int:
     return int(value)
 
 
+def check_seed(seed: int) -> int:
+    """`seed` as an int, after a ValueError unless it is an int >= 0 (a numpy
+    integer too, not a bool): the rule for the seed of `build_index`, of every
+    seeded builder and of the protocol. Whatever stores or derives from a seed
+    takes this return."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
+    return int(seed)
+
+
 def is_uint(value, bits: int = 64) -> bool:
     """True when `value` is an int or numpy integer, not a bool, in
     [0, 2**`bits`): the rule for every id (64 bits) and label (32 bits). A
@@ -114,14 +124,12 @@ class VectorIndex(abc.ABC):
 
     def memory_bytes(self) -> int:
         """Deterministic structural footprint: the bytes of every numpy array
-        the index holds, as an attribute or inside a dataclass or list one."""
+        the index holds, as an attribute or inside a dataclass one."""
         total, items = 0, list(vars(self).values())
         while items:
             item = items.pop()
             if isinstance(item, np.ndarray):
                 total += item.nbytes
-            elif isinstance(item, list):
-                items += item
             elif is_dataclass(item):
                 items += vars(item).values()
         return total

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv as _csv
 import json
-import operator
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .base import VectorIndex, check_count, search_excluding
+from .base import VectorIndex, check_count, check_seed, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric
 from .evaluation import label_metrics, precision_at_k, recall_at_n
@@ -45,7 +44,7 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         for name in ("n_queries", "k", "recall_n"):
             setattr(self, name, check_count(name, getattr(self, name)))
-        self.seed = operator.index(self.seed)  # an int, as a report's JSON needs
+        self.seed = check_seed(self.seed)
 
 
 # Field order is the CSV column order; the leading columns mirror the classic

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .base import VectorIndex
+from .base import VectorIndex, check_seed
 from .data import EmbeddingSet
 from .distances import Metric
 from .flat import FlatIPIndex, FlatL2Index
@@ -95,9 +95,10 @@ def family(name: str) -> Family:
 def build_index(
     emb_set: EmbeddingSet, name: str, seed: int = 0, **overrides
 ) -> VectorIndex:
-    """Construct any family over a set; overrides are the family's knobs."""
+    """Construct any family over a set; overrides are the family's knobs.
+    Every row's seed passes `check_seed`, also where the build draws nothing."""
     row = family(name)
     unknown = sorted(set(overrides) - set(row.knobs))
     if unknown:
         raise ValueError(f"{name} takes no option(s) {unknown}; it takes {sorted(row.knobs)}")
-    return row.build(emb_set, seed=seed, **overrides)
+    return row.build(emb_set, seed=check_seed(seed), **overrides)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_query, make_result, search_excluding
+from .base import SearchResult, VectorIndex, check_count, check_query, make_result, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, shortlist, sq_row_norms
 from .wire import Reader, Writer
@@ -97,9 +97,7 @@ class _FlatIndex(VectorIndex):
 
     @classmethod
     def read_payload(cls, r: Reader) -> "_FlatIndex":
-        dim = r.u32()
-        if not dim:
-            raise ValueError("dim must be >= 1")
+        dim = check_count("dim", r.u32())
         count = r.u64()
         ids = r.u64_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)

@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -155,8 +155,8 @@ class IvfIndex(VectorIndex):
 
     @classmethod
     def read_payload(cls, r: Reader, encoding: str) -> "IvfIndex":
-        dim = r.u32()
-        nlist = r.u32()
+        dim = check_count("dim", r.u32())
+        nlist = check_count("nlist", r.u32())
         vectors, [distortion] = read_centroids(r, 1, nlist, dim)
         coarse = Centroids(vectors[0], distortion)
         nprobe = r.u32()
@@ -206,6 +206,7 @@ def ivf_build(
     n = len(emb_set)
     nlist = check_count("nlist", default_nlist(n) if nlist is None else nlist, n)
     nprobe = check_count("nprobe", default_nprobe(nlist) if nprobe is None else nprobe, nlist)
+    seed = check_seed(seed)
 
     coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
     assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)

@@ -148,11 +148,9 @@ def read_centroids(r: Reader, count: int, k: int, dim: int) -> tuple[np.ndarray,
     """`count` centroid sets of k x dim as one owned C-contiguous (count, k,
     dim) float32 block, its vectors checked finite in one pass, and the list
     of their `count` distortions, checked one float at a time. ValueError when
-    k or dim is 0, the buffer is short, or a vector or a distortion is not
-    finite.
+    the buffer is short or a vector or a distortion is not finite. k and dim
+    are the caller's stored counts, each already through `base.check_count`.
     """
-    if k < 1 or dim < 1:
-        raise ValueError(f"centroid sets must be >= 1 x 1, got {k} x {dim}")
     section = r.view("u1")
     r.skip(count * (4 * k * dim + 8))  # raises before a record dtype can be oversized
     records = np.frombuffer(section, np.dtype([("v", "<f4", (k, dim)), ("d", "<f8")]), count)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order
 from .wire import U32_MAX, Reader, Writer
@@ -107,10 +107,8 @@ class LshIndex(VectorIndex):
 
     @classmethod
     def read_payload(cls, r: Reader) -> "LshIndex":
-        nbits = r.u32()
-        dim = r.u32()
-        if not (nbits and dim):
-            raise ValueError("nbits and dim must be >= 1")
+        nbits = check_count("nbits", r.u32())
+        dim = check_count("dim", r.u32())
         rerank = r.u8()
         if rerank > 1:
             raise ValueError(f"rerank byte must be 0 or 1, got {rerank}")
@@ -146,7 +144,7 @@ def lsh_build(
         raise ValueError("cannot build an index over an empty set")
     check_count("nbits", nbits, U32_MAX)
     _check_rerank(rerank)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     planes = rng.standard_normal((nbits, emb_set.dim)).astype(np.float32)
     index = LshIndex(
         planes,

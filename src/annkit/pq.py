@@ -12,7 +12,8 @@ squared in place, and the sub_dim rows are added left to right.
 
 VIDX stores a `PqCodebook` as u32 m, nbits and sub_dim, then its block and
 distortions as m centroid sets of ks x sub_dim (`kmeans.write_centroids`,
-`kmeans.read_centroids`); its read refuses m 0 and nbits outside 1..8.
+`kmeans.read_centroids`); its read passes m, nbits (1..8) and sub_dim
+through `base.check_count`.
 A `PqIndex` adds u64 count, the ids and count x m u8 codes (`check_codes`).
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .kmeans import assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -96,8 +97,8 @@ class PqCodebook:
 
     @classmethod
     def read(cls, r: Reader) -> "PqCodebook":
-        m, nbits, sub_dim = r.u32(), r.u32(), r.u32()
-        _check_shape(m, nbits)
+        m, nbits = _check_shape(r.u32(), r.u32())
+        sub_dim = check_count("sub_dim", r.u32())
         return cls(nbits, *read_centroids(r, m, 1 << nbits, sub_dim))
 
 
@@ -113,6 +114,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
         raise ValueError("data must be a non-empty 2-d array")
     dim = data.shape[1]
     m, nbits = _check_shape(m, nbits)
+    seed = check_seed(seed)
     if dim % m != 0:
         raise ValueError(f"m={m} must divide dim={dim}")
     ks = 1 << nbits

@@ -41,7 +41,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, batch_scores, sq_row_norms
 from .wire import U32_MAX, Reader, Writer
@@ -327,9 +327,10 @@ class RpForestIndex(VectorIndex):
     @classmethod
     def read_payload(cls, r: Reader) -> "RpForestIndex":
         metric = _METRIC_BY_TAG.get(r.u8())  # None fails the constructor's check
-        n_trees, leaf_size, dim, count = r.u32(), r.u32(), r.u32(), r.u64()
-        if not (n_trees and leaf_size and dim):
-            raise ValueError("n_trees, leaf_size and dim must be >= 1")
+        n_trees = check_count("n_trees", r.u32())
+        leaf_size = check_count("leaf_size", r.u32())
+        dim = check_count("dim", r.u32())
+        count = r.u64()
         ids = r.u64_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
         # One walk finds each node's start by counting open child slots, then
@@ -364,15 +365,13 @@ class RpForestIndex(VectorIndex):
         forest = cls(metric, leaf_size, ids, vectors, is_split, normals, offsets, cuts, rows)
         # tree t's rows are rows[t * count:(t + 1) * count]; each marks its slot once
         slots = np.arange(n_trees, dtype=np.int64) * count
-        if not (
-            np.array_equal(cuts[forest._roots], slots)
-            and cuts[-1] == n_trees * count
-            and (count == 0 or int(rows.max()) < count)
-        ):
-            raise ValueError(f"each tree's leaves must hold every row below {count} exactly once")
-        seen = np.zeros(n_trees * count, dtype=bool)
-        seen[(rows.reshape(n_trees, count) + slots[:, None]).reshape(-1)] = True
-        if not seen.all():
+        whole = (np.array_equal(cuts[forest._roots], slots) and cuts[-1] == n_trees * count
+                 and (count == 0 or int(rows.max()) < count))
+        if whole:  # cuts[-1] now bounds n_trees * count by the rows the blob stores
+            seen = np.zeros(n_trees * count, dtype=bool)
+            seen[(rows.reshape(n_trees, count) + slots[:, None]).reshape(-1)] = True
+            whole = seen.all()
+        if not whole:
             raise ValueError(f"each tree's leaves must hold every row below {count} exactly once")
         return forest
 
@@ -389,12 +388,13 @@ def rp_build(
         raise ValueError("cannot build an index over an empty set")
     n_trees = check_count("n_trees", n_trees, U32_MAX)
     leaf_size = check_count("leaf_size", leaf_size, U32_MAX)
+    seed = check_seed(seed)
     metric = Metric(metric)
     vectors64 = emb_set.vectors.astype(np.float64)
     angular = metric is Metric.ANGULAR
     is_split, normals, offsets, leaves = [], [], [], []  # leaves: a node's rows (none at a split)
     for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), t]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
         stack = [np.arange(len(emb_set))]  # the left side is pushed last: split (and drawn) first
         while stack:
             rows = stack.pop()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import check_count
 from .distances import _EVERY_ROW, _MAX_DIM, _U32, _U64, _gamma, _proven_cut
 from .wire import Reader, Writer
 
@@ -47,7 +48,7 @@ class SqParams:
 
     @classmethod
     def read(cls, r: Reader) -> "SqParams":
-        dim = r.u32()
+        dim = check_count("dim", r.u32())
         return cls(mins=r.f32_array(dim), maxs=r.f32_array(dim))
 
 

@@ -2,6 +2,10 @@
 
 The format is defined bit-exactly, so every scalar and array goes through
 explicit ``<``-endian struct codes / dtypes regardless of host byte order.
+Integer scalars are unsigned (u8, u32, u64): `Writer` refuses a value its
+field cannot hold with ValueError, and every loader passes each dimension
+and knob it reads through `base.check_count`. An f64 is written one at a
+time but read only in bulk, in the records of the loader that owns them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,10 @@ import numpy as np
 # against it at build time, not first at dump.
 U32_MAX = 2**32 - 1
 
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
 
 class Writer:
     """Accumulates little-endian encoded fields into a byte buffer."""
@@ -21,24 +29,22 @@ class Writer:
     def __init__(self) -> None:
         self._chunks: list[bytes] = []
 
-    # Each integer field raises ValueError for a value its width cannot hold.
-    def u8(self, value: int) -> None:
+    def _uint(self, fmt: struct.Struct, value: int) -> None:
+        """Append `value` packed by `fmt`: ValueError, not struct.error, for a
+        value its width cannot hold."""
         try:
-            self._chunks.append(struct.pack("<B", value))
+            self._chunks.append(fmt.pack(value))
         except struct.error:
-            raise ValueError(f"{value!r} does not fit a u8 field") from None
+            raise ValueError(f"{value!r} does not fit a u{8 * fmt.size} field") from None
+
+    def u8(self, value: int) -> None:
+        self._uint(_U8, value)
 
     def u32(self, value: int) -> None:
-        try:
-            self._chunks.append(struct.pack("<I", value))
-        except struct.error:
-            raise ValueError(f"{value!r} does not fit a u32 field") from None
+        self._uint(_U32, value)
 
     def u64(self, value: int) -> None:
-        try:
-            self._chunks.append(struct.pack("<Q", value))
-        except struct.error:
-            raise ValueError(f"{value!r} does not fit a u64 field") from None
+        self._uint(_U64, value)
 
     def f64(self, value: float) -> None:
         self._chunks.append(struct.pack("<d", value))
@@ -62,10 +68,6 @@ class Writer:
         return b"".join(self._chunks)
 
 
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
-_F64 = struct.Struct("<d")
 # (wire dtype, in-memory dtype) of each array type.
 _U8_ARRAY = (np.dtype("u1"), np.dtype(np.uint8))
 _U32_ARRAY = (np.dtype("<u4"), np.dtype(np.uint32))
@@ -108,9 +110,6 @@ class Reader:
 
     def u64(self) -> int:
         return self._scalar(_U64)
-
-    def f64(self) -> float:
-        return self._scalar(_F64)
 
     def raw(self, n: int) -> bytes:
         pos = self._advance(n)

@@ -160,7 +160,10 @@ def test_code_size_counts_src_lines_and_public_names(tmp_path):
     (package / "__init__.py").write_text('"""Doc."""\nfrom .a import x\n\n__all__ = [\n    "x",\n    "y",\n]\n')
     (package / "a.py").write_text("x = 1\ny = 2\n")
     (tmp_path / "src" / "other.py").write_text("not counted\n")
-    assert bench_pairs.code_size(tmp_path) == {"src_lines": 9, "src_code_lines": 7, "all_names": 2}
+    assert bench_pairs.code_size(tmp_path) == {
+        "src_lines": 9, "src_code_lines": 7, "all_names": 2,
+        "module_code_lines": {"__init__.py": 5, "a.py": 2},
+    }
 
 
 _MIXED_SOURCE = '''"""Module
@@ -191,7 +194,10 @@ def test_code_lines_leave_out_blanks_comments_and_docstrings(tmp_path):
     (package / "__init__.py").write_text("__all__ = []\n")
     (package / "a.py").write_text(_MIXED_SOURCE)
     # __init__'s one line; X, class, def, both lines of the return and both of TEXT
-    assert bench_pairs.code_size(tmp_path) == {"src_lines": 20, "src_code_lines": 8, "all_names": 0}
+    assert bench_pairs.code_size(tmp_path) == {
+        "src_lines": 20, "src_code_lines": 8, "all_names": 0,
+        "module_code_lines": {"__init__.py": 1, "a.py": 7},
+    }
 
 
 def test_code_size_of_this_checkout_matches_the_package():

@@ -16,11 +16,14 @@ from hypothesis.extra import numpy as hnp
 import annkit
 from annkit.bench import BenchReport, ProtocolConfig, run_benchmark, search_excluding, write_report
 from annkit.families import FAMILIES, build_index
-from annkit.data import gen_synthetic
+from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.flat import FlatL2Index, exact_search, ground_truth
 from annkit.hnsw import HnswIndex
+from annkit.ivf import ivf_build
+from annkit.lsh import lsh_build
 from annkit.persist import dump_index, load_index_bytes
 from annkit.pq import PqIndex, pq_train
+from annkit.rpforest import rp_build
 
 # Knobs that fit the 300-row, 16-dim small set; every other family uses its defaults.
 _KNOBS = {"pq": {"m": 4, "nbits": 4}, "ivf-pq": {"m": 4, "nbits": 4}}
@@ -177,6 +180,44 @@ def test_a_build_knob_past_its_u32_field_fails_before_the_build(small_set, name,
     message = f"{knob} must be in 1..{2**32 - 1} and an integer, got {2**32}"
     with pytest.raises(ValueError, match=message):
         build_index(small_set, name, seed=0, **{knob: 2**32})
+
+
+# Each public taker of a seed, called on the tiny set with that seed.
+_SEED_TAKERS = {
+    "ProtocolConfig": lambda s, seed: ProtocolConfig(seed=seed),
+    "pq_train": lambda s, seed: pq_train(s.vectors, 4, 4, seed=seed),
+    "ivf_build": lambda s, seed: ivf_build(s, nlist=4, seed=seed),
+    "lsh_build": lambda s, seed: lsh_build(s, nbits=16, seed=seed),
+    "rp_build": lambda s, seed: rp_build(s, n_trees=2, seed=seed),
+    **{f"build_index {name}": lambda s, seed, name=name: build_index(s, name, seed, **_KNOBS.get(name, {}))
+       for name in FAMILIES},
+}
+_BAD_SEEDS = [-1, True, 2.5, "1"]
+
+
+@pytest.mark.parametrize("taker", sorted(_SEED_TAKERS))
+def test_a_seed_is_an_integer_of_at_least_zero(tiny_set, taker):
+    """seed=-1 once built flat-l2 in `run_benchmark` before numpy refused it in
+    the query sampling, seed=True ran as seed 1, and seed=2.5 built seed 2's
+    forest while lsh, ivf and pq raised TypeError. A numpy integer seed is
+    the int of the same value."""
+    for bad in _BAD_SEEDS:
+        with pytest.raises(ValueError, match=f"seed must be >= 0 and an integer, got {bad!r}"):
+            _SEED_TAKERS[taker](tiny_set, bad)
+    made, same = (_SEED_TAKERS[taker](tiny_set, seed) for seed in (np.int64(3), 3))
+    if taker == "ProtocolConfig":
+        assert type(made.seed) is int and made.seed == 3
+    elif taker == "pq_train":
+        assert np.array_equal(made.block, same.block)
+    else:
+        assert dump_index(made) == dump_index(same)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_no_family_builds_over_an_empty_set(name):
+    empty = EmbeddingSet(np.empty(0, np.uint64), np.empty(0, np.uint32), np.empty((0, 8), np.float32))
+    with pytest.raises(ValueError, match="cannot build an index over an empty set"):
+        build_index(empty, name, seed=0)
 
 
 def test_a_family_name_is_one_row():

@@ -640,6 +640,20 @@ def test_insert_rejects_non_finite_vector(bad):
     assert dump_index(graph) == dump_index(clean)
 
 
+@pytest.mark.parametrize("dim", [7, 9])
+def test_insert_rejects_a_vector_of_another_dim(noisy_graph, dim):
+    """A refused insert leaves the graph's bytes and its next level draw as they were."""
+    data, graph = noisy_graph
+    graph, clean = copy.deepcopy(graph), copy.deepcopy(graph)
+    before = dump_index(graph)
+    with pytest.raises(ValueError, match=f"vector has dim {dim}, index expects 8"):
+        graph.insert(1000, np.ones(dim, dtype=np.float32))
+    assert dump_index(graph) == before
+    graph.insert(1000, np.ones(8, dtype=np.float32))
+    clean.insert(1000, np.ones(8, dtype=np.float32))
+    assert dump_index(graph) == dump_index(clean)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_load_rejects_non_finite_vector(noisy_graph, bad):
     """A stored vector a build would refuse fails the load, not a later search."""

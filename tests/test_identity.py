@@ -95,13 +95,16 @@ def test_the_oracle_row_digests_exact_search_and_ground_truth(small_set):
 def test_compare_prints_both_code_sizes_and_exits_on_the_rows_alone(capsys):
     rows = {"flat-l2": _row("a"), "pq": _row("a")}
     sizes = {
-        "parent": {"src_lines": 3772, "src_code_lines": 2465, "all_names": 35},
-        "change": {"src_lines": 3741, "src_code_lines": 2445, "all_names": 35},
+        "parent": {"src_lines": 3772, "src_code_lines": 2465, "all_names": 35,
+                   "module_code_lines": {"a.py": 1000, "b.py": 1465, "gone.py": 20}},
+        "change": {"src_lines": 3741, "src_code_lines": 2445, "all_names": 35,
+                   "module_code_lines": {"a.py": 1000, "b.py": 1440, "new.py": 5}},
     }
     line = "code: src lines 3,772 -> 3,741, code lines 2,465 -> 2,445, __all__ 35 -> 35"
+    modules = "code lines by module: b.py 1,465 -> 1,440, gone.py 20 -> 0, new.py 0 -> 5"
     assert identity.compare("abc", rows, rows, sizes) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[-2:] == ["parent abc: all 2 rows identical", line]
+    assert out[-3:] == ["parent abc: all 2 rows identical", line, modules]
     same = {side: sizes["parent"] for side in sizes}
     assert identity.compare("abc", rows, {**rows, "pq": _row("b")}, same) == 1
     assert capsys.readouterr().out.splitlines()[-1] == (

@@ -457,7 +457,8 @@ def test_every_other_loader_raises_only_value_error(vector_blobs, small_set, fam
     _raises_value_error_or_round_trips(blob, small_set.vectors[0])
 
 
-# Knobs that fit the 60-row, 8-dim tiny set and give each structure some depth.
+# Knobs that fit the 60-row, 8-dim tiny set (so the small set too) and give
+# each structure some depth.
 _TINY_KNOBS = {
     "pq": {"m": 4, "nbits": 4}, "ivf-pq": {"m": 4, "nbits": 4},
     "hnsw": {"M": 4, "ef_construction": 16},
@@ -481,17 +482,21 @@ class _FieldLog(Writer):
         super().u64(value)
 
 
-@pytest.fixture(scope="module")
-def tiny_blobs(tiny_set):
-    """Family -> (VIDX blob over the tiny set, {4: u32 field offsets, 8: u64 ones})."""
+def _logged_blobs(emb_set) -> dict:
+    """Family -> (VIDX blob over `emb_set`, {4: u32 field offsets, 8: u64 ones})."""
     out = {}
     for name in FAMILIES:
-        index = build_index(tiny_set, name, seed=0, **_TINY_KNOBS.get(name, {}))
+        index = build_index(emb_set, name, seed=0, **_TINY_KNOBS.get(name, {}))
         blob, log = dump_index(index), _FieldLog()
         index.write_payload(log)
         assert blob[_FRAME:] == log.getvalue()
         out[name] = blob, {w: [_FRAME + at for at in ats] for w, ats in log.fields.items()}
     return out
+
+
+@pytest.fixture(scope="module")
+def tiny_blobs(tiny_set):
+    return _logged_blobs(tiny_set)
 
 
 # A value below 8 moves a field by value - 4 (a count or a size off by a
@@ -527,3 +532,37 @@ def test_every_loader_raises_only_value_error_on_a_corrupted_blob(tiny_blobs, ti
             new = old + value - 4 if value < 8 else value
             blob[pos:pos + width] = (new % 2 ** (8 * width)).to_bytes(width, "little")
     _raises_value_error_or_round_trips(blob, tiny_set.vectors[0])
+
+
+# Each family's stored counts, in the order its payload writes its u32 fields
+# (ivf-sq's fourth is its codec's dim; ivf-pq's last three its codebook's).
+_STORED_COUNTS = {
+    "flat-l2": ["dim"], "flat-ip": ["dim"],
+    "hnsw": ["M", "ef_construction", "ef_search", "dim"],
+    "pq": ["m", "nbits", "sub_dim"],
+    "ivf-flat": ["dim", "nlist", "nprobe"],
+    "ivf-sq": ["dim", "nlist", "nprobe", "dim"],
+    "ivf-pq": ["dim", "nlist", "nprobe", "m", "nbits", "sub_dim"],
+    "lsh": ["nbits", "dim"],
+    **{f"rpforest-{m}": ["n_trees", "leaf_size", "dim"] for m in ("angular", "l2", "manhattan")},
+}
+
+
+@pytest.fixture(scope="module")
+def small_blobs(small_set):
+    return _logged_blobs(small_set)
+
+
+@pytest.mark.parametrize("name, nth, field", [
+    (name, nth, field) for name, fields in _STORED_COUNTS.items() for nth, field in enumerate(fields)
+])
+def test_every_stored_count_of_zero_fails_check_count(small_blobs, name, nth, field):
+    """Each stored count set to 0 is refused as `base.check_count` words it,
+    naming the field. The lsh, forest and centroid-set loaders once refused
+    it with their own messages, and sq's codec dim only through the ivf dim
+    comparison."""
+    blob, fields = small_blobs[name]
+    blob = bytearray(blob)
+    struct.pack_into("<I", blob, fields[4][nth], 0)
+    with pytest.raises(ValueError, match=rf"^{field} must be (>= 1|in 1\.\.\d+) and an integer, got 0$"):
+        load_index_bytes(bytes(blob))

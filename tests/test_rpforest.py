@@ -4,6 +4,7 @@ heap walk as the frontier's oracle, pinned bytes and load-time checks."""
 import hashlib
 import heapq
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -411,9 +412,7 @@ def test_the_former_defaults_keep_their_bytes_and_results(small_set):
 # Offsets in an rpforest VIDX blob: magic, version and family tag, then the
 # metric tag, n_trees, leaf_size, dim, count, the ids and the vectors.
 _METRIC_AT = 6
-_N_TREES_AT = _METRIC_AT + 1
-_LEAF_SIZE_AT = _N_TREES_AT + 4
-_NODES_AT = _LEAF_SIZE_AT + 4 + 4 + 8  # plus the ids and the vectors
+_NODES_AT = _METRIC_AT + 1 + 3 * 4 + 8  # plus the ids and the vectors
 
 
 @pytest.fixture(scope="module")
@@ -449,10 +448,15 @@ def test_load_rejects_a_node_tag_other_than_leaf_or_split(forest_blob):
         _load_edited(blob, nodes_at, "<B", 2)
 
 
-@pytest.mark.parametrize("at", [_N_TREES_AT, _LEAF_SIZE_AT])
-def test_load_rejects_zero_trees_or_leaf_size(forest_blob, at):
-    with pytest.raises(ValueError, match=">= 1"):
-        _load_edited(forest_blob[0], at, "<I", 0)
+@pytest.mark.parametrize("part", ["vector", "normal", "offset"])
+def test_load_rejects_a_non_finite_vector_or_plane(forest_blob, small_set, part):
+    """A NaN in row 0's stored vector or in the first split's normal or offset."""
+    blob, nodes_at = forest_blob
+    assert blob[nodes_at] == 1  # the first node is a split
+    at = {"vector": _NODES_AT + 8 * len(small_set), "normal": nodes_at + 1,
+          "offset": nodes_at + 1 + 4 * small_set.dim}[part]
+    with pytest.raises(ValueError, match="finite"):
+        _load_edited(blob, at, "<d" if part == "offset" else "<f", np.nan)
 
 
 def test_load_rejects_a_leaf_row_past_the_end(forest_blob, small_set):
@@ -519,6 +523,31 @@ def test_a_deep_tree_loads_and_searches_without_recursion():
     assert forest.search(q, 5, search_k=n).neighbors == exact_search(points, q, 5, Metric.L2).neighbors
     with pytest.raises(ValueError):
         load_index_bytes(blob[:-1])
+
+
+def test_many_empty_trees_fail_before_the_row_marks_are_allocated():
+    """Empty one-leaf trees cost 5 bytes each, so a small blob could once ask
+    for an n_trees * count array of marks before its leaves were counted."""
+    n = 4000
+    w = Writer()
+    w.raw(VIDX_MAGIC)
+    w.u8(VIDX_VERSION)
+    w.u8(8)  # rpforest
+    w.u8(1)  # l2
+    for value in (n, 1, 1):  # n_trees, leaf_size, dim
+        w.u32(value)
+    w.u64(n)
+    w.u64_array(np.arange(n))
+    w.f32_array(np.arange(n, dtype=np.float32).reshape(n, 1))
+    w.raw(bytes(5 * n))  # n empty leaves: tag 0, row count 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="every row below 4000 exactly once"):
+            load_index_bytes(w.getvalue())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n // 4  # the marks alone would take n * n bytes
 
 
 @st.composite

@@ -28,8 +28,8 @@ claim, for one, shows each family's build.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
 side. ``code`` gives each side's src line count (``src/annkit/*.py``), the
 part of it that is code (``src_code_lines``: not blank, not comment-only, not
-in a module, class or function docstring) and the number of names in
-``annkit.__all__``.
+in a module, class or function docstring), those code lines per module
+(``module_code_lines``) and the number of names in ``annkit.__all__``.
 """
 
 from __future__ import annotations
@@ -83,18 +83,20 @@ def code_lines(source: str) -> int:
 
 def code_size(tree: Path) -> dict:
     """Lines in src/annkit/*.py (as `wc -l` counts them), those of them that
-    are code (`code_lines`) and len(annkit.__all__)."""
+    are code (`code_lines`), in all and by module file name, and
+    len(annkit.__all__)."""
     package = tree / "src" / "annkit"
     paths = sorted(package.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in paths)
-    code = sum(code_lines(path.read_text()) for path in paths)
+    modules = {path.name: code_lines(path.read_text()) for path in paths}
     init = ast.parse((package / "__init__.py").read_text())
     names = next(
         ast.literal_eval(node.value)
         for node in init.body
         if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "__all__"
     )
-    return {"src_lines": lines, "src_code_lines": code, "all_names": len(names)}
+    return {"src_lines": lines, "src_code_lines": sum(modules.values()), "all_names": len(names),
+            "module_code_lines": modules}
 
 
 def run_once(tree: Path, bench: dict, workload: str, seed: int, trace: bool) -> dict:

@@ -42,8 +42,9 @@ checkout's working tree. Each side runs this script against its own ``src``
 in a fresh process with BLAS pinned to one thread, and every field that
 differs is listed, a knob added or removed included; the exit code is 1 if
 any does. Under the table it prints both sides' ``code_size`` from
-``tools/bench_pairs.py`` (src lines, code lines, ``__all__`` names), which
-does not change the exit code.
+``tools/bench_pairs.py`` (src lines, code lines, ``__all__`` names) and,
+on one more line, the modules whose code lines changed, neither of which
+changes the exit code.
 """
 
 from __future__ import annotations
@@ -242,8 +243,9 @@ def show(rows: dict[str, dict]) -> str:
 
 
 def compare(commit: str, parent: dict[str, dict], change: dict[str, dict], sizes: dict) -> int:
-    """Print the change's table, the differences from the parent's and both
-    sides' code sizes; 1 if any row differs, else 0."""
+    """Print the change's table, the differences from the parent's, both
+    sides' code sizes and the modules whose code lines changed; 1 if any row
+    differs, else 0."""
     print(show(change))
     lines = differences(parent, change)
     print(f"\nparent {commit}: ", end="")
@@ -253,6 +255,11 @@ def compare(commit: str, parent: dict[str, dict], change: dict[str, dict], sizes
         for label, key in (("src lines", "src_lines"), ("code lines", "src_code_lines"),
                            ("__all__", "all_names"))
     ))
+    before, after = (sizes[s]["module_code_lines"] for s in ("parent", "change"))
+    moved = [f"{name} {before.get(name, 0):,} -> {after.get(name, 0):,}"
+             for name in sorted(before.keys() | after.keys()) if before.get(name) != after.get(name)]
+    if moved:
+        print("code lines by module: " + ", ".join(moved))
     return 1 if lines else 0
 
 
