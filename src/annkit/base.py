@@ -1,4 +1,18 @@
-"""Shared result type and the uniform index contract."""
+"""Shared result type, the uniform index contract and the input rules.
+
+Every value the program takes in from a caller or a file passes one rule
+per property, each with one `ValueError` form that names the value:
+
+- `check_count`: an integer count or knob, >= 1 and within its bound;
+- `check_seed`: a seed, an integer >= 0;
+- `is_uint`: an id (64 bits) or label (32 bits);
+- `check_rows`: an array of vectors or codes, 2-d with the expected width,
+  non-empty where training needs rows;
+- `check_finite`: every component of a vector, a stored array or a
+  training statistic, finite;
+- `check_query`: a query and its k, through `check_count` and
+  `check_finite`.
+"""
 
 from __future__ import annotations
 
@@ -66,18 +80,42 @@ def is_uint(value, bits: int = 64) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and 0 <= value < 1 << bits
 
 
+def check_rows(
+    what: str, rows: np.ndarray, dim: int | None = None, nonempty: bool = False, min_dim: int = 0
+) -> np.ndarray:
+    """`rows`, after a ValueError naming `what` unless it is a 2-d array of
+    width `dim` (of width >= `min_dim` when `dim` is None) with, when
+    `nonempty`, at least one row: the shape rule for every array of vectors or
+    codes taken in."""
+    if rows.ndim != 2 or (nonempty and len(rows) == 0) or not (
+        rows.shape[1] >= min_dim if dim is None else rows.shape[1] == dim
+    ):
+        kind = "a non-empty 2-d array" if nonempty else "a 2-d array"
+        width = f" of width {dim}" if dim is not None else f" of width >= {min_dim}" if min_dim else ""
+        raise ValueError(f"{what} must be {kind}{width}, got shape {rows.shape}")
+    return rows
+
+
+def check_finite(what: str, *arrays: np.ndarray) -> None:
+    """ValueError naming `what` unless every component of every array is
+    finite: the rule for every vector, stored array and training statistic
+    taken in."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"{what} must be finite (no NaN or inf)")
+
+
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Return the query as a flat float64 vector after checking it and k.
 
-    ValueError unless k passes `check_count` and the query has `dim` finite
-    components. Every search and the exact oracle go through it.
+    ValueError unless k passes `check_count` and the query has `dim`
+    components that pass `check_finite`. Every search and the exact oracle go
+    through it.
     """
     check_count("k", k)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != dim:
         raise ValueError(f"query has dim {q.shape[0]}, index expects {dim}")
-    if not np.isfinite(q).all():
-        raise ValueError("query must be finite (no NaN or inf)")
+    check_finite("query", q)
     return q
 
 

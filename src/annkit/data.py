@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import check_count, is_uint
+from .base import check_count, check_finite, check_rows, check_seed, is_uint
 
 VEMB_MAGIC = b"VEMB"
 VEMB_VERSION = 1
@@ -67,16 +67,13 @@ class EmbeddingSet:
     """
 
     def __init__(self, ids: np.ndarray, labels: np.ndarray, vectors: np.ndarray):
-        vectors = np.asarray(vectors, dtype=np.float32)
-        if vectors.ndim != 2 or vectors.shape[1] < 1:
-            raise ValueError("vectors must be a 2-d float array with dim >= 1")
+        vectors = check_rows("vectors", np.asarray(vectors, dtype=np.float32), min_dim=1)
         ids = _as_uint("ids", ids, 64)
         labels = _as_uint("labels", labels, 32)
         if not (len(ids) == len(labels) == len(vectors)):
             raise ValueError("ids, labels and vectors must have equal length")
         check_unique_ids(ids)
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("vector components must be finite")
+        check_finite("vectors", vectors)
         self._ids = ids
         self._labels = labels
         self._vectors = vectors
@@ -146,7 +143,7 @@ def gen_synthetic(
     check_count("dim", dim)
     if not spread > 0:
         raise ValueError("spread must be positive")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     centroids = rng.uniform(-1.0, 1.0, size=(n_classes, dim))
     blocks = [
         centroids[c] + rng.normal(0.0, spread, size=(per_class, dim))

@@ -28,6 +28,8 @@ from enum import Enum
 
 import numpy as np
 
+from . import base  # base imports this module; its rules are looked up at call time
+
 
 class Metric(str, Enum):
     """Supported similarity metrics.
@@ -56,17 +58,15 @@ def batch_scores(metric: Metric, query: np.ndarray, vectors: np.ndarray) -> np.n
     array; callers narrow to float32 only at the reporting boundary so that
     accumulation error cannot perturb rankings.
 
-    Raises ValueError on dimension mismatch, and for Angular when the query or
-    any candidate row has zero norm (cosine undefined).
+    Raises ValueError unless `vectors` pass `base.check_rows` with the
+    query's width, and for Angular when the query or any candidate row has
+    zero norm (cosine undefined).
     """
     v = np.asarray(vectors)
     if v.dtype != np.float32:
         v = v.astype(np.float64, copy=False)
-    if v.ndim != 2:
-        raise ValueError("expected a 2-d array of vectors")
     q = np.asarray(query, dtype=np.float64).reshape(-1)
-    if q.shape[0] != v.shape[1]:
-        raise ValueError(f"dimension mismatch: query has {q.shape[0]}, vectors have {v.shape[1]}")
+    base.check_rows("vectors", v, len(q))
 
     if metric is Metric.L2:
         return np.sqrt(_sq_l2(v, q))

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, make_result, search_excluding
+from .base import (
+    SearchResult, VectorIndex, check_count, check_finite, check_query, make_result, search_excluding,
+)
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, shortlist, sq_row_norms
 from .wire import Reader, Writer
@@ -64,8 +66,8 @@ class _FlatIndex(VectorIndex):
         sq_norms = sq_row_norms(self._vectors)
         self._max_sq_norm = float(sq_norms.max(initial=0.0))
         # NaN or inf in a row makes the maximum NaN or inf; finite rows rarely do.
-        if not math.isfinite(self._max_sq_norm) and not np.isfinite(self._vectors).all():
-            raise ValueError("stored vectors must be finite (no NaN or inf)")
+        if not math.isfinite(self._max_sq_norm):
+            check_finite("stored vectors", self._vectors)
         self._sq_norms = sq_norms if self.metric is Metric.L2 else None
 
     @classmethod

@@ -75,7 +75,7 @@ from array import array
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, is_uint, make_result
+from .base import SearchResult, VectorIndex, check_count, check_finite, check_query, is_uint, make_result
 from .data import EmbeddingSet
 from .distances import Metric, _nearest_rows, _sq_l2
 from .wire import U32_MAX, Reader, Writer
@@ -151,7 +151,7 @@ class HnswIndex(VectorIndex):
         so `_connect` bridges the islands.
         """
         rows = np.flatnonzero(self._levels >= level)
-        fill, cap = level > 0, self.M if level else 2 * self.M
+        fill, cap = level > 0, _level_cap(self.M, level)
         near, d_near = _nearest_rows(self._vec32[rows], self.ef_construction)
         own = dict(zip(rows.tolist(), self._select_diverse_rows(rows[near], d_near, self.M, fill)))
         links = {row: array("i", nbrs) for row, nbrs in own.items()}
@@ -427,8 +427,7 @@ class HnswIndex(VectorIndex):
         vector = np.asarray(vector, dtype=np.float32).reshape(-1)
         if vector.shape[0] != self._dim:
             raise ValueError(f"vector has dim {vector.shape[0]}, index expects {self._dim}")
-        if not np.isfinite(vector).all():
-            raise ValueError("vector must be finite (no NaN or inf)")
+        check_finite("vector", vector)
 
         level = self._draw_level()
         row = len(self)
@@ -467,7 +466,7 @@ class HnswIndex(VectorIndex):
             neighbors = self._select_diverse(q64, cand, self.M, fill=True)
             at_layer = self._links[layer]
             at_layer[row] = array("i", neighbors)
-            cap = 2 * self.M if layer == 0 else self.M
+            cap = _level_cap(self.M, layer)
             for nb in neighbors:
                 links = at_layer[nb]
                 links.append(row)
@@ -608,8 +607,7 @@ class HnswIndex(VectorIndex):
         ids = r.u64_array(count)
         levels = r.u32_array(count)
         vectors = r.f32_array(count * dim).reshape(count, dim)
-        if not np.isfinite(vectors).all():
-            raise ValueError("stored vectors must be finite (no NaN or inf)")
+        check_finite("stored vectors", vectors)
         # One list per (row, level): its degree, then its rows. The headers
         # are walked once; everything else is checked and cut in bulk.
         heads, end = _walk_headers(r.view("<u4"), count + int(levels.sum(dtype=np.int64)))
@@ -638,6 +636,12 @@ class HnswIndex(VectorIndex):
             rows = np.flatnonzero(levels >= level)
             index._links.append(dict(zip(rows.tolist(), cut(first[rows] + level))))
         return index
+
+
+def _level_cap(M: int, level):
+    """The degree cap of `level` (an int or an array of levels): 2 M at
+    level 0, M above."""
+    return M * (1 + (level == 0))
 
 
 def _walk_headers(words: np.ndarray, lists: int) -> tuple[np.ndarray, int]:
@@ -685,7 +689,7 @@ def _check_links(
     list_row = np.repeat(np.arange(n), span)
     list_level = np.arange(len(heads)) - np.repeat(np.cumsum(span) - span, span)
     deg = words[heads].astype(np.int64)
-    if np.any(deg > np.where(list_level == 0, 2 * M, M)):
+    if np.any(deg > _level_cap(M, list_level)):
         raise ValueError("a degree exceeds its level's cap")
     is_edge = np.ones(len(words), dtype=bool)
     is_edge[heads] = False

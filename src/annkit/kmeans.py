@@ -27,12 +27,11 @@ count distortions, which a `PqCodebook` keeps as they are read.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import check_count
+from .base import check_count, check_finite, check_rows
 from .wire import Reader, Writer
 
 MOVEMENT_TOL = 1e-6
@@ -146,21 +145,17 @@ def write_centroids(w: Writer, block: np.ndarray, distortions: list[float]) -> N
 
 def read_centroids(r: Reader, count: int, k: int, dim: int) -> tuple[np.ndarray, list[float]]:
     """`count` centroid sets of k x dim as one owned C-contiguous (count, k,
-    dim) float32 block, its vectors checked finite in one pass, and the list
-    of their `count` distortions, checked one float at a time. ValueError when
-    the buffer is short or a vector or a distortion is not finite. k and dim
-    are the caller's stored counts, each already through `base.check_count`.
+    dim) float32 block and the list of their `count` distortions, both
+    through `base.check_finite`. ValueError when the buffer is short or a
+    vector or a distortion is not finite. k and dim are the caller's stored
+    counts, each already through `base.check_count`.
     """
     section = r.view("u1")
     r.skip(count * (4 * k * dim + 8))  # raises before a record dtype can be oversized
     records = np.frombuffer(section, np.dtype([("v", "<f4", (k, dim)), ("d", "<f8")]), count)
     vectors = records["v"].astype(np.float32)
-    if not np.isfinite(vectors).all():
-        raise ValueError("centroid vectors must be finite (no NaN or inf)")
-    distortions = records["d"].tolist()
-    if not all(map(math.isfinite, distortions)):
-        raise ValueError("centroid distortions must be finite (no NaN or inf)")
-    return vectors, distortions
+    check_finite("centroid vectors and distortions", vectors, records["d"])
+    return vectors, records["d"].tolist()
 
 
 def _seed_plus_plus(cols: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,9 +210,7 @@ def kmeans_fit(
     (mean squared point-to-centroid distance) is asserted non-increasing
     across iterations.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or len(data) == 0:
-        raise ValueError("data must be a non-empty 2-d array")
+    data = check_rows("data", np.asarray(data, dtype=np.float64), nonempty=True)
     # Centroids come back as float32, and within its range no distance or
     # seeding probability below can overflow. NaN fails both comparisons, so
     # NaN and inf are rejected too.

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
+from .base import (
+    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, check_seed, make_result,
+)
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order
 from .wire import U32_MAX, Reader, Writer
@@ -59,9 +61,7 @@ class LshIndex(VectorIndex):
 
     def encode_batch(self, vectors: np.ndarray) -> np.ndarray:
         """Packed sign codes, one row per vector: bit i set iff dot(h_i, v) >= 0."""
-        arr = np.asarray(vectors, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError("vectors must be 2-d with the index dimension")
+        arr = check_rows("vectors", np.asarray(vectors, dtype=np.float64), self.dim)
         bits = arr @ self.hyperplanes.astype(np.float64).T >= 0.0
         return np.packbits(bits, axis=1)
 
@@ -114,8 +114,7 @@ class LshIndex(VectorIndex):
             raise ValueError(f"rerank byte must be 0 or 1, got {rerank}")
         count = r.u64()
         hyperplanes = r.f32_array(nbits * dim).reshape(nbits, dim)
-        if not np.isfinite(hyperplanes).all():
-            raise ValueError("hyperplanes must be finite (no NaN or inf)")
+        check_finite("hyperplanes", hyperplanes)
         ids = r.u64_array(count)
         code_bytes = (nbits + 7) // 8
         codes = r.u8_array(count * code_bytes).reshape(count, code_bytes)

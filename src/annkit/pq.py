@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_rows, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric
 from .kmeans import assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -109,9 +109,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     get derived seeds so the whole training is deterministic in `seed`. The
     trained books are stacked once into the codebook's block.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or len(data) == 0:
-        raise ValueError("data must be a non-empty 2-d array")
+    data = check_rows("data", np.asarray(data, dtype=np.float64), nonempty=True)
     dim = data.shape[1]
     m, nbits = _check_shape(m, nbits)
     seed = check_seed(seed)
@@ -130,9 +128,7 @@ def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
 
 def pq_encode_batch(cb: PqCodebook, vectors: np.ndarray) -> np.ndarray:
     """(n, m) uint8 codes: nearest sub-centroid per subspace, ties to the lowest index."""
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != cb.dim:
-        raise ValueError("vectors must be 2-d with the codebook dimension")
+    arr = check_rows("vectors", np.asarray(vectors, dtype=np.float64), cb.dim)
     sub = cb.sub_dim
     codes = np.empty((len(arr), cb.m), dtype=np.uint8)
     for j in range(cb.m):

@@ -41,7 +41,7 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
+from .base import SearchResult, VectorIndex, check_count, check_finite, check_query, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, batch_scores, sq_row_norms
 from .wire import U32_MAX, Reader, Writer
@@ -360,8 +360,7 @@ class RpForestIndex(VectorIndex):
         offsets = _records(section, starts[is_split] + 1 + 4 * dim, 8, "<f8").reshape(-1)
         row_at = np.repeat(starts + 5 - 4 * cuts[:-1], sizes) + 4 * np.arange(cuts[-1])
         rows = _records(section, row_at, 4, "<u4").reshape(-1)
-        if not all(np.isfinite(a).all() for a in (vectors, normals, offsets)):
-            raise ValueError("stored vectors and split planes must be finite (no NaN or inf)")
+        check_finite("stored vectors and split planes", vectors, normals, offsets)
         forest = cls(metric, leaf_size, ids, vectors, is_split, normals, offsets, cuts, rows)
         # tree t's rows are rows[t * count:(t + 1) * count]; each marks its slot once
         slots = np.arange(n_trees, dtype=np.int64) * count

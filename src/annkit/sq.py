@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import check_count
+from .base import check_count, check_finite, check_rows
 from .distances import _EVERY_ROW, _MAX_DIM, _U32, _U64, _gamma, _proven_cut
 from .wire import Reader, Writer
 
@@ -32,8 +32,7 @@ class SqParams:
         self.maxs = np.asarray(self.maxs, dtype=np.float32).reshape(-1)
         if self.mins.shape != self.maxs.shape:
             raise ValueError("mins and maxs must have the same shape")
-        if not np.isfinite([self.mins, self.maxs]).all():
-            raise ValueError("mins and maxs must be finite")
+        check_finite("mins and maxs", self.mins, self.maxs)
         if np.any(self.mins > self.maxs):
             raise ValueError("per-dimension min must not exceed max")
 
@@ -54,9 +53,7 @@ class SqParams:
 
 def sq_train(data: np.ndarray) -> SqParams:
     """Capture column-wise min/max over the training vectors."""
-    arr = np.asarray(data, dtype=np.float32)
-    if arr.ndim != 2 or len(arr) == 0:
-        raise ValueError("data must be a non-empty 2-d array")
+    arr = check_rows("data", np.asarray(data, dtype=np.float32), nonempty=True)
     return SqParams(mins=arr.min(axis=0), maxs=arr.max(axis=0))
 
 
@@ -66,9 +63,7 @@ def _spans(params: SqParams) -> np.ndarray:
 
 def sq_encode_batch(params: SqParams, vectors: np.ndarray) -> np.ndarray:
     """Map each component to its nearest 8-bit level, clamping out-of-range values."""
-    arr = np.asarray(vectors, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != params.dim:
-        raise ValueError("vectors must be 2-d with the trained dimension")
+    arr = check_rows("vectors", np.asarray(vectors, dtype=np.float64), params.dim)
     spans = _spans(params)
     mins = params.mins.astype(np.float64)
     levels = np.zeros(arr.shape, dtype=np.float64)
@@ -87,9 +82,7 @@ def sq_decode_batch(params: SqParams, codes: np.ndarray) -> np.ndarray:
     Returns a fresh float64 array, suitable for direct use in the scoring path;
     it is decoded in place, adding min last (the same sum, so the same bits).
     """
-    out = np.array(codes, dtype=np.float64)  # always a copy, never the caller's array
-    if out.ndim != 2 or out.shape[1] != params.dim:
-        raise ValueError("codes must be 2-d with the trained dimension")
+    out = check_rows("codes", np.array(codes, dtype=np.float64), params.dim)  # always a copy
     out += 0.5
     out *= _spans(params)
     out /= LEVELS

@@ -226,3 +226,38 @@ def test_insert_latency_is_compared_lower_better_without_a_bound():
         assert table[name]["change_wins"] == 10 and "regression" not in table[name]
     assert table["insert_p99_us"]["change_over_parent"] == pytest.approx(0.5)
     assert "insert_p50_us" not in bench_pairs.summarise(_pairs(PARENT, PARENT), better, bounds)
+
+
+def test_control_pairs_are_spread_among_the_real_pairs():
+    plan = bench_pairs.pair_plan([1, 2, 3, 4, 5, 6], 2)
+    assert plan == [("change", 1), ("change", 2), ("control", 2), ("change", 3), ("change", 4),
+                    ("control", 4), ("change", 5), ("change", 6)]
+    assert bench_pairs.pair_plan([7, 8, 9], 2) == [
+        ("change", 7), ("control", 7), ("change", 8), ("control", 8), ("change", 9)]
+    assert bench_pairs.pair_plan([7, 8], 0) == [("change", 7), ("change", 8)]
+    assert [kind for kind, _ in bench_pairs.pair_plan([7], 3)] == ["change"] + ["control"] * 3
+
+
+def test_the_control_gives_its_ratio_and_pair_range():
+    change = [p / 5 for p in PARENT]
+    control = _pairs([60.0, 50.0, 40.0], [54.0, 55.0, 40.0])  # per-pair ratios 0.9, 1.1, 1.0
+    row = bench_pairs.summarise(_pairs(PARENT, change), BETTER, control=control)["load_ms"]
+    assert row["control"]["pairs"] == 3
+    assert row["control"]["change_over_parent"] == pytest.approx(54.0 / 50.0)
+    assert row["control"]["pair_ratio_range"] == pytest.approx([0.9, 1.1])
+    assert row["claim_rule_met"]  # 0.2 lies below the control's range
+    assert "control" not in bench_pairs.summarise(_pairs(PARENT, change), BETTER)["load_ms"]
+
+
+def test_a_change_ratio_inside_the_control_range_is_no_claim():
+    change = [p / 5 for p in PARENT]
+    row = bench_pairs.summarise(_pairs(PARENT, change), BETTER)["load_ms"]
+    assert row["claim_rule_met"]
+    # Identical code once read a fifth of its own parent: the same gap proves nothing.
+    control = _pairs([60.0, 60.0], [12.0, 66.0])  # ratios 0.2 and 1.1
+    row = bench_pairs.summarise(_pairs(PARENT, change), BETTER, control=control)["load_ms"]
+    assert row["change_over_parent"] == pytest.approx(0.2)
+    assert not row["claim_rule_met"]
+    families = bench_pairs.summarise_families(_pairs(PARENT, change), control)
+    assert families["hnsw"]["load_ms"]["control"]["pairs"] == 2
+    assert not families["hnsw"]["load_ms"]["claim_rule_met"]

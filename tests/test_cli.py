@@ -306,6 +306,14 @@ def _assert_one_error_line(capsys, match):
     assert "Traceback" not in err
 
 
+def test_gen_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "never.vemb"
+    assert main(["gen", "--classes", "2", "--per-class", "5", "--dim", "4", "--seed", "-1",
+                 "--out", str(out)]) == 1
+    _assert_one_error_line(capsys, "seed must be >= 0 and an integer, got -1")
+    assert not out.exists()
+
+
 def test_truth_rejects_an_id_no_set_holds(data_path, capsys):
     """`truth --id -1` once died in the uint64 cast with an OverflowError."""
     assert main(["truth", "--data", str(data_path), "--id", "-1"]) == 1

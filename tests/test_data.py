@@ -206,6 +206,14 @@ def test_gen_synthetic_counts_are_integers(at, value):
         gen_synthetic(*counts, 0.1, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5, "1"])
+def test_gen_synthetic_takes_the_seed_rule(seed):
+    """seed=True once generated seed 1's set, and 2.5 or "1" raised TypeError."""
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 and an integer, got "):
+        gen_synthetic(2, 5, 4, 0.1, seed)
+    assert dump_vemb(gen_synthetic(2, 5, 4, 0.1, np.int64(3))) == dump_vemb(gen_synthetic(2, 5, 4, 0.1, 3))
+
+
 def test_gen_synthetic_validates_arguments():
     with pytest.raises(ValueError):
         gen_synthetic(0, 5, 4, 0.1, 0)

@@ -25,6 +25,14 @@ metrics. Beside them, ``families`` gives the same comparison of each family's
 raw (wall clock, not normalized) ``build_s``, ``query_p50_us`` and ``load_ms``
 and its ``resident_bytes``, so a claim shows which family moved: a ``setup_s``
 claim, for one, shows each family's build.
+``--control N`` adds, per workload, N control pairs that run the parent
+against a second ``git archive`` extraction of itself, spread among the real
+pairs (``pair_plan``) and stored under ``control``; real and control pairs
+each alternate their first side on their own. Each compared metric then
+carries ``control``: the control's ratio of medians and the range of its
+per-pair ratios, the spread that two sides of identical code show; and
+``claim_rule_met`` also requires the change's ratio of medians to lie outside
+that range.
 ``--trace`` adds one traced pair whose per-layer metrics are stored side by
 side. ``code`` gives each side's src line count (``src/annkit/*.py``), the
 part of it that is code (``src_code_lines``: not blank, not comment-only, not
@@ -120,13 +128,27 @@ def run_once(tree: Path, bench: dict, workload: str, seed: int, trace: bool) -> 
     }
 
 
-def run_pair(trees: dict, bench: dict, workload: str, seed: int, parent_first: bool, trace=False):
+def run_pair(trees: dict, bench: dict, workload: str, seed: int, parent_first: bool, trace=False,
+             label=""):
     order = SIDES if parent_first else SIDES[::-1]
     out = {"seed": seed, "first": order[0]}
     for side in order:
-        print(f"{workload} seed {seed} {side}{' traced' if trace else ''}", file=sys.stderr, flush=True)
+        traced = " traced" if trace else ""
+        print(f"{workload} seed {seed} {label}{side}{traced}", file=sys.stderr, flush=True)
         out[side] = run_once(trees[side], bench, workload, seed, trace)
     return out
+
+
+def pair_plan(seeds: list[int], control: int) -> list[tuple[str, int]]:
+    """The order of one workload's pairs: ("change", seed) for each seed and
+    `control` ("control", seed) pairs spread evenly among them, each after
+    the real pair whose seed it reuses."""
+    after = [max((i + 1) * len(seeds) // (control + 1) - 1, 0) for i in range(control)]
+    plan = []
+    for at, seed in enumerate(seeds):
+        plan.append(("change", seed))
+        plan += [("control", seed)] * after.count(at)
+    return plan
 
 
 def quartiles(values: list[float]) -> dict:
@@ -143,10 +165,12 @@ FAMILY_METRICS = ("build_s", "query_p50_us", "load_ms", "resident_bytes")  # raw
 
 
 def compare(parent: list[float], change: list[float], direction: str,
-            bound: float | None = None) -> dict:
+            bound: float | None = None, control: tuple[list, list] = ([], [])) -> dict:
     """Quartiles of each side, ratio of medians, parent IQR, wins, the claim
     rule and, given the metric's bound, the no-regression verdict of the
-    module docstring."""
+    module docstring; given the (parent, control) values of control pairs,
+    their ratio of medians and per-pair ratio range, outside which the
+    change's ratio must lie for the claim rule."""
     wins = sum(c < p if direction == "lower" else c > p for p, c in zip(parent, change))
     stats = {"parent": quartiles(parent), "change": quartiles(change)}
     base = stats["parent"]["median"]
@@ -172,36 +196,53 @@ def compare(parent: list[float], change: list[float], direction: str,
         row["bound"] = bound
         row["regression"] = ("worse" if -gain > scale
                              else "unresolved" if iqr > scale and not clear else "none")
+    if control[0]:
+        ratios = [c / p for p, c in zip(*control) if p]
+        low, high = (min(ratios), max(ratios)) if ratios else (None, None)
+        control_base = statistics.median(control[0])
+        row["control"] = {
+            "pairs": len(control[0]),
+            "change_over_parent": statistics.median(control[1]) / control_base if control_base else None,
+            "pair_ratio_range": [low, high],
+        }
+        ratio = row["change_over_parent"]
+        row["claim_rule_met"] = (row["claim_rule_met"] and ratio is not None and low is not None
+                                 and not low <= ratio <= high)
     return row
 
 
+def _sides(pairs: list[dict], name: str) -> tuple[list, list]:
+    """Metric (or extra) `name` of each pair whose two sides both report it."""
+    values = {side: [] for side in SIDES}
+    for pair in pairs:
+        p, c = (pair[side]["metrics"].get(name, pair[side]["extras"].get(name)) for side in SIDES)
+        if p is not None and c is not None:
+            values["parent"].append(p)
+            values["change"].append(c)
+    return values["parent"], values["change"]
+
+
 def summarise(pairs: list[dict], better: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict:
+              bounds: dict[str, float] | None = None, control: list[dict] = ()) -> dict:
     """`compare` for every metric in `better` that both sides of a pair report,
-    with its bound where `bounds` names one."""
+    with its bound where `bounds` names one and the `control` pairs' values."""
     bounds = bounds or {}
     table = {}
     for name, direction in better.items():
-        values = {side: [] for side in SIDES}
-        for pair in pairs:
-            p, c = (pair[side]["metrics"].get(name, pair[side]["extras"].get(name)) for side in SIDES)
-            if p is None or c is None:
-                continue
-            values["parent"].append(p)
-            values["change"].append(c)
-        if values["parent"]:
-            table[name] = compare(values["parent"], values["change"], direction, bounds.get(name))
+        parent, change = _sides(pairs, name)
+        if parent:
+            table[name] = compare(parent, change, direction, bounds.get(name), _sides(control, name))
     return table
 
 
-def summarise_families(pairs: list[dict]) -> dict:
-    """`compare` for each family's raw FAMILY_METRICS."""
+def summarise_families(pairs: list[dict], control: list[dict] = ()) -> dict:
+    """`compare` for each family's raw FAMILY_METRICS, with the `control` pairs' values."""
+    def values(runs, fam, name):
+        return tuple([pair[side]["families"][fam][name] for pair in runs] for side in SIDES)
+
     return {
         fam: {
-            name: compare(
-                *([pair[side]["families"][fam][name] for pair in pairs] for side in SIDES),
-                "lower",
-            )
+            name: compare(*values(pairs, fam, name), "lower", control=values(control, fam, name))
             for name in FAMILY_METRICS
         }
         for fam in pairs[0]["parent"]["families"]
@@ -230,6 +271,8 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--pairs", action="append", type=seed_range, default=[],
                         metavar="WORKLOAD=FIRST-LAST", help="one pair per seed in the range")
+    parser.add_argument("--control", type=int, default=0, metavar="N",
+                        help="per workload, N pairs of the parent against a second extraction of itself")
     parser.add_argument("--trace", action="append", type=seed_range, default=[],
                         metavar="WORKLOAD=SEED", help="one traced pair")
     parser.add_argument("--what", default="", help="one line on the change being measured")
@@ -238,41 +281,50 @@ def main(argv=None) -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = directions(bench)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+    with (tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp,
+          tempfile.TemporaryDirectory(prefix="bench-control-") as control_tmp):
         trees = {"parent": Path(tmp), "change": ROOT}
+        control_trees = {"parent": Path(tmp), "change": Path(control_tmp)}
         commit = extract(args.parent, trees["parent"])
+        if args.control:
+            extract(args.parent, control_trees["change"])
         result = {
             "what": args.what,
             "command": " ".join(bench["command"]) + " --workload <workload> --seed <seed>"
                        f" --seconds {bench['run_seconds']} --trace <0|1>",
             "parent_commit": commit,
             "change": "working tree of the checkout",
-            "pairs_note": "alternating parent/change pairs; 'first' names the side that ran first",
+            "pairs_note": "alternating parent/change pairs; 'first' names the side that ran first;"
+                          " in a control pair the change side is a second extraction of the parent",
             "code": {side: code_size(trees[side]) for side in SIDES},
             "summary": {},
             "traced": {},
             "pairs": {},
+            "control": {},
         }
-        n = 0
+        n = {"change": 0, "control": 0}  # real and control pairs each alternate their first side
         for workload, seeds in args.pairs:
-            runs = result["pairs"].setdefault(workload, [])
-            for seed in seeds:
-                runs.append(run_pair(trees, bench, workload, seed, n % 2 == 0))
-                n += 1
+            for kind, seed in pair_plan(seeds, args.control):
+                control = kind == "control"
+                pair = run_pair(control_trees if control else trees, bench, workload, seed,
+                                n[kind] % 2 == 0, label="control " if control else "")
+                result["control" if control else "pairs"].setdefault(workload, []).append(pair)
+                n[kind] += 1
         for workload, seeds in args.trace:
             for seed in seeds:
-                pair = run_pair(trees, bench, workload, seed, n % 2 == 0, trace=True)
-                n += 1
+                pair = run_pair(trees, bench, workload, seed, n["change"] % 2 == 0, trace=True)
+                n["change"] += 1
                 result["traced"][f"{workload}-{seed}"] = {
                     "first": pair["first"],
                     **{side: pair[side]["metrics"] for side in SIDES},
                 }
     for workload, runs in result["pairs"].items():
+        control = result["control"].get(workload, [])
         result["summary"][workload] = {
             "failed_ops": {side: sum(r[side]["failed"] for r in runs) for side in SIDES},
-            "all_correct": all(r[side]["correct"] for r in runs for side in SIDES),
-            **summarise(runs, better, bounds),
-            "families": summarise_families(runs),
+            "all_correct": all(r[side]["correct"] for r in runs + control for side in SIDES),
+            **summarise(runs, better, bounds, control),
+            "families": summarise_families(runs, control),
         }
     if result["pairs"]:
         result["env"] = next(iter(result["pairs"].values()))[0]["change"]["env"]
