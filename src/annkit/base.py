@@ -7,11 +7,13 @@ per property, each with one `ValueError` form that names the value:
 - `check_seed`: a seed, an integer >= 0;
 - `is_uint`: an id (64 bits) or label (32 bits);
 - `check_rows`: an array of vectors or codes, 2-d with the expected width,
-  non-empty where training needs rows;
+  non-empty where training needs rows (every builder refuses an empty set
+  through it too);
+- `check_vector`: a single vector, flattened, with the expected width;
 - `check_finite`: every component of a vector, a stored array or a
   training statistic, finite;
-- `check_query`: a query and its k, through `check_count` and
-  `check_finite`.
+- `check_query`: a query and its k, through `check_count`, `check_vector`
+  and `check_finite`.
 """
 
 from __future__ import annotations
@@ -96,6 +98,16 @@ def check_rows(
     return rows
 
 
+def check_vector(what: str, vector: np.ndarray, dim: int, dtype=np.float64) -> np.ndarray:
+    """`vector` flattened in `dtype`, after a ValueError naming `what` unless
+    it has `dim` components: the width rule for every single vector taken in.
+    Finiteness is `check_finite`'s."""
+    v = np.asarray(vector, dtype=dtype).reshape(-1)
+    if v.shape[0] != dim:
+        raise ValueError(f"{what} has dim {v.shape[0]}, expected {dim}")
+    return v
+
+
 def check_finite(what: str, *arrays: np.ndarray) -> None:
     """ValueError naming `what` unless every component of every array is
     finite: the rule for every vector, stored array and training statistic
@@ -107,14 +119,12 @@ def check_finite(what: str, *arrays: np.ndarray) -> None:
 def check_query(query: np.ndarray, k: int, dim: int) -> np.ndarray:
     """Return the query as a flat float64 vector after checking it and k.
 
-    ValueError unless k passes `check_count` and the query has `dim`
-    components that pass `check_finite`. Every search and the exact oracle go
-    through it.
+    ValueError unless k passes `check_count` and the query passes
+    `check_vector` at `dim` and `check_finite`. Every search and the exact
+    oracle go through it.
     """
     check_count("k", k)
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    if q.shape[0] != dim:
-        raise ValueError(f"query has dim {q.shape[0]}, index expects {dim}")
+    q = check_vector("query", query, dim)
     check_finite("query", q)
     return q
 

@@ -42,20 +42,27 @@ def check_unique_ids(ids: np.ndarray) -> None:
 
 
 def _as_uint(name: str, values: np.ndarray, bits: int) -> np.ndarray:
-    """`values` as a uint`bits` array; ValueError naming `name` unless every
-    value is an integer in [0, 2**bits). An array of that dtype is taken as it
-    is, without a scan; a non-array is read item by item, so no big or
-    negative int is rounded through float64 or wrapped."""
+    """`values` as a uint`bits` array; ValueError naming `name` and the first
+    value that breaks the rule unless every value is an integer in
+    [0, 2**bits): the one range check of every id and label an `EmbeddingSet`
+    takes, a CSV's included. An array of that dtype is taken as it is, without
+    a scan; a non-array is read item by item, so no big or negative int is
+    rounded through float64 or wrapped (a list of plain ints by one type scan
+    and builtin `min`/`max`). An empty array of another dtype names its dtype."""
     dtype = np.dtype(f"uint{bits}")
     a = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if a.dtype == dtype:
         return a
     if a.dtype == object:
-        ok = all(is_uint(v, bits) for v in a.flat)
+        items = a.ravel().tolist()
+        plain = set(map(type, items)) <= {int}
+        ok = (plain and 0 <= min(items, default=0) and max(items, default=0) < 1 << bits
+              or all(is_uint(v, bits) for v in items))
     else:
         ok = a.dtype.kind in "iu" and (a.size == 0 or (a.min() >= 0 and a.max() < 1 << bits))
     if not ok:
-        raise ValueError(f"{name} must be integers in [0, 2**{bits})")
+        bad = next((v for v in a.ravel().tolist() if not is_uint(v, bits)), a.dtype)
+        raise ValueError(f"{name} must be integers in [0, 2**{bits}), got {bad!r}")
     return a.astype(dtype)
 
 
@@ -196,7 +203,8 @@ def load_vemb(path: str | Path) -> EmbeddingSet:
 
 
 def load_csv(path: str | Path) -> EmbeddingSet:
-    """Ingest the text format: header ``id,label,f0,...,f{dim-1}``."""
+    """Ingest the text format: header ``id,label,f0,...,f{dim-1}``. The ids
+    and labels are read as ints and checked by `EmbeddingSet`."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -218,12 +226,4 @@ def load_csv(path: str | Path) -> EmbeddingSet:
             rows.append([float(x) for x in line[2:]])
     if not ids:
         raise ValueError("CSV file contains no records")
-    for name, values, bits in (("id", ids, 64), ("label", labels, 32)):
-        bad = [v for v in values if not 0 <= v < 1 << bits]
-        if bad:
-            raise ValueError(f"CSV {name} {bad[0]} is outside [0, 2**{bits})")
-    return EmbeddingSet(
-        np.array(ids, dtype=np.uint64),
-        np.array(labels, dtype=np.uint32),
-        np.array(rows, dtype=np.float32),
-    )
+    return EmbeddingSet(ids, labels, np.array(rows, dtype=np.float32))

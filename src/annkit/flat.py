@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .base import (
-    SearchResult, VectorIndex, check_count, check_finite, check_query, make_result, search_excluding,
+    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, make_result,
+    search_excluding,
 )
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, shortlist, sq_row_norms
@@ -72,8 +73,7 @@ class _FlatIndex(VectorIndex):
 
     @classmethod
     def build(cls, emb_set: EmbeddingSet) -> "_FlatIndex":
-        if len(emb_set) == 0:
-            raise ValueError("cannot build an index over an empty set")
+        check_rows("vectors", emb_set.vectors, nonempty=True)
         return cls(emb_set.ids.copy(), emb_set.vectors.copy())
 
     @property

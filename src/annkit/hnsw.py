@@ -75,7 +75,10 @@ from array import array
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_finite, check_query, is_uint, make_result
+from .base import (
+    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, check_vector, is_uint,
+    make_result,
+)
 from .data import EmbeddingSet
 from .distances import Metric, _nearest_rows, _sq_l2
 from .wire import U32_MAX, Reader, Writer
@@ -127,8 +130,7 @@ class HnswIndex(VectorIndex):
         Each level is then linked by `_link_level`.
         """
         index = cls(emb_set.dim, **knobs)
-        if len(emb_set) == 0:
-            raise ValueError("cannot build an index over an empty set")
+        check_rows("vectors", emb_set.vectors, nonempty=True)
         order = np.argsort(emb_set.ids, kind="stable")
         index._vec32 = emb_set.vectors[order]
         index._ids = emb_set.ids[order]
@@ -258,7 +260,7 @@ class HnswIndex(VectorIndex):
             while nbrs:
                 d = self._dists(q64, nbrs)
                 i = int(d.argmin())
-                if d[i] >= best:
+                if not d[i] < best:  # d[i] >= best, and a NaN distance stops too
                     break
                 best, row = d[i], nbrs[i]
                 nbrs = links[row]
@@ -424,9 +426,7 @@ class HnswIndex(VectorIndex):
         record_id = int(record_id)
         if self._find(record_id) >= 0:
             raise ValueError(f"duplicate id {record_id}")
-        vector = np.asarray(vector, dtype=np.float32).reshape(-1)
-        if vector.shape[0] != self._dim:
-            raise ValueError(f"vector has dim {vector.shape[0]}, index expects {self._dim}")
+        vector = check_vector("vector", vector, self._dim, np.float32)
         check_finite("vector", vector)
 
         level = self._draw_level()

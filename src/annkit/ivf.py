@@ -26,7 +26,7 @@ import struct
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, check_seed, make_result
+from .base import SearchResult, VectorIndex, check_count, check_query, check_rows, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
 from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -64,7 +64,7 @@ class IvfIndex(VectorIndex):
         if not isinstance(codec, _CODECS[encoding]):
             raise ValueError(f"ivf-{encoding} cannot take a {type(codec).__name__} codec")
         if codec is not None and codec.dim != coarse.dim:
-            raise ValueError(f"codec has dim {codec.dim}, index has dim {coarse.dim}")
+            raise ValueError(f"codec dim {codec.dim} differs from index dim {coarse.dim}")
         self.nprobe = check_count("nprobe", nprobe, coarse.k)
         self.coarse = coarse
         self.encoding = encoding
@@ -199,8 +199,7 @@ def ivf_build(
     PQ and SQ payloads are trained on the raw vectors (not residuals), so a
     full-probe search over PQ lists is exactly an ADC scan of every code.
     """
-    if len(emb_set) == 0:
-        raise ValueError("cannot build an index over an empty set")
+    check_rows("vectors", emb_set.vectors, nonempty=True)
     if encoding not in _CODECS:
         raise ValueError(f"unknown encoding {encoding!r}")
     n = len(emb_set)

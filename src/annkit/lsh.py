@@ -139,8 +139,7 @@ def lsh_build(
 
     Codes depend only on (seed, vector), never on insertion order.
     """
-    if len(emb_set) == 0:
-        raise ValueError("cannot build an index over an empty set")
+    check_rows("vectors", emb_set.vectors, nonempty=True)
     check_count("nbits", nbits, U32_MAX)
     _check_rerank(rerank)
     rng = np.random.default_rng(check_seed(seed))

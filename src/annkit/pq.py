@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import SearchResult, VectorIndex, check_count, check_query, check_rows, check_seed, make_result
+from .base import (
+    SearchResult, VectorIndex, check_count, check_query, check_rows, check_seed, check_vector, make_result,
+)
 from .data import EmbeddingSet
 from .distances import Metric
 from .kmeans import assign_to_centroids, kmeans_fit, read_centroids, write_centroids
@@ -84,10 +86,7 @@ class PqCodebook:
         return self.m * self.sub_dim
 
     def split(self, v: np.ndarray) -> np.ndarray:
-        arr = np.asarray(v, dtype=np.float64).reshape(-1)
-        if arr.shape[0] != self.dim:
-            raise ValueError(f"vector has dim {arr.shape[0]}, codebook expects {self.dim}")
-        return arr.reshape(self.m, self.sub_dim)
+        return check_vector("vector", v, self.dim).reshape(self.m, self.sub_dim)
 
     def write(self, w: Writer) -> None:
         w.u32(self.m)
@@ -185,8 +184,7 @@ class PqIndex(VectorIndex):
         nbits: int = 8,
         seed: int = 0,
     ) -> "PqIndex":
-        if len(emb_set) == 0:
-            raise ValueError("cannot build an index over an empty set")
+        check_rows("vectors", emb_set.vectors, nonempty=True)
         m = default_m(emb_set.dim) if m is None else m
         cb = pq_train(emb_set.vectors, m, nbits, seed)
         return cls(cb, emb_set.ids.copy(), pq_encode_batch(cb, emb_set.vectors))

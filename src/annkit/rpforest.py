@@ -41,7 +41,9 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import SearchResult, VectorIndex, check_count, check_finite, check_query, check_seed, make_result
+from .base import (
+    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, check_seed, make_result,
+)
 from .data import EmbeddingSet
 from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, batch_scores, sq_row_norms
 from .wire import U32_MAX, Reader, Writer
@@ -383,8 +385,7 @@ def rp_build(
     seed: int = 0,
 ) -> RpForestIndex:
     """Build n_trees independent trees; per-tree seeds derive from (seed, tree)."""
-    if len(emb_set) == 0:
-        raise ValueError("cannot build an index over an empty set")
+    check_rows("vectors", emb_set.vectors, nonempty=True)
     n_trees = check_count("n_trees", n_trees, U32_MAX)
     leaf_size = check_count("leaf_size", leaf_size, U32_MAX)
     seed = check_seed(seed)

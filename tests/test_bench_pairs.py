@@ -3,6 +3,7 @@ verdict, on synthetic runs."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -207,6 +208,58 @@ def test_code_size_of_this_checkout_matches_the_package():
     assert size["all_names"] == len(annkit.__all__)
     package = bench_pairs.ROOT / "src" / "annkit"
     assert size["src_lines"] == sum(len(p.read_text().splitlines()) for p in package.glob("*.py"))
+
+
+def _git(cwd, *args) -> str:
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=cwd,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def _has_git_checkout() -> bool:
+    try:
+        return subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=bench_pairs.ROOT,
+                              capture_output=True).returncode == 0
+    except OSError:
+        return False
+
+
+needs_git = pytest.mark.skipif(not _has_git_checkout(), reason="needs a git checkout with a commit")
+
+
+@needs_git
+def test_snapshot_holds_the_working_tree_and_leaves_it_as_it_was(tmp_path):
+    """A clean tree snapshots as HEAD; an edited tracked file and a staged
+    new file go into the snapshot commit while the working tree and the
+    index stay as they were; an untracked file stays out."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "a.txt").write_text("one\n")
+    _git(tmp_path, "add", "a.txt")
+    _git(tmp_path, "commit", "-qm", "first")
+    assert bench_pairs.snapshot(tmp_path) == "HEAD"
+    (tmp_path / "a.txt").write_text("two\n")
+    (tmp_path / "b.txt").write_text("staged\n")
+    _git(tmp_path, "add", "b.txt")
+    (tmp_path / "c.txt").write_text("untracked\n")
+    status = _git(tmp_path, "status", "--porcelain")
+    commit = bench_pairs.snapshot(tmp_path)
+    assert _git(tmp_path, "show", f"{commit}:a.txt") == "two"
+    assert _git(tmp_path, "show", f"{commit}:b.txt") == "staged"
+    assert "c.txt" not in _git(tmp_path, "ls-tree", "--name-only", commit)
+    assert _git(tmp_path, "status", "--porcelain") == status
+
+
+@needs_git
+def test_change_side_is_extracted_like_the_parent(tmp_path):
+    """With no pairs, the change side is still an extraction: its code is the
+    working tree's, and `change` names HEAD exactly when no tracked file
+    differs from it."""
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())
+    assert result["code"]["change"] == bench_pairs.code_size(bench_pairs.ROOT)
+    clean = _git(bench_pairs.ROOT, "status", "--porcelain", "--untracked-files=no") == ""
+    assert (result["change"] == result["parent_commit"]) == clean
+    assert result["pairs"] == {}
 
 
 def test_insert_latency_is_compared_lower_better_without_a_bound():

@@ -327,7 +327,10 @@ def test_build_rejects_a_csv_id_or_label_out_of_range(tmp_path, capsys, row):
     index_path = tmp_path / "flat.vidx"
     assert main(["build", "--data", str(csv_path), "--family", "flat-l2",
                  "--out", str(index_path)]) == 1
-    _assert_one_error_line(capsys, "is outside [0, 2**")
+    expected = {"-1,0": "ids must be integers in [0, 2**64), got -1",
+                f"{2**64},0": f"ids must be integers in [0, 2**64), got {2**64}",
+                "3,-3": "labels must be integers in [0, 2**32), got -3"}
+    _assert_one_error_line(capsys, expected[row])
     assert not index_path.exists()
 
 

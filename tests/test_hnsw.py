@@ -4,8 +4,12 @@ import contextlib
 import copy
 import hashlib
 import heapq
+import os
 import struct
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import annkit
 from annkit import EmbeddingSet, gen_synthetic, hnsw
 from annkit.distances import _sq_l2
 from annkit.flat import exact_search, ground_truth
@@ -509,6 +514,25 @@ def test_descend_matches_reference(case):
             assert index._descend(q64, level) == descend_reference(index, q64, level)
 
 
+def test_descend_returns_on_a_nan_point():
+    """A NaN distance is never strictly closer, so the greedy walk stops; a
+    stop test of `d >= best`, False for NaN, walked between neighbours
+    forever. The walk runs in a child process under a timeout, so a hang
+    fails the test instead of stalling the suite."""
+    code = (
+        "import numpy as np\n"
+        "from annkit import gen_synthetic\n"
+        "from annkit.hnsw import HnswIndex\n"
+        "g = HnswIndex.build(gen_synthetic(4, 50, 8, 0.1, 1), M=4, ef_construction=8)\n"
+        "print(int(g._levels.max()), g._descend(np.full(8, np.nan), 0), len(g))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(annkit.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=20, check=True).stdout
+    top, row, n = map(int, out.split())
+    assert top == 4 and 0 <= row < n
+
+
 # ------------------------------------------------------------ level scan
 
 
@@ -646,7 +670,7 @@ def test_insert_rejects_a_vector_of_another_dim(noisy_graph, dim):
     data, graph = noisy_graph
     graph, clean = copy.deepcopy(graph), copy.deepcopy(graph)
     before = dump_index(graph)
-    with pytest.raises(ValueError, match=f"vector has dim {dim}, index expects 8"):
+    with pytest.raises(ValueError, match=f"^vector has dim {dim}, expected 8$"):
         graph.insert(1000, np.ones(dim, dtype=np.float32))
     assert dump_index(graph) == before
     graph.insert(1000, np.ones(8, dtype=np.float32))

@@ -1,10 +1,13 @@
 """Every array the program takes in passes one shape rule, `base.check_rows`,
-and one finiteness rule, `base.check_finite`: each entry point, fed a 1-d
-array, a wrong width (an empty array where training needs rows), a NaN or an
-inf, and each loader, fed a dumped blob with one stored float overwritten,
-raises the rule's one ValueError form naming the array. Inputs are fixed.
-A query's or an inserted vector's wrong width keeps its own message
-(tests/test_contract.py, tests/test_hnsw.py)."""
+and one finiteness rule, `base.check_finite`, and every single vector one
+width rule, `base.check_vector`: each entry point, fed a 1-d array, a wrong
+width (an empty array where training needs rows), a NaN or an inf, each
+builder fed an empty set and each loader fed a dumped blob with one stored
+float overwritten raises the rule's one ValueError form naming the value.
+Inputs are fixed. Beside these, tests/test_contract.py holds every family's
+search on a wrong-width query and `build_index` of every row on an empty set,
+tests/test_hnsw.py `insert` of a wrong-width vector, and tests/test_data.py
+and tests/test_cli.py a CSV id or label outside its field."""
 
 import copy
 import re
@@ -17,11 +20,14 @@ from annkit.base import check_query
 from annkit.data import EmbeddingSet, gen_synthetic
 from annkit.distances import Metric, batch_scores
 from annkit.families import build_index
+from annkit.flat import FlatIPIndex, FlatL2Index
 from annkit.hnsw import HnswIndex
+from annkit.ivf import ivf_build
 from annkit.kmeans import kmeans_fit
 from annkit.lsh import lsh_build
 from annkit.persist import dump_index, load_index_bytes
-from annkit.pq import pq_encode_batch, pq_train
+from annkit.pq import PqIndex, adc_table, pq_encode_batch, pq_train
+from annkit.rpforest import rp_build
 from annkit.sq import sq_decode_batch, sq_encode_batch, sq_train
 
 DATA = gen_synthetic(2, 20, 8, 0.1, 3)
@@ -132,3 +138,32 @@ def test_every_loader_takes_the_finite_rule(stored, value):
     struct.pack_into("<d" if stored_array.dtype == np.float64 else "<f", blob, at, value)
     with pytest.raises(ValueError, match=_finite_form(what)):
         load_index_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("got", [3, 7, 9])
+def test_the_pq_table_takes_the_width_rule(got):
+    assert adc_table(CODEBOOK, ROWS[0]).shape == (2, 4)
+    with pytest.raises(ValueError, match=rf"^vector has dim {got}, expected 8$"):
+        adc_table(CODEBOOK, np.zeros(got))
+
+
+EMPTY = _set(ROWS[:0])
+
+# builder: every family's build, called directly with its smallest knobs
+BUILDERS = {
+    "FlatL2Index.build": FlatL2Index.build,
+    "FlatIPIndex.build": FlatIPIndex.build,
+    "HnswIndex.build": lambda s: HnswIndex.build(s, M=4, ef_construction=8),
+    "PqIndex.build": lambda s: PqIndex.build(s, m=2, nbits=2),
+    "ivf_build": lambda s: ivf_build(s, nlist=2),
+    "lsh_build": lambda s: lsh_build(s, nbits=16),
+    "rp_build": lambda s: rp_build(s, n_trees=2, leaf_size=8),
+}
+_EMPTY_FORM = r"^vectors must be a non-empty 2-d array, got shape \(0, 8\)$"
+
+
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_every_builder_refuses_an_empty_set(builder):
+    BUILDERS[builder](DATA)
+    with pytest.raises(ValueError, match=_EMPTY_FORM):
+        BUILDERS[builder](EMPTY)

@@ -371,7 +371,7 @@ def test_ivf_loader_rejects_a_codec_of_another_dim(small_set, family):
     _, codec, lists = _ivf_sections(index, blob)
     _, narrow_codec, narrow_lists = _ivf_sections(narrow, narrow_blob)
     spliced = blob[:codec] + narrow_blob[narrow_codec:narrow_lists] + blob[lists:]
-    with pytest.raises(ValueError, match="codec has dim 8, index has dim 16"):
+    with pytest.raises(ValueError, match="^codec dim 8 differs from index dim 16$"):
         load_index_bytes(spliced)
 
 

@@ -4,18 +4,21 @@
         --pairs quantize=3111-3113 --trace scan=3120 --out BENCH_6.json
 
 The parent side is the committed tree of ``--parent``, extracted with
-``git archive`` into a temporary directory; the change side is this
-checkout's working tree. Both run the command and run length that
-BENCHMARK.json declares, one after the other, and which side runs first
-alternates from pair to pair. The output holds every run (metrics, the
-``raw_*`` figures perfbench prints beside them, per-family rows) and, per
-workload and metric, both sides' quartiles, the ratio of medians, the
-parent's interquartile range, how many pairs the change won and
-``claim_rule_met``: the change won at least 9 in 10 of at least 10 pairs (a
-tie is no win) and its median beats the parent's by more than the parent's
-interquartile range. Each end-to-end metric (and its ``raw_*`` twin) also
-carries its ``bound`` from BENCHMARK.json and ``regression``, the
-no-regression rule: ``"worse"`` when the change's median is worse than the
+``git archive`` into a temporary directory. The change side is this
+checkout's working tree, extracted the same way from a ``git stash create``
+snapshot (``snapshot``; HEAD when no tracked file differs from it), so both
+sides are trees of the same kind; untracked files are not in it, so ``git
+add`` new ones first. The output's ``change`` names the extracted commit.
+Both sides run the command and run length that BENCHMARK.json declares, one
+after the other, and which side runs first alternates from pair to pair. The
+output holds every run (metrics, the ``raw_*`` figures perfbench prints
+beside them, per-family rows) and, per workload and metric, both sides'
+quartiles, the ratio of medians, the parent's interquartile range, how many
+pairs the change won and ``claim_rule_met``: the change won at least 9 in 10
+of at least 10 pairs (a tie is no win) and its median beats the parent's by
+more than the parent's interquartile range. Each end-to-end metric (and its
+``raw_*`` twin) also carries its ``bound`` from BENCHMARK.json and
+``regression``, the no-regression rule: ``"worse"`` when the change's median is worse than the
 parent's by more than ``bound`` of the parent's median; ``"unresolved"``
 when the parent's interquartile range exceeds ``bound`` of its median and
 not every change run beats every parent run; ``"none"`` otherwise. perfbench's
@@ -68,6 +71,15 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(blob)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def snapshot(root: Path = ROOT) -> str:
+    """A commit holding the tracked files of `root`'s working tree and index,
+    made by ``git stash create``, which changes neither; HEAD when none of
+    them differs from it."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=root, check=True,
+                           capture_output=True, text=True).stdout.strip()
+    return stash or "HEAD"
 
 
 # Tokens that make no line code: comments, line ends and indentation.
@@ -282,10 +294,12 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     better, bounds = directions(bench)
     with (tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp,
+          tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp,
           tempfile.TemporaryDirectory(prefix="bench-control-") as control_tmp):
-        trees = {"parent": Path(tmp), "change": ROOT}
+        trees = {"parent": Path(tmp), "change": Path(change_tmp)}
         control_trees = {"parent": Path(tmp), "change": Path(control_tmp)}
         commit = extract(args.parent, trees["parent"])
+        change = extract(snapshot(), trees["change"])
         if args.control:
             extract(args.parent, control_trees["change"])
         result = {
@@ -293,7 +307,7 @@ def main(argv=None) -> int:
             "command": " ".join(bench["command"]) + " --workload <workload> --seed <seed>"
                        f" --seconds {bench['run_seconds']} --trace <0|1>",
             "parent_commit": commit,
-            "change": "working tree of the checkout",
+            "change": change,
             "pairs_note": "alternating parent/change pairs; 'first' names the side that ran first;"
                           " in a control pair the change side is a second extraction of the parent",
             "code": {side: code_size(trees[side]) for side in SIDES},
