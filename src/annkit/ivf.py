@@ -29,7 +29,7 @@ import numpy as np
 from .base import SearchResult, VectorIndex, check_count, check_query, check_rows, check_seed, make_result
 from .data import EmbeddingSet
 from .distances import Metric, batch_scores, rank_order, shortlist
-from .kmeans import Centroids, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
+from .kmeans import Centroids, _lift, assign_to_centroids, kmeans_fit, read_centroids, write_centroids
 from .pq import PqCodebook, adc_scores, check_codes, default_m, pq_encode_batch, pq_train
 from .sq import SqParams, _code_shortlist, sq_decode_batch, sq_encode_batch, sq_train
 from .wire import Reader, Writer
@@ -207,8 +207,9 @@ def ivf_build(
     nprobe = check_count("nprobe", default_nprobe(nlist) if nprobe is None else nprobe, nlist)
     seed = check_seed(seed)
 
-    coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed)
-    assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors)
+    lifted = _lift(emb_set.vectors)  # one lift for the fit and the final assignment
+    coarse = kmeans_fit(emb_set.vectors, nlist, seed=seed, lifted=lifted)
+    assign, _ = assign_to_centroids(emb_set.vectors, coarse.vectors, lifted=lifted)
 
     codec, encoded = None, emb_set.vectors
     if encoding == "pq":

@@ -104,11 +104,12 @@ class PqCodebook:
 def pq_train(data: np.ndarray, m: int, nbits: int, seed: int = 0) -> PqCodebook:
     """Train one k-means codebook per contiguous subspace.
 
-    Requires m to divide the dimension and 2^nbits <= len(data). Sub-codebooks
-    get derived seeds so the whole training is deterministic in `seed`. The
-    trained books are stacked once into the codebook's block.
+    Requires a dimension of 1 or more (as the codebook's VIDX read does) that
+    m divides, and 2^nbits <= len(data). Sub-codebooks get derived seeds so
+    the whole training is deterministic in `seed`. The trained books are
+    stacked once into the codebook's block.
     """
-    data = check_rows("data", np.asarray(data, dtype=np.float64), nonempty=True)
+    data = check_rows("data", np.asarray(data, dtype=np.float64), nonempty=True, min_dim=1)
     dim = data.shape[1]
     m, nbits = _check_shape(m, nbits)
     seed = check_seed(seed)

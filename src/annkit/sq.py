@@ -52,8 +52,9 @@ class SqParams:
 
 
 def sq_train(data: np.ndarray) -> SqParams:
-    """Capture column-wise min/max over the training vectors."""
-    arr = check_rows("data", np.asarray(data, dtype=np.float32), nonempty=True)
+    """Capture column-wise min/max over the training vectors, at least one
+    column wide, as `SqParams.read` requires."""
+    arr = check_rows("data", np.asarray(data, dtype=np.float32), nonempty=True, min_dim=1)
     return SqParams(mins=arr.min(axis=0), maxs=arr.max(axis=0))
 
 

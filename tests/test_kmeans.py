@@ -26,16 +26,21 @@ from annkit.ivf import ivf_build
 from annkit.kmeans import (
     _BLOCK_ELEMS,
     _DISTORTION_SLACK,
+    _FLOAT32_MAX,
+    _RESCORE_MIN_DIM,
     MAX_ITERS,
     MOVEMENT_TOL,
     Centroids,
+    _column_sq,
     _lift,
+    _rescore_terms,
     _seed_plus_plus,
     assign_to_centroids,
     kmeans_fit,
 )
 from annkit.persist import dump_index
 from annkit.pq import pq_train
+from annkit.sq import sq_train
 
 
 # The thread-count functions of the OpenBLAS builds numpy ships, by the names
@@ -84,10 +89,11 @@ def test_openblas_runs_one_thread_in_this_module():
     assert functions[0]() == 1
 
 
-def assign_to_centroids_reference(points, centroids):
+def assign_to_centroids_reference(points, centroids, lifted=None):
     """The unblocked kernel: one n x k distance matrix from the lifted product
     ``[p | ||p||^2 | 1] @ [-2c^T ; 1 ; ||c||^2]``, the right factor C-ordered as
-    the kernel holds it (BLAS can sum a transposed operand in another order)."""
+    the kernel holds it (BLAS can sum a transposed operand in another order).
+    `lifted`, which ivf_build passes, is ignored: the points are lifted here."""
     p = np.asarray(points, dtype=np.float64)
     c = np.asarray(centroids, dtype=np.float64)
     left = np.hstack([p, np.sum(p * p, axis=1)[:, np.newaxis], np.ones((len(p), 1))])
@@ -133,10 +139,10 @@ def seed_plus_plus_reference(data, k, rng):
     return chosen
 
 
-def kmeans_fit_reference(data, k, max_iters=MAX_ITERS, seed=0):
+def kmeans_fit_reference(data, k, max_iters=MAX_ITERS, seed=0, lifted=None):
     """Lloyd training as written before the blocked kernel: data kept as passed
     (strided column slices included), reference seeding and assignment,
-    np.add.at sums."""
+    np.add.at sums. `lifted`, which ivf_build passes, is ignored."""
     data = np.asarray(data, dtype=np.float64)
     rng = np.random.default_rng(seed)
     centroids = seed_plus_plus_reference(data, k, rng)
@@ -435,7 +441,8 @@ def test_seeding_equals_reference_bitwise(dim, n, k_frac, kind, strided, seed):
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_zero_width_data_trains_like_the_reference(k):
-    """Width 0 is legal (pq_train allows it, as 0 % m == 0): every distance is 0."""
+    """Width 0 is legal for k-means, where every distance is 0. pq_train and
+    sq_train refuse it, as their codebooks' VIDX reads do."""
     data = np.zeros((5, 0))
     got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
     np.testing.assert_array_equal(
@@ -450,7 +457,101 @@ def test_zero_width_data_trains_like_the_reference(k):
         assign_to_centroids(data, centroids), assign_to_centroids_reference(data, centroids)
     ):
         np.testing.assert_array_equal(g, w)
-    assert pq_train(np.zeros((10, 0)), 2, 2).block.shape == (2, 4, 0)
+    for train in (lambda d: pq_train(d, 2, 2), sq_train):
+        with pytest.raises(ValueError, match="width >= 1"):
+            train(np.zeros((10, 0)))
+
+
+def _assert_seeding_equals_reference(data, k, seed):
+    """The same centroids and the generator left in the same state."""
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _seed_plus_plus(np.array(data.T, order="C"), k, got_rng)
+    want = seed_plus_plus_reference(data, k, want_rng)
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spread", [0.05, 1.0])
+@pytest.mark.parametrize(
+    "dim,k", [(64, 98), (64, 310), (8, 256)], ids=["coarse-k98", "coarse-k310", "subspace-8d-k256"]
+)
+def test_seeding_on_workload_shapes_equals_reference_bitwise(spread, dim, k):
+    """The 9,600 x 64 clustered corpus at the scan workload's nlist (98), at
+    ten times its size's nlist (310) and as a PQ subspace (a strided 8-column
+    slice, k 256). At spread 0.05 most rows are skipped; at 1.0 the clusters
+    overlap and whole passes run too."""
+    data = gen_synthetic(32, 300, 64, spread, 7).vectors.astype(np.float64)[:, :dim]
+    _assert_seeding_equals_reference(data, k, seed=k)
+
+
+@pytest.mark.parametrize("magnitude", ["tiny", "float32-max", "mixed"])
+def test_seeding_at_extreme_magnitudes_equals_reference_bitwise(magnitude):
+    """The magnitudes the rescoring bound's terms cover: components near
+    1e-160, whose squares underflow; components up to float32's maximum; and
+    columns scaled from 1e-165 to 1e38."""
+    data = gen_synthetic(16, 100, 16, 0.05, 5).vectors.astype(np.float64)
+    if magnitude == "tiny":
+        data *= 1e-160
+    elif magnitude == "float32-max":
+        data *= _FLOAT32_MAX / np.abs(data).max()
+    else:
+        data *= 10.0 ** np.random.default_rng(5).uniform(-165.0, 38.0, size=16)
+    _assert_seeding_equals_reference(data, 60, seed=5)
+
+
+@pytest.mark.parametrize(
+    "scale,width", [(1.0, 2.0**-50), (2.0**-537, 0.25)], ids=["normal", "underflowing"]
+)
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_rescore_terms_keep_every_row_a_new_centroid_moves(dim, scale, width):
+    """Rows x near the midpoint of their owner o and a new centroid c (off it
+    by up to `width` of c - o), so that D(c, o) is about 4 D(x, o) and
+    rounding decides whether c is nearer: at a scale where the squares are
+    normal, and at 2**-537, where they round to a few 2**-1074. Wherever
+    the seeding kernel's D(x, c) is below its D(x, o), the row is rescored:
+    the reach of D(c, o), in `_sq_l2`'s form, lies below D(x, o)."""
+    factor, tau = _rescore_terms(dim)
+    rng = np.random.default_rng(dim)
+    o, c = rng.standard_normal((2, 2**19 // dim, dim)) * scale
+    x = (o + c) / 2 + (c - o) * rng.uniform(-width, width, size=(len(o), 1))
+
+    def column_sq(p, q):
+        """One whole-row add per dimension, as the seeding kernel sums."""
+        diff = np.array((p - q).T, order="C")
+        diff *= diff
+        return np.add.reduce(diff, axis=0)
+
+    a, b = column_sq(x, o), column_sq(x, c)
+    e = np.add.reduce((o - c) ** 2, axis=-1)
+    moved = b < a
+    assert np.count_nonzero(moved) > 100
+    assert np.all((e[moved] - tau) / factor < a[moved])
+
+
+@pytest.mark.parametrize("seed", range(32))
+def test_seeding_rescores_a_row_whose_distances_underflow(seed):
+    """Points 0, t and s on a line in `_RESCORE_MIN_DIM` (8) dimensions, the
+    narrowest rows that take the rescoring test, t = 1.2 and s = 1.88 times 2**-537: t**2 rounds to 2**-1074,
+    s**2 to 4 times that and (s - t)**2 to 0. After picks 0 and s, the row t
+    is rescored only through the bound's underflow term, and its distance 0
+    leaves every distance 0 for the last pick."""
+    data = np.zeros((3, _RESCORE_MIN_DIM))
+    data[:, 0] = np.array([0.0, 1.2, 1.88]) * 2.0**-537
+    _assert_seeding_equals_reference(data, 3, seed)
+
+
+@pytest.mark.parametrize("dim", [_RESCORE_MIN_DIM, 16, 64])
+def test_one_column_gather_sums_as_the_whole_pass(dim):
+    """A rescoring gather of a single column gives that column's whole-pass
+    distance bit for bit, though numpy sums a lone (dim, 1) block pairwise."""
+    rng = np.random.default_rng(dim)
+    cols = rng.standard_normal((dim, 200))
+    c = rng.standard_normal(dim)
+    buf = np.empty_like(cols)
+    whole = _column_sq(cols, c, buf).copy()
+    for j in range(len(whole)):
+        got = _column_sq(cols, c, buf, np.array([j]))
+        np.testing.assert_array_equal(_bits(got), _bits(whole[j : j + 1]))
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
