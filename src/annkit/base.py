@@ -14,6 +14,12 @@ per property, each with one `ValueError` form that names the value:
   training statistic, finite;
 - `check_query`: a query and its k, through `check_count`, `check_vector`
   and `check_finite`.
+
+`VectorIndex` is the search contract every family implements. `RowsIndex`
+is the one owner of stored rows, for the families that keep every vector
+beside their structure and re-score candidates exactly on it (the flat
+scans, LSH's re-rank, the forests): their uint64 ids, their float32 rows,
+the exact re-score of a row set and the VIDX rows section.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
-from .distances import Metric, rank_order
+from .distances import Metric, batch_scores, rank_order
+from .wire import Reader, Writer
 
 
 @dataclass
@@ -191,6 +198,41 @@ class VectorIndex(abc.ABC):
         from .families import family  # the table imports every index module
 
         return {kw: getattr(self, kw) for kw in family(self.family).knobs}
+
+
+class RowsIndex(VectorIndex):
+    """An index that keeps its ids (uint64) and rows (float32) and re-scores
+    candidate rows exactly on them. Its VIDX rows section is u32 dim, u64
+    count, the ids and the rows; `_write_rows` and `_read_rows` are the one
+    writer and reader of it."""
+
+    def __init__(self, ids: np.ndarray, vectors: np.ndarray):
+        self._ids = np.asarray(ids, dtype=np.uint64)
+        self._vectors = np.asarray(vectors, dtype=np.float32)
+
+    @property
+    def dim(self) -> int:
+        return self._vectors.shape[1]
+
+    def _ranked(self, query: np.ndarray, rows: np.ndarray, k: int) -> SearchResult:
+        """The best k of the stored `rows`, scored on their vectors by
+        `batch_scores` in the index's metric."""
+        scores = batch_scores(self.metric, query, self._vectors[rows])
+        return make_result(self.metric, self._ids[rows], scores, k)
+
+    def _write_rows(self, w: Writer) -> None:
+        w.u32(self.dim)
+        w.u64(len(self))
+        w.u64_array(self._ids)
+        w.f32_array(self._vectors)
+
+    @staticmethod
+    def _read_rows(r: Reader) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, rows) of a rows section; its dim passes `check_count`."""
+        dim = check_count("dim", r.u32())
+        count = r.u64()
+        ids = r.u64_array(count)
+        return ids, r.f32_array(count * dim).reshape(count, dim)
 
 
 def search_excluding(

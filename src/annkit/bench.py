@@ -26,7 +26,7 @@ from .base import VectorIndex, check_count, check_seed, search_excluding
 from .data import EmbeddingSet
 from .distances import Metric
 from .evaluation import label_metrics, precision_at_k, recall_at_n
-from .families import build_index, family
+from .families import build_index, check_knobs, family
 from .flat import ground_truth
 from .persist import dump_index
 
@@ -143,7 +143,10 @@ def run_benchmark(
 ) -> list[BenchReport]:
     """Build and benchmark each family; ground truth is cached per (metric,
     normalized set), so families that index the same vectors in the same
-    metric share one oracle pass."""
+    metric share one oracle pass. Every family name and every `config.params`
+    entry (requested or not) passes `check_knobs` before the first build."""
+    for name in [*families, *config.params]:
+        check_knobs(name, config.params.get(name, {}))
     reports = []
     truth_cache: dict[tuple[Metric, bool], dict[int, list[int]]] = {}
     for name in families:

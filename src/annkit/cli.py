@@ -191,7 +191,7 @@ def _cmd_search(args) -> int:
         query = emb_set.vector_of(args.id)
         result = search_excluding(index, query, args.k, args.id, **knobs)
     else:
-        query = np.array([float(x) for x in args.vector.split(",")], dtype=np.float32)
+        query = np.array([float(x) for x in args.vector.split(",")])  # float64, as search takes it
         result = index.search(query, args.k, **knobs)
     _print_neighbors(result, args.out)
     return 0

@@ -92,13 +92,20 @@ def family(name: str) -> Family:
         raise ValueError(f"unknown index family {name!r}") from None
 
 
+def check_knobs(name: str, knobs: dict) -> Family:
+    """The table row of a family name, after a ValueError unless there is one
+    and it takes every keyword in `knobs`: the knob rule of `build_index` and
+    of `bench.run_benchmark`'s params."""
+    row = family(name)
+    unknown = sorted(set(knobs) - set(row.knobs))
+    if unknown:
+        raise ValueError(f"{name} takes no option(s) {unknown}; it takes {sorted(row.knobs)}")
+    return row
+
+
 def build_index(
     emb_set: EmbeddingSet, name: str, seed: int = 0, **overrides
 ) -> VectorIndex:
     """Construct any family over a set; overrides are the family's knobs.
     Every row's seed passes `check_seed`, also where the build draws nothing."""
-    row = family(name)
-    unknown = sorted(set(overrides) - set(row.knobs))
-    if unknown:
-        raise ValueError(f"{name} takes no option(s) {unknown}; it takes {sorted(row.knobs)}")
-    return row.build(emb_set, seed=check_seed(seed), **overrides)
+    return check_knobs(name, overrides).build(emb_set, seed=check_seed(seed), **overrides)

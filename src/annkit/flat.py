@@ -1,7 +1,7 @@
 """Exhaustive-scan search: the two flat index families and the exact oracle.
 
 Every exact scan is a flat search: a `shortlist` of the stored rows, scored
-by `batch_scores` and ranked by `make_result`. `exact_search` and
+and ranked by `RowsIndex._ranked`. `exact_search` and
 `ground_truth` run it over a whole set in any metric (`_Oracle`), and drop
 the query's own id only through `search_excluding`.
 """
@@ -12,12 +12,9 @@ import math
 
 import numpy as np
 
-from .base import (
-    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, make_result,
-    search_excluding,
-)
+from .base import RowsIndex, SearchResult, check_finite, check_query, check_rows, search_excluding
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores, shortlist, sq_row_norms
+from .distances import Metric, shortlist, sq_row_norms
 from .wire import Reader, Writer
 
 
@@ -57,12 +54,11 @@ def ground_truth(
     return out
 
 
-class _FlatIndex(VectorIndex):
-    """Common storage for the exhaustive families: ids plus raw vectors."""
+class _FlatIndex(RowsIndex):
+    """The exhaustive families: stored rows plus the shortlist's norm column."""
 
     def __init__(self, ids: np.ndarray, vectors: np.ndarray):
-        self._ids = np.asarray(ids, dtype=np.uint64)
-        self._vectors = np.asarray(vectors, dtype=np.float32)
+        super().__init__(ids, vectors)
         # The shortlist's norm column (L2 only) and its maximum, made on build and load.
         sq_norms = sq_row_norms(self._vectors)
         self._max_sq_norm = float(sq_norms.max(initial=0.0))
@@ -77,33 +73,21 @@ class _FlatIndex(VectorIndex):
         return cls(emb_set.ids.copy(), emb_set.vectors.copy())
 
     @property
-    def dim(self) -> int:
-        return self._vectors.shape[1]
-
-    @property
     def vectors(self) -> np.ndarray:
         return self._vectors
 
     def search(self, query: np.ndarray, k: int) -> SearchResult:
         q = check_query(query, k, self.dim)
         rows = shortlist(self.metric, q, self._vectors, k, self._sq_norms, self._max_sq_norm)
-        scores = batch_scores(self.metric, q, self._vectors[rows])
-        return make_result(self.metric, self._ids[rows], scores, k)
+        return self._ranked(q, rows, k)
 
-    # VIDX payload: dim, count, ids, vectors.
+    # VIDX payload: the rows section alone.
     def write_payload(self, w: Writer) -> None:
-        w.u32(self.dim)
-        w.u64(len(self))
-        w.u64_array(self._ids)
-        w.f32_array(self._vectors)
+        self._write_rows(w)
 
     @classmethod
     def read_payload(cls, r: Reader) -> "_FlatIndex":
-        dim = check_count("dim", r.u32())
-        count = r.u64()
-        ids = r.u64_array(count)
-        vectors = r.f32_array(count * dim).reshape(count, dim)
-        return cls(ids, vectors)
+        return cls(*cls._read_rows(r))
 
 
 class FlatL2Index(_FlatIndex):

@@ -11,10 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from .base import (
-    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, check_seed, make_result,
+    RowsIndex, SearchResult, check_count, check_finite, check_query, check_rows, check_seed, make_result,
 )
 from .data import EmbeddingSet
-from .distances import Metric, batch_scores, rank_order
+from .distances import Metric, rank_order
 from .wire import U32_MAX, Reader, Writer
 
 DEFAULT_NBITS = 128
@@ -29,7 +29,7 @@ def code_word(width: int) -> np.dtype:
     return np.dtype(np.uint8)
 
 
-class LshIndex(VectorIndex):
+class LshIndex(RowsIndex):
     family = "lsh"
 
     def __init__(
@@ -40,20 +40,15 @@ class LshIndex(VectorIndex):
         vectors: np.ndarray,
         rerank: bool = True,
     ):
+        super().__init__(ids, vectors)
         self.hyperplanes = np.asarray(hyperplanes, dtype=np.float32)
-        self._ids = np.asarray(ids, dtype=np.uint64)
         # (n, ceil(nbits/8)) packed; contiguous rows so hamming_to can view them as words
         self._codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        self._vectors = np.asarray(vectors, dtype=np.float32)
         self.rerank = rerank
 
     @property
     def nbits(self) -> int:
         return self.hyperplanes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.hyperplanes.shape[1]
 
     @property
     def codes(self) -> np.ndarray:
@@ -90,8 +85,7 @@ class LshIndex(VectorIndex):
         if not rerank:
             return make_result(Metric.L2, self._ids, hamming.astype(np.float64), k)
         pool = rank_order(Metric.L2, self._ids, hamming, RERANK_POOL_FACTOR * k)
-        scores = batch_scores(Metric.L2, q, self._vectors[pool])
-        return make_result(Metric.L2, self._ids[pool], scores, k)
+        return self._ranked(q, pool, k)
 
     # ------------------------------------------------------------ persistence
 

@@ -41,11 +41,9 @@ import struct
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import (
-    SearchResult, VectorIndex, check_count, check_finite, check_query, check_rows, check_seed, make_result,
-)
+from .base import RowsIndex, SearchResult, check_count, check_finite, check_query, check_rows, check_seed
 from .data import EmbeddingSet
-from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, batch_scores, sq_row_norms
+from .distances import _ETA32, _LIMIT, _U32, _U64, Metric, _gamma, _norm_bound, sq_row_norms
 from .wire import U32_MAX, Reader, Writer
 
 # tools/forest_sweep.py: of the pairs with at least the recall@10 of 10 trees of
@@ -91,7 +89,7 @@ def _records(data: np.ndarray, at: np.ndarray, width: int, dtype: str) -> np.nda
     return windows[at].view(dtype).astype(np.dtype(dtype).newbyteorder("="), copy=False)
 
 
-class RpForestIndex(VectorIndex):
+class RpForestIndex(RowsIndex):
     def __init__(
         self,
         metric: Metric,
@@ -108,8 +106,7 @@ class RpForestIndex(VectorIndex):
             raise ValueError(f"forest metric must be angular, l2 or manhattan; got {metric}")
         self.metric = Metric(metric)
         self.leaf_size = leaf_size
-        self._ids = np.asarray(ids, dtype=np.uint64)
-        self._vectors = np.asarray(vectors, dtype=np.float32)
+        super().__init__(ids, vectors)
         is_split = np.asarray(is_split, dtype=bool)
         self._splits = np.where(is_split, np.cumsum(is_split) - 1, -1).astype(np.int32)
         self._normals = np.asarray(normals, dtype=np.float32).reshape(-1, self.dim)
@@ -165,10 +162,6 @@ class RpForestIndex(VectorIndex):
     @property
     def n_trees(self) -> int:
         return len(self._roots)
-
-    @property
-    def dim(self) -> int:
-        return self._vectors.shape[1]
 
     def candidate_rows(self, query: np.ndarray, search_k: int) -> np.ndarray:
         """Deduplicated candidate rows for a budget, from the shared frontier.
@@ -301,8 +294,7 @@ class RpForestIndex(VectorIndex):
     def search(self, query: np.ndarray, k: int, search_k: int | None = None) -> SearchResult:
         check_count("k", k)  # candidate_rows checks the query
         rows = self.candidate_rows(query, self.n_trees * k if search_k is None else search_k)
-        scores = batch_scores(self.metric, query, self._vectors[rows])
-        return make_result(self.metric, self._ids[rows], scores, k)
+        return self._ranked(query, rows, k)
 
     # ------------------------------------------------------------ persistence
 
@@ -310,10 +302,7 @@ class RpForestIndex(VectorIndex):
         w.u8(_METRIC_TAGS[self.metric])
         w.u32(self.n_trees)
         w.u32(self.leaf_size)
-        w.u32(self.dim)
-        w.u64(len(self._ids))
-        w.u64_array(self._ids)
-        w.f32_array(self._vectors)
+        self._write_rows(w)
         cuts, leaf = self._leaf_cuts.tolist(), 0
         for split in self._splits.tolist():
             if split < 0:
@@ -331,10 +320,8 @@ class RpForestIndex(VectorIndex):
         metric = _METRIC_BY_TAG.get(r.u8())  # None fails the constructor's check
         n_trees = check_count("n_trees", r.u32())
         leaf_size = check_count("leaf_size", r.u32())
-        dim = check_count("dim", r.u32())
-        count = r.u64()
-        ids = r.u64_array(count)
-        vectors = r.f32_array(count * dim).reshape(count, dim)
+        ids, vectors = cls._read_rows(r)
+        count, dim = vectors.shape
         # One walk finds each node's start by counting open child slots, then
         # every array is cut and checked in bulk; a node spans at least 5 bytes.
         data, starts, pos, open_slots = memoryview(r.view("u1")), [], 0, n_trees

@@ -188,6 +188,26 @@ def test_run_benchmark_applies_param_overrides(small_set):
     assert report.config["index"]["nbits"] == 16
 
 
+@pytest.mark.parametrize("families, params", [
+    (["flat-l2", "nope"], {}),  # an unknown family after a known one
+    (["flat-l2"], {"nope": {}}),  # a params key that names no family
+    (["flat-l2", "ivf-sq"], {"ivf-sq": {"m": 4}}),  # a knob its row does not take
+    (["flat-l2"], {"lsh": {"M": 4}}),  # the same in a row that is not run
+])
+def test_run_benchmark_checks_every_name_and_knob_before_the_first_build(families, params):
+    seen = []
+    with pytest.raises(ValueError):
+        run_benchmark(gen_synthetic(3, 20, 8, 0.05, 3), families,
+                      protocol(n_queries=10, params=params), progress=seen.append)
+    assert seen == []
+
+
+def test_run_benchmark_allows_params_for_a_family_it_does_not_run():
+    cfg = protocol(n_queries=10, params={"lsh": {"nbits": 16}})
+    (report,) = run_benchmark(gen_synthetic(3, 20, 8, 0.05, 3), ["flat-l2"], cfg)
+    assert report.family == "flat-l2" and report.config["index"] == {}
+
+
 def test_report_field_order_matches_dataclass():
     names = [f.name for f in dataclasses.fields(BenchReport)]
     assert names == [

@@ -53,6 +53,26 @@ def test_a_clear_win_meets_the_claim_rule():
     assert table["qps"]["equal_pairs"] == 10 and table["qps"]["change_wins"] == 0
 
 
+def test_a_setup_claim_needs_the_raw_setup_claim_too():
+    """Normalized setup_s won every pair while raw_setup_s won 8 of 10: one
+    speed sample per run moved it, so no setup claim is met."""
+    pairs = _pairs(PARENT, PARENT)
+    raw_change = [p / 2 for p in PARENT]
+    raw_change[:2] = [p * 2 for p in PARENT[:2]]
+    for pair, p, c in zip(pairs, PARENT, raw_change):
+        pair["parent"]["metrics"]["setup_s"], pair["change"]["metrics"]["setup_s"] = p, p / 2
+        pair["parent"]["extras"]["raw_setup_s"], pair["change"]["extras"]["raw_setup_s"] = p, c
+    better = {"setup_s": "lower", "raw_setup_s": "lower"}
+    table = bench_pairs.summarise(pairs, better)
+    assert table["setup_s"]["change_wins"] == 10 and table["raw_setup_s"]["change_wins"] == 8
+    assert not table["raw_setup_s"]["claim_rule_met"]
+    assert not table["setup_s"]["claim_rule_met"]
+    for pair, p in zip(pairs, PARENT):  # raw wins every pair too: both claims hold
+        pair["change"]["extras"]["raw_setup_s"] = p / 2
+    table = bench_pairs.summarise(pairs, better)
+    assert table["setup_s"]["claim_rule_met"] and table["raw_setup_s"]["claim_rule_met"]
+
+
 def test_ties_are_no_wins():
     change = [p / 5 for p in PARENT]
     change[0] = PARENT[0]

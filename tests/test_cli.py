@@ -8,7 +8,8 @@ import pytest
 from annkit import gen_synthetic, ground_truth, load_vemb, save_vemb, search_excluding
 from annkit.cli import main
 from annkit.families import ALL_FAMILIES
-from annkit.persist import load_index
+from annkit.flat import FlatL2Index
+from annkit.persist import load_index, save_index
 
 
 @pytest.fixture()
@@ -56,6 +57,18 @@ def test_search_by_raw_vector(tmp_path, data_path, capsys):
     first_id, first_score = lines[0].split("\t")
     assert int(first_id) == 0  # the stored vector itself
     assert float(first_score) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_search_by_raw_vector_takes_the_components_as_float64(tmp_path, capsys):
+    """float32(0.1) lies exactly halfway between 0.0 and 0.2, so a float32
+    query ties the two rows and ranks id 0 first; 0.1 itself is nearer 0.0."""
+    index = FlatL2Index(np.array([0, 1]), np.array([[0.2], [0.0]]))
+    index_path = tmp_path / "flat.vidx"
+    save_index(index, index_path)
+    assert index.search(np.array([0.1]), 2).ids == [1, 0]
+    assert main(["search", "--index", str(index_path), "--vector", "0.1", "--k", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [int(line.split("\t")[0]) for line in lines] == [1, 0]
 
 
 def test_truth_command_matches_library(tmp_path, data_path):
@@ -175,7 +188,7 @@ def test_search_passes_query_time_knobs(tmp_path, data_path, family, build_flags
     assert main(["build", "--data", str(data_path), "--family", family, *build_flags,
                  "--out", str(index_path)]) == 0
     query = load_vemb(data_path).vectors[3]
-    vector = ",".join(str(x) for x in query)
+    vector = ",".join(repr(float(x)) for x in query)  # each float32 component exactly
     out_path = tmp_path / "hits.json"
     assert main(["search", "--index", str(index_path), f"--vector={vector}", "--k", str(k),
                  *search_flags, "--out", str(out_path)]) == 0

@@ -219,6 +219,22 @@ def test_every_loader_rejects_a_repeated_id(distinct_id_blobs, family, data):
         load_index_bytes(blob.replace(lost, kept))
 
 
+def _payload(index) -> bytes:
+    w = Writer()
+    index.write_payload(w)
+    return w.getvalue()
+
+
+@pytest.mark.parametrize("metric", [Metric.ANGULAR, Metric.L2, Metric.MANHATTAN])
+def test_flat_and_forest_share_one_rows_section(small_set, metric):
+    """A flat payload is the rows section alone; a forest's holds the same
+    bytes after its metric byte, n_trees and leaf_size (1 + 4 + 4 bytes)."""
+    rows = _payload(FlatL2Index.build(small_set))
+    forest = _payload(rp_build(small_set, n_trees=3, leaf_size=16, metric=metric, seed=0))
+    assert forest[9 : 9 + len(rows)] == rows
+    assert len(rows) == 4 + 8 + len(small_set) * (8 + 4 * small_set.dim)
+
+
 _NO_BUILDER_WRITES = {
     # nbits 0: every code is empty, so every query has Hamming distance 0
     "lsh": lambda s: LshIndex(np.empty((0, s.dim)), s.ids, np.empty((len(s), 0)), s.vectors),
